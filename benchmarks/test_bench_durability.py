@@ -6,7 +6,9 @@ Three paper-relevant numbers from the storage layer:
   the journal attached versus bare (the WAL tax on every mutation);
 * **replay latency vs log length** — recovery is a linear scan, so the
   replay time must grow with the delta count and stay milliseconds at
-  the sizes the soak produces;
+  the sizes the soak produces; a delta holds what its flush appended,
+  not the admin history, so **bytes per delta stay flat** as the log
+  grows;
 * **compaction bound** — with a compaction threshold the on-disk record
   count (and hence replay work) is bounded regardless of how many
   mutations ran.
@@ -33,9 +35,23 @@ BROADCAST_ROUNDS = 40
 LOG_LENGTHS = (16, 64, 256)
 COMPACT_THRESHOLD = 16
 #: Journaled hot path within 5x of bare (the per-mutation diff, JSON
-#: encode, and seal dominate; measured ~3.3x).  The bound still trips
+#: encode, and seal dominate; measured ~1.8x).  The bound still trips
 #: if appends degrade to full-snapshot writes.
 MAX_APPEND_OVERHEAD = 5.0
+#: Bytes per delta at the longest log over the shortest: a delta that
+#: re-serialized its session's whole admin log measured 1.75x here.
+MAX_DELTA_GROWTH = 1.25
+#: The "before" row: this benchmark at commit 80bdba8, whose writer put
+#: the touched session's whole admin log into every delta.
+BEFORE_SUFFIX_DELTAS = {
+    "commit": "80bdba8",
+    "overhead_ratio": 3.1380865248649408,
+    "replay_curve": [
+        {"deltas": 16, "records": 21, "bytes": 42306},
+        {"deltas": 64, "records": 66, "bytes": 144078},
+        {"deltas": 256, "records": 261, "bytes": 863779},
+    ],
+}
 
 
 def _journaled_group(n_members=4, seed=0, **journal_kw):
@@ -59,16 +75,18 @@ def _broadcast_rounds(net, leader, rounds):
 
 
 def _grow_log(deltas, seed=0):
-    """A journal holding ``deltas`` delta records (no compaction)."""
+    """A journal holding ``deltas`` delta records (no compaction);
+    returns ``(journal bytes, storage key, bytes of the base record)``."""
     net, leader, members, journal, disk, key = _journaled_group(
         seed=seed, compact_threshold=None,
     )
     base = journal.seq
+    base_bytes = len(disk.read("leader.wal"))
     while journal.seq - base < deltas:
         net.post_all(leader.broadcast_admin(
             TextPayload(f"d{journal.seq}")))
         net.run()
-    return disk.read("leader.wal"), key
+    return disk.read("leader.wal"), key, base_bytes
 
 
 def test_append_overhead_and_replay_curve():
@@ -99,7 +117,7 @@ def test_append_overhead_and_replay_curve():
     # -- replay latency vs log length --------------------------------
     curve = []
     for deltas in LOG_LENGTHS:
-        data, key = _grow_log(deltas)
+        data, key, base_bytes = _grow_log(deltas)
         best = float("inf")
         for _ in range(REPEATS):
             start = time.perf_counter()
@@ -113,11 +131,22 @@ def test_append_overhead_and_replay_curve():
             "deltas": deltas,
             "records": result.records,
             "bytes": len(data),
+            "bytes_per_delta":
+                (len(data) - base_bytes) / (result.records - 1),
             "replay_s": best,
         })
     payload["replay_curve"] = curve
     # Linear scan: 16x the log must not replay faster than the shortest.
     assert curve[-1]["replay_s"] >= curve[0]["replay_s"]
+    # A delta costs what changed, however much history precedes it.
+    growth = curve[-1]["bytes_per_delta"] / curve[0]["bytes_per_delta"]
+    payload["delta_growth"] = {
+        "from_deltas": LOG_LENGTHS[0],
+        "to_deltas": LOG_LENGTHS[-1],
+        "bytes_per_delta_ratio": growth,
+    }
+    assert growth <= MAX_DELTA_GROWTH, \
+        f"bytes per delta grew {growth:.2f}x with log length"
 
     # -- compaction bounds replay ------------------------------------
     net, leader, _, journal, disk, key = _journaled_group(
@@ -139,4 +168,5 @@ def test_append_overhead_and_replay_curve():
     # Replaying the compacted log is cheaper than the longest raw log.
     assert result.records < max(LOG_LENGTHS)
 
+    payload["before_suffix_deltas"] = BEFORE_SUFFIX_DELTAS
     write_bench_record("durability", payload)

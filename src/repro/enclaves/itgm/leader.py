@@ -92,6 +92,13 @@ class LeaderConfig:
     rekey_grace: bool = True
 
 
+def _is_relay(envelope: Envelope) -> bool:
+    """Frames that go to ``_relay_app``/``_relay_data``: those read the
+    membership and the group key and write only stats, so handling one
+    leaves nothing to journal."""
+    return envelope.label is Label.APP_DATA or envelope.label.is_data
+
+
 class GroupLeader:
     """Sans-IO group leader for the intrusion-tolerant protocol."""
 
@@ -137,7 +144,10 @@ class GroupLeader:
         returning its outgoing frames — write-ahead discipline: if the
         journal (or its disk) fails, the exception propagates and the
         mutation's outputs are withheld, so no member can ever observe
-        state the journal lost.  Pass ``None`` to detach.
+        state the journal lost.  The unit is the flush: :meth:`handle`
+        and the leader-initiated entry points journal their own
+        mutation, :meth:`handle_many` journals its whole batch as one
+        record.  Pass ``None`` to detach.
         """
         self._journal = journal
 
@@ -199,7 +209,8 @@ class GroupLeader:
         if self._telemetry:
             self._cause = frame_id(envelope)
         out, events = self._dispatch(envelope)
-        self._checkpoint()
+        if not _is_relay(envelope):
+            self._checkpoint()
         if self._telemetry:
             self._publish(envelope, events)
             self._cause = ""
@@ -208,20 +219,25 @@ class GroupLeader:
     def handle_many(
         self, envelopes: list[Envelope]
     ) -> tuple[list[Envelope], list[Event]]:
-        """Process a flush of envelopes, batch-verifying APP_DATA runs.
+        """Process a flush of envelopes as one journaled unit.
 
-        Equivalent to calling :meth:`handle` in order, with one fast
-        path: consecutive APP_DATA relays are MAC-checked in a single
-        :meth:`~repro.crypto.aead.AuthenticatedCipher.open_many` batch
-        under the group cipher.  Frames whose batch check fails (or that
-        are not plain relays) fall back to the unchanged single-frame
-        logic, so every rejection reason, stat, and telemetry event is
-        produced by exactly the code that always produced it.  With a
-        profiler bound the batch is skipped entirely — per-frame phase
-        attribution stays intact.
+        Same outputs, events and state as calling :meth:`handle` in
+        order, with two savings.  The whole flush is journaled as *one*
+        record (and one fsync) after its last frame, before any of its
+        outgoing frames is returned: group commit, with the write-ahead
+        rule intact — a failed write withholds every frame of the
+        flush.  And consecutive APP_DATA relays are MAC-checked in a
+        single :meth:`~repro.crypto.aead.AuthenticatedCipher.open_many`
+        batch under the group cipher; frames whose batch check fails
+        (or that are not plain relays) fall back to the unchanged
+        single-frame logic, so every rejection reason, stat, and
+        telemetry event is produced by exactly the code that always
+        produced it.  With a profiler bound the batch is skipped
+        entirely — per-frame phase attribution stays intact.
         """
-        out: list[Envelope] = []
-        events: list[Event] = []
+        bus = self._telemetry
+        handled: list[tuple[Envelope, list[Envelope], list[Event]]] = []
+        last_mutating: Envelope | None = None
         i, n = 0, len(envelopes)
         while i < n:
             run: list[Envelope] = []
@@ -233,19 +249,37 @@ class GroupLeader:
                 ):
                     run.append(envelopes[i + len(run)])
             if len(run) >= 2:
-                o, e = self._relay_app_batch(run)
+                handled.extend(self._relay_app_batch(run))
                 i += len(run)
-            else:
-                o, e = self.handle(envelopes[i])
-                i += 1
+                continue
+            envelope = envelopes[i]
+            if bus:
+                self._cause = frame_id(envelope)
+            o, e = self._dispatch(envelope)
+            handled.append((envelope, o, e))
+            if not _is_relay(envelope):
+                last_mutating = envelope
+            i += 1
+        if last_mutating is not None:
+            if bus:
+                self._cause = frame_id(last_mutating)
+            self._checkpoint()
+        out: list[Envelope] = []
+        events: list[Event] = []
+        for envelope, o, e in handled:
+            if bus:
+                self._publish(envelope, e)
             out.extend(o)
             events.extend(e)
+        if bus:
+            self._cause = ""
         return out, events
 
     def _relay_app_batch(
         self, run: list[Envelope]
-    ) -> tuple[list[Envelope], list[Event]]:
-        """Batch-open a run of APP_DATA frames, then dispatch each.
+    ) -> list[tuple[Envelope, list[Envelope], list[Event]]]:
+        """Batch-open a run of APP_DATA frames, then relay each;
+        returns ``(envelope, outgoing, events)`` per frame.
 
         Only verified-under-the-current-key plaintexts short-circuit;
         anything else (non-member sender, malformed box, MAC failure —
@@ -269,19 +303,10 @@ class GroupLeader:
         if items:
             for index, plain in zip(positions, cipher.open_many(items)):
                 opened[index] = plain
-        out: list[Envelope] = []
-        events: list[Event] = []
-        for envelope, plain in zip(run, opened):
-            if self._telemetry:
-                self._cause = frame_id(envelope)
-            o, e = self._relay_app(envelope, _opened=plain)
-            self._checkpoint()
-            if self._telemetry:
-                self._publish(envelope, e)
-                self._cause = ""
-            out.extend(o)
-            events.extend(e)
-        return out, events
+        return [
+            (envelope, *self._relay_app(envelope, _opened=plain))
+            for envelope, plain in zip(run, opened)
+        ]
 
     def _publish(self, envelope: Envelope, events: list[Event]) -> None:
         """Map protocol events for one handled frame onto the bus."""

@@ -81,6 +81,12 @@ class LeaderSession:
         self.admin_log: list[AdminPayload] = []
         #: Fingerprints of session keys discarded on close (Oops'd keys).
         self.discarded_keys: list[str] = []
+        #: Bumped each time ``admin_log`` is emptied.  The journal writes
+        #: only the entries appended since its last record; a length
+        #: cannot tell it the log was reset (a close and rejoin between
+        #: two records can leave the new log longer than the old), this
+        #: counter can.
+        self.log_generation = 0
         #: Monotonic dirty counter, bumped on every durable state change.
         #: The write-ahead journal uses it to re-serialize only the
         #: sessions that actually moved since the last record — without
@@ -301,20 +307,8 @@ class LeaderSession:
         # Close: discard K_a (the formal model Oops's it here) and empty
         # the send log, per §5.4.
         assert self._session_key is not None
-        self.discarded_keys.append(self._session_key.fingerprint())
-        self._session_key = None
-        self._session_cipher = None
-        self._nonce = None
-        self.admin_log = []
-        self._last_outbound = None
-        self._init_body = None
-        was_member = self.state in (
-            LeaderState.CONNECTED, LeaderState.WAITING_FOR_ACK
-        )
-        self.state = LeaderState.NOT_CONNECTED
-        self.version += 1
-        self.stats.sessions_closed += 1
-        return [], [Left(self.user_id)] if was_member else []
+        self._discard_session()
+        return [], [Left(self.user_id)]
 
     def close_locally(self) -> None:
         """Leader-initiated close (expulsion): discard K_a and reset.
@@ -325,12 +319,16 @@ class LeaderSession:
         or it rejoins — any message it sends under the discarded key is
         now unauthenticatable, which is the point.
         """
+        self._discard_session()
+
+    def _discard_session(self) -> None:
         if self._session_key is not None:
             self.discarded_keys.append(self._session_key.fingerprint())
         self._session_key = None
         self._session_cipher = None
         self._nonce = None
         self.admin_log = []
+        self.log_generation += 1
         self._last_outbound = None
         self._init_body = None
         self.state = LeaderState.NOT_CONNECTED

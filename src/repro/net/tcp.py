@@ -104,6 +104,9 @@ class TcpLeaderEndpoint(Endpoint):
         self._arrival = asyncio.Event()
         self._telemetry = telemetry
         self._links: dict[str, asyncio.StreamWriter] = {}
+        #: Every live connection's handler task and its writer — also
+        #: links that never sent a frame, which ``_links`` does not know.
+        self._handlers: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._server: asyncio.AbstractServer | None = None
         self._closed = False
 
@@ -129,8 +132,10 @@ class TcpLeaderEndpoint(Endpoint):
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         peer_addr: str | None = None
+        task = asyncio.current_task()
+        self._handlers[task] = writer
         try:
-            while True:
+            while not self._closed:
                 envelope = await read_frame(reader)
                 # Learn/refresh the claimed address for return routing.
                 if envelope.sender:
@@ -158,6 +163,7 @@ class TcpLeaderEndpoint(Endpoint):
         finally:
             if peer_addr is not None and self._links.get(peer_addr) is writer:
                 del self._links[peer_addr]
+            del self._handlers[task]
             writer.close()
 
     def _enqueue(self, envelope: Envelope) -> None:
@@ -204,10 +210,17 @@ class TcpLeaderEndpoint(Endpoint):
         self._closed = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        for writer in self._links.values():
+        # Closing a link's writer ends its handler's pending read with
+        # EOF, so each handler finishes on its own; wait for all of them
+        # rather than leave tasks for the loop's teardown to cancel.
+        handlers = list(self._handlers)
+        for writer in self._handlers.values():
             writer.close()
+        if handlers:
+            await asyncio.gather(*handlers)
         self._links.clear()
+        if self._server is not None:
+            await self._server.wait_closed()
         self._arrival.set()  # release a recv() parked on the mailbox
 
 

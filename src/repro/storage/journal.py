@@ -20,13 +20,34 @@ the *authoritative* one (tampering, wrong key).  ``seq`` is strictly
 increasing, so a lost middle record is detected as a gap rather than
 silently stitched over.
 
+A snapshot's ``data`` is ``persistence.snapshot_leader``.  A delta's is
+``{"leader": {changed top-level fields}, "sessions": {uid: session |
+None}, "outboxes": {uid: [payload hex] | None}}`` with only the entries
+that moved (``None`` = removed).  A session entry is
+``persistence.session_snapshot`` with its two grow-only lists in
+*suffix* form: ``admin_log`` holds only the payloads sent since the
+previous record and ``admin_log_base`` the log length they extend
+(likewise ``discarded_keys`` / ``discarded_keys_base``), so a record
+costs what the flush appended, not the session's history.  A list
+without a ``_base`` field is complete and replaces what replay holds:
+that is how a new session and a log emptied by close/expel are written,
+and what every record written before the suffix form looks like.
+:func:`apply_delta` stitches, and refuses a suffix whose base is not
+the length replay has reached (a record went missing where ``seq``
+could not show it).
+
 Write-ahead discipline: :meth:`Journal.record_mutation` is invoked by
 ``GroupLeader._checkpoint`` *before* the mutation's outgoing frames are
-released.  If the disk fails, :class:`~repro.exceptions.DiskCrashed`
-propagates and the frames are withheld — so with ``fsync_every=1`` no
-member can ever have seen a frame whose mutation the journal lost,
-which is exactly what makes post-crash recovery *warm* (members keep
-their sessions; see :mod:`repro.storage.recovery`).
+released.  The unit is the **flush**: one ``GroupLeader.handle`` call,
+one leader-initiated entry point (``rekey_now``, ``expel``, ``tick`` …)
+or one whole ``handle_many`` batch writes one record and, at
+``fsync_every=1``, one fsync — group commit — and returns its frames
+only afterwards.  If the disk fails,
+:class:`~repro.exceptions.DiskCrashed` propagates and every frame of
+the flush is withheld — so with ``fsync_every=1`` no member can ever
+have seen a frame whose mutation the journal lost, which is exactly
+what makes post-crash recovery *warm* (members keep their sessions; see
+:mod:`repro.storage.recovery`).
 
 State deltas, not commands: the leader draws keys from its
 :class:`~repro.crypto.rng.RandomSource`, so re-executing the inbound
@@ -43,6 +64,7 @@ import zlib
 from repro.crypto.aead import AuthenticatedCipher
 from repro.crypto.keys import KeyMaterial
 from repro.crypto.rng import RandomSource
+from repro.exceptions import StorageError
 from repro.telemetry.events import (
     EventBus,
     JournalAppended,
@@ -123,9 +145,12 @@ class Journal:
         self.seq = 0
         self._unsynced = 0
         self._deltas_since_base = 0
-        # Mirror of the last journaled state, for delta computation.
+        # What the last record left on disk, for delta computation: the
+        # top-level fields and encoded outboxes, and per session the
+        # ``(version, log_generation, len(admin_log),
+        # len(discarded_keys))`` it was written at.
         self._view: dict | None = None
-        self._session_versions: dict[str, int] = {}
+        self._session_marks: dict[str, tuple[int, int, int, int]] = {}
         self._subscribers = []  # shipping hooks: fn(record, seq, kind)
         self.appends = 0
         self.fsyncs = 0
@@ -193,9 +218,9 @@ class Journal:
         """Journal whatever changed since the last record.
 
         Called by ``GroupLeader._checkpoint`` at the end of every
-        mutating entry point, before outputs are released.  A no-op
-        when nothing observable changed (e.g. a rejected frame or a
-        pure app relay), so the journal length tracks *mutations*, not
+        flush that could have mutated state, before its outputs are
+        released.  A no-op when nothing observable changed (e.g. a
+        rejected frame), so the journal length tracks *mutations*, not
         traffic.
         """
         if self._view is None:
@@ -289,11 +314,10 @@ class Journal:
             "group_epoch": snapshot["group_epoch"],
             "last_rotation_was_eviction":
                 snapshot["last_rotation_was_eviction"],
-            "sessions": dict(snapshot["sessions"]),
             "outboxes": dict(snapshot["outboxes"]),
         }
-        self._session_versions = {
-            uid: session.version
+        self._session_marks = {
+            uid: _mark(session)
             for uid, session in leader._sessions.items()
         }
 
@@ -322,22 +346,31 @@ class Journal:
             delta["leader"] = top
             view.update(top)
 
+        marks = self._session_marks
         sessions: dict = {}
         for uid, session in leader._sessions.items():
             # The per-session version counter makes this O(changed
-            # sessions): untouched sessions are skipped without
-            # re-serializing their (unbounded) admin logs.
-            if self._session_versions.get(uid) == session.version:
+            # sessions), and the suffix form O(entries they appended):
+            # neither an untouched session nor the journaled part of a
+            # touched one's (unbounded) admin log is re-serialized.
+            mark = marks.get(uid)
+            if mark is None:
+                sessions[uid] = session_snapshot(session)
+            elif mark[0] == session.version:
                 continue
-            snap = session_snapshot(session)
-            sessions[uid] = snap
-            view["sessions"][uid] = snap
-            self._session_versions[uid] = session.version
-        for uid in list(view["sessions"]):
-            if uid not in leader._sessions:
-                sessions[uid] = None
-                del view["sessions"][uid]
-                self._session_versions.pop(uid, None)
+            else:
+                _, generation, log_len, keys_len = mark
+                sessions[uid] = session_snapshot(
+                    session,
+                    log_base=(log_len
+                              if generation == session.log_generation
+                              else None),
+                    keys_base=keys_len,
+                )
+            marks[uid] = _mark(session)
+        for uid in [uid for uid in marks if uid not in leader._sessions]:
+            sessions[uid] = None
+            del marks[uid]
         if sessions:
             delta["sessions"] = sessions
 
@@ -357,15 +390,55 @@ class Journal:
         return delta or None
 
 
+def _mark(session) -> tuple[int, int, int, int]:
+    return (
+        session.version, session.log_generation,
+        len(session.admin_log), len(session.discarded_keys),
+    )
+
+
+#: The per-session lists a delta carries as a suffix (see module docstring).
+_SUFFIX_LISTS = ("admin_log", "discarded_keys")
+
+
+class DeltaBaseMismatch(StorageError):
+    """A suffix delta does not extend the state it was applied to: a
+    record between the two is missing.  Replay truncates before it."""
+
+
 def apply_delta(state: dict, data: dict) -> None:
-    """Merge one delta record into a full snapshot dict (in place)."""
+    """Merge one delta record into a full snapshot dict (in place).
+
+    Raises :class:`DeltaBaseMismatch`, with ``state`` untouched, when a
+    suffix list's base is not the length ``state`` holds.
+    """
+    sessions = data.get("sessions", {})
+    for uid, snap in sessions.items():
+        if snap is None:
+            continue
+        prior = state["sessions"].get(uid)
+        for name in _SUFFIX_LISTS:
+            base = snap.get(name + "_base")
+            if base is None:
+                continue
+            held = len(prior[name]) if prior is not None else None
+            if base != held:
+                raise DeltaBaseMismatch(
+                    f"{uid!r} {name} suffix extends length {base}, "
+                    f"replayed state holds {held}"
+                )
     for key, value in data.get("leader", {}).items():
         state[key] = value
-    for uid, snap in data.get("sessions", {}).items():
+    for uid, snap in sessions.items():
         if snap is None:
             state["sessions"].pop(uid, None)
-        else:
-            state["sessions"][uid] = snap
+            continue
+        for name in _SUFFIX_LISTS:
+            if snap.pop(name + "_base", None) is not None:
+                stitched = state["sessions"][uid][name]
+                stitched.extend(snap[name])
+                snap[name] = stitched
+        state["sessions"][uid] = snap
     for uid, encoded in data.get("outboxes", {}).items():
         if encoded is None:
             state["outboxes"].pop(uid, None)

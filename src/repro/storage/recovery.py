@@ -22,6 +22,12 @@ How the valid prefix is found:
    delta must carry ``seq = previous + 1``.  A gap means a lost middle
    record, and applying anything beyond it could interleave state from
    different histories — so the scan stops at the gap.
+4. Suffix check: a delta carries only the admin-log entries appended
+   since the record before it, with the length they extend.  If that
+   base is not the length replay has reached, a record is missing
+   where ``seq`` could not show it (a spliced stream, a follower that
+   was offered a delta it had not the predecessor of) — the scan stops
+   there too, never stitching across the hole.
 
 Truncation is safe *because* of the journal's write-ahead discipline:
 a mutation whose record did not survive never released its frames (at
@@ -54,6 +60,7 @@ from repro.exceptions import (
 from repro.storage.journal import (
     MAX_RECORD_LEN,
     RECORD_AD,
+    DeltaBaseMismatch,
     apply_delta,
 )
 from repro.telemetry.events import EventBus, JournalReplayed
@@ -158,7 +165,12 @@ def replay_records(data: bytes, storage_key: KeyMaterial) -> ReplayResult:
                 )
                 truncated = True
                 break
-            apply_delta(state, payload)
+            try:
+                apply_delta(state, payload)
+            except DeltaBaseMismatch as exc:
+                reason = f"suffix base mismatch ({exc}): lost record"
+                truncated = True
+                break
             last_seq = seq
         records += 1
 

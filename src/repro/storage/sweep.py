@@ -14,7 +14,12 @@ random soak testing:
    capturing the leader's canonical sealed-snapshot JSON after the
    journal base and after every journaled mutation.  These are the
    *only* legitimate recovery targets; crashing can lose a suffix of
-   history, never invent or reorder it.
+   history, never invent or reorder it.  The script's first half
+   reaches the leader frame by frame (one record per frame); its
+   second half is delivered the way a mailbox drain delivers it —
+   whatever queued for the leader goes through one ``handle_many``
+   flush and one group-committed record — so a crash inside a flush
+   may only ever recover to a flush *boundary*.
 2. *Crash runs* — for every disk-write index ``i`` in the reference
    run and every fault mode (fail-stop keeping the cache, torn write,
    lost un-fsynced suffix), rerun the same seeded script with a
@@ -33,7 +38,9 @@ random soak testing:
    (admin-log prefix, strictly increasing accepted epochs) must hold
    for every member.  With ``fsync_every=1`` the write-ahead
    discipline additionally guarantees *warm* recovery: no member that
-   was connected at crash time needs to re-authenticate.
+   was connected at crash time needs to re-authenticate.  The unit of
+   that discipline is the flush: a crash at a flush's append or fsync
+   must have withheld *every* frame the flush produced.
 """
 
 from __future__ import annotations
@@ -92,6 +99,7 @@ class SweepReport:
     cold: int = 0           # loud RecoveryError (legitimate cold path)
     reauths: int = 0        # members that had to re-authenticate
     truncated: int = 0      # recoveries that discarded a torn tail
+    flush_crashes: int = 0  # crashes that struck inside a handle_many flush
     failures: list[str] = field(default_factory=list)
 
     @property
@@ -108,6 +116,7 @@ class SweepReport:
             ("cold recoveries", self.cold),
             ("re-authentications", self.reauths),
             ("truncated tails", self.truncated),
+            ("crashes inside a flush", self.flush_crashes),
             ("failures", len(self.failures)),
         ]
         width = max(len(name) for name, _ in rows)
@@ -155,6 +164,9 @@ class _Run:
         )
         self._recovery_rng = rng.fork("recovery")
         self.config = config
+        #: ``len(net.wire_log)`` when the ``handle_many`` flush now in
+        #: progress began; ``None`` between flushes.
+        self.flush_began: int | None = None
 
     def canonical(self, leader: GroupLeader | None = None) -> str:
         return json.dumps(
@@ -180,6 +192,49 @@ class _Run:
         yield lambda: (net.post_all(leader.expel("carol")), net.run())
         yield lambda: (net.post(members["alice"].seal_app(b"app")),
                        net.run())
+        # From here on concurrent senders, delivered in flushes: each
+        # flush below mixes handshakes, closes, acks and relays.
+        yield lambda: (members["carol"]._reset_session(),  # was expelled
+                       net.post(members["carol"].start_join()),
+                       net.post(members["bob"].start_leave()),
+                       net.post(members["alice"].seal_app(b"a1")),
+                       self.run_batched())
+        yield lambda: (net.post(members["bob"].start_join()),
+                       net.post_all(leader.broadcast_admin(
+                           TextPayload("batched"))),
+                       self.run_batched())
+        yield lambda: (net.post_all(leader.rekey_now()),
+                       net.post_all([member.seal_app(b"a2")
+                                     for member in members.values()]),
+                       self.run_batched())
+        yield lambda: (net.post(members["alice"].start_leave()),
+                       net.post(members["carol"].start_leave()),
+                       net.post(members["bob"].seal_app(b"a3")),
+                       self.run_batched())
+
+    def run_batched(self) -> None:
+        """Pump to quiescence as a mailbox drain does: frames for the
+        leader queue while the members talk, then go through one
+        ``handle_many`` flush — one journal record — whose outputs are
+        posted only once it returned."""
+        net, leader = self.net, self.leader
+        inbox: list = []
+
+        def queue(envelope):
+            inbox.append(envelope)
+            return [], []
+
+        net.register("leader", queue)
+        while True:
+            net.run()
+            if not inbox:
+                break
+            flush, inbox[:] = list(inbox), []
+            self.flush_began = len(net.wire_log)
+            outgoing, _ = leader.handle_many(flush)
+            self.flush_began = None
+            net.post_all(outgoing)
+        net.register("leader", leader.handle)
 
     def execute(self, capture=None) -> None:
         """Attach the journal and run the whole script.
@@ -357,6 +412,13 @@ def run_crash_sweep(config: SweepConfig | None = None) -> SweepReport:
                 continue
             except DiskCrashed:
                 pass
+            if run.flush_began is not None:
+                report.flush_crashes += 1
+                if len(run.net.wire_log) != run.flush_began:
+                    report.failures.append(
+                        f"{case}: a flush released frames before its "
+                        f"record was durable"
+                    )
             connected_at_crash = {
                 uid for uid, member in run.members.items()
                 if member.state is MemberState.CONNECTED

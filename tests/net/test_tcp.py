@@ -1,7 +1,9 @@
 """Tests for the TCP transport."""
 
 import asyncio
+import logging
 
+from repro.exceptions import ConnectionClosed
 from repro.net.tcp import TcpTransport
 from repro.wire.labels import Label
 from repro.wire.message import Envelope
@@ -290,3 +292,42 @@ class TestTcpEdgeCases:
             return envelope.body
 
         assert run(scenario()) == b"late"
+
+    def test_leader_closes_first_and_leaves_nothing_behind(
+        self, caplog, capfd
+    ):
+        """Closing the leader endpoint before its clients must end every
+        per-connection handler — also the one of a link that never sent
+        a frame — instead of leaving them for the loop's teardown to
+        cancel (which asyncio reports as 'Exception in callback …
+        CancelledError')."""
+        async def scenario():
+            transport = TcpTransport(port=0)
+            leader = await transport.attach("leader")
+            idle = await transport.attach("idle")
+            active = await transport.attach("alice")
+            await active.send(
+                Envelope(Label.AUTH_INIT_REQ, "alice", "leader", b"x")
+            )
+            await asyncio.wait_for(leader.recv(), 2)
+            await asyncio.wait_for(leader.close(), 2)
+            pending = [
+                task for task in asyncio.all_tasks()
+                if task is not asyncio.current_task()
+            ]
+            # The clients see EOF: the leader closed their links too.
+            eofs = 0
+            for member in (idle, active):
+                try:
+                    await asyncio.wait_for(member.recv(), 2)
+                except ConnectionClosed:
+                    eofs += 1
+                await member.close()
+            return pending, eofs
+
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            pending, eofs = run(scenario())
+        assert pending == []
+        assert eofs == 2
+        assert caplog.records == []
+        assert capfd.readouterr().err == ""

@@ -9,7 +9,7 @@ import pytest
 
 from repro.crypto.keys import KEY_LEN, GroupKey
 from repro.exceptions import QuorumError, StateError
-from repro.quorum.attestation import QuorumCertificate
+from repro.quorum.attestation import QuorumCertificate, member_set_digest
 from repro.quorum.byzantine import (
     CorruptingShipper,
     EquivocatingPrimary,
@@ -90,6 +90,48 @@ class TestCertification:
         assert qs._certify() is first  # same head, cached encoding
         deliver(scn, qs.leader.rekey_now())
         assert qs._certify() is not first
+
+    def test_join_in_a_flush_ships_before_it_is_certified(self):
+        """``handle_many`` journals once, at the end of its flush — but
+        not the record a certificate needs: the pump's own checkpoint
+        still ships a join before the certifier asks the witnesses, so
+        what they attest (and what the joiner accepts) is a head that
+        already holds the join."""
+        scn = scenario()
+        qs, leader = scn.qs, scn.qs.leader
+        deliver(scn, [scn.members["carol"].start_leave()])
+        # Handshake by hand up to the frame whose acceptance *is* the
+        # join, so that frame can arrive inside a flush.
+        key_dist, _ = leader.handle(scn.members["carol"].start_join())
+        (ack_key,), _ = scn.members["carol"].handle(key_dist[0])
+        with_carol = member_set_digest(["alice", "bob", "carol"])
+
+        asked_at = []
+        certify = qs._certify
+
+        def spying():
+            replicas = [w.follower.replay() for w in qs.witnesses.values()]
+            asked_at.append((qs.journal.seq, replicas))
+            return certify()
+
+        leader.bind_certifier(spying)
+        before = qs.journal.seq
+        out, _ = leader.handle_many(
+            [scn.members["alice"].seal_app(b"chat"), ack_key]
+        )
+
+        head, replicas = asked_at[0]
+        assert head > before
+        for replica in replicas:
+            assert replica.last_seq == head and not replica.truncated
+            assert replica.state["sessions"]["carol"]["state"] == "CONNECTED"
+        deliver(scn, out)
+        statement = scn.members["carol"].accepted_certificates[-1].verify(
+            qs.keys, qs.config.threshold
+        )
+        assert statement.seq >= head
+        assert statement.member_digest == with_carol
+        assert_converged(scn)
 
     def test_no_quorum_no_certificate(self):
         """With every witness evicted only the primary signs — below

@@ -1,9 +1,11 @@
 """Tests for journal replay: valid-prefix recovery, loud failure."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.crypto.aead import AuthenticatedCipher, SealedBox
 from repro.crypto.keys import KEY_LEN, KeyMaterial
 from repro.crypto.rng import DeterministicRandom
 from repro.enclaves.itgm.admin import TextPayload
@@ -12,8 +14,12 @@ from repro.enclaves.itgm.persistence import (
     snapshot_leader,
 )
 from repro.exceptions import RecoveryError
-from repro.storage.journal import Journal, seal_record
-from repro.storage.recovery import recover_leader, replay_records
+from repro.storage.journal import RECORD_AD, Journal, seal_record
+from repro.storage.recovery import (
+    recover_leader,
+    replay_records,
+    scan_frames,
+)
 from repro.storage.simdisk import SimDisk
 from repro.telemetry.events import EventBus, JournalReplayed
 
@@ -114,8 +120,6 @@ class TestTruncation:
         # Corrupt the last record's body, then fix up its CRC.
         result = replay_records(data, key)
         # Find the final frame by re-scanning offsets.
-        from repro.storage.recovery import scan_frames
-
         offsets = []
         frames = scan_frames(data)
         while True:
@@ -148,6 +152,94 @@ class TestTruncation:
         assert result.truncated
         assert "gap" in result.reason
         assert result.last_seq == journal.seq
+
+    @pytest.mark.parametrize("name", ["admin_log", "discarded_keys"])
+    def test_suffix_base_mismatch_truncates(self, name):
+        """A delta with the right seq whose suffix does not extend what
+        replay holds (a record was dropped and the stream renumbered —
+        nothing the seq check can see) ends replay at the previous
+        record: never stitched, never raised."""
+        group, journal, disk, key = build()
+        data = disk.read("leader.wal")
+        held = len(snapshot_leader(group.leader)["sessions"]["alice"][name])
+        session = dict(
+            snapshot_leader(group.leader)["sessions"]["alice"], **{
+                name: ["00"], name + "_base": held + 1,
+            })
+        spliced = seal_record(journal._cipher, journal.seq + 1, "delta", {
+            "leader": {"group_epoch": 99},
+            "sessions": {"alice": session},
+        })
+        result = replay_records(data + spliced, key)
+        assert result.truncated
+        assert "suffix base mismatch" in result.reason
+        assert name in result.reason
+        assert result.last_seq == journal.seq
+        # Nothing of the refused record was applied.
+        assert json.dumps(result.state, sort_keys=True) == canon(group.leader)
+
+    def test_suffix_for_a_session_replay_never_saw_truncates(self):
+        group, journal, disk, key = build()
+        session = dict(
+            snapshot_leader(group.leader)["sessions"]["alice"],
+            admin_log=[], admin_log_base=0,
+        )
+        stray = seal_record(journal._cipher, journal.seq + 1, "delta", {
+            "sessions": {"mallory": session},
+        })
+        result = replay_records(disk.read("leader.wal") + stray, key)
+        assert result.truncated
+        assert "suffix base mismatch" in result.reason
+        assert "mallory" not in result.state["sessions"]
+
+
+class TestFormats:
+    def _records(self, data, key):
+        cipher = AuthenticatedCipher(key)
+        for _, body in scan_frames(data):
+            yield json.loads(
+                cipher.open(SealedBox.from_bytes(body), RECORD_AD))
+
+    def test_deltas_carry_suffixes_not_histories(self):
+        group, journal, disk, key = build(compact_threshold=None)
+        for i in range(6):
+            group.net.post_all(
+                group.leader.broadcast_admin(TextPayload(f"m{i}")))
+            group.net.run()
+        sessions = [
+            snap
+            for record in self._records(disk.read("leader.wal"), key)
+            if record["kind"] == "delta"
+            for snap in record["data"].get("sessions", {}).values()
+        ]
+        # Once a session is journaled, only what it appended is written.
+        assert max(len(snap["admin_log"]) for snap in sessions) == 1
+        assert any(snap.get("admin_log_base", 0) >= 6 for snap in sessions)
+
+    def test_journal_written_before_the_suffix_form_still_replays(self):
+        """Bytes produced by the parent commit's writer (every session
+        delta holds the whole admin log, no ``_base`` field): same
+        state out, no truncation."""
+        fixture = json.loads(
+            (Path(__file__).parent / "data"
+             / "journal_full_log_format.json").read_text())
+        data = bytes.fromhex(fixture["journal_hex"])
+        key = KeyMaterial(
+            DeterministicRandom(fixture["seed"]).fork("storage")
+            .key_material(KEY_LEN))
+        records = list(self._records(data, key))
+        assert len(records) == fixture["records"]
+        assert not any(
+            field.endswith("_base")
+            for record in records if record["kind"] == "delta"
+            for snap in record["data"].get("sessions", {}).values()
+            if snap is not None
+            for field in snap
+        )
+        result = replay_records(data, key)
+        assert not result.truncated
+        assert result.records == fixture["records"]
+        assert result.state == fixture["state"]
 
 
 class TestLoudFailure:

@@ -1,13 +1,16 @@
 """The crash-point sweep as a test.
 
-Tier-1 runs a strided subsample (fast, still crossing every fault mode
-and the compaction boundary); the chaos marker runs the exhaustive
-sweep on a seed matrix, mirroring `python -m repro durability`.
+Tier-1 runs a strided subsample (fast, still crossing every fault mode,
+the compaction boundary and the group-committed flushes); the chaos
+marker runs the exhaustive sweep on a seed matrix, mirroring `python -m
+repro durability`.
 """
 
 import pytest
 
-from repro.storage.sweep import SweepConfig, run_crash_sweep
+from repro.crypto.rng import DeterministicRandom
+from repro.storage.simdisk import SimDisk
+from repro.storage.sweep import SweepConfig, _Run, run_crash_sweep
 
 
 class TestSweepSubsampled:
@@ -16,6 +19,29 @@ class TestSweepSubsampled:
         assert report.ok, "\n".join(report.failures)
         assert report.cases > 0
         assert report.warm > 0
+        # Some crashes struck the append/fsync of a whole flush's
+        # record; report.ok says each withheld every frame of it and
+        # that nobody connected had to re-authenticate.
+        assert report.flush_crashes > 0
+
+    def test_script_reaches_group_commit(self):
+        """The batched half of the script really is group-committed:
+        flushes carrying several mutating frames, one record each."""
+        run = _Run(SweepConfig(seed=7), SimDisk(
+            rng=DeterministicRandom(7).fork("disk")))
+        flushes = []
+        handle_many = run.leader.handle_many
+
+        def spying(envelopes):
+            before = run.journal.appends
+            result = handle_many(envelopes)
+            flushes.append((len(envelopes), run.journal.appends - before))
+            return result
+
+        run.leader.handle_many = spying  # instance shadow
+        run.execute()
+        assert max(frames for frames, _ in flushes) >= 3
+        assert all(records <= 1 for _, records in flushes)
 
     def test_torn_and_lost_tails_are_truncated_not_fatal(self):
         report = run_crash_sweep(SweepConfig(
