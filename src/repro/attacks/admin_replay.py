@@ -5,7 +5,8 @@ a duplicate".  The attacker simply plays every admin/rekey frame to the
 victim twice.  The legacy ``new_key`` has no freshness and is applied
 twice (observable: the rekey-accept counter increments twice for one
 leader rekey).  The improved AdminMsg chains nonces, so the second copy
-is stale and discarded.
+is stale and discarded — whether its X is one payload or a batch: the
+frame is the replay unit, so no item of a replayed batch is re-applied.
 """
 
 from __future__ import annotations
@@ -53,29 +54,49 @@ class AdminReplayAttack(Attack):
         scenario = build_itgm(["alice", "bob"], seed=self.seed)
         net, leader = scenario.net, scenario.leader
         alice = scenario.members["alice"]
+        recorded: list[Envelope] = []
 
         def duplicate(envelope: Envelope):
             if (
                 envelope.label is Label.ADMIN_MSG
                 and envelope.recipient == "alice"
             ):
+                recorded.append(envelope)
                 return [envelope, envelope]
             return None
 
         accepted_before = alice.stats.admin_accepted
+        sent_before = len(leader.admin_send_log("alice"))
         rejected_before = alice.stats.rejected
         net.set_interceptor(duplicate)
+        # A lone payload, then a batch (bob's departure reaches alice as
+        # [MemberLeft, NewGroupKey] in one AdminMsg), each played twice.
         net.post_all(leader.rekey_now())
         net.run()
+        net.post(scenario.members["bob"].start_leave())
+        net.run()
         net.set_interceptor(None)
+        # Move the chain on, then replay every recorded frame late: the
+        # cached-Ack window has closed, so each is stale as a whole.
+        net.post_all(leader.rekey_now())
+        net.run()
+        for envelope in recorded:
+            net.inject(envelope)
+        net.run()
 
         accepted = alice.stats.admin_accepted - accepted_before
+        sent = len(leader.admin_send_log("alice")) - sent_before
         rejected = alice.stats.rejected - rejected_before
-        duplicated = accepted != 1
+        duplicated = (
+            accepted != sent
+            or alice.admin_log != leader.admin_send_log("alice")
+            or alice.group_epoch != leader.group_epoch
+        )
         unique = len(alice.admin_log) == len(set(map(repr, alice.admin_log)))
         return AttackResult(
             self.name, "itgm", duplicated or not unique,
             "a duplicate admin message was accepted" if duplicated
-            else f"exactly one copy accepted, {rejected} duplicate(s) "
-                 "rejected as stale; admin log has no duplicates",
+            else f"each of {sent} payloads accepted exactly once (lone and "
+                 f"batched), {rejected} late replay(s) rejected as stale; "
+                 "admin log has no duplicates",
         )

@@ -467,7 +467,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     lines.append(f"join -> connected : {study.join_to_connected.mean*1000:.1f} ms"
                  "  (2 hops expected: 20.0 ms)")
     lines.append(f"join -> group key : {study.join_to_group_key.mean*1000:.1f} ms"
-                 "  (6 hops expected: 60.0 ms)")
+                 "  (4 hops expected: 40.0 ms)")
     lines.append(f"admin delivery    : {study.admin_round_trip.mean*1000:.1f} ms"
                  "  (1 hop expected: 10.0 ms)")
     lines += ["```", ""]

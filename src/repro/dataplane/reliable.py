@@ -34,7 +34,12 @@ from collections.abc import Callable, Iterable
 from repro.crypto.aead import AuthenticatedCipher, SealedBox
 from repro.crypto.keys import GroupKey
 from repro.crypto.mac import hmac_sha256
-from repro.exceptions import CodecError, IntegrityError, StateError
+from repro.exceptions import (
+    CodecError,
+    IntegrityError,
+    RatchetError,
+    StateError,
+)
 from repro.overload.deadline import AdaptiveDeadline, LatencyTracker, RetryBudget
 from repro.telemetry.events import (
     EventBus,
@@ -321,8 +326,6 @@ class ReliableReceiver:
         message id, fresh chain position) returns ``None`` for the
         application but still acks, so the sender's pending clears.
         """
-        from repro.exceptions import RatchetError
-
         try:
             sender, seq, plaintext = self.channel.open(envelope)
         except (RatchetError, IntegrityError, CodecError, StateError):

@@ -128,9 +128,15 @@ class MemberLeft(Event):
 
 @dataclass(frozen=True)
 class GroupKeyChanged(Event):
-    """A new group key is in effect."""
+    """A new group key is in effect.
+
+    ``epoch`` is the epoch of *this* key (-1 on the legacy stack, which
+    has none) — one frame may install several, so a listener must not
+    read it off the endpoint afterwards.
+    """
 
     fingerprint: str
+    epoch: int = -1
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,18 @@ Each payload type has an injective binary encoding; :func:`decode_payload`
 is the total inverse.  Payload bytes travel *inside* the AdminMsg sealed
 box, so they inherit its authenticity, ordering, and freshness — none of
 the payload types needs its own nonce or signature.
+
+Nothing in §3.2 obliges X to be a single notification, and
+:class:`BatchPayload` is the X that carries several: everything the
+leader had queued for a member when its channel fell idle.  It exists
+only on the wire — ``snd_A`` and ``rcv_A`` record its items, never the
+batch — so the frame is the unit of freshness, retransmission and
+replay rejection while the §5.4 lists keep one entry per notification.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.crypto.keys import KEY_LEN, GroupKey
@@ -31,6 +39,7 @@ _TAG_LEFT = 0x03
 _TAG_MEMBERSHIP = 0x04
 _TAG_TEXT = 0x05
 _TAG_CERTIFIED = 0x06
+_TAG_BATCH = 0x07
 
 
 @dataclass(frozen=True)
@@ -131,12 +140,51 @@ class TextPayload(AdminPayload):
         return encode_fields([bytes([_TAG_TEXT]), encode_str(self.text)])
 
 
-def decode_payload(data: bytes) -> AdminPayload:
+@dataclass(frozen=True)
+class BatchPayload(AdminPayload):
+    """Two or more payloads travelling as the X of one AdminMsg.
+
+    The items are accepted or rejected together (one seal, one nonce
+    step, one Ack) and applied in order.  A batch never nests and never
+    holds fewer than two items — a lone payload is sent bare, so every
+    payload sequence has exactly one wire form.
+    """
+
+    items: tuple[AdminPayload, ...]
+
+    def encode(self) -> bytes:
+        return encode_fields(
+            [bytes([_TAG_BATCH]), *(item.encode() for item in self.items)]
+        )
+
+
+def as_one_payload(queued: Sequence[AdminPayload]) -> AdminPayload:
+    """The X that carries ``queued`` (non-empty): a lone payload as it
+    is, several as one batch."""
+    return queued[0] if len(queued) == 1 else BatchPayload(tuple(queued))
+
+
+def items_of(payload: AdminPayload) -> tuple[AdminPayload, ...]:
+    """What an X adds to ``snd_A``/``rcv_A``: inverse of
+    :func:`as_one_payload`."""
+    return payload.items if isinstance(payload, BatchPayload) else (payload,)
+
+
+#: Wrappers, and what each may not contain — checked on the tag, before
+#: recursing, so decoding depth is bounded whatever the input nests.
+_NO_NESTING = {_TAG_CERTIFIED: "CertifiedPayload", _TAG_BATCH: "BatchPayload"}
+
+
+def decode_payload(
+    data: bytes, _forbidden: tuple[int, ...] = ()
+) -> AdminPayload:
     """Decode any admin payload, raising :class:`CodecError` if malformed."""
     fields = decode_fields(data)
     if not fields or len(fields[0]) != 1:
         raise CodecError("admin payload missing tag")
     tag = fields[0][0]
+    if tag in _forbidden:
+        raise CodecError(f"nested {_NO_NESTING[tag]}")
     if tag == _TAG_NEW_KEY:
         if (
             len(fields) != 4 or len(fields[1]) != KEY_LEN
@@ -168,8 +216,12 @@ def decode_payload(data: bytes) -> AdminPayload:
     if tag == _TAG_CERTIFIED:
         if len(fields) != 3:
             raise CodecError("malformed CertifiedPayload")
-        inner = decode_payload(fields[1])
-        if isinstance(inner, CertifiedPayload):
-            raise CodecError("nested CertifiedPayload")
+        inner = decode_payload(fields[1], tuple(_NO_NESTING))
         return CertifiedPayload(inner=inner, certificate=fields[2])
+    if tag == _TAG_BATCH:
+        if len(fields) < 3:
+            raise CodecError("BatchPayload needs at least two items")
+        return BatchPayload(tuple(
+            decode_payload(field, (_TAG_BATCH,)) for field in fields[1:]
+        ))
     raise CodecError(f"unknown admin payload tag {tag:#x}")

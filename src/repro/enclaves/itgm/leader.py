@@ -11,8 +11,10 @@ adds the group-level behaviour of Figures 1-3:
   :class:`~repro.enclaves.common.RekeyPolicy`.
 * **Admin distribution**: every group-management payload travels in the
   nonce-chained AdminMsg/Ack channel.  The channel is stop-and-wait per
-  member, so the leader keeps a FIFO outbox per member and sends the next
-  payload only when the previous one is acknowledged.
+  member, so the leader keeps a FIFO outbox per member; when the
+  previous AdminMsg is acknowledged, everything queued since leaves as
+  the X of the next one (one payload bare, several as a batch).  The
+  frame is the retransmit and replay unit; ``snd_A`` is per payload.
 * **Relay** (Figure 1): application frames sealed under K_g are verified
   and relayed to every other current member.
 """
@@ -42,6 +44,7 @@ from repro.enclaves.itgm.admin import (
     MemberLeftPayload,
     MembershipPayload,
     NewGroupKeyPayload,
+    as_one_payload,
 )
 from repro.enclaves.itgm.leader_session import LeaderSession, LeaderState
 from repro.enclaves.itgm.member import app_ad
@@ -563,39 +566,34 @@ class GroupLeader:
         return out
 
     def _pump(self) -> list[Envelope]:
-        """Send the next queued payload on every idle admin channel.
+        """Send everything queued for every idle admin channel.
 
-        A rekey or membership broadcast queues one payload per member;
-        flushing them here is the leader's multicast fan-out, so when
-        more than one channel is ready the seals go through one
-        :func:`repro.crypto.aead.seal_many` batch (one provider dispatch
-        for the whole flush) instead of one :meth:`seal` per member.
+        An idle member's whole outbox leaves as the X of one AdminMsg:
+        a lone payload bare (the frame it always was), two or more as
+        one :class:`~repro.enclaves.itgm.admin.BatchPayload` — so a
+        membership change costs each member one round trip, not one
+        per notification, and a leaver's key is retired one Ack sooner.
+
+        A rekey or membership broadcast readies every member at once;
+        flushing them here is the leader's multicast fan-out, so the
+        seals go through one :func:`repro.crypto.aead.seal_many` batch.
         Draw order stays deterministic (prepare in session order, then
         nonces in the same order), so seeded runs replay byte-for-byte.
         """
         prof = self._profiler
         tok = prof.begin("multicast") if prof else None
         ready: list[LeaderSession] = []
+        requests = []
         for user_id, session in self._sessions.items():
             outbox = self._outboxes[user_id]
             if outbox and session.can_send_admin:
                 ready.append(session)
-        if len(ready) <= 1:
-            out = [
-                session.send_admin(self._outboxes[session.user_id].popleft())
-                for session in ready
-            ]
-        else:
-            requests = [
-                session.prepare_admin(
-                    self._outboxes[session.user_id].popleft()
-                )
-                for session in ready
-            ]
-            out = [
-                session.finish_admin(box)
-                for session, box in zip(ready, seal_many(requests))
-            ]
+                requests.append(session.prepare_admin(as_one_payload(outbox)))
+                outbox.clear()
+        out = [
+            session.finish_admin(box)
+            for session, box in zip(ready, seal_many(requests))
+        ]
         if prof:
             prof.end(tok)
         return out

@@ -25,7 +25,7 @@ from repro.crypto.aead import AuthenticatedCipher, SealedBox, SealRequest
 from repro.crypto.keys import KEY_LEN, LongTermKey, SessionKey
 from repro.crypto.rng import NONCE_LEN, RandomSource, SystemRandom
 from repro.enclaves.common import Event, Joined, Left, Rejected
-from repro.enclaves.itgm.admin import AdminPayload
+from repro.enclaves.itgm.admin import AdminPayload, items_of
 from repro.enclaves.itgm.member import seal_ad
 from repro.exceptions import CodecError, IntegrityError, StateError
 from repro.util.bytesops import constant_time_eq
@@ -48,8 +48,8 @@ class LeaderSessionStats:
     """Counters for tests and benchmarks."""
 
     rejected: int = 0
-    admin_sent: int = 0
-    acks_accepted: int = 0
+    admin_sent: int = 0     # payloads, i.e. entries ever added to snd_A
+    acks_accepted: int = 0  # AdminMsg round trips completed
     sessions_opened: int = 0
     sessions_closed: int = 0
 
@@ -118,6 +118,10 @@ class LeaderSession:
         in a single :func:`repro.crypto.aead.seal_many` batch; the
         sealed box must then come back through :meth:`finish_admin`
         (before any other frame is processed) to arm retransmission.
+
+        A :class:`~repro.enclaves.itgm.admin.BatchPayload` is one X —
+        one nonce step, one seal, one Ack — but ``snd_A`` stays flat:
+        the log gains its items, never the batch.
         """
         if self.state is not LeaderState.CONNECTED:
             raise StateError(f"cannot send admin from {self.state}")
@@ -129,9 +133,10 @@ class LeaderSession:
         )
         self._nonce = n_l
         self.state = LeaderState.WAITING_FOR_ACK
-        self.admin_log.append(payload)
+        items = items_of(payload)
+        self.admin_log.extend(items)
         self.version += 1
-        self.stats.admin_sent += 1
+        self.stats.admin_sent += len(items)
         return SealRequest(
             cipher=self._session_cipher,
             plaintext=plaintext,

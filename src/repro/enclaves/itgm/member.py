@@ -7,6 +7,10 @@ States::
     Connected(N, K_a) --AdminMsg/Ack--> Connected(N', K_a)
     Connected(N, K_a) --start_leave/ReqClose--> NotConnected
 
+The X of an AdminMsg may be a batch of payloads.  The frame is what the
+nonce check admits or refuses and what the cached Ack answers; the
+items are what ``rcv_A`` records, one entry each, in order.
+
 The class is **sans-IO**: :meth:`handle` consumes one envelope and
 returns ``(outgoing envelopes, events)``.  Anything that fails
 authentication, carries a stale nonce, or arrives in the wrong state is
@@ -49,6 +53,7 @@ from repro.enclaves.itgm.admin import (
     MembershipPayload,
     NewGroupKeyPayload,
     decode_payload,
+    items_of,
 )
 from repro.exceptions import CodecError, IntegrityError, StateError
 from repro.telemetry.events import (
@@ -271,7 +276,7 @@ class MemberProtocol:
             elif isinstance(event, GroupKeyChanged):
                 bus.emit(RekeyInstalled(
                     self.user_id, self.leader_id,
-                    self._group_epoch, event.fingerprint, fid,
+                    event.epoch, event.fingerprint, fid,
                 ))
             elif isinstance(event, AdminDelivered):
                 bus.emit(AdminAccepted(
@@ -376,10 +381,15 @@ class MemberProtocol:
                                      envelope.label)]
 
         # Accept: record, apply, acknowledge with a fresh N_{2i+3}.
-        self.admin_log.append(payload)
-        self.stats.admin_accepted += 1
-        events: list[Event] = [AdminDelivered(payload)]
-        events.extend(self._apply_admin(payload))
+        # A batch is one X on the wire but rcv_A stays flat: each item
+        # is logged, applied and reported in order, as if it had come in
+        # its own AdminMsg.
+        events: list[Event] = []
+        for item in items_of(payload):
+            self.admin_log.append(item)
+            self.stats.admin_accepted += 1
+            events.append(AdminDelivered(item))
+            events.extend(self._apply_admin(item))
 
         n_next = self._rng.nonce().value
         self._nonce = n_next
@@ -408,7 +418,7 @@ class MemberProtocol:
             self._group_key = payload.key
             self._group_cipher = AuthenticatedCipher(self._group_key, self._rng)
             self._group_epoch = payload.epoch
-            return [GroupKeyChanged(payload.key.fingerprint())]
+            return [GroupKeyChanged(payload.key.fingerprint(), payload.epoch)]
         if isinstance(payload, MemberJoinedPayload):
             self.membership.add(payload.user_id)
             return [MemberJoined(payload.user_id)]

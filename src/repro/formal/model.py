@@ -21,6 +21,14 @@ the encryption)::
     Ack         : {A, L, N_prev, N_new}_{K}
     ReqClose    : {A, L}_{K}
 
+``X`` is an opaque fresh ``Data`` atom: the model fixes nothing about
+what one group-management message says, only that L chose it and A
+accepts it at most once, in order.  The runtime's batched X
+(:class:`~repro.enclaves.itgm.admin.BatchPayload`, several payloads in
+one AdminMsg) is therefore the same model, unchanged — one atom, one
+nonce step, one Ack — with ``snd``/``rcv`` read per atom here and per
+item there; no frame type and no transition was added for it.
+
 Reception is Paulson-style: an agent can fire a receive transition when
 a field matching the expected pattern occurs in ``Parts(trace)``.  Fresh
 nonces/keys/data come from a monotone allocator in the state, which

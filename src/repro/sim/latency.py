@@ -6,9 +6,10 @@ a delay model attached the simulator measures them:
 * **join-to-member**: AuthInitReq → AuthKeyDist → AuthAckKey = 2 one-way
   delays until the member holds K_a (the third message is the leader's
   confirmation and does not gate the member).
-* **join-to-group-key**: the member is operational only after the
-  leader's first two admin messages (membership view, group key) land —
-  6 one-way delays end to end on an idle leader.
+* **join-to-group-key**: the member is operational once the leader's
+  first admin message lands — the membership view and the group key,
+  queued together at the join, are one batched X — 4 one-way delays
+  end to end on an idle leader.
 * **admin round trip**: AdminMsg + Ack = 2 delays.
 
 :func:`run_latency_study` measures all three across a member population

@@ -61,7 +61,12 @@ class TestRequirementAttacks:
     def test_admin_replay(self):
         attack = AdminReplayAttack()
         assert attack.run_legacy().succeeded
-        assert not attack.run_itgm().succeeded
+        result = attack.run_itgm()
+        assert not result.succeeded
+        # Both recorded frames — the lone rekey and the batched
+        # [MemberLeft, NewGroupKey] — die whole when replayed late.
+        assert "each of 4 payloads accepted exactly once" in result.detail
+        assert "2 late replay(s) rejected as stale" in result.detail
 
     def test_impersonation_blocked_everywhere(self):
         attack = ImpersonationAttack()

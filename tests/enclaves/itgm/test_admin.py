@@ -4,6 +4,8 @@ import pytest
 
 from repro.crypto.keys import GroupKey
 from repro.enclaves.itgm.admin import (
+    BatchPayload,
+    CertifiedPayload,
     MemberJoinedPayload,
     MemberLeftPayload,
     MembershipPayload,
@@ -23,6 +25,11 @@ PAYLOADS = [
     MembershipPayload(()),
     TextPayload("hello"),
     TextPayload(""),
+    BatchPayload((MemberLeftPayload("bob"),
+                  NewGroupKeyPayload(GroupKey(b"\x22" * 32), 8, True))),
+    BatchPayload((TextPayload("a"), TextPayload("a"), TextPayload(""))),
+    BatchPayload((CertifiedPayload(MemberJoinedPayload("dan"), b"cert"),
+                  TextPayload("bare"))),
 ]
 
 
@@ -83,3 +90,73 @@ def test_payloads_hashable_and_frozen():
     assert hash(payload) == hash(MemberJoinedPayload("alice"))
     with pytest.raises(AttributeError):
         payload.user_id = "mallory"  # type: ignore[misc]
+
+
+class TestBatchPayload:
+    """One X, several payloads: exactly one wire form per sequence."""
+
+    ITEMS = (MemberJoinedPayload("alice"), TextPayload("t"))
+
+    def _batch(self, *encoded_items):
+        return encode_fields([bytes([0x07]), *encoded_items])
+
+    def test_items_keep_their_order(self):
+        batch = BatchPayload(self.ITEMS)
+        assert decode_payload(batch.encode()).items == self.ITEMS
+        assert batch.encode() != BatchPayload(self.ITEMS[::-1]).encode()
+
+    def test_item_boundaries_are_not_ambiguous(self):
+        # Same concatenated bytes, different split: different encodings.
+        assert BatchPayload((TextPayload("ab"), TextPayload("c"))).encode() \
+            != BatchPayload((TextPayload("a"), TextPayload("bc"))).encode()
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_items_rejected(self, count):
+        with pytest.raises(CodecError, match="at least two"):
+            decode_payload(
+                self._batch(*[TextPayload("x").encode()] * count))
+
+    def test_nested_batch_rejected(self):
+        inner = BatchPayload(self.ITEMS).encode()
+        with pytest.raises(CodecError, match="nested BatchPayload"):
+            decode_payload(self._batch(TextPayload("x").encode(), inner))
+
+    def test_batch_inside_certificate_rejected(self):
+        # A certificate certifies one concrete mutation.
+        wrapped = encode_fields(
+            [bytes([0x06]), BatchPayload(self.ITEMS).encode(), b"cert"])
+        with pytest.raises(CodecError, match="nested BatchPayload"):
+            decode_payload(wrapped)
+
+    @pytest.mark.parametrize("wrap", [
+        lambda x: encode_fields(
+            [bytes([0x07]), TextPayload("t").encode(), x]),
+        lambda x: encode_fields([bytes([0x06]), x, b"cert"]),
+    ], ids=["batch", "certified"])
+    def test_nesting_is_refused_on_the_tag_not_after_recursing(self, wrap):
+        x = TextPayload("t").encode()
+        for _ in range(5000):  # far past the interpreter's stack
+            x = wrap(x)
+        with pytest.raises(CodecError, match="nested"):
+            decode_payload(x)
+
+    def test_trailing_bytes_rejected(self):
+        with pytest.raises(CodecError):
+            decode_payload(BatchPayload(self.ITEMS).encode() + b"\x00")
+
+    def test_trailing_bytes_inside_an_item_rejected(self):
+        with pytest.raises(CodecError):
+            decode_payload(self._batch(
+                TextPayload("x").encode(), TextPayload("y").encode() + b"z"))
+
+    def test_unknown_inner_tag_rejected(self):
+        with pytest.raises(CodecError, match="unknown admin payload tag"):
+            decode_payload(self._batch(
+                TextPayload("x").encode(),
+                encode_fields([bytes([0x7F]), b"x"])))
+
+    def test_malformed_inner_item_rejected(self):
+        with pytest.raises(CodecError):
+            decode_payload(self._batch(
+                TextPayload("x").encode(),
+                encode_fields([bytes([0x02]), b"alice", b"extra"])))

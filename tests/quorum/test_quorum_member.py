@@ -8,7 +8,13 @@ mis-bound, or conflicting admin payload.
 
 from repro.crypto.keys import KEY_LEN, GroupKey
 from repro.enclaves.common import Rejected
-from repro.enclaves.itgm.admin import CertifiedPayload, NewGroupKeyPayload
+from repro.enclaves.itgm.admin import (
+    CertifiedPayload,
+    MemberLeftPayload,
+    NewGroupKeyPayload,
+    TextPayload,
+)
+from repro.enclaves.itgm.leader_session import LeaderState
 from repro.quorum.attestation import (
     Attestation,
     MutationStatement,
@@ -22,6 +28,7 @@ from repro.telemetry.events import (
     EventBus,
 )
 from repro.util.clock import TickClock
+from repro.wire.labels import Label
 
 MEMBERS = ["alice", "bob", "carol"]
 
@@ -75,6 +82,44 @@ class TestRule1Uncertified:
         scn.net.run()
         for member in scn.members.values():
             assert member.group_epoch == qs.leader.group_epoch
+
+
+    def test_batch_is_judged_item_by_item(self):
+        """One AdminMsg carrying a certified rekey *and* a bare
+        mutation: the former installs, only the latter is refused, and
+        the frame is still acknowledged."""
+        scn = scenario()
+        qs, alice = scn.qs, scn.members["alice"]
+        held = []
+        scn.net.set_interceptor(
+            lambda e: held.append(e) or []
+            if e.label is Label.ADMIN_MSG and e.recipient == "alice"
+            else None)
+        # Occupy alice's channel, then queue both payloads behind it.
+        scn.net.post_all(qs.leader.send_admin_to("alice", TextPayload("t")))
+        scn.net.post_all(qs.leader.rekey_now())  # certified in the outbox
+        qs.leader.bind_certifier(None)
+        scn.net.post_all(qs.leader.broadcast_admin(MemberLeftPayload("bob")))
+        scn.net.run()
+        scn.net.set_interceptor(None)
+        assert qs.leader.outbox_depth("alice") == 2
+        before = len(rejections(scn, "alice"))
+
+        scn.net.post(held[0])
+        scn.net.run()
+        assert [type(p) for p in alice.admin_log[-2:]] == [
+            CertifiedPayload, MemberLeftPayload]
+        assert alice.group_epoch == qs.leader.group_epoch
+        assert alice.group_key_fingerprint == qs.leader.group_key_fingerprint
+        assert "bob" in alice.membership
+        assert rejections(scn, "alice")[before:] == [
+            "uncertified MemberLeftPayload refused"]
+        # Acked: the channel is idle again and the next rekey lands.
+        assert qs.leader.session_state("alice") is LeaderState.CONNECTED
+        qs.leader.bind_certifier(qs._certify)
+        scn.net.post_all(qs.leader.rekey_now())
+        scn.net.run()
+        assert alice.group_epoch == qs.leader.group_epoch
 
 
 class TestRule2Binding:

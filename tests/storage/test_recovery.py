@@ -212,34 +212,50 @@ class TestFormats:
             if record["kind"] == "delta"
             for snap in record["data"].get("sessions", {}).values()
         ]
-        # Once a session is journaled, only what it appended is written.
-        assert max(len(snap["admin_log"]) for snap in sessions) == 1
+        # Once a session is journaled, only what it appended is written:
+        # one broadcast per flush is one entry.  The 2 is the join, whose
+        # membership view and group key now leave in one batched AdminMsg
+        # and so reach the log — still flat, item by item — in one flush.
+        assert sorted({len(snap["admin_log"]) for snap in sessions}) \
+            == [0, 1, 2]
         assert any(snap.get("admin_log_base", 0) >= 6 for snap in sessions)
 
-    def test_journal_written_before_the_suffix_form_still_replays(self):
-        """Bytes produced by the parent commit's writer (every session
-        delta holds the whole admin log, no ``_base`` field): same
-        state out, no truncation."""
+    def _replay_fixture(self, name):
         fixture = json.loads(
-            (Path(__file__).parent / "data"
-             / "journal_full_log_format.json").read_text())
+            (Path(__file__).parent / "data" / name).read_text())
         data = bytes.fromhex(fixture["journal_hex"])
         key = KeyMaterial(
             DeterministicRandom(fixture["seed"]).fork("storage")
             .key_material(KEY_LEN))
         records = list(self._records(data, key))
         assert len(records) == fixture["records"]
-        assert not any(
-            field.endswith("_base")
-            for record in records if record["kind"] == "delta"
-            for snap in record["data"].get("sessions", {}).values()
-            if snap is not None
-            for field in snap
-        )
         result = replay_records(data, key)
         assert not result.truncated
         assert result.records == fixture["records"]
         assert result.state == fixture["state"]
+        return [
+            snap
+            for record in records if record["kind"] == "delta"
+            for snap in record["data"].get("sessions", {}).values()
+            if snap is not None
+        ]
+
+    def test_journal_written_before_the_suffix_form_still_replays(self):
+        """Bytes produced by commit 80bdba8's writer (every session
+        delta holds the whole admin log, no ``_base`` field): same
+        state out, no truncation."""
+        sessions = self._replay_fixture("journal_full_log_format.json")
+        assert not any(
+            field.endswith("_base") for snap in sessions for field in snap)
+
+    def test_journal_written_one_payload_per_admin_msg_still_replays(self):
+        """Bytes produced by commit a2d2f79's leader, which sent every
+        payload in its own AdminMsg (so no flush ever appended two log
+        entries to one session): the record format did not change with
+        batching, so the same state comes out, no truncation."""
+        sessions = self._replay_fixture("journal_suffix_format.json")
+        assert any("admin_log_base" in snap for snap in sessions)
+        assert max(len(snap["admin_log"]) for snap in sessions) == 1
 
 
 class TestLoudFailure:

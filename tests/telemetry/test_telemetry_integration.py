@@ -10,6 +10,7 @@ from repro.enclaves.itgm.leader import GroupLeader
 from repro.enclaves.itgm.member import MemberProtocol
 from repro.telemetry import (
     EventBus,
+    HealthProbe,
     attach_jsonl,
     frame_id,
     validate_jsonl,
@@ -92,6 +93,35 @@ class TestInstrumentedHandshake:
         plain_net.run()
         assert [e.to_bytes() for e in net.wire_log] == \
                [e.to_bytes() for e in plain_net.wire_log]
+
+
+class TestTwoRekeysInOneFrame:
+    """A member that was mid-ack while the key rotated twice gets both
+    ``NewGroupKeyPayload``s in one batched AdminMsg.  Each install must
+    be reported with its *own* epoch — reading the member's epoch after
+    the frame would stamp both with the second and trip the probe."""
+
+    def test_each_install_carries_its_own_epoch_and_fingerprint(self):
+        bus, net, leader, member = instrumented_session()
+        probe = HealthProbe().subscribe_to(bus)
+        net.post(member.start_join())
+        net.run()
+        first = leader.rekey_now()          # in flight, not delivered yet
+        issued = {}
+        for _ in range(2):                  # queue behind it
+            assert leader.rekey_now() == []
+            issued[leader.group_epoch] = leader.group_key_fingerprint
+        with bus.capture() as records:
+            net.post_all(first)
+            net.run()
+        installs = [r.event for r in records
+                    if isinstance(r.event, RekeyInstalled)]
+        batch = installs[1:]
+        assert {e.epoch: e.fingerprint for e in batch} == issued
+        assert len({e.caused_by for e in batch}) == 1
+        assert batch[0].caused_by != installs[0].caused_by
+        assert probe.healthy, probe.violations
+        assert probe.checked == 4  # the join's key + three rotations
 
 
 class TestReplayCorrelation:
