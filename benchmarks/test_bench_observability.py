@@ -2,17 +2,20 @@
 
 Two halves of one gate, written to ``BENCH_observability.json``:
 
-* **Attribution** — the seeded quorum-on-fabric workload (the same one
-  ``repro obs`` drives: joins, a sealed app round, a certified rekey)
-  run under a :class:`~repro.observability.PhaseProfiler` on its own
-  virtual clock.  Every expected hot-path phase must appear, nested
-  under the shard's ``demux`` where the call actually happens, and the
-  deterministic tick totals are committed so attribution drift across
-  revisions shows up in review.
+* **Attribution** — the seeded quorum-on-fabric workload ``repro obs``
+  drives (joins, a sealed app round, a certified rekey, all through the
+  shard's ``enqueue``/``pump`` intake) run under a
+  :class:`~repro.observability.PhaseProfiler` on its own virtual clock.
+  Every expected hot-path phase must appear, nested under the shard's
+  ``demux`` where the call actually happens; ``demux`` must cover more
+  frames than calls (a pumped batch was attributed on the path
+  production takes); and the deterministic tick totals are committed so
+  attribution drift across revisions shows up in review.
 * **Disabled overhead** — with no profiler bound and no subscribers,
-  the instrumented shard entry point (``handle``: one stats bump, one
-  profiler guard) must stay within 2% of the bare demux body
-  (``_demux``), measured on full join and rekey rounds through the
+  the shard entry point (``handle``: the one-frame flush, with its stats
+  bump, run coalescing and profiler guard) must stay within 2% of the
+  pieces it is made of — ``_route`` then ``GroupLeader.handle``,
+  composed here — measured on full join and rekey rounds through the
   fabric.  Same interleaved best-of discipline as the telemetry bench.
 """
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 import time
 
 from conftest import write_bench_record
+from repro.cli import _obs_scenario
 from repro.crypto.rng import DeterministicRandom
 from repro.enclaves.common import UserDirectory
 from repro.enclaves.harness import SyncNetwork, wire
@@ -29,7 +33,6 @@ from repro.fabric.directory import GroupDirectory
 from repro.fabric.member import FabricMember
 from repro.fabric.shard import ShardHost
 from repro.observability import PhaseProfiler
-from repro.quorum.fabric import host_quorum_group, quorum_fabric_member
 from repro.storage.simdisk import SimDisk
 from repro.telemetry.events import EventBus
 from repro.util.clock import TickClock
@@ -45,60 +48,40 @@ EXPECTED_LEAVES = (
     "seal", "open", "demux", "certify", "wal.append", "multicast",
 )
 
-ENTRIES = ("_demux", "handle")
+ENTRIES = ("bare", "handle")
 
 
 def _profiled_scenario(seed: int = 7) -> PhaseProfiler:
     """The ``repro obs`` workload under a deterministic profiler."""
     profiler = PhaseProfiler(TickClock())
-    bus = EventBus()  # no subscribers: guards stay falsy
-    group_id = "grp-obs"
-    rng = DeterministicRandom(seed)
-    users = UserDirectory()
-    net = SyncNetwork(telemetry=bus)
-    fabric = GroupDirectory(
-        ["shard-a"], rng=rng.fork("directory"), telemetry=bus
-    )
-    shard = ShardHost(
-        "shard-a", SimDisk(rng=rng.fork("disk")),
-        rng=rng.fork("shard"), telemetry=bus,
-    )
-    wire(net, "shard-a", shard)
-    fabric.create_group(group_id)
-    qs = host_quorum_group(
-        shard, users, group_id, rng=rng.fork("quorum"), telemetry=bus
-    )
-    shard.bind_profiler(profiler)
-    qs.leader.bind_profiler(profiler)
-    qs.journal.bind_profiler(profiler)
-    members = {}
-    for name in MEMBER_IDS:
-        creds = users.register_password(name, f"pw-{name}")
-        fm = quorum_fabric_member(
-            creds, group_id, fabric, qs, rng=rng.fork(name), telemetry=bus
-        )
-        fm.protocol.bind_profiler(profiler)
-        members[name] = fm
-        wire(net, name, fm)
-        net.post_all(fm.start_join())
-        net.run()
-    net.post(members["alice"].seal_app(b"profiled app round"))
-    net.run()
-    net.post_all(qs.leader.rekey_now())
-    net.run()
+    # No subscribers: the telemetry guards stay falsy.
+    _obs_scenario(seed, EventBus(), profiler=profiler)
     return profiler
+
+
+def _bare(shard: ShardHost):
+    """``handle`` minus the flush: route one frame, hand it over."""
+    def entry(envelope):
+        delivery, out, events = shard._route(envelope)
+        if delivery is None:
+            return out, events
+        leader, inner = delivery
+        return leader.handle(inner)
+    return entry
 
 
 def _fabric_stack(entry: str, seed: int):
     """A fabric group whose shard is wired through ``entry`` —
-    ``"_demux"`` (the bare body) or ``"handle"`` (instrumented)."""
+    ``"bare"`` (:func:`_bare`) or ``"handle"`` (the flush)."""
     rng = DeterministicRandom(seed)
     net = SyncNetwork()
     fabric = GroupDirectory(["shard-a"], rng=rng.fork("directory"))
     shard = ShardHost(
         "shard-a", SimDisk(rng=rng.fork("disk")), rng=rng.fork("shard"),
     )
-    net.register("shard-a", getattr(shard, entry))
+    net.register(
+        "shard-a", shard.handle if entry == "handle" else _bare(shard)
+    )
     group_id = "grp-bench"
     record = fabric.create_group(group_id)
     users = UserDirectory()
@@ -161,19 +144,23 @@ def test_phase_attribution_and_disabled_overhead():
     assert any(path.startswith("demux/") for path in phases), (
         f"no phase nested under demux: {sorted(phases)}"
     )
+    assert phases["demux"]["frames"] > phases["demux"]["calls"], (
+        f"no pumped batch was attributed: {phases['demux']}"
+    )
     total = profiler.total()
     assert total > 0.0
 
     # -- disabled overhead ------------------------------------------------
     handshake = _interleaved_best(_joins_once)
     rekey = _interleaved_best(_rekeys_once)
-    handshake_ratio = handshake["handle"] / handshake["_demux"]
-    rekey_ratio = rekey["handle"] / rekey["_demux"]
+    handshake_ratio = handshake["handle"] / handshake["bare"]
+    rekey_ratio = rekey["handle"] / rekey["bare"]
 
     write_bench_record("observability", {
         "bound": MAX_OVERHEAD,
         "profile": {
-            "workload": "quorum-on-fabric join + app + certified rekey",
+            "workload": "quorum-on-fabric join + app + certified rekey, "
+                        "through enqueue/pump",
             "seed": 7,
             "clock": "TickClock(step=1)",
             "total_ticks": total,
@@ -181,13 +168,13 @@ def test_phase_attribution_and_disabled_overhead():
         },
         "disabled_overhead": {
             "join": {
-                "seed_s": handshake["_demux"],
+                "seed_s": handshake["bare"],
                 "instrumented_disabled_s": handshake["handle"],
                 "ratio": handshake_ratio,
                 "joins_per_measurement": len(MEMBER_IDS),
             },
             "rekey": {
-                "seed_s": rekey["_demux"],
+                "seed_s": rekey["bare"],
                 "instrumented_disabled_s": rekey["handle"],
                 "ratio": rekey_ratio,
                 "rounds_per_measurement": REKEY_ROUNDS,

@@ -872,7 +872,9 @@ def _obs_scenario(seed: int, bus, profiler=None):
     A replica set hosted behind a shard demux, certificate-verifying
     members routed by the directory — so one join's causal chain spans
     every layer: member handshake → GROUP_WRAP demux → leader core →
-    quorum certification → WAL → admin multicast.  Returns
+    quorum certification → WAL → admin multicast.  Frames for the shard
+    go through its bounded intake (``enqueue``, then ``pump`` once the
+    members have spoken), the way production takes them.  Returns
     ``(net, shard, qs, members)`` after joins, one sealed app message,
     and one leader-initiated certified rekey.
     """
@@ -880,6 +882,7 @@ def _obs_scenario(seed: int, bus, profiler=None):
     from repro.enclaves.common import UserDirectory
     from repro.enclaves.harness import SyncNetwork, wire
     from repro.fabric import GroupDirectory, ShardHost
+    from repro.overload.mailbox import BoundedMailbox
     from repro.quorum.fabric import host_quorum_group, quorum_fabric_member
     from repro.storage.simdisk import SimDisk
 
@@ -893,8 +896,20 @@ def _obs_scenario(seed: int, bus, profiler=None):
     shard = ShardHost(
         "shard-a", SimDisk(rng=rng.fork("disk")),
         rng=rng.fork("shard"), telemetry=bus,
+        mailbox=BoundedMailbox("shard-a", telemetry=bus),
     )
-    wire(net, "shard-a", shard)
+
+    def intake(envelope):
+        shard.enqueue(envelope)
+        return [], []
+
+    def settle():
+        net.run()
+        while len(shard.mailbox):
+            net.post_all(shard.pump(64)[0])
+            net.run()
+
+    net.register("shard-a", intake)
     fabric.create_group(group_id)
     qs = host_quorum_group(
         shard, users, group_id, rng=rng.fork("quorum"), telemetry=bus
@@ -915,11 +930,11 @@ def _obs_scenario(seed: int, bus, profiler=None):
         if profiler is not None:
             fm.protocol.bind_profiler(profiler)
         net.post_all(fm.start_join())
-        net.run()
+        settle()
     net.post(members["alice"].seal_app(b"hello observable group"))
-    net.run()
+    settle()
     net.post_all(qs.leader.rekey_now())
-    net.run()
+    settle()
     return net, shard, qs, members
 
 

@@ -13,12 +13,10 @@ with independent subkeys derived from K.
 All cryptographic work dispatches through the active
 :class:`~repro.crypto.provider.CryptoProvider`, so switching backends
 (``set_provider`` / ``REPRO_CRYPTO_BACKEND``) retargets every seal and
-open in the process while producing byte-identical boxes.  The batch
-entry points (:meth:`AuthenticatedCipher.seal_many` /
-:meth:`AuthenticatedCipher.open_many`, and the cross-key module-level
-:func:`seal_many`) exist for multi-frame flushes — the leader's admin
-fan-out and the GROUP_WRAP demux — so per-call overhead is paid once per
-flush rather than once per frame.
+open in the process while producing byte-identical boxes.  The one
+batch entry point, the cross-key module-level :func:`seal_many`, serves
+the leader's admin fan-out: one payload per member, each under that
+member's session key, nonces drawn in request order.
 """
 
 from __future__ import annotations
@@ -109,44 +107,6 @@ class AuthenticatedCipher:
         return get_provider().open(
             self._enc_key, self._mac_key,
             box.nonce, box.ciphertext, box.tag, associated_data,
-        )
-
-    # -- batch entry points ----------------------------------------------
-    #
-    # Same key, many frames.  A flush of n frames costs one provider
-    # dispatch and one key-schedule lookup instead of n of each; the
-    # results are exactly what n sequential seal()/open() calls would
-    # produce (nonces are drawn from this cipher's rng in item order).
-
-    def seal_many(
-        self, items: Sequence[tuple[bytes, bytes]]
-    ) -> list[SealedBox]:
-        """Seal a flush of ``(plaintext, associated_data)`` frames."""
-        rng = self._rng
-        jobs = [
-            (rng.random_bytes(CTR_NONCE_LEN), plaintext, ad)
-            for plaintext, ad in items
-        ]
-        sealed = get_provider().seal_many(self._enc_key, self._mac_key, jobs)
-        return [
-            SealedBox(nonce=job[0], ciphertext=ct, tag=tag)
-            for job, (ct, tag) in zip(jobs, sealed)
-        ]
-
-    def open_many(
-        self, items: Sequence[tuple[SealedBox, bytes]]
-    ) -> list[bytes | None]:
-        """Verify-and-decrypt a flush of ``(box, associated_data)`` frames.
-
-        Per-item results: plaintext, or ``None`` where the MAC failed —
-        batch callers route failures back through their single-frame
-        rejection path (which re-raises the typed error and emits the
-        frame's rejection events), so nothing about failure handling
-        changes shape.
-        """
-        return get_provider().open_many(
-            self._enc_key, self._mac_key,
-            [(box.nonce, box.ciphertext, box.tag, ad) for box, ad in items],
         )
 
     def _compute_tag(

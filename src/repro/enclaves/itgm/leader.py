@@ -208,16 +208,9 @@ class GroupLeader:
     # -- incoming envelopes ----------------------------------------------------
 
     def handle(self, envelope: Envelope) -> tuple[list[Envelope], list[Event]]:
-        """Process one envelope; returns (outgoing, events)."""
-        if self._telemetry:
-            self._cause = frame_id(envelope)
-        out, events = self._dispatch(envelope)
-        if not _is_relay(envelope):
-            self._checkpoint()
-        if self._telemetry:
-            self._publish(envelope, events)
-            self._cause = ""
-        return out, events
+        """Process one envelope (a one-frame flush); returns
+        (outgoing, events)."""
+        return self._flush((envelope,))
 
     def handle_many(
         self, envelopes: list[Envelope]
@@ -225,91 +218,38 @@ class GroupLeader:
         """Process a flush of envelopes as one journaled unit.
 
         Same outputs, events and state as calling :meth:`handle` in
-        order, with two savings.  The whole flush is journaled as *one*
-        record (and one fsync) after its last frame, before any of its
-        outgoing frames is returned: group commit, with the write-ahead
-        rule intact — a failed write withholds every frame of the
-        flush.  And consecutive APP_DATA relays are MAC-checked in a
-        single :meth:`~repro.crypto.aead.AuthenticatedCipher.open_many`
-        batch under the group cipher; frames whose batch check fails
-        (or that are not plain relays) fall back to the unchanged
-        single-frame logic, so every rejection reason, stat, and
-        telemetry event is produced by exactly the code that always
-        produced it.  With a profiler bound the batch is skipped
-        entirely — per-frame phase attribution stays intact.
+        order, but the whole flush is journaled as *one* record (and
+        one fsync) after its last frame, before any of its outgoing
+        frames is returned: group commit, with the write-ahead rule
+        intact — a failed write withholds every frame of the flush.
         """
+        return self._flush(envelopes)
+
+    def _flush(self, envelopes) -> tuple[list[Envelope], list[Event]]:
+        """Dispatch every frame, checkpoint once, then publish.  Both
+        public entry points land here and never on each other, so a
+        per-instance wrapper on either sees only its own calls."""
         bus = self._telemetry
         handled: list[tuple[Envelope, list[Envelope], list[Event]]] = []
-        last_mutating: Envelope | None = None
-        i, n = 0, len(envelopes)
-        while i < n:
-            run: list[Envelope] = []
-            if self._profiler is None and self._group_cipher is not None:
-                while (
-                    i + len(run) < n
-                    and envelopes[i + len(run)].label is Label.APP_DATA
-                    and envelopes[i + len(run)].recipient == self.leader_id
-                ):
-                    run.append(envelopes[i + len(run)])
-            if len(run) >= 2:
-                handled.extend(self._relay_app_batch(run))
-                i += len(run)
-                continue
-            envelope = envelopes[i]
+        mutated_by: str | None = None
+        for envelope in envelopes:
             if bus:
                 self._cause = frame_id(envelope)
-            o, e = self._dispatch(envelope)
-            handled.append((envelope, o, e))
+            handled.append((envelope, *self._dispatch(envelope)))
             if not _is_relay(envelope):
-                last_mutating = envelope
-            i += 1
-        if last_mutating is not None:
-            if bus:
-                self._cause = frame_id(last_mutating)
+                mutated_by = self._cause
+        if mutated_by is not None:
+            self._cause = mutated_by
             self._checkpoint()
         out: list[Envelope] = []
         events: list[Event] = []
-        for envelope, o, e in handled:
+        for envelope, frames, evts in handled:
             if bus:
-                self._publish(envelope, e)
-            out.extend(o)
-            events.extend(e)
-        if bus:
-            self._cause = ""
+                self._publish(envelope, evts)
+            out.extend(frames)
+            events.extend(evts)
+        self._cause = ""
         return out, events
-
-    def _relay_app_batch(
-        self, run: list[Envelope]
-    ) -> list[tuple[Envelope, list[Envelope], list[Event]]]:
-        """Batch-open a run of APP_DATA frames, then relay each;
-        returns ``(envelope, outgoing, events)`` per frame.
-
-        Only verified-under-the-current-key plaintexts short-circuit;
-        anything else (non-member sender, malformed box, MAC failure —
-        including the rekey-grace case) re-enters :meth:`_relay_app`
-        with no pre-opened plaintext and takes the normal path.
-        """
-        cipher = self._group_cipher
-        items: list[tuple[SealedBox, bytes]] = []
-        positions: list[int] = []
-        for index, envelope in enumerate(run):
-            session = self._sessions.get(envelope.sender)
-            if session is None or not session.is_member:
-                continue
-            try:
-                box = SealedBox.from_bytes(envelope.body)
-            except CodecError:
-                continue
-            items.append((box, app_ad(envelope.sender)))
-            positions.append(index)
-        opened: list[bytes | None] = [None] * len(run)
-        if items:
-            for index, plain in zip(positions, cipher.open_many(items)):
-                opened[index] = plain
-        return [
-            (envelope, *self._relay_app(envelope, _opened=plain))
-            for envelope, plain in zip(run, opened)
-        ]
 
     def _publish(self, envelope: Envelope, events: list[Event]) -> None:
         """Map protocol events for one handled frame onto the bus."""
@@ -600,9 +540,7 @@ class GroupLeader:
 
     # -- application relay (Figure 1) --------------------------------------------
 
-    def _relay_app(
-        self, envelope: Envelope, _opened: bytes | None = None
-    ) -> tuple[list[Envelope], list[Event]]:
+    def _relay_app(self, envelope: Envelope) -> tuple[list[Envelope], list[Event]]:
         sender = envelope.sender
         session = self._sessions.get(sender)
         if session is None or not session.is_member:
@@ -617,28 +555,21 @@ class GroupLeader:
         # with rekey grace, frames exactly one epoch old, which the
         # leader re-seals under the current key so every recipient can
         # read them (the leader is trusted, so re-sealing is sound).
-        # ``_opened`` short-circuits the verify when handle_many already
-        # batch-checked this frame under the current key.
         body = envelope.body
         prof = self._profiler
         tok = prof.begin("open") if prof else None
         try:
-            if _opened is not None:
-                plain = _opened
-            else:
-                box = SealedBox.from_bytes(body)
-                try:
-                    plain = self._group_cipher.open(box, app_ad(sender))
-                except IntegrityError:
-                    if self._previous_group_cipher is None:
-                        raise
-                    plain = self._previous_group_cipher.open(
-                        box, app_ad(sender)
-                    )
-                    body = self._group_cipher.seal(
-                        plain, app_ad(sender)
-                    ).to_bytes()
-                    self.stats.grace_resealed += 1
+            box = SealedBox.from_bytes(body)
+            try:
+                plain = self._group_cipher.open(box, app_ad(sender))
+            except IntegrityError:
+                if self._previous_group_cipher is None:
+                    raise
+                plain = self._previous_group_cipher.open(box, app_ad(sender))
+                body = self._group_cipher.seal(
+                    plain, app_ad(sender)
+                ).to_bytes()
+                self.stats.grace_resealed += 1
             decode_fields(plain, expect=2)
         except (CodecError, IntegrityError):
             if prof:

@@ -24,6 +24,7 @@ The demux layer enforces the fabric's isolation stance:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.crypto.keys import KeyMaterial
@@ -281,81 +282,58 @@ class ShardHost:
     # -- the demux path -----------------------------------------------------
 
     def handle(self, envelope: Envelope) -> tuple[list[Envelope], list[Event]]:
-        """Route one wrapped frame to its hosted leader."""
-        self.stats.frames_in += 1
-        prof = self._profiler
-        tok = prof.begin("demux") if prof else None
-        try:
-            return self._demux(envelope)
-        finally:
-            if prof:
-                prof.end(tok)
+        """Route one wrapped frame to its hosted leader (a one-frame
+        flush)."""
+        return self.handle_many((envelope,))
 
     def handle_many(
-        self, envelopes: list[Envelope]
+        self, envelopes: Sequence[Envelope]
     ) -> tuple[list[Envelope], list[Event]]:
-        """Route a batch of wrapped frames, coalescing same-group runs.
+        """Route a flush of wrapped frames, coalescing same-group runs.
 
-        Consecutive frames that route to the *same* hosted leader are
-        handed to :meth:`~repro.enclaves.itgm.leader.GroupLeader.handle_many`
-        in one call so its batch ``open_many`` path can amortise the
-        per-frame crypto.  Everything else (rejects, redirects, group
-        switches) flushes the run and takes the per-frame path, so
-        outputs and events come back in exactly the order sequential
-        :meth:`handle` calls would produce them.  With a profiler bound
-        the batch path is skipped entirely: per-frame phase attribution
-        is part of the observability contract.
+        Consecutive frames that route to the *same* hosted leader go to
+        :meth:`~repro.enclaves.itgm.leader.GroupLeader.handle_many` in
+        one call, whatever the run's length, so the run is journaled as
+        one record.  A reject, a redirect or a group switch ends the
+        run; outputs and events come back in exactly the order
+        sequential :meth:`handle` calls would produce them.  A bound
+        profiler sees one ``demux`` phase per flush, covering
+        ``len(envelopes)`` frames.
         """
-        if self._profiler is not None:
-            out: list[Envelope] = []
-            events: list[Event] = []
-            for envelope in envelopes:
-                frames, evts = self.handle(envelope)
-                out.extend(frames)
-                events.extend(evts)
-            return out, events
-
-        out = []
-        events = []
+        out: list[Envelope] = []
+        events: list[Event] = []
         run_leader: GroupLeader | None = None
         run_inner: list[Envelope] = []
 
-        def flush() -> None:
+        def deliver() -> None:
             nonlocal run_leader, run_inner
-            if run_leader is None:
-                return
-            if len(run_inner) >= 2:
+            if run_leader is not None:
                 frames, evts = run_leader.handle_many(run_inner)
-            else:
-                frames, evts = run_leader.handle(run_inner[0])
-            out.extend(frames)
-            events.extend(evts)
-            run_leader, run_inner = None, []
-
-        for envelope in envelopes:
-            self.stats.frames_in += 1
-            delivery, frames, evts = self._route(envelope)
-            if delivery is None:
-                flush()
                 out.extend(frames)
                 events.extend(evts)
-                continue
-            leader, inner = delivery
-            if leader is not run_leader:
-                flush()
-                run_leader = leader
-                run_inner = [inner]
-            else:
-                run_inner.append(inner)
-        flush()
-        return out, events
+                run_leader, run_inner = None, []
 
-    def _demux(self, envelope: Envelope) -> tuple[list[Envelope], list[Event]]:
-        delivery, out, events = self._route(envelope)
-        if delivery is None:
-            return out, events
-        leader, inner = delivery
-        return leader.handle(inner)
+        prof = self._profiler
+        tok = prof.begin("demux") if prof else None
+        try:
+            for envelope in envelopes:
+                self.stats.frames_in += 1
+                delivery, frames, evts = self._route(envelope)
+                if delivery is None:
+                    deliver()
+                    out.extend(frames)
+                    events.extend(evts)
+                    continue
+                leader, inner = delivery
+                if leader is not run_leader:
+                    deliver()
+                    run_leader = leader
+                run_inner.append(inner)
+            deliver()
+        finally:
+            if prof:
+                prof.end(tok, frames=len(envelopes))
+        return out, events
 
     def _route(
         self, envelope: Envelope
@@ -433,10 +411,9 @@ class ShardHost:
 
         Drivers that want backpressure route arrivals through here and
         drain with :meth:`pump`; :meth:`handle` stays available for
-        direct synchronous use (and is what :meth:`pump` calls).
-        Without a mailbox the frame is handled immediately and the
-        outputs are dropped — use :meth:`handle` directly when there is
-        no intake to bound.
+        direct synchronous use.  Without a mailbox this raises
+        :class:`~repro.exceptions.StateError` — use :meth:`handle`
+        directly when there is no intake to bound.
         """
         if self._mailbox is None:
             raise StateError(
@@ -448,21 +425,13 @@ class ShardHost:
         return accepted
 
     def pump(self, budget: int) -> tuple[list[Envelope], list[Event]]:
-        """Demux up to ``budget`` queued frames, priority order."""
+        """Demux up to ``budget`` queued frames, priority order, as one
+        :meth:`handle_many` flush."""
         if self._mailbox is None:
             raise StateError(
                 f"shard {self.shard_id!r} has no bounded intake"
             )
-        drained = self._mailbox.drain(budget)
-        if self._profiler is None and len(drained) >= 2:
-            return self.handle_many(drained)
-        out: list[Envelope] = []
-        events: list[Event] = []
-        for envelope in drained:
-            frames, evts = self.handle(envelope)
-            out.extend(frames)
-            events.extend(evts)
-        return out, events
+        return self.handle_many(self._mailbox.drain(budget))
 
     def _reject_frame(self, envelope: Envelope, reason: str) -> None:
         if self._telemetry:

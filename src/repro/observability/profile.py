@@ -12,6 +12,9 @@ fsync, shard demux, multicast fan-out.  Each hook is two calls:
 
 so the *disabled* cost is one attribute load and one ``if`` (the same
 budget as the telemetry guards; the overhead benchmark covers both).
+A hook never selects what runs between its two calls: a phase around a
+batch closes with ``prof.end(tok, frames=n)``, so the shard's ``demux``
+is attributed per flush on the path production takes.
 
 :class:`PhaseProfiler` is the thing those hooks talk to.  It is
 deliberately boring: a stack of open phases, a table of closed ones.
@@ -19,7 +22,7 @@ Phases nest — ``demux`` opened by the shard stays on the stack while
 the hosted leader opens ``open`` and ``multicast`` inside it — and the
 table is keyed by the full phase *path*, so the rendered output reads
 like a folded flamegraph: cumulative time, self time (cumulative minus
-time attributed to child phases), and call counts per path.
+time attributed to child phases), call counts and frame counts per path.
 
 Time comes from an injected :class:`~repro.util.clock.Clock`.  With a
 :class:`~repro.util.clock.TickClock` every ``begin``/``end`` pair costs
@@ -50,10 +53,11 @@ class _Frame:
 class _Stat:
     """Accumulated totals for one phase path."""
 
-    __slots__ = ("calls", "cumulative", "child")
+    __slots__ = ("calls", "frames", "cumulative", "child")
 
     def __init__(self) -> None:
         self.calls = 0
+        self.frames = 0
         self.cumulative = 0.0
         self.child = 0.0
 
@@ -81,12 +85,13 @@ class PhaseProfiler:
         self._stack.append(frame)
         return frame
 
-    def end(self, token: _Frame) -> float:
+    def end(self, token: _Frame, frames: int = 1) -> float:
         """Close the innermost phase; returns its elapsed time.
 
-        Strictly LIFO: closing anything but the innermost open phase is
-        a programming error in the instrumented code and raises, rather
-        than silently corrupting the attribution.
+        ``frames`` is how many frames the phase covered (a batch phase
+        passes its length).  Strictly LIFO: closing anything but the
+        innermost open phase is a programming error in the instrumented
+        code and raises, rather than silently corrupting the attribution.
         """
         if not self._stack or self._stack[-1] is not token:
             raise ValueError(
@@ -100,6 +105,7 @@ class PhaseProfiler:
         if stat is None:
             stat = self._stats[path] = _Stat()
         stat.calls += 1
+        stat.frames += frames
         stat.cumulative += elapsed
         stat.child += token.child
         if self._stack:
@@ -113,10 +119,11 @@ class PhaseProfiler:
         return [frame.name for frame in self._stack]
 
     def phases(self) -> dict[str, dict]:
-        """``"a/b" -> {calls, cumulative, self}`` for every closed path."""
+        """``"a/b" -> {calls, frames, cumulative, self}`` per closed path."""
         return {
             "/".join(path): {
                 "calls": stat.calls,
+                "frames": stat.frames,
                 "cumulative": stat.cumulative,
                 "self": stat.self_time,
             }
@@ -152,13 +159,14 @@ class PhaseProfiler:
             return "profile: no phases recorded"
         total = self.total() or 1.0
         lines = [
-            f"{'phase':<28} {'calls':>7} {'cum':>10} {'self':>10} {'%':>6}"
+            f"{'phase':<28} {'calls':>7} {'frames':>7} "
+            f"{'cum':>10} {'self':>10} {'%':>6}"
         ]
         for path in sorted(self._stats):
             stat = self._stats[path]
             label = "  " * (len(path) - 1) + path[-1]
             lines.append(
-                f"{label:<28} {stat.calls:>7} "
+                f"{label:<28} {stat.calls:>7} {stat.frames:>7} "
                 f"{stat.cumulative:>10.3f} {stat.self_time:>10.3f} "
                 f"{100.0 * stat.cumulative / total:>5.1f}%"
             )
@@ -166,12 +174,15 @@ class PhaseProfiler:
 
     def export_to(self, registry) -> None:
         """Mirror the table into a
-        :class:`~repro.telemetry.metrics.MetricsRegistry` (one
-        histogram-free counter/gauge pair per path), so phase totals
-        ride the same Prometheus dump as everything else."""
+        :class:`~repro.telemetry.metrics.MetricsRegistry` (two
+        counters and a gauge per path), so phase totals ride the same
+        Prometheus dump as everything else."""
         for path, stats in self.phases().items():
             registry.counter("profile_phase_calls", phase=path).incr(
                 stats["calls"]
+            )
+            registry.counter("profile_phase_frames", phase=path).incr(
+                stats["frames"]
             )
             registry.gauge("profile_phase_seconds", phase=path).set(
                 stats["cumulative"]
