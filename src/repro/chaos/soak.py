@@ -6,12 +6,13 @@ partitions, leader crashes) on the virtual-time loop, while a monitor
 continuously asserts the paper's safety invariants on the live state:
 
 * **prefix** (§5.4) — every member's accepted admin list is a prefix of
-  what its leader sent it, byte for byte (reusing
-  :func:`repro.formal.properties.check_prefix` on a trace shim);
+  what its leader sent it, byte for byte;
 * **no duplication / no stale key** — the group-key epochs a member
-  accepts within one session are strictly increasing (reusing
-  :func:`repro.formal.properties.check_no_duplicates`), so a replayed
-  or reordered key distribution can never re-install an old key.
+  accepts within one session are strictly increasing, so a replayed
+  or reordered key distribution can never re-install an old key
+
+(both through :func:`repro.enclaves.modelcheck.session_violations`, the
+one §5.4 session probe every soak shares).
 
 Once the plan's faults heal, the run must *converge*: every member
 connected to the current manager, holding its current group key, all
@@ -30,8 +31,8 @@ from dataclasses import dataclass, field, replace
 from repro.chaos.loop import LoopClock, run_virtual
 from repro.crypto.rng import DeterministicRandom
 from repro.enclaves.common import RekeyPolicy, UserDirectory
-from repro.enclaves.itgm.admin import NewGroupKeyPayload
 from repro.enclaves.itgm.leader import LeaderConfig
+from repro.enclaves.itgm.runtime import LeaderRuntime
 from repro.enclaves.itgm.supervisor import (
     LeaderOrchestrator,
     ResilientMemberClient,
@@ -39,8 +40,8 @@ from repro.enclaves.itgm.supervisor import (
 )
 from repro.enclaves.legacy.leader import LegacyGroupLeader
 from repro.enclaves.legacy.member import LegacyMemberProtocol, LegacyMemberState
-from repro.exceptions import ConnectionClosed, StateError
-from repro.formal.properties import check_no_duplicates, check_prefix
+from repro.enclaves.modelcheck import session_violations
+from repro.exceptions import StateError
 from repro.net.adversary import Adversary
 from repro.net.faults import FaultPlan, LeaderEventKind
 from repro.net.memnet import MemoryNetwork
@@ -83,10 +84,6 @@ class SoakConfig:
     tick_interval: float = 0.25
     monitor_interval: float = 0.5
     converge_timeout: float = 20.0
-    #: Durability: back the leaders with a simulated disk and a
-    #: write-ahead journal, so crash/restore goes through real replay.
-    durability: bool = True
-    journal_fsync_every: int = 1
     supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
 
 
@@ -234,44 +231,6 @@ def _window_stats(plan: FaultPlan) -> dict[str, dict]:
     return stats
 
 
-# -- safety shims over the formal predicates ---------------------------------
-
-
-class _TraceShim:
-    """Minimal ``GlobalState`` stand-in for the §5.4 list predicates."""
-
-    def __init__(self, rcv, snd=()) -> None:
-        self.rcv = tuple(rcv)
-        self.snd = tuple(snd)
-
-
-def _member_safety(
-    uid: str, leader_id: str, member_log, leader_log
-) -> list[str]:
-    """Prefix + no-duplicate-epoch + no-stale-key for one live session."""
-    violations = []
-    shim = _TraceShim(
-        rcv=[p.encode() for p in member_log],
-        snd=[p.encode() for p in leader_log],
-    )
-    problem = check_prefix(None, shim)
-    if problem is not None:
-        violations.append(f"{uid}<-{leader_id}: prefix violated")
-    epochs = [
-        p.epoch for p in member_log if isinstance(p, NewGroupKeyPayload)
-    ]
-    if check_no_duplicates(None, _TraceShim(rcv=epochs)) is not None:
-        violations.append(
-            f"{uid}<-{leader_id}: duplicate group-key epoch accepted"
-        )
-    if any(b <= a for a, b in zip(epochs, epochs[1:])):
-        violations.append(
-            f"{uid}<-{leader_id}: stale group key accepted "
-            f"(epochs {epochs})"
-        )
-    return violations
-
-
 # -- the improved (itgm) stack soak ------------------------------------------
 
 
@@ -305,9 +264,8 @@ async def _soak_itgm(
     plan = build_default_plan(config, member_ids, manager_ids)
     adversary.set_policy(plan.as_policy(loop.time, telemetry=telemetry))
 
-    disk = (
-        SimDisk(rng=rng.fork("disk")) if config.durability else None
-    )
+    # The leaders journal onto a simulated disk, so crash/restore goes
+    # through real write-ahead replay.
     orchestrator = LeaderOrchestrator(
         net, directory, manager_ids,
         config=LeaderConfig(
@@ -320,8 +278,7 @@ async def _soak_itgm(
         tick_interval=config.tick_interval,
         heartbeat_interval=config.heartbeat_interval,
         telemetry=telemetry,
-        disk=disk,
-        journal_fsync_every=config.journal_fsync_every,
+        disk=SimDisk(rng=rng.fork("disk")),
     )
     await orchestrator.start()
 
@@ -345,10 +302,9 @@ async def _soak_itgm(
                 continue
             leader = orchestrator.leaders[supervisor.active]
             violations.extend(
-                _member_safety(
-                    uid, supervisor.active,
-                    list(client.protocol.admin_log),
-                    leader.admin_send_log(uid),
+                f"{uid}<-{supervisor.active}: {violation}"
+                for violation in session_violations(
+                    client.protocol.admin_log, leader.admin_send_log(uid)
                 )
             )
 
@@ -451,9 +407,8 @@ async def _soak_itgm(
         sum(leader.stats.rekeys
             for leader in orchestrator.leaders.values()),
     )
-    if config.durability:
-        for name, value in orchestrator.journal_counters().items():
-            metrics.incr(name, value)
+    for name, value in orchestrator.journal_counters().items():
+        metrics.incr(name, value)
 
     if probe is not None:
         violations.extend(probe.violations)
@@ -476,39 +431,6 @@ async def _soak_itgm(
 
 
 # -- the legacy (§2.2) stack soak --------------------------------------------
-
-
-class _SansIoDriver:
-    """Pump one sans-IO core over one endpoint (legacy stack driver)."""
-
-    def __init__(self, core, endpoint) -> None:
-        self.core = core
-        self.endpoint = endpoint
-        self._task: asyncio.Task | None = None
-
-    def start(self) -> None:
-        if self._task is None:
-            self._task = asyncio.get_running_loop().create_task(self._loop())
-
-    async def _loop(self) -> None:
-        try:
-            while True:
-                envelope = await self.endpoint.recv()
-                outgoing, _events = self.core.handle(envelope)
-                for out in outgoing:
-                    await self.endpoint.send(out)
-        except (ConnectionClosed, asyncio.CancelledError):
-            pass
-
-    async def stop(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
-        await self.endpoint.close()
 
 
 async def _soak_legacy(
@@ -545,18 +467,18 @@ async def _soak_legacy(
         rekey_policy=RekeyPolicy.MANUAL, rng=rng.fork("leader"),
     )
     leader_endpoint = await net.attach(leader_id)
-    leader_driver = _SansIoDriver(leader, leader_endpoint)
+    leader_driver = LeaderRuntime(leader, leader_endpoint)
     leader_driver.start()
     alive = {"leader": True}
     #: Every group key the leader ever issued, in issuance order.
     issued: list[str] = []
 
     protocols: dict[str, LegacyMemberProtocol] = {}
-    drivers: dict[str, _SansIoDriver] = {}
+    drivers: dict[str, LeaderRuntime] = {}
     for uid in member_ids:
         protocol = LegacyMemberProtocol(creds[uid], leader_id, rng.fork(uid))
         endpoint = await net.attach(uid)
-        driver = _SansIoDriver(protocol, endpoint)
+        driver = LeaderRuntime(protocol, endpoint)
         driver.start()
         protocols[uid] = protocol
         drivers[uid] = driver

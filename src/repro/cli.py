@@ -69,36 +69,55 @@ from repro.formal.verify import verify_protocol
 
 
 @contextmanager
-def _capture_default_bus(path: str | None):
-    """Export DEFAULT_BUS events around a scenario as deterministic JSONL.
+def _export_jsonl(path: str | None, bus=None, *, private: bool = False,
+                  lead: str = ""):
+    """Run a scenario on a bus and export its events as deterministic
+    JSONL to ``path``; yields the bus to hand the scenario.
 
-    The demo/attack scenario builders construct their stacks with no
-    telemetry plumbing; every component falls back to the process-wide
-    default bus, so subscribing there observes everything.  The bus
-    clock is swapped to a logical :class:`~repro.util.clock.TickClock`
-    (and the sequence counter reset) for the duration, restored after,
-    and the written file is schema-validated before the command exits.
+    Which bus: the one given; else a fresh ``EventBus`` when ``private``
+    (the soaks, which take ``telemetry=``); else the process-wide
+    ``DEFAULT_BUS``, which is what observes the demo/attack scenario
+    builders — they construct their stacks with no telemetry plumbing,
+    and every component falls back to it.  With no bus given and no
+    path there is nothing to observe: yields ``None``, which is also
+    the ``telemetry=`` value that keeps a soak's stack uninstrumented.
+
+    The bus clock is swapped to a logical
+    :class:`~repro.util.clock.TickClock` and the sequence counter reset
+    for the duration (a repeat same-seed run in one process must export
+    the bytes a fresh process would; a soak on virtual time installs its
+    own clock over it), both restored after.  On exit the written file
+    is schema-validated and the ``wrote …`` line printed, after ``lead``.
     """
-    if not path:
-        yield
+    if bus is None and not path:
+        yield None
         return
-    from repro.telemetry import DEFAULT_BUS, attach_jsonl, validate_jsonl
+    from repro.telemetry import (
+        DEFAULT_BUS,
+        EventBus,
+        attach_jsonl,
+        validate_jsonl,
+    )
     from repro.util.clock import TickClock
 
-    bus = DEFAULT_BUS
+    if bus is None:
+        bus = EventBus() if private else DEFAULT_BUS
     old_clock, old_seq = bus.clock, bus.seq
     bus.set_clock(TickClock())
     bus.reset_seq()
-    exporter = attach_jsonl(bus, path)
+    exporter = attach_jsonl(bus, path) if path else None
     try:
-        yield
+        yield bus
     finally:
-        bus.unsubscribe(exporter)
-        exporter.close()
+        if exporter is not None:
+            bus.unsubscribe(exporter)
+            exporter.close()
         bus.set_clock(old_clock)
         bus.reset_seq(old_seq)
-    validate_jsonl(path)
-    print(f"wrote {path} ({exporter.lines_written} events, schema-valid)")
+    if exporter is not None:
+        validate_jsonl(path)
+        print(f"{lead}wrote {path} ({exporter.lines_written} events, "
+              "schema-valid)")
 
 
 def _run_demo_session(seed: int):
@@ -223,6 +242,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 def _cmd_churn(args: argparse.Namespace) -> int:
     from repro.enclaves.common import RekeyPolicy
     from repro.sim.scenarios import ChurnScenario, run_churn
+    from repro.telemetry import LiveSummary
 
     policies = {
         "membership": RekeyPolicy.ON_JOIN | RekeyPolicy.ON_LEAVE,
@@ -230,32 +250,20 @@ def _cmd_churn(args: argparse.Namespace) -> int:
         "periodic": RekeyPolicy.PERIODIC,
         "manual": RekeyPolicy.MANUAL,
     }
-    bus = exporter = summary = None
-    if args.telemetry:
-        from repro.telemetry import EventBus, LiveSummary, attach_jsonl
-
-        bus = EventBus()
-        exporter = attach_jsonl(bus, args.telemetry)
-        summary = LiveSummary()
-        bus.subscribe(summary)
-    report = run_churn(
-        ChurnScenario(
-            n_users=args.users,
-            duration=args.duration,
-            rekey_policy=policies[args.policy],
-            seed=args.seed,
-        ),
-        telemetry=bus,
-    )
-    print(report.summary())
-    if exporter is not None:
-        from repro.telemetry import validate_jsonl
-
-        exporter.close()
-        validate_jsonl(args.telemetry)
-        print(summary.render())
-        print(f"wrote {args.telemetry} ({exporter.lines_written} events, "
-              "schema-valid)")
+    with _export_jsonl(args.telemetry, private=True) as bus:
+        summary = None if bus is None else bus.subscribe(LiveSummary())
+        report = run_churn(
+            ChurnScenario(
+                n_users=args.users,
+                duration=args.duration,
+                rekey_policy=policies[args.policy],
+                seed=args.seed,
+            ),
+            telemetry=bus,
+        )
+        print(report.summary())
+        if summary is not None:
+            print(summary.render())
     return 0 if report.views_consistent else 1
 
 
@@ -267,6 +275,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         run_recovery_matrix,
         run_soak,
     )
+    from repro.telemetry import LiveSummary
 
     if args.matrix:
         rows = run_recovery_matrix(seed=args.seed)
@@ -281,28 +290,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print("\nimproved stack recovered everywhere with zero violations")
         return 0
 
-    bus = exporter = summary = None
-    if args.telemetry:
-        from repro.telemetry import EventBus, LiveSummary, attach_jsonl
-
-        bus = EventBus()
-        exporter = attach_jsonl(bus, args.telemetry)
-        summary = LiveSummary()
-        bus.subscribe(summary)
     config = clip_to_duration(SoakConfig(
         stack=args.stack, seed=args.seed, duration=args.duration,
         n_members=args.members,
     ))
-    report = run_soak(config, telemetry=bus)
-    print(report.format_table())
-    if exporter is not None:
-        from repro.telemetry import validate_jsonl
-
-        exporter.close()
-        validate_jsonl(args.telemetry)
-        print(summary.render())
-        print(f"wrote {args.telemetry} ({exporter.lines_written} events, "
-              "schema-valid)")
+    with _export_jsonl(args.telemetry, private=True) as bus:
+        summary = None if bus is None else bus.subscribe(LiveSummary())
+        report = run_soak(config, telemetry=bus)
+        print(report.format_table())
+        if summary is not None:
+            print(summary.render())
     if args.stack == "itgm":
         return 0 if report.converged and report.safe else 1
     return 0
@@ -328,88 +325,72 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     ``demo`` and ``attack-matrix`` build their protocol stacks with no
     telemetry plumbing — they are observed by subscribing to the
     process-wide :data:`~repro.telemetry.events.DEFAULT_BUS` every
-    component falls back to.  The bus clock is swapped to a logical
-    :class:`~repro.util.clock.TickClock` for the duration so exported
-    logs are deterministic per seed (and restored after).  ``chaos``
-    runs on a private bus in virtual time instead.
+    component falls back to.  ``chaos`` runs on a private bus in
+    virtual time instead.
     """
     from repro.telemetry import (
         DEFAULT_BUS,
         EventBus,
         LiveSummary,
         MetricsRegistry,
-        attach_jsonl,
         events_to_registry,
         render_prometheus,
-        validate_jsonl,
     )
-    from repro.util.clock import TickClock
 
     records: list = []
     summary = LiveSummary()
     registry = MetricsRegistry()
-    mirror = events_to_registry(registry)
+    observers = (records.append, summary, events_to_registry(registry))
 
     bus = EventBus() if args.scenario == "chaos" else DEFAULT_BUS
-    old_clock = bus.clock
-    old_seq = bus.seq
-    bus.set_clock(TickClock())
-    # Fresh logical stream: a repeat same-seed run in one process must
-    # export the same bytes a fresh process would.
-    bus.reset_seq()
-    exporter = attach_jsonl(bus, args.out) if args.out else None
-    bus.subscribe(records.append)
-    bus.subscribe(summary)
-    bus.subscribe(mirror)
-    status = 0
-    try:
-        if args.scenario == "demo":
-            _run_demo_session(args.seed)
-        elif args.scenario == "attack-matrix":
-            from repro.attacks import run_attack_matrix
+    with _export_jsonl(args.out, bus, lead="\n"):
+        for observer in observers:
+            bus.subscribe(observer)
+        try:
+            if args.scenario == "demo":
+                _run_demo_session(args.seed)
+                status = 0
+            elif args.scenario == "attack-matrix":
+                from repro.attacks import run_attack_matrix
 
-            rows = run_attack_matrix(seed=args.seed)
-            status = 0 if all(row.as_expected for row in rows) else 1
-        else:  # chaos
-            from repro.chaos import SoakConfig, clip_to_duration, run_soak
+                rows = run_attack_matrix(seed=args.seed)
+                status = 0 if all(row.as_expected for row in rows) else 1
+            else:  # chaos
+                from repro.chaos import (
+                    SoakConfig,
+                    clip_to_duration,
+                    run_soak,
+                )
 
-            report = run_soak(
-                clip_to_duration(SoakConfig(
-                    seed=args.seed, duration=args.duration,
-                )),
-                telemetry=bus,
-            )
-            status = 0 if report.converged and report.safe else 1
-    finally:
-        bus.unsubscribe(records.append)
-        bus.unsubscribe(summary)
-        bus.unsubscribe(mirror)
-        if exporter is not None:
-            bus.unsubscribe(exporter)
-            exporter.close()
-        bus.set_clock(old_clock)
-        bus.reset_seq(old_seq)
+                report = run_soak(
+                    clip_to_duration(SoakConfig(
+                        seed=args.seed, duration=args.duration,
+                    )),
+                    telemetry=bus,
+                )
+                status = 0 if report.converged and report.safe else 1
+        finally:
+            for observer in observers:
+                bus.unsubscribe(observer)
 
-    print(summary.render())
-    blocked = [
-        r for r in records
-        if type(r.event).__name__ in ("ReplayRejected", "IntegrityRejected")
-    ]
-    if blocked:
-        print("\nblocked frames:")
-        for record in blocked:
-            event = record.event
-            print(
-                f"  seq={record.seq:<5} {type(event).__name__:<18} "
-                f"node={event.node:<10} label={event.label:<16} "
-                f"frame={event.frame}  {event.reason}"
-            )
-    if args.prometheus:
-        print()
-        print(render_prometheus(registry), end="")
-    if args.out:
-        validate_jsonl(args.out)
-        print(f"\nwrote {args.out} ({len(records)} events, schema-valid)")
+        print(summary.render())
+        blocked = [
+            r for r in records
+            if type(r.event).__name__ in ("ReplayRejected",
+                                          "IntegrityRejected")
+        ]
+        if blocked:
+            print("\nblocked frames:")
+            for record in blocked:
+                event = record.event
+                print(
+                    f"  seq={record.seq:<5} {type(event).__name__:<18} "
+                    f"node={event.node:<10} label={event.label:<16} "
+                    f"frame={event.frame}  {event.reason}"
+                )
+        if args.prometheus:
+            print()
+            print(render_prometheus(registry), end="")
     return status
 
 
@@ -491,40 +472,28 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
     if args.mode == "migrate":
         from repro.fabric import run_migration_demo
 
-        with _capture_default_bus(args.telemetry):
+        with _export_jsonl(args.telemetry):
             demo = run_migration_demo(args.seed)
             print(demo.format_report())
         return 0 if demo.ok else 1
     if args.mode == "demo":
-        with _capture_default_bus(args.telemetry):
+        with _export_jsonl(args.telemetry):
             status = _fabric_demo(args.seed)
         return status
 
     from repro.fabric import FabricConfig, run_fabric_soak
 
-    bus = exporter = None
-    if args.telemetry:
-        from repro.telemetry import EventBus, attach_jsonl
-
-        bus = EventBus()
-        exporter = attach_jsonl(bus, args.telemetry)
-    report = run_fabric_soak(
-        FabricConfig.full(
-            seed=args.seed,
-            n_groups=args.groups,
-            n_shards=args.shards,
-            duration=args.duration,
-        ),
-        telemetry=bus,
-    )
-    print(report.format_table())
-    if exporter is not None:
-        from repro.telemetry import validate_jsonl
-
-        exporter.close()
-        validate_jsonl(args.telemetry)
-        print(f"wrote {args.telemetry} ({exporter.lines_written} events, "
-              "schema-valid)")
+    with _export_jsonl(args.telemetry, private=True) as bus:
+        report = run_fabric_soak(
+            FabricConfig.full(
+                seed=args.seed,
+                n_groups=args.groups,
+                n_shards=args.shards,
+                duration=args.duration,
+            ),
+            telemetry=bus,
+        )
+        print(report.format_table())
     return 0 if (
         report.safe and report.isolated and report.converged
     ) else 1
@@ -612,11 +581,11 @@ def _fabric_demo(seed: int) -> int:
 
 def _cmd_quorum(args: argparse.Namespace) -> int:
     if args.mode == "demo":
-        with _capture_default_bus(args.telemetry):
+        with _export_jsonl(args.telemetry):
             status = _quorum_demo(args.seed)
         return status
     if args.mode == "attack":
-        with _capture_default_bus(args.telemetry):
+        with _export_jsonl(args.telemetry):
             status = _quorum_attack(args.seed)
         return status
 
@@ -628,26 +597,11 @@ def _cmd_quorum(args: argparse.Namespace) -> int:
     )
 
     faults = tuple(args.faults.split(",")) if args.faults else None
-    bus = exporter = None
-    if args.out:
-        from repro.telemetry import EventBus, attach_jsonl, validate_jsonl
-        from repro.util.clock import TickClock
-
-        # Logical clock + fresh seq: the JSONL must be byte-identical
-        # across runs of the same seed (CI diffs it on failure).
-        bus = EventBus()
-        bus.set_clock(TickClock())
-        bus.reset_seq()
-        exporter = attach_jsonl(bus, args.out)
-    reports = run_byzantine_matrix(
-        seed=args.seed, faults=faults, telemetry=bus
-    )
-    print(format_byzantine_matrix(reports))
-    if exporter is not None:
-        exporter.close()
-        validate_jsonl(args.out)
-        print(f"\nwrote {args.out} ({exporter.lines_written} events, "
-              "schema-valid)")
+    with _export_jsonl(args.out, private=True, lead="\n") as bus:
+        reports = run_byzantine_matrix(
+            seed=args.seed, faults=faults, telemetry=bus
+        )
+        print(format_byzantine_matrix(reports))
     bad = [r for r in reports if not soak_as_expected(r)]
     if bad:
         print(f"\n{len(bad)} cell(s) deviated from the quorum claim!")
@@ -724,11 +678,11 @@ def _quorum_attack(seed: int) -> int:
 
 def _cmd_data(args: argparse.Namespace) -> int:
     if args.mode == "demo":
-        with _capture_default_bus(args.telemetry):
+        with _export_jsonl(args.telemetry):
             status = _data_demo(args.seed)
         return status
     if args.mode == "attack":
-        with _capture_default_bus(args.telemetry):
+        with _export_jsonl(args.telemetry):
             status = _data_attack(args.seed)
         return status
 
@@ -737,7 +691,7 @@ def _cmd_data(args: argparse.Namespace) -> int:
     # wraps the run the same way demo/attack do.
     from repro.dataplane.soak import DataSoakConfig, run_data_soak
 
-    with _capture_default_bus(args.out):
+    with _export_jsonl(args.out):
         report = run_data_soak(DataSoakConfig(
             seed=args.seed, n_members=args.members, rounds=args.rounds,
         ))
@@ -940,33 +894,25 @@ def _obs_scenario(seed: int, bus, profiler=None):
 
 def _obs_trace(args: argparse.Namespace) -> int:
     from repro.observability import TraceBuilder
-    from repro.telemetry import EventBus, attach_jsonl, validate_jsonl
-    from repro.util.clock import TickClock
+    from repro.telemetry import EventBus
 
-    bus = EventBus(TickClock())
-    builder = TraceBuilder()
-    bus.subscribe(builder)
-    exporter = attach_jsonl(bus, args.out) if args.out else None
-    _obs_scenario(args.seed, bus)
-    if exporter is not None:
-        exporter.close()
-        validate_jsonl(args.out)
-
-    graph = builder.build()
-    root = graph.find("JoinStarted", node="alice")
-    if root is None:
-        print("no JoinStarted event observed!", file=sys.stderr)
-        return 1
-    print(f"causal trace — {len(graph)} events, seed={args.seed}")
-    print()
-    print(graph.render(root.seq))
+    bus = EventBus()
+    builder = bus.subscribe(TraceBuilder())
+    with _export_jsonl(args.out, bus):
+        _obs_scenario(args.seed, bus)
+        graph = builder.build()
+        root = graph.find("JoinStarted", node="alice")
+        if root is None:
+            print("no JoinStarted event observed!", file=sys.stderr)
+            return 1
+        print(f"causal trace — {len(graph)} events, seed={args.seed}")
+        print()
+        print(graph.render(root.seq))
+        spanned = {graph.nodes[s].name for s in graph.descendants(root.seq)}
+        print()
+        print(f"join operation spans {len(graph.descendants(root.seq))} "
+              "events: " + ", ".join(sorted(spanned)))
     orphans = graph.orphans()
-    spanned = {graph.nodes[s].name for s in graph.descendants(root.seq)}
-    print()
-    print(f"join operation spans {len(graph.descendants(root.seq))} events: "
-          + ", ".join(sorted(spanned)))
-    if args.out:
-        print(f"wrote {args.out} (schema-valid)")
     if orphans:
         print(f"\n{len(orphans)} orphan event(s) — causal model has holes:")
         for node in orphans:
@@ -1111,29 +1057,15 @@ def _cmd_overload(args: argparse.Namespace) -> int:
         run_overload_soak,
     )
 
-    bus = exporter = None
-    if args.out:
-        from repro.telemetry import EventBus, attach_jsonl, validate_jsonl
-
-        # The soak drives the bus's clock itself (one virtual clock per
-        # stack run); a fresh seq makes repeated same-seed invocations
-        # in one process export the same bytes a fresh process would.
-        bus = EventBus()
-        bus.reset_seq()
-        exporter = attach_jsonl(bus, args.out)
     config = OverloadConfig(
         seed=args.seed,
         duration=args.duration,
         surge_members=args.surge,
         flood_rate=args.flood_rate,
     )
-    report = run_overload_soak(config, telemetry=bus)
-    print(render_report(report))
-    if exporter is not None:
-        exporter.close()
-        validate_jsonl(args.out)
-        print(f"\nwrote {args.out} ({exporter.lines_written} events, "
-              "schema-valid)")
+    with _export_jsonl(args.out, private=True, lead="\n") as bus:
+        report = run_overload_soak(config, telemetry=bus)
+        print(render_report(report))
     return 0 if report.protection_holds else 1
 
 

@@ -109,15 +109,6 @@ class AuthenticatedCipher:
             box.nonce, box.ciphertext, box.tag, associated_data,
         )
 
-    def _compute_tag(
-        self, nonce: bytes, ciphertext: bytes, associated_data: bytes
-    ) -> bytes:
-        # Unambiguous framing: length-prefix the associated data so that
-        # (ad, ct) pairs cannot collide across a boundary shift.
-        return get_provider()._tag(
-            self._mac_key, nonce, ciphertext, associated_data
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class SealRequest:

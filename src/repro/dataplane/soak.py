@@ -11,7 +11,7 @@ Asserted at the end of every run:
 
 * **§5.4 invariants** on every live member — admin log a byte-prefix
   of the leader's send log, group-key epochs strictly increasing
-  (reusing :mod:`repro.formal.properties`);
+  (:func:`repro.enclaves.modelcheck.session_violations`);
 * **no duplicate delivery** — no member's application inbox contains
   the same payload twice, under duplication faults and retransmits;
 * **completeness** — after the fault window closes and the retransmit
@@ -38,8 +38,8 @@ from repro.enclaves.common import RekeyPolicy, UserDirectory
 from repro.enclaves.harness import SyncNetwork, wire
 from repro.enclaves.itgm.leader import GroupLeader, LeaderConfig
 from repro.enclaves.itgm.member import MemberProtocol
+from repro.enclaves.modelcheck import session_violations
 from repro.exceptions import CodecError, IntegrityError, RatchetError, StateError
-from repro.formal.properties import check_no_duplicates, check_prefix
 from repro.overload.deadline import RetryBudget
 from repro.telemetry.events import DataShed, EventBus, resolve_bus
 from repro.wire.labels import Label
@@ -135,14 +135,6 @@ class DataSoakReport:
             lines.extend(f"    - {v}" for v in self.violations)
         lines.append(f"  verdict                {'SAFE' if self.safe else 'UNSAFE'}")
         return "\n".join(lines)
-
-
-class _TraceShim:
-    """Minimal ``GlobalState`` stand-in for the §5.4 list predicates."""
-
-    def __init__(self, rcv, snd=()) -> None:
-        self.rcv = tuple(rcv)
-        self.snd = tuple(snd)
 
 
 def _data_faults(
@@ -331,22 +323,12 @@ def _verdicts(
 
     # §5.4 on every live member.
     for uid in live:
-        member_log = members[uid].member.admin_log
-        leader_log = leader.admin_send_log(uid)
-        shim = _TraceShim(
-            rcv=[p.encode() for p in member_log],
-            snd=[p.encode() for p in leader_log],
+        report.violations.extend(
+            f"{uid}: {violation}"
+            for violation in session_violations(
+                members[uid].member.admin_log, leader.admin_send_log(uid)
+            )
         )
-        if check_prefix(None, shim) is not None:
-            report.violations.append(f"{uid}: admin prefix violated")
-        from repro.enclaves.itgm.admin import NewGroupKeyPayload
-
-        member_epochs = [p.epoch for p in member_log
-                         if isinstance(p, NewGroupKeyPayload)]
-        if check_no_duplicates(None, _TraceShim(rcv=member_epochs)) is not None:
-            report.violations.append(f"{uid}: duplicate epoch accepted")
-        if any(b <= a for a, b in zip(member_epochs, member_epochs[1:])):
-            report.violations.append(f"{uid}: stale group key accepted")
 
     # No duplicate delivery; completeness across live members.
     for uid in live:

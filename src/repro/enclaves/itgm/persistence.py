@@ -24,6 +24,7 @@ separately, exactly like the failover module does.
 from __future__ import annotations
 
 import json
+from collections import deque
 
 from repro.crypto.aead import AuthenticatedCipher, SealedBox
 from repro.crypto.keys import GroupKey, KeyMaterial, SessionKey
@@ -161,17 +162,19 @@ def restore_leader(
     rng: RandomSource | None = None,
     clock: Clock | None = None,
     telemetry=None,
+    leader_cls: type[GroupLeader] = GroupLeader,
 ) -> GroupLeader:
-    """Rebuild a :class:`GroupLeader` from :func:`snapshot_leader` output.
+    """Rebuild a leader from :func:`snapshot_leader` output.
 
+    ``leader_cls`` is the class to build — :class:`GroupLeader`, or a
+    subclass with the same constructor whose extra state is not
+    protocol state (the quorum's certifier hook, re-bound by its owner).
     Raises :class:`ProtocolError` on version mismatch or a user missing
     from the directory (the registry must be at least as current as the
     snapshot).
     """
     validate_snapshot_version(snapshot)
-    from collections import deque
-
-    leader = GroupLeader(
+    leader = leader_cls(
         snapshot["leader_id"], directory, config=config, rng=rng, clock=clock,
         telemetry=telemetry,
     )

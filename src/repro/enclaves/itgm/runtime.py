@@ -1,4 +1,4 @@
-"""Asyncio leader runtime: drives a GroupLeader over any transport."""
+"""Asyncio runtime: drives a sans-IO core over any transport."""
 
 from __future__ import annotations
 
@@ -11,12 +11,13 @@ from repro.net.transport import Endpoint
 
 
 class LeaderRuntime:
-    """The group leader bound to a transport endpoint.
+    """A sans-IO core bound to a transport endpoint.
 
-    Runs two background tasks: the receive loop (envelope in, envelopes
-    out) and an optional timer loop that calls
-    :meth:`~repro.enclaves.itgm.leader.GroupLeader.tick` for periodic
-    rekeying.
+    The receive loop (envelope in, envelopes out) needs only
+    ``handle(envelope) -> (out, events)``, so it drives a group leader,
+    a shard host or a legacy core alike.  The optional timer loops call
+    :meth:`~repro.enclaves.itgm.leader.GroupLeader.tick` (periodic
+    rekeying) and ``heartbeat`` and are for a :class:`GroupLeader`.
     """
 
     def __init__(

@@ -52,12 +52,7 @@ from repro.enclaves.common import (
 from repro.enclaves.itgm.client import MemberClient
 from repro.enclaves.itgm.leader import GroupLeader, LeaderConfig
 from repro.enclaves.itgm.member import MemberState
-from repro.enclaves.itgm.persistence import (
-    open_snapshot,
-    restore_leader,
-    seal_snapshot,
-    snapshot_leader,
-)
+from repro.enclaves.itgm.persistence import restore_leader, snapshot_leader
 from repro.enclaves.itgm.runtime import LeaderRuntime
 from repro.exceptions import ProtocolError, RecoveryFailed, StateError
 from repro.net.transport import Endpoint
@@ -543,11 +538,8 @@ class LeaderOrchestrator:
         clock: Clock | None = None,
         tick_interval: float | None = 0.25,
         heartbeat_interval: float | None = 0.5,
-        storage_key: KeyMaterial | None = None,
         telemetry: EventBus | None = None,
         disk=None,
-        journal_fsync_every: int = 1,
-        journal_compact_threshold: int | None = 64,
     ) -> None:
         if not manager_ids:
             raise ValueError("need at least one manager")
@@ -558,7 +550,6 @@ class LeaderOrchestrator:
         self._clock = clock
         self._tick_interval = tick_interval
         self._heartbeat_interval = heartbeat_interval
-        self._storage_key = storage_key
         self._telemetry = resolve_bus(telemetry)
         rng = rng if rng is not None else SystemRandom()
         self._rng = rng
@@ -566,9 +557,8 @@ class LeaderOrchestrator:
         # disk, and crash recovery replays the journal instead of an
         # in-memory snapshot.
         self._disk = disk
-        self._journal_fsync_every = journal_fsync_every
-        self._journal_compact_threshold = journal_compact_threshold
-        if disk is not None and self._storage_key is None:
+        self._storage_key: KeyMaterial | None = None
+        if disk is not None:
             key_rng = (
                 rng.fork("journal-storage")
                 if isinstance(rng, DeterministicRandom) else rng
@@ -593,7 +583,7 @@ class LeaderOrchestrator:
         self.failed: set[str] = set()
         self.current_index = 0
         self.runtime: LeaderRuntime | None = None
-        self._snapshot: dict | bytes | None = None
+        self._snapshot: dict | None = None
         self.crashes = 0
         self.warm_restores = 0
         self.failovers = 0
@@ -622,8 +612,6 @@ class LeaderOrchestrator:
         rng = self._rng
         journal = Journal(
             self._disk, f"{manager_id}.wal", self._storage_key,
-            fsync_every=self._journal_fsync_every,
-            compact_threshold=self._journal_compact_threshold,
             rng=(rng.fork(f"journal-{manager_id}-{len(self._all_journals)}")
                  if isinstance(rng, DeterministicRandom) else rng),
             node=manager_id,
@@ -669,8 +657,8 @@ class LeaderOrchestrator:
         """Kill the running manager.
 
         With ``flush`` the protocol state is snapshotted *at crash
-        time* (and sealed when a storage key is configured) so
-        :meth:`restore_warm` can continue every session where it was —
+        time* so :meth:`restore_warm` can continue every session where
+        it was —
         a stale snapshot would desync the per-member nonce chains.
         Without ``flush`` the state is simply gone: the only way back
         is :meth:`failover`.
@@ -687,15 +675,10 @@ class LeaderOrchestrator:
             self._disk.crash("all" if flush else "none")
             self._disk.restart()
             self._snapshot = None
-        elif flush:
-            snapshot = snapshot_leader(self.current_leader)
-            self._snapshot = (
-                seal_snapshot(snapshot, self._storage_key)
-                if self._storage_key is not None
-                else snapshot
-            )
         else:
-            self._snapshot = None
+            self._snapshot = (
+                snapshot_leader(self.current_leader) if flush else None
+            )
         await self.runtime.stop()
         self.runtime = None
         self.crashes += 1
@@ -706,10 +689,10 @@ class LeaderOrchestrator:
         """Restart the crashed manager from its crash-time snapshot."""
         if self.runtime is not None:
             raise StateError("a manager is already running")
+        old = self.leaders[self.current_id]
         if self._disk is not None:
             from repro.storage.recovery import recover_leader
 
-            old = self.leaders[self.current_id]
             leader, result = recover_leader(
                 self._disk, f"{self.current_id}.wal",
                 self._storage_key, self.directory,
@@ -718,25 +701,15 @@ class LeaderOrchestrator:
             )
             self.journal_replays += 1
             self.journal_records_replayed += result.records
-            self.leaders[self.current_id] = leader
-            await self._launch(self.current_id)
-            self.warm_restores += 1
-            if self._telemetry:
-                self._telemetry.emit(LeaderRestored(self.current_id))
-            return
-        if self._snapshot is None:
+        elif self._snapshot is None:
             raise StateError("no snapshot to restore from")
-        snapshot = (
-            open_snapshot(self._snapshot, self._storage_key)
-            if isinstance(self._snapshot, bytes)
-            else self._snapshot
-        )
-        old = self.leaders[self.current_id]
-        self.leaders[self.current_id] = restore_leader(
-            snapshot, self.directory,
-            config=old.config, rng=old._rng, clock=self._clock,
-            telemetry=self._telemetry,
-        )
+        else:
+            leader = restore_leader(
+                self._snapshot, self.directory,
+                config=old.config, rng=old._rng, clock=self._clock,
+                telemetry=self._telemetry,
+            )
+        self.leaders[self.current_id] = leader
         await self._launch(self.current_id)
         self.warm_restores += 1
         if self._telemetry:

@@ -20,6 +20,10 @@ The scenario's *sends* happen up front (or in `on_quiescent` callbacks);
 the explorer owns delivery order.  State explosion is tamed by a
 fingerprint of the queue + observable protocol state, merging branches
 that converge.
+
+:func:`session_violations` is the other concrete-level check: the §5.4
+list predicates of :mod:`repro.formal.properties` applied to one live
+session's member and leader logs — the safety verdict of every soak.
 """
 
 from __future__ import annotations
@@ -27,8 +31,45 @@ from __future__ import annotations
 import copy
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
+from repro.enclaves.itgm.admin import NewGroupKeyPayload
+from repro.formal.properties import check_no_duplicates, check_prefix
 from repro.wire.message import Envelope
+
+
+def session_violations(member_log, leader_log) -> list[str]:
+    """The §5.4 verdict on one live session's concrete logs.
+
+    ``member_log`` is what the member accepted (``rcv_A``: its
+    ``admin_log``), ``leader_log`` what its leader sent it (``snd_A``:
+    ``admin_send_log(user)``).  Three checks, the first two being the
+    formal model's own predicates on the concrete lists:
+
+    * **prefix** — ``rcv_A`` is a byte-for-byte prefix of ``snd_A``;
+    * **no duplicate epoch** — no group-key epoch was accepted twice;
+    * **no stale epoch** — accepted epochs strictly increase, so a
+      replayed or reordered key distribution never re-installs an old
+      key.
+
+    Returns one message per violated check (empty for a safe session);
+    callers prefix their own member/leader label.
+    """
+    violations = []
+    trace = SimpleNamespace(
+        rcv=tuple(p.encode() for p in member_log),
+        snd=tuple(p.encode() for p in leader_log),
+    )
+    if check_prefix(None, trace) is not None:
+        violations.append("admin-log prefix violated")
+    epochs = [
+        p.epoch for p in member_log if isinstance(p, NewGroupKeyPayload)
+    ]
+    if check_no_duplicates(None, SimpleNamespace(rcv=epochs)) is not None:
+        violations.append("duplicate group-key epoch accepted")
+    if any(b < a for a, b in zip(epochs, epochs[1:])):
+        violations.append(f"stale group key accepted (epochs {epochs})")
+    return violations
 
 
 @dataclass

@@ -62,24 +62,12 @@ class ProtocolViolation(ProtocolError):
     """
 
 
-class ReplayDetected(ProtocolViolation):
-    """A message carried a nonce that does not match the expected one."""
-
-
-class AuthenticationFailure(ProtocolViolation):
-    """Decryption/MAC check with the expected key failed."""
-
-
 class UnknownPeer(ProtocolError):
     """The leader has no registered long-term key for this user."""
 
 
 class StateError(ProtocolError):
     """The requested operation is not allowed in the current FSM state."""
-
-
-class AccessDenied(ProtocolError):
-    """The leader's access policy rejected a join request."""
 
 
 class RecoveryFailed(ProtocolError):
@@ -178,15 +166,6 @@ class PropertyViolation(FormalModelError):
         super().__init__(message)
         self.state = state
         self.trace = trace
-
-
-class DiagramError(FormalModelError):
-    """A verification-diagram proof obligation failed."""
-
-    def __init__(self, message: str, state=None, successor=None) -> None:
-        super().__init__(message)
-        self.state = state
-        self.successor = successor
 
 
 class SimulationError(ReproError):

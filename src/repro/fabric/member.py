@@ -210,11 +210,8 @@ class FabricMember:
         return [self._wrap(frame) for frame in out], events
 
     def _on_redirect(self, envelope: Envelope) -> list[Envelope]:
-        # The no-op default is the seed chase body plus this one falsy
-        # branch (the disabled-overhead bound in
-        # ``benchmarks/test_bench_overload.py`` times exactly this
-        # pair).  With a budget armed, a dry budget sheds the redirect
-        # before even parsing it — backpressure ahead of work.
+        # With a budget armed, a dry budget sheds the redirect before
+        # even parsing it — backpressure ahead of work.
         if self._retry_budget is not None:
             if not self._retry_budget.can_retry():
                 # Out of chase budget: stop following this redirect.
@@ -228,11 +225,8 @@ class FabricMember:
                     ))
                 return []
             self._retry_budget.record_retry()
-        return self._chase(envelope)
-
-    def _chase(self, envelope: Envelope) -> list[Envelope]:
-        """The seed redirect body: re-consult the directory and resume
-        or restart the join at the group's new shard."""
+        # Re-consult the directory and resume or restart the join at
+        # the group's new shard.
         parse_redirect(envelope)  # CodecError on malformed frames
         self.refresh_route()
         if self.protocol.state is MemberState.WAITING_FOR_KEY:

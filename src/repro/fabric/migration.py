@@ -28,11 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.crypto.keys import KeyMaterial
 from repro.enclaves.common import UserDirectory
 from repro.enclaves.itgm.leader import GroupLeader, LeaderConfig
 from repro.exceptions import RecoveryError, StateError
 from repro.fabric.directory import GroupDirectory
 from repro.fabric.shard import ShardHost
+from repro.storage.journal import Journal
 from repro.storage.shipping import JournalFollower, JournalShipper
 from repro.telemetry.events import (
     EventBus,
@@ -82,25 +84,35 @@ class MigrationReport:
     directory_version: int
 
 
-def migrate_group(
+def ship_and_flip(
     fabric: GroupDirectory,
     source: ShardHost,
     target: ShardHost,
     group_id: str,
-    users: UserDirectory,
     *,
-    config: LeaderConfig | None = None,
-    rng=None,
+    leader: GroupLeader,
+    journal: Journal,
+    storage_key: KeyMaterial,
+    rehost,
     telemetry: EventBus | None = None,
-) -> tuple[GroupLeader, MigrationReport]:
-    """Move ``group_id`` from ``source`` to ``target``.
+):
+    """The transaction every migration is, around the caller's re-host.
 
-    Returns the re-hosted leader and a :class:`MigrationReport`.
-    Raises :class:`StateError` on bad topology (group not on source,
-    already on target) and :class:`RecoveryError` if the shipped
-    replica does not replay to the journal head — in which case nothing
-    has been flipped and the source still serves the group after
-    :meth:`~repro.fabric.shard.ShardHost.resume`.
+    Quiesce → sync → ship → replay to the journal head or refuse →
+    ``rehost(result)`` → flip the directory → evict the source copy.
+    ``leader`` and ``journal`` are the core being moved and its
+    write-ahead log (sealed under ``storage_key``); ``rehost`` gets the
+    shipped replica's :class:`~repro.storage.recovery.ReplayResult` and
+    makes ``target`` serve the group — cold (:func:`migrate_group`) or
+    warm (:func:`repro.quorum.fabric.migrate_quorum_group`) is the
+    callers' only difference.  It runs before the flip: a failure in
+    it, like a lossy replica, resumes the source, emits
+    ``MigrationAborted`` and re-raises with nothing moved.
+
+    Raises :class:`StateError` on bad topology and
+    :class:`RecoveryError` if the shipped replica does not replay,
+    untruncated, to the journal head.  Returns ``(rehost's value,
+    records shipped, journal seq at the move, new directory version)``.
     """
     if not source.hosts(group_id):
         raise StateError(
@@ -110,18 +122,18 @@ def migrate_group(
         raise StateError(
             f"group {group_id!r} is already hosted on {target.shard_id!r}"
         )
-    record = fabric.record(group_id)
-    if record.shard_id != source.shard_id:
+    placed = fabric.record(group_id).shard_id
+    if placed != source.shard_id:
         raise StateError(
-            f"directory places {group_id!r} on {record.shard_id!r}, "
+            f"directory places {group_id!r} on {placed!r}, "
             f"not {source.shard_id!r}"
         )
+    if leader.leader_id != group_id:
+        raise StateError(
+            f"leader serves {leader.leader_id!r}, not {group_id!r}"
+        )
 
-    old_leader = source.leader(group_id)
-    old_fingerprint = old_leader.group_key_fingerprint
-    journal = source.journal(group_id)
-
-    # 1. Quiesce: traffic stops mutating the group from here on.
+    # 1. Quiesce: members get redirects, the state stops mutating.
     source.quiesce(group_id)
     if telemetry:
         telemetry.emit(MigrationStarted(
@@ -135,30 +147,22 @@ def migrate_group(
         #    head (plus nothing else — the group is quiesced, so the
         #    stream is exactly one record).
         shipper = JournalShipper(journal, telemetry=telemetry)
-        follower = JournalFollower(target.shard_id, record.storage_key)
+        follower = JournalFollower(target.shard_id, storage_key)
         try:
-            shipper.add_follower(follower, leader=old_leader)
+            shipper.add_follower(follower, leader=leader)
         finally:
             shipper.detach()
 
         result = follower.replay()
-        if result.last_seq != journal.seq:
+        if result.truncated or result.last_seq != journal.seq:
             raise RecoveryError(
                 f"shipped replica for {group_id!r} replays to seq "
                 f"{result.last_seq}, journal head is {journal.seq}; "
                 "refusing to migrate on a lossy checkpoint"
             )
 
-        # 4a. Re-host cold on the target, continuing the journal seq.
-        leader = target.host_group(
-            group_id,
-            users,
-            storage_key=record.storage_key,
-            config=config if config is not None else old_leader.config,
-            state=rehost_cold(result.state),
-            start_seq=result.last_seq + 1,
-            rng=rng,
-        )
+        # 4. Re-host on the target: the shipped bytes are what it serves.
+        rehosted = rehost(result)
     except BaseException as exc:
         source.resume(group_id)
         if telemetry:
@@ -167,27 +171,67 @@ def migrate_group(
             ))
         raise
 
-    # The structural no-reuse guarantee, asserted: the re-hosted group
-    # has no key at all until a member rejoins and forces a rotation.
-    assert leader.group_key_fingerprint is None
-    assert not leader.members
-
-    # 4b. Flip the directory, then retire the source's copy.
+    # 5. Flip the directory, then retire the source's copy.
     flipped = fabric.move(group_id, target.shard_id)
     source.evict_group(group_id, target.shard_id)
     if telemetry:
         telemetry.emit(GroupMigrated(
             group_id, source.shard_id, target.shard_id, result.last_seq
         ))
+    return rehosted, follower.records, result.last_seq, flipped.version
+
+
+def migrate_group(
+    fabric: GroupDirectory,
+    source: ShardHost,
+    target: ShardHost,
+    group_id: str,
+    users: UserDirectory,
+    *,
+    config: LeaderConfig | None = None,
+    rng=None,
+    telemetry: EventBus | None = None,
+) -> tuple[GroupLeader, MigrationReport]:
+    """Move ``group_id`` from ``source`` to ``target``, cold.
+
+    Returns the re-hosted leader and a :class:`MigrationReport`.
+    Raises as :func:`ship_and_flip` does — in which case nothing has
+    been flipped and the source serves the group again.
+    """
+    old_leader = source.leader(group_id)
+    old_fingerprint = old_leader.group_key_fingerprint
+    storage_key = fabric.record(group_id).storage_key
+
+    def rehost(result) -> GroupLeader:
+        # Continuing the journal seq keeps the combined history gap-free.
+        return target.host_group(
+            group_id,
+            users,
+            storage_key=storage_key,
+            config=config if config is not None else old_leader.config,
+            state=rehost_cold(result.state),
+            start_seq=result.last_seq + 1,
+            rng=rng,
+        )
+
+    leader, shipped_records, record_seq, version = ship_and_flip(
+        fabric, source, target, group_id,
+        leader=old_leader, journal=source.journal(group_id),
+        storage_key=storage_key, rehost=rehost, telemetry=telemetry,
+    )
+    # The structural no-reuse guarantee, asserted: the re-hosted group
+    # has no key at all until a member rejoins and forces a rotation.
+    assert leader.group_key_fingerprint is None
+    assert not leader.members
 
     return leader, MigrationReport(
         group_id=group_id,
         source=source.shard_id,
         target=target.shard_id,
-        shipped_records=follower.records,
-        record_seq=result.last_seq,
+        shipped_records=shipped_records,
+        record_seq=record_seq,
         old_fingerprint=old_fingerprint,
-        directory_version=flipped.version,
+        directory_version=version,
     )
 
 

@@ -10,8 +10,8 @@ What the run asserts, continuously and at the end:
 
 * **§5.4 per group** — every connected member's accepted admin list is
   a prefix of its hosting leader's send log, group-key epochs strictly
-  increase (the same formal predicates the single-group chaos soak
-  uses, via :func:`repro.chaos.soak._member_safety`).
+  increase (the probe the single-group chaos soak uses,
+  :func:`repro.enclaves.modelcheck.session_violations`).
 * **Zero cross-group leakage** — an adversary task actively rewraps
   one group's sealed traffic toward other shards (existing group id →
   dies on the foreign group's key; fabricated group id → rejected by
@@ -30,7 +30,6 @@ import asyncio
 from dataclasses import dataclass, field
 
 from repro.chaos.loop import LoopClock, run_virtual
-from repro.chaos.soak import _member_safety
 from repro.crypto.rng import DeterministicRandom
 from repro.enclaves.common import (
     AppMessage,
@@ -40,6 +39,8 @@ from repro.enclaves.common import (
 )
 from repro.enclaves.itgm.leader import LeaderConfig
 from repro.enclaves.itgm.member import MemberState
+from repro.enclaves.itgm.runtime import LeaderRuntime
+from repro.enclaves.modelcheck import session_violations
 from repro.exceptions import ConnectionClosed, StateError
 from repro.fabric.balancer import RebalancePolicy
 from repro.fabric.directory import GroupDirectory
@@ -111,8 +112,6 @@ class FabricConfig:
         same type without changing the produced delays.
         """
         return backoff_constant(self.retransmit_interval)
-    journal_fsync_every: int = 1
-    vnodes: int = 16
 
     @classmethod
     def full(cls, seed: int = 7, **overrides) -> "FabricConfig":
@@ -237,32 +236,27 @@ class FabricReport:
 # -- runtimes ----------------------------------------------------------------
 
 
-class _ShardRuntime:
-    """Pumps one :class:`ShardHost` over one network endpoint."""
+class _ShardRuntime(LeaderRuntime):
+    """Pumps one :class:`ShardHost` over one network endpoint.
+
+    The receive loop and teardown are :class:`LeaderRuntime`'s; the
+    timer is its own — one loop that ticks every interval and beats
+    when a heartbeat interval has elapsed since the last beat.  Two
+    independent loops fire the beats at different virtual instants,
+    which moves every seeded stream, so the merged loop stays.
+    """
 
     def __init__(self, host: ShardHost, endpoint, config: FabricConfig) -> None:
+        super().__init__(host, endpoint)
         self.host = host
-        self.endpoint = endpoint
         self.config = config
         self.alive = True
-        self._tasks: list[asyncio.Task] = []
 
     def start(self) -> None:
-        loop = asyncio.get_running_loop()
-        self._tasks = [
-            loop.create_task(self._recv_loop()),
-            loop.create_task(self._timer_loop()),
-        ]
-
-    async def _recv_loop(self) -> None:
-        try:
-            while True:
-                envelope = await self.endpoint.recv()
-                outgoing, _events = self.host.handle(envelope)
-                for out in outgoing:
-                    await self.endpoint.send(out)
-        except (ConnectionClosed, asyncio.CancelledError):
-            pass
+        super().start()
+        self._tasks.append(
+            asyncio.get_running_loop().create_task(self._timer_loop())
+        )
 
     async def _timer_loop(self) -> None:
         loop = asyncio.get_running_loop()
@@ -284,24 +278,8 @@ class _ShardRuntime:
         """Power-cut the host: tasks die, endpoint detaches, disk drops
         its unsynced tail (with ``fsync_every=1`` there is none)."""
         self.alive = False
-        await self._cancel()
-        await self.endpoint.close()
+        await self.stop()
         self.host.disk.crash(keep="none")
-
-    async def stop(self) -> None:
-        await self._cancel()
-        if self.alive:
-            await self.endpoint.close()
-
-    async def _cancel(self) -> None:
-        for task in self._tasks:
-            task.cancel()
-        for task in self._tasks:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        self._tasks = []
 
 
 class _MemberRuntime:
@@ -466,8 +444,10 @@ async def _run_fabric(
 
     shard_ids = [f"shard-{i}" for i in range(config.n_shards)]
     group_ids = [f"grp-{i:02d}" for i in range(config.n_groups)]
+    # 16 vnodes per shard (the directory's own default is 32): every
+    # seeded placement, and so every pinned stream, depends on it.
     fabric = GroupDirectory(
-        shard_ids, vnodes=config.vnodes,
+        shard_ids, vnodes=16,
         rng=rng.fork("directory"), telemetry=bus,
     )
 
@@ -494,7 +474,6 @@ async def _run_fabric(
             rng=rng.fork(f"host-{shard_id}"),
             clock=LoopClock(loop),
             telemetry=bus,
-            fsync_every=config.journal_fsync_every,
         )
         endpoint = await net.attach(shard_id)
         shards[shard_id] = _ShardRuntime(host, endpoint, config)
@@ -554,11 +533,13 @@ async def _run_fabric(
                     # against ``supervisor.active`` — the incarnation the
                     # session is actually with.)
                     continue
-                violations.extend(_member_safety(
-                    uid, group_id,
-                    list(runtime.fm.protocol.admin_log),
-                    leader.admin_send_log(uid),
-                ))
+                violations.extend(
+                    f"{uid}<-{group_id}: {violation}"
+                    for violation in session_violations(
+                        runtime.fm.protocol.admin_log,
+                        leader.admin_send_log(uid),
+                    )
+                )
 
     async def monitor() -> None:
         while True:

@@ -87,44 +87,6 @@ class Verdict:
 Policy = Callable[[ObservedFrame], Verdict]
 
 
-@dataclass
-class SelectiveSilencePolicy:
-    """A Byzantine insider's targeted silence, as a frame policy.
-
-    Drops every frame from ``origin`` to any victim — modelling a
-    compromised leader that stays perfectly responsive to most of the
-    group while starving chosen members of rekeys and membership
-    updates (the selective-silence fault of the Byzantine family).
-    ``drop_rate`` below 1.0 makes the silence probabilistic (seeded via
-    ``rng``, a :class:`~repro.crypto.rng.RandomSource`), which is
-    harder to tell apart from ordinary loss.  Everything else passes
-    through untouched.
-    """
-
-    origin: str
-    victims: frozenset[str] | set[str]
-    drop_rate: float = 1.0
-    rng: object | None = None  # RandomSource; only used when rate < 1.0
-    dropped: int = 0
-
-    def __call__(self, frame: ObservedFrame) -> Verdict:
-        if (
-            frame.origin != self.origin
-            or frame.envelope.recipient not in self.victims
-        ):
-            return Verdict.deliver()
-        if self.drop_rate < 1.0:
-            if self.rng is None:
-                raise ValueError(
-                    "probabilistic silence needs a seeded RandomSource"
-                )
-            draw = int.from_bytes(self.rng.random_bytes(8), "big")
-            if draw / float(1 << 64) >= self.drop_rate:
-                return Verdict.deliver()
-        self.dropped += 1
-        return Verdict.drop()
-
-
 class Adversary:
     """Dolev-Yao controller over a :class:`MemoryNetwork`.
 

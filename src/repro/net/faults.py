@@ -373,10 +373,6 @@ class FaultPlan:
 
     # -- evaluation --------------------------------------------------------
 
-    def active_windows(self, now: float) -> list[PolicyWindow]:
-        """Windows covering instant ``now``."""
-        return [w for w in self.windows if w.start <= now < w.end]
-
     def as_policy(
         self,
         time_source: Callable[[], float],

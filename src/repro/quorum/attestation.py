@@ -241,13 +241,6 @@ class QuorumCertificate:
             )
         return statement
 
-    def attestation_by(self, replica_id: str) -> Attestation | None:
-        for attestation in self.attestations:
-            if attestation.replica_id == replica_id:
-                return attestation
-        return None
-
-
 @dataclass(frozen=True, slots=True)
 class EquivocationEvidence:
     """Two valid certificates over conflicting statements.

@@ -45,9 +45,9 @@ from dataclasses import dataclass
 from repro.crypto.rng import RandomSource
 from repro.enclaves.common import Credentials, UserDirectory
 from repro.enclaves.itgm.persistence import restore_leader
-from repro.exceptions import RecoveryError, StateError
 from repro.fabric.directory import GroupDirectory
 from repro.fabric.member import FabricMember
+from repro.fabric.migration import ship_and_flip
 from repro.fabric.shard import ShardHost
 from repro.quorum.member import QuorumMemberProtocol
 from repro.quorum.replicas import (
@@ -56,13 +56,7 @@ from repro.quorum.replicas import (
     QuorumLeaderSet,
 )
 from repro.storage.journal import Journal
-from repro.storage.shipping import JournalFollower, JournalShipper
-from repro.telemetry.events import (
-    EventBus,
-    GroupMigrated,
-    MigrationAborted,
-    MigrationStarted,
-)
+from repro.telemetry.events import EventBus
 from repro.util.clock import Clock
 from repro.wire.message import Envelope
 
@@ -175,118 +169,51 @@ def migrate_quorum_group(
 ) -> tuple[QuorumMigrationReport, list[Envelope]]:
     """Move a hosted replica set from ``source`` to ``target``, warm.
 
-    Quiesce → sync → ship → replay-check → re-host (sessions intact,
-    journal continuing on the target's disk) → flip → certified rekey.
+    The transaction is :func:`repro.fabric.migration.ship_and_flip`,
+    the one the cold move runs, around this function's re-host step
+    (sessions intact, journal continuing on the target's disk); a
+    certified rekey closes it.
     Returns the report plus the rekey envelopes to deliver to members.
     Deliver them after members refresh their route (the directory push
     that follows the version bump): the sessions are warm, so members
     that know the new route just keep talking.  A member that misses
     the push hits the source's ``GROUP_REDIRECT`` instead and falls
     back to the standard (cold, but loud and convergent) rejoin.
-    Raises :class:`StateError` on bad topology and
-    :class:`RecoveryError` if the shipped journal does not replay to
-    its head; on any failure before the flip the source resumes serving
-    and nothing has moved.
+    Raises as ``ship_and_flip`` does; on any failure before the flip
+    the source resumes serving and nothing has moved.
     """
-    if not source.hosts(group_id):
-        raise StateError(
-            f"group {group_id!r} is not hosted on {source.shard_id!r}"
-        )
-    if target.hosts(group_id):
-        raise StateError(
-            f"group {group_id!r} is already hosted on {target.shard_id!r}"
-        )
-    record = fabric.record(group_id)
-    if record.shard_id != source.shard_id:
-        raise StateError(
-            f"directory places {group_id!r} on {record.shard_id!r}, "
-            f"not {source.shard_id!r}"
-        )
-    if qs.session_id != group_id:
-        raise StateError(
-            f"replica set serves {qs.session_id!r}, not {group_id!r}"
-        )
-
     epoch_before = qs.leader.group_epoch
 
-    # 1. Quiesce: members get redirects, the state stops mutating.
-    source.quiesce(group_id)
-    if telemetry:
-        telemetry.emit(MigrationStarted(
-            group_id, source.shard_id, target.shard_id
-        ))
-    try:
-        # 2. Checkpoint: the synced journal is the authoritative state.
-        qs.journal.sync()
-
-        # 3. Ship: prime a migration follower exactly as a witness is
-        #    primed — one base snapshot of the quiesced head.
-        shipper = JournalShipper(qs.journal, telemetry=telemetry)
-        follower = JournalFollower(target.shard_id, qs.storage_key)
-        try:
-            shipper.add_follower(follower, leader=qs.leader)
-        finally:
-            shipper.detach()
-
-        result = follower.replay()
-        if result.truncated or result.last_seq != qs.journal.seq:
-            raise RecoveryError(
-                f"shipped replica for {group_id!r} replays to seq "
-                f"{result.last_seq}, journal head is {qs.journal.seq}; "
-                "refusing to migrate on a lossy checkpoint"
-            )
-
-        # 4. Re-host warm: the shipped bytes are what gets served.  The
-        #    replayed state keeps sessions, outboxes, and the (soon to
-        #    be rotated) group key; the __dict__ transplant mirrors
-        #    promotion — restore_leader builds the base class, the
-        #    subclass only adds the certifier hook, re-bound by
-        #    _rebuild_shipping below.
-        restored = restore_leader(
+    def rehost(result) -> int:
+        # Warm: the replayed state keeps sessions, outboxes, and the
+        # (soon to be rotated) group key.
+        qs.leader = restore_leader(
             result.state, qs.directory,
             config=qs.leader.config, rng=qs.leader._rng,
             clock=qs.leader._clock, telemetry=qs._raw_telemetry,
+            leader_cls=QuorumGroupLeader,
         )
-        rehosted = QuorumGroupLeader(
-            group_id, qs.directory,
-            config=qs.leader.config, rng=qs.leader._rng,
-            clock=qs.leader._clock, telemetry=qs._raw_telemetry,
-        )
-        rehosted.__dict__.update(restored.__dict__)
-        rehosted._certifier = None
-        sessions_carried = len(rehosted.members)
-
-        new_journal = Journal(
+        # Continuing seq captured from the old journal; every witness
+        # gets a fresh replica primed off the target-side stream.
+        qs._rebuild_shipping(journal=Journal(
             target.disk,
             target.journal_path(group_id),
             qs.storage_key,
             node=f"{target.shard_id}/{group_id}",
             telemetry=qs._raw_telemetry,
-        )
-        qs.leader = rehosted
-        # Continuing seq captured from the old journal; every witness
-        # gets a fresh replica primed off the target-side stream.
-        qs._rebuild_shipping(journal=new_journal)
-    except BaseException as exc:
-        source.resume(group_id)
-        if telemetry:
-            telemetry.emit(MigrationAborted(
-                group_id, source.shard_id, str(exc)
-            ))
-        raise
-
-    # 5. Flip the directory, retire the source copy, serve from target.
-    flipped = fabric.move(group_id, target.shard_id)
-    source.evict_group(group_id, target.shard_id)
-    target.host_prepared(group_id, qs.leader, qs.journal)
-    if telemetry:
-        telemetry.emit(GroupMigrated(
-            group_id, source.shard_id, target.shard_id, result.last_seq
         ))
+        target.host_prepared(group_id, qs.leader, qs.journal)
+        return len(qs.leader.members)
 
-    # 6. Key hygiene without session teardown: one *certified* rekey
-    #    from the new home retires the pre-move key.  Members verify
-    #    the certificate with the verifiers they already hold.
+    sessions_carried, shipped_records, record_seq, version = ship_and_flip(
+        fabric, source, target, group_id,
+        leader=qs.leader, journal=qs.journal, storage_key=qs.storage_key,
+        rehost=rehost, telemetry=telemetry,
+    )
+
+    # Key hygiene without session teardown: one *certified* rekey from
+    # the new home retires the pre-move key.  Members verify the
+    # certificate with the verifiers they already hold.
     out: list[Envelope] = []
     if qs.leader.members:
         out = qs.leader.rekey_now()
@@ -295,12 +222,12 @@ def migrate_quorum_group(
         group_id=group_id,
         source=source.shard_id,
         target=target.shard_id,
-        shipped_records=follower.records,
-        record_seq=result.last_seq,
+        shipped_records=shipped_records,
+        record_seq=record_seq,
         epoch_before=epoch_before,
         epoch_after=qs.leader.group_epoch,
         sessions_carried=sessions_carried,
-        directory_version=flipped.version,
+        directory_version=version,
     )
     return report, out
 

@@ -575,21 +575,14 @@ class QuorumLeaderSet:
             )
         new_primary, state = chosen
         self.witnesses.pop(new_primary)
-        restored = restore_leader(
+        # The subclass adds only the certifier hook, which
+        # _rebuild_shipping re-binds below.
+        promoted = restore_leader(
             state, self.directory,
             config=self.leader.config, rng=self.leader._rng,
             clock=self.leader._clock, telemetry=self._raw_telemetry,
+            leader_cls=QuorumGroupLeader,
         )
-        promoted = QuorumGroupLeader(
-            self.session_id, self.directory,
-            config=self.leader.config, rng=self.leader._rng,
-            clock=self.leader._clock, telemetry=self._raw_telemetry,
-        )
-        # restore_leader builds the base class; transplant its protocol
-        # state (sessions, outboxes, ciphers, epoch) wholesale — the
-        # subclass only adds the certifier hook, re-bound below.
-        promoted.__dict__.update(restored.__dict__)
-        promoted._certifier = None
         self.leader = promoted
         self.primary_id = new_primary
         # Rebuild shipping from scratch.  The Byzantine old primary may

@@ -205,11 +205,11 @@ class JournalShipper:
 
     def _on_record(self, record: bytes, seq: int, kind: str) -> None:
         if self._breaker_config is None:
-            # The no-op default: the seed fan-out body plus this one
-            # falsy branch (the disabled-overhead bound in
-            # ``benchmarks/test_bench_overload.py`` times exactly this
-            # pair).
-            self._ship_all(record, seq, kind)
+            # The no-op default: fan the record out to every follower,
+            # unconditionally.
+            for follower in self.followers:
+                follower.receive(record, seq, kind)
+                self._note_shipped(follower, seq)
             return
         for follower in self.followers:
             breaker = self.breaker(follower.name)
@@ -239,13 +239,6 @@ class JournalShipper:
                         follower.applied_seq, follower.offered_seq,
                     ))
                 continue
-            follower.receive(record, seq, kind)
-            self._note_shipped(follower, seq)
-
-    def _ship_all(self, record: bytes, seq: int, kind: str) -> None:
-        """The seed shipping body: fan one record out to every
-        follower, unconditionally."""
-        for follower in self.followers:
             follower.receive(record, seq, kind)
             self._note_shipped(follower, seq)
 

@@ -52,13 +52,13 @@ from repro.crypto.keys import KEY_LEN, KeyMaterial
 from repro.crypto.rng import DeterministicRandom
 from repro.enclaves.common import UserDirectory
 from repro.enclaves.harness import SyncNetwork, wire
-from repro.enclaves.itgm.admin import NewGroupKeyPayload, TextPayload
+from repro.enclaves.itgm.admin import TextPayload
 from repro.enclaves.itgm.leader import GroupLeader, LeaderConfig
 from repro.enclaves.itgm.leader_session import LeaderState
 from repro.enclaves.itgm.member import MemberProtocol, MemberState
 from repro.enclaves.itgm.persistence import snapshot_leader
+from repro.enclaves.modelcheck import session_violations
 from repro.exceptions import DiskCrashed, RecoveryError
-from repro.formal.properties import check_no_duplicates, check_prefix
 from repro.storage.journal import Journal
 from repro.storage.recovery import recover_leader
 from repro.storage.simdisk import DiskFaults, SimDisk
@@ -260,32 +260,6 @@ class _Run:
             step()
 
 
-def _member_violations(
-    uid: str, member: MemberProtocol, leader: GroupLeader
-) -> list[str]:
-    """§5.4 checks for one (member, leader) pair, soak-style."""
-
-    class Shim:
-        def __init__(self, rcv, snd=()):
-            self.rcv = tuple(rcv)
-            self.snd = tuple(snd)
-
-    violations = []
-    shim = Shim(
-        rcv=[p.encode() for p in member.admin_log],
-        snd=[p.encode() for p in leader.admin_send_log(uid)],
-    )
-    if check_prefix(None, shim) is not None:
-        violations.append(f"{uid}: admin-log prefix violated")
-    epochs = [p.epoch for p in member.admin_log
-              if isinstance(p, NewGroupKeyPayload)]
-    if check_no_duplicates(None, Shim(rcv=epochs)) is not None:
-        violations.append(f"{uid}: duplicate group-key epoch accepted")
-    if any(b <= a for a, b in zip(epochs, epochs[1:])):
-        violations.append(f"{uid}: stale group key accepted ({epochs})")
-    return violations
-
-
 def _revive(run: _Run, recovered: GroupLeader, case: str,
             connected_at_crash: set[str], report: SweepReport) -> None:
     """Post-recovery epilogue: drain, repair, prove liveness and §5.4."""
@@ -361,8 +335,10 @@ def _revive(run: _Run, recovered: GroupLeader, case: str,
                 f"{case}: {uid} epoch {member.group_epoch} != leader "
                 f"epoch {recovered.group_epoch}"
             )
-        for violation in _member_violations(uid, member, recovered):
-            report.failures.append(f"{case}: {violation}")
+        for violation in session_violations(
+            member.admin_log, recovered.admin_send_log(uid)
+        ):
+            report.failures.append(f"{case}: {uid}: {violation}")
 
 
 # -- the sweep ---------------------------------------------------------------

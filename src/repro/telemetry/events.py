@@ -783,17 +783,6 @@ class RetryBudgetExhausted(TelemetryEvent):
     attempts: int
 
 
-@register_event
-@dataclass(frozen=True, slots=True)
-class DeadlineExceeded(TelemetryEvent):
-    """An operation overran its (adaptive) deadline."""
-
-    node: str
-    operation: str
-    deadline: float
-    elapsed: float
-
-
 # data plane (sender-key ratchets / reliable multicast) ----------------------
 
 

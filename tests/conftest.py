@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
-import pytest
+import os
 
-from repro.crypto.rng import DeterministicRandom
-from repro.enclaves.common import RekeyPolicy, UserDirectory
-from repro.enclaves.harness import SyncNetwork, wire
-from repro.enclaves.itgm.leader import GroupLeader, LeaderConfig
-from repro.enclaves.itgm.member import MemberProtocol
-from repro.enclaves.legacy.leader import LegacyGroupLeader
-from repro.enclaves.legacy.member import LegacyMemberProtocol
+# Tier-1 runs on the `fast` crypto backend unless told otherwise: the
+# conformance suite (tests/crypto) proves the backends byte-identical
+# and keeps exercising both by name, so the rest of the suite need not
+# pay for the from-scratch primitives (8 m 20 s -> about a minute).
+# Set before anything imports `repro`; an explicit
+# REPRO_CRYPTO_BACKEND=reference still selects them.
+os.environ.setdefault("REPRO_CRYPTO_BACKEND", "fast")
+
+import pytest  # noqa: E402
+
+from repro.crypto.rng import DeterministicRandom  # noqa: E402
+from repro.enclaves.common import RekeyPolicy, UserDirectory  # noqa: E402
+from repro.enclaves.harness import SyncNetwork, wire  # noqa: E402
+from repro.enclaves.itgm.leader import GroupLeader, LeaderConfig  # noqa: E402
+from repro.enclaves.itgm.member import MemberProtocol  # noqa: E402
+from repro.enclaves.legacy.leader import LegacyGroupLeader  # noqa: E402
+from repro.enclaves.legacy.member import LegacyMemberProtocol  # noqa: E402
 
 
 @pytest.fixture

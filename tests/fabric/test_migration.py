@@ -11,7 +11,8 @@ from repro.fabric.migration import (
     run_migration_demo,
 )
 from repro.storage.recovery import replay_records
-from repro.telemetry.events import EventBus, GroupMigrated
+from repro.storage.shipping import JournalFollower
+from repro.telemetry.events import EventBus, GroupMigrated, MigrationAborted
 
 from test_fabric_member import Fixture
 
@@ -116,6 +117,38 @@ class TestMigrateGroup:
         assert not fx.target.hosts(fx.group_id)
         assert fx.fabric.record(fx.group_id).shard_id == fx.source.shard_id
         # The group serves traffic again (not quiesced).
+        fx.net.post(fx.members["alice"].seal_app(b"still here"))
+        fx.net.run()
+        assert fx.members["alice"].redirects == 0
+
+    def test_truncated_replica_aborts_and_resumes_the_source(
+        self, monkeypatch
+    ):
+        """A replica that reaches the head seq but discarded a tail is
+        still a lossy checkpoint: refused, source resumed, abort said."""
+        fx = Fixture()
+        fx.join_all()
+        real_replay = JournalFollower.replay
+        monkeypatch.setattr(
+            JournalFollower, "replay",
+            lambda self: dataclasses.replace(
+                real_replay(self), truncated=True
+            ),
+        )
+        bus = EventBus()
+        with bus.capture() as records:
+            with pytest.raises(RecoveryError, match="lossy checkpoint"):
+                migrate_group(
+                    fx.fabric, fx.source, fx.target, fx.group_id, fx.users,
+                    telemetry=bus,
+                )
+        monkeypatch.undo()
+        aborted = [r.event for r in records
+                   if isinstance(r.event, MigrationAborted)]
+        assert len(aborted) == 1 and aborted[0].group == fx.group_id
+        assert fx.source.hosts(fx.group_id)
+        assert not fx.target.hosts(fx.group_id)
+        assert fx.fabric.record(fx.group_id).shard_id == fx.source.shard_id
         fx.net.post(fx.members["alice"].seal_app(b"still here"))
         fx.net.run()
         assert fx.members["alice"].redirects == 0

@@ -8,6 +8,8 @@ members' verifiers — pre-move certificates still verify, pre-move
 forks still convict, and the sessions never tear down.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.crypto.rng import DeterministicRandom
@@ -24,8 +26,9 @@ from repro.quorum.fabric import (
 )
 from repro.quorum.member import QuorumMemberProtocol
 from repro.storage.recovery import replay_records
+from repro.storage.shipping import JournalFollower
 from repro.storage.simdisk import SimDisk
-from repro.telemetry.events import EventBus, GroupMigrated
+from repro.telemetry.events import EventBus, GroupMigrated, MigrationAborted
 
 
 class QuorumFixture:
@@ -269,17 +272,13 @@ class TestWarmMigration:
         assert fx.source.hosts(fx.group_id)
 
     def test_failed_ship_resumes_the_source(self, monkeypatch):
-        import repro.quorum.fabric as qfabric
-
         fx = QuorumFixture()
         fx.join_all()
 
         def broken_replay(self):
             raise RecoveryError("simulated corrupt replica")
 
-        monkeypatch.setattr(
-            qfabric.JournalFollower, "replay", broken_replay
-        )
+        monkeypatch.setattr(JournalFollower, "replay", broken_replay)
         with pytest.raises(RecoveryError):
             migrate_quorum_group(
                 fx.fabric, fx.source, fx.target, fx.group_id, fx.qs,
@@ -289,6 +288,42 @@ class TestWarmMigration:
         assert not fx.target.hosts(fx.group_id)
         assert fx.fabric.record(fx.group_id).shard_id == fx.source.shard_id
         # Not quiesced: the group serves certified mutations again.
+        fx.net.post_all(fx.qs.leader.rekey_now())
+        fx.net.run()
+        for fm in fx.members.values():
+            assert fm.protocol.group_epoch == fx.qs.leader.group_epoch
+        assert all(fm.redirects == 0 for fm in fx.members.values())
+
+    def test_truncated_replica_aborts_and_resumes_the_source(
+        self, monkeypatch
+    ):
+        """Same refusal as the cold move: a replica that reaches the
+        head seq but discarded a tail never gets re-hosted."""
+        fx = QuorumFixture()
+        fx.join_all()
+        leader_before = fx.qs.leader
+        real_replay = JournalFollower.replay
+        monkeypatch.setattr(
+            JournalFollower, "replay",
+            lambda self: dataclasses.replace(
+                real_replay(self), truncated=True
+            ),
+        )
+        bus = EventBus()
+        with bus.capture() as records:
+            with pytest.raises(RecoveryError, match="lossy checkpoint"):
+                migrate_quorum_group(
+                    fx.fabric, fx.source, fx.target, fx.group_id, fx.qs,
+                    telemetry=bus,
+                )
+        monkeypatch.undo()
+        aborted = [r.event for r in records
+                   if isinstance(r.event, MigrationAborted)]
+        assert len(aborted) == 1 and aborted[0].group == fx.group_id
+        assert fx.qs.leader is leader_before
+        assert fx.source.hosts(fx.group_id)
+        assert not fx.target.hosts(fx.group_id)
+        assert fx.fabric.record(fx.group_id).shard_id == fx.source.shard_id
         fx.net.post_all(fx.qs.leader.rekey_now())
         fx.net.run()
         for fm in fx.members.values():

@@ -213,6 +213,25 @@ class TestAudit:
 
 
 class TestViewChange:
+    def test_restore_builds_the_quorum_leader_class(self):
+        """Promotion and warm migration restore straight into the
+        subclass: same protocol state, no certifier until re-bound."""
+        from repro.enclaves.itgm.persistence import (
+            restore_leader,
+            snapshot_leader,
+        )
+        from repro.quorum.replicas import QuorumGroupLeader
+
+        qs = scenario().qs
+        snapshot = snapshot_leader(qs.leader)
+        restored = restore_leader(
+            snapshot, qs.directory, config=qs.leader.config,
+            leader_cls=QuorumGroupLeader,
+        )
+        assert type(restored) is QuorumGroupLeader
+        assert restored._certifier is None
+        assert snapshot_leader(restored) == snapshot
+
     def test_witness_eviction_rekeys_and_continues(self):
         scn = scenario()
         qs = scn.qs
