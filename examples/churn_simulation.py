@@ -3,7 +3,7 @@
 
 Sweeps the leader's rekey policy (the paper's "application-dependent
 policy": on-join/on-leave, periodic, manual) across a Poisson
-join/leave/message workload on the discrete-event engine, and reports
+join/leave/message workload on the virtual-time event loop, and reports
 the cost (rekeys, relayed frames) and the safety signal (every connected
 member's membership view matches the leader's at the end).
 

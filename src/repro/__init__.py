@@ -14,7 +14,7 @@ A complete reproduction of Dutertre, Saïdi & Stavridou's paper:
 * :mod:`repro.attacks` — the §2.3 attacks, runnable against both stacks.
 * :mod:`repro.crypto` — the from-scratch software crypto substrate.
 * :mod:`repro.net` — adversarial in-memory network + TCP transport.
-* :mod:`repro.sim` — discrete-event churn/traffic simulation.
+* :mod:`repro.sim` — churn/traffic and latency scenarios in virtual time.
 
 Quickstart::
 

@@ -65,10 +65,13 @@ class MatrixRow:
         )
 
 
-def run_attack_matrix(seed: int = 0) -> list[MatrixRow]:
-    """Run every attack against both stacks; returns one row each."""
+def run_attack_matrix(
+    seed: int = 0, attacks: list[type[Attack]] = ALL_ATTACKS
+) -> list[MatrixRow]:
+    """Run ``attacks`` (default: every attack) against both stacks;
+    returns one row each."""
     rows = []
-    for attack_cls in ALL_ATTACKS:
+    for attack_cls in attacks:
         attack = attack_cls(seed=seed + 11)
         legacy_result, itgm_result = attack.run_both()
         rows.append(

@@ -19,6 +19,7 @@ readable looks like one that never will be.  The in-memory network
 from __future__ import annotations
 
 import asyncio
+import heapq
 import selectors
 from collections.abc import Coroutine
 
@@ -39,10 +40,16 @@ class VirtualTimeEventLoop(asyncio.SelectorEventLoop):
         # Nothing ready but timers pending: advance virtual time to the
         # earliest one so the base implementation fires it immediately
         # (its select() timeout computes to zero — no wall sleep).
-        if not self._ready and self._scheduled:
-            when = self._scheduled[0]._when
-            if when > self._virtual_now:
-                self._virtual_now = when
+        if not self._ready:
+            # A cancelled timer must not hold the clock: the base loop
+            # would drop it and then really sleep until the next live one.
+            while self._scheduled and self._scheduled[0]._cancelled:
+                self._timer_cancelled_count -= 1
+                heapq.heappop(self._scheduled)._scheduled = False
+            if self._scheduled:
+                self._virtual_now = max(
+                    self._virtual_now, self._scheduled[0]._when
+                )
         super()._run_once()
 
 

@@ -51,6 +51,12 @@ from repro.telemetry.events import EventBus
 from repro.telemetry.health import HealthProbe
 
 
+#: Seconds between one member's application messages, and between the
+#: monitor's live §5.4 samples.
+APP_INTERVAL = 1.0
+MONITOR_INTERVAL = 0.5
+
+
 @dataclass
 class SoakConfig:
     """One seeded chaos scenario.  ``None`` windows/events are skipped."""
@@ -79,10 +85,8 @@ class SoakConfig:
     crash_failover_at: float | None = 34.0
     #: Protocol timers.
     rekey_interval: float = 5.0
-    app_interval: float = 1.0
     heartbeat_interval: float = 0.5
     tick_interval: float = 0.25
-    monitor_interval: float = 0.5
     converge_timeout: float = 20.0
     supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
 
@@ -300,7 +304,7 @@ async def _soak_itgm(
             client = supervisor.client
             if client is None or supervisor.active is None:
                 continue
-            leader = orchestrator.leaders[supervisor.active]
+            leader = orchestrator.managers.managers[supervisor.active]
             violations.extend(
                 f"{uid}<-{supervisor.active}: {violation}"
                 for violation in session_violations(
@@ -310,13 +314,13 @@ async def _soak_itgm(
 
     async def monitor() -> None:
         while True:
-            await asyncio.sleep(config.monitor_interval)
+            await asyncio.sleep(MONITOR_INTERVAL)
             sample_safety()
 
     async def workload() -> None:
         round_no = 0
         while True:
-            await asyncio.sleep(config.app_interval)
+            await asyncio.sleep(APP_INTERVAL)
             round_no += 1
             for uid, supervisor in members.items():
                 if supervisor.connected:
@@ -405,7 +409,7 @@ async def _soak_itgm(
     metrics.incr(
         "rekeys",
         sum(leader.stats.rekeys
-            for leader in orchestrator.leaders.values()),
+            for leader in orchestrator.managers.managers.values()),
     )
     for name, value in orchestrator.journal_counters().items():
         metrics.incr(name, value)
@@ -502,7 +506,7 @@ async def _soak_legacy(
     async def workload() -> None:
         round_no = 0
         while True:
-            await asyncio.sleep(config.app_interval)
+            await asyncio.sleep(APP_INTERVAL)
             round_no += 1
             for uid, protocol in protocols.items():
                 if protocol.state is LegacyMemberState.CONNECTED:

@@ -649,21 +649,16 @@ def _quorum_demo(seed: int) -> int:
 
 def _quorum_attack(seed: int) -> int:
     """The Byzantine-leader rows of the attack matrix, on their own."""
-    from repro.attacks import QuorumEquivocationAttack, QuorumForgeryAttack
-    from repro.attacks.suite import MatrixRow, format_matrix
+    from repro.attacks import (
+        QuorumEquivocationAttack,
+        QuorumForgeryAttack,
+        run_attack_matrix,
+    )
+    from repro.attacks.suite import format_matrix
 
-    rows = []
-    for attack_cls in (QuorumForgeryAttack, QuorumEquivocationAttack):
-        attack = attack_cls(seed=seed + 11)
-        legacy_result, itgm_result = attack.run_both()
-        rows.append(MatrixRow(
-            attack=attack.name,
-            reference=attack.reference,
-            legacy=legacy_result,
-            itgm=itgm_result,
-            expected_legacy=attack.expected_on_legacy,
-            expected_itgm=attack.expected_on_itgm,
-        ))
+    rows = run_attack_matrix(
+        seed, attacks=[QuorumForgeryAttack, QuorumEquivocationAttack]
+    )
     print("Byzantine-leader attacks — 'legacy' is the single-trusted-"
           "leader deployment,\n'improved' the quorum-hardened stack:\n")
     print(format_matrix(rows))
@@ -792,21 +787,16 @@ def _data_demo(seed: int) -> int:
 
 def _data_attack(seed: int) -> int:
     """The data-plane rows of the attack matrix, on their own."""
-    from repro.attacks import DataReplayAttack, PastMemberDataAttack
-    from repro.attacks.suite import MatrixRow, format_matrix
+    from repro.attacks import (
+        DataReplayAttack,
+        PastMemberDataAttack,
+        run_attack_matrix,
+    )
+    from repro.attacks.suite import format_matrix
 
-    rows = []
-    for attack_cls in (PastMemberDataAttack, DataReplayAttack):
-        attack = attack_cls(seed=seed + 11)
-        legacy_result, itgm_result = attack.run_both()
-        rows.append(MatrixRow(
-            attack=attack.name,
-            reference=attack.reference,
-            legacy=legacy_result,
-            itgm=itgm_result,
-            expected_legacy=attack.expected_on_legacy,
-            expected_itgm=attack.expected_on_itgm,
-        ))
+    rows = run_attack_matrix(
+        seed, attacks=[PastMemberDataAttack, DataReplayAttack]
+    )
     print("data-plane attacks — 'legacy' is the group-key-only data "
           "channel,\n'improved' the ratcheted channel with "
           "rekey-on-leave:\n")

@@ -16,6 +16,7 @@ bugs in protocol code.
 
 from __future__ import annotations
 
+import math
 import secrets
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -69,6 +70,25 @@ class RandomSource(ABC):
     def key_material(self, n: int = 32) -> bytes:
         """Return ``n`` bytes of fresh key material."""
         return self.random_bytes(n)
+
+    def fork(self, label: str) -> "RandomSource":
+        """The source a sub-component should draw from.
+
+        A non-reproducible source has no streams to keep apart, so it
+        hands out itself; :class:`DeterministicRandom` derives an
+        independent stream per label.
+        """
+        return self
+
+    def uniform(self) -> float:
+        """One uniform draw in [0, 1) from eight bytes of the source."""
+        return int.from_bytes(self.random_bytes(8), "big") / 2**64
+
+    def exponential(self) -> float:
+        """One unit-mean exponential draw (inverse CDF of a uniform in
+        (0, 1] from eight bytes of the source)."""
+        raw = int.from_bytes(self.random_bytes(8), "big")
+        return -math.log((raw + 1) / 2**64)
 
 
 class SystemRandom(RandomSource):

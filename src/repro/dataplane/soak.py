@@ -46,6 +46,23 @@ from repro.wire.labels import Label
 from repro.wire.message import Envelope
 
 
+#: Virtual seconds per round (must exceed the retransmit floor so
+#: overdue frames actually retransmit during the drain tail).
+DT = 0.5
+#: Per-data-frame fault probabilities.
+P_LOSS = 0.08
+P_DUPLICATE = 0.05
+P_REORDER = 0.08
+#: Held (reordered) frames are released after this many rounds.
+REORDER_HOLD = 2
+#: Retry allowance for the soak's senders.  The production default
+#: (0.2 retries per request) is sized for benign networks; a chaos
+#: run faulting ~20% of data frames — ACKs included — needs real
+#: headroom, or the completeness verdict just measures starvation.
+RETRY_RATIO = 1.0
+RETRY_RESERVE = 10
+
+
 @dataclass
 class DataSoakConfig:
     """Knobs for one seeded data-plane soak run."""
@@ -53,26 +70,12 @@ class DataSoakConfig:
     seed: int = 0
     n_members: int = 4
     rounds: int = 40
-    #: Virtual seconds per round (must exceed the retransmit floor so
-    #: overdue frames actually retransmit during the drain tail).
-    dt: float = 0.5
-    p_loss: float = 0.08
-    p_duplicate: float = 0.05
-    p_reorder: float = 0.08
-    #: Held (reordered) frames are released after this many rounds.
-    reorder_hold: int = 2
     #: Round at which one member leaves (rekey-on-leave commits here).
     leave_round: int = 18
     #: Round of an extra leader-initiated cadence rekey.
     rekey_round: int = 28
     #: Fault-free rounds at the end so reliability can drain.
     drain_rounds: int = 8
-    #: Retry allowance for the soak's senders.  The production default
-    #: (0.2 retries per request) is sized for benign networks; a chaos
-    #: run faulting ~20% of data frames — ACKs included — needs real
-    #: headroom, or the completeness verdict just measures starvation.
-    retry_ratio: float = 1.0
-    retry_reserve: int = 10
 
 
 @dataclass
@@ -139,7 +142,6 @@ class DataSoakReport:
 
 def _data_faults(
     rng: DeterministicRandom,
-    config: DataSoakConfig,
     held: list,
     active: "list[bool]",
 ):
@@ -148,13 +150,13 @@ def _data_faults(
     def interceptor(envelope: Envelope):
         if not envelope.label.is_data or not active[0]:
             return None
-        roll = int.from_bytes(rng.random_bytes(8), "big") / 2.0**64
-        if roll < config.p_loss:
+        roll = rng.uniform()
+        if roll < P_LOSS:
             return []
-        if roll < config.p_loss + config.p_duplicate:
+        if roll < P_LOSS + P_DUPLICATE:
             return [envelope, envelope]
-        if roll < config.p_loss + config.p_duplicate + config.p_reorder:
-            held.append([config.reorder_hold, envelope])
+        if roll < P_LOSS + P_DUPLICATE + P_REORDER:
+            held.append([REORDER_HOLD, envelope])
             return []
         return None
 
@@ -231,7 +233,7 @@ def _run_traffic(
         core = MemberProtocol(creds, "leader", rng.fork(uid))
         dm = DataMember(core, clock=lambda: now[0], telemetry=bus)
         dm.sender.budget = RetryBudget(
-            ratio=config.retry_ratio, min_reserve=config.retry_reserve)
+            ratio=RETRY_RATIO, min_reserve=RETRY_RESERVE)
         members[uid] = dm
         wire(net, uid, dm)
     for uid in member_ids:
@@ -240,8 +242,7 @@ def _run_traffic(
 
     held: list = []
     faults_on = [True]
-    net.set_interceptor(_data_faults(rng.fork("faults"), config, held,
-                                     faults_on))
+    net.set_interceptor(_data_faults(rng.fork("faults"), held, faults_on))
 
     leaver = member_ids[-1]
     sent_log: list[tuple[str, int, bytes]] = []  # (sender, round, payload)
@@ -253,7 +254,7 @@ def _run_traffic(
 
     total_rounds = config.rounds + config.drain_rounds
     for rnd in range(total_rounds):
-        now[0] = rnd * config.dt
+        now[0] = rnd * DT
         in_fault_window = rnd < config.rounds
         faults_on[0] = in_fault_window
 

@@ -33,7 +33,7 @@ from repro.enclaves.itgm.admin import (
     TextPayload,
 )
 from repro.enclaves.itgm.client import MemberClient
-from repro.enclaves.itgm.failover import ManagerSet, ResilientMember
+from repro.enclaves.itgm.failover import ManagerSet
 from repro.enclaves.itgm.leader import GroupLeader, LeaderConfig
 from repro.enclaves.itgm.leader_session import LeaderSession, LeaderState
 from repro.enclaves.itgm.member import MemberProtocol, MemberState
@@ -69,7 +69,6 @@ __all__ = [
     "MemberClient",
     "LeaderRuntime",
     "ManagerSet",
-    "ResilientMember",
     "ResilientMemberClient",
     "SupervisorConfig",
     "LeaderOrchestrator",

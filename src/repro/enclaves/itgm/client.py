@@ -175,10 +175,6 @@ class MemberClient:
         """Send an application payload to the group (sealed under K_g)."""
         await self.endpoint.send(self.protocol.seal_app(payload))
 
-    async def next_event(self, timeout: float = 5.0) -> Event:
-        """Wait for the next protocol event."""
-        return await asyncio.wait_for(self.events.get(), timeout)
-
     async def drain_events(self) -> list[Event]:
         """Return all currently queued events without waiting."""
         drained = []

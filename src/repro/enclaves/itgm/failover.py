@@ -34,13 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.crypto.rng import DeterministicRandom, RandomSource, SystemRandom
-from repro.enclaves.common import Credentials, UserDirectory
-from repro.enclaves.harness import SyncNetwork, wire
+from repro.crypto.rng import RandomSource, SystemRandom
+from repro.enclaves.common import UserDirectory
 from repro.enclaves.itgm.leader import GroupLeader, LeaderConfig
-from repro.enclaves.itgm.member import MemberProtocol, MemberState
 from repro.exceptions import StateError
-from repro.wire.message import Envelope
+from repro.telemetry.events import EventBus
+from repro.util.clock import Clock
 
 
 @dataclass
@@ -66,19 +65,21 @@ class ManagerSet:
         directory: UserDirectory,
         config: LeaderConfig | None = None,
         rng: RandomSource | None = None,
+        manager_ids: list[str] | None = None,
+        clock: Clock | None = None,
+        telemetry: EventBus | None = None,
     ) -> "ManagerSet":
+        """``n_managers`` managers named ``mgr-0``, ``mgr-1``, ... — or
+        one per entry of ``manager_ids``, in that succession order."""
         rng = rng if rng is not None else SystemRandom()
+        if manager_ids is None:
+            manager_ids = [f"mgr-{i}" for i in range(n_managers)]
         ms = cls(directory=directory)
-        for i in range(n_managers):
-            manager_id = f"mgr-{i}"
-            fork = (
-                rng.fork(manager_id)
-                if isinstance(rng, DeterministicRandom)
-                else rng
-            )
+        for manager_id in manager_ids:
             ms.managers[manager_id] = GroupLeader(
                 manager_id, directory,
-                config=config or LeaderConfig(), rng=fork,
+                config=config, rng=rng.fork(manager_id),
+                clock=clock, telemetry=telemetry,
             )
             ms.order.append(manager_id)
         return ms
@@ -151,134 +152,6 @@ promote`): ``state`` is a snapshot dict replayed from shipped journal
         old = self.managers[manager_id]
         self.managers[manager_id] = GroupLeader(
             manager_id, self.directory, config=old.config, rng=old._rng,
+            clock=old._clock, telemetry=old._telemetry,
         )
         self.failed.discard(manager_id)
-
-
-class ResilientMember:
-    """A member that follows the primary across failovers.
-
-    Owns one :class:`MemberProtocol` per epoch of leadership; on
-    :meth:`follow` it abandons the old session (the crashed manager's
-    keys are gone anyway) and re-authenticates to the new primary.
-    The inner protocol is rebuilt because ``P_a`` may be
-    manager-specific (DH provisioning).
-    """
-
-    def __init__(
-        self,
-        credentials_for: "dict[str, Credentials]",
-        net: SyncNetwork,
-        address: str,
-        rng: RandomSource | None = None,
-    ) -> None:
-        """``credentials_for`` maps manager id -> this user's credentials
-        toward that manager.  With password provisioning all entries are
-        identical; with DH provisioning they differ per manager."""
-        self._credentials_for = credentials_for
-        self._net = net
-        self._address = address
-        self._rng = rng if rng is not None else SystemRandom()
-        self._epoch = 0
-        self.protocol: MemberProtocol | None = None
-        self._registered = False
-
-    @property
-    def user_id(self) -> str:
-        return next(iter(self._credentials_for.values())).user_id
-
-    @property
-    def connected(self) -> bool:
-        return (
-            self.protocol is not None
-            and self.protocol.state is MemberState.CONNECTED
-        )
-
-    def follow(self, manager_id: str) -> Envelope:
-        """(Re)bind to ``manager_id`` and produce the join request."""
-        creds = self._credentials_for.get(manager_id)
-        if creds is None:
-            raise StateError(f"no credentials for manager {manager_id!r}")
-        self._epoch += 1
-        fork = (
-            self._rng.fork(f"epoch-{self._epoch}")
-            if isinstance(self._rng, DeterministicRandom)
-            else self._rng
-        )
-        self.protocol = MemberProtocol(creds, manager_id, fork)
-        if not self._registered:
-            self._registered = True
-            wire(self._net, self._address, self)
-        return self.protocol.start_join()
-
-    def handle(self, envelope: Envelope):
-        """Route to the current-epoch protocol; stale-epoch frames (from
-        a dead manager) fall through to it too and are rejected by its
-        crypto checks, which is exactly the desired behaviour."""
-        if self.protocol is None:
-            return [], []
-        return self.protocol.handle(envelope)
-
-
-def run_failover_drill(
-    n_managers: int = 3,
-    member_ids: tuple[str, ...] = ("alice", "bob"),
-    seed: int = 0,
-) -> dict:
-    """A complete scripted drill, used by tests and the example:
-
-    join all members at mgr-0 → exchange traffic → crash mgr-0 →
-    promote mgr-1 → everyone rejoins → exchange traffic again.
-    Returns a report dict with the observable outcomes.
-    """
-    rng = DeterministicRandom(seed)
-    net = SyncNetwork()
-    directory = UserDirectory()
-    creds = {
-        uid: directory.register_password(uid, f"pw-{uid}")
-        for uid in member_ids
-    }
-    managers = ManagerSet.create(n_managers, directory, rng=rng.fork("mgrs"))
-    for manager_id, manager in managers.managers.items():
-        wire(net, manager_id, manager)
-
-    members = {
-        uid: ResilientMember(
-            # Password provisioning: same credentials toward every manager.
-            {m: creds[uid] for m in managers.order},
-            net, uid, rng.fork(uid),
-        )
-        for uid in member_ids
-    }
-    for member in members.values():
-        net.post(member.follow(managers.primary_id))
-        net.run()
-    before = {
-        "primary": managers.primary_id,
-        "members": list(managers.primary.members),
-    }
-
-    # Crash and promote.
-    dead = managers.primary_id
-    new_primary = managers.fail_primary()
-    for member in members.values():
-        net.post(member.follow(new_primary))
-        net.run()
-    after = {
-        "primary": new_primary,
-        "members": list(managers.primary.members),
-        "dead": dead,
-    }
-
-    # Traffic on the new primary proves the group is live again.
-    first = members[member_ids[0]]
-    assert first.protocol is not None
-    net.post(first.protocol.seal_app(b"we survived"))
-    net.run()
-    from repro.enclaves.common import AppMessage
-
-    received = {
-        uid: [e.payload for e in net.events_of(uid, AppMessage)]
-        for uid in member_ids[1:]
-    }
-    return {"before": before, "after": after, "received": received}

@@ -6,8 +6,7 @@ detection must be timer-driven.  :class:`ResilientMemberClient` wraps
 :class:`~repro.enclaves.itgm.client.MemberClient` with exactly that — a
 watchdog fed by *authenticated* traffic (leader heartbeats, admin
 messages, relayed app data), exponential backoff + seeded jitter on
-rejoin, and automatic failover across an ordered manager list, the
-asyncio counterpart of :class:`~repro.enclaves.itgm.failover.ResilientMember`.
+rejoin, and automatic failover across an ordered manager list.
 
 :class:`LeaderOrchestrator` is the other half: it runs the current
 manager as a :class:`~repro.enclaves.itgm.runtime.LeaderRuntime`, can
@@ -50,6 +49,7 @@ from repro.enclaves.common import (
     UserDirectory,
 )
 from repro.enclaves.itgm.client import MemberClient
+from repro.enclaves.itgm.failover import ManagerSet
 from repro.enclaves.itgm.leader import GroupLeader, LeaderConfig
 from repro.enclaves.itgm.member import MemberState
 from repro.enclaves.itgm.persistence import restore_leader, snapshot_leader
@@ -101,6 +101,10 @@ class RecoveryExhausted(Event):
     attempts: int
 
 
+#: Growth of the backoff between failed rejoin attempts.
+BACKOFF_FACTOR = 2.0
+
+
 @dataclass
 class SupervisorConfig:
     """Timers and budgets for the self-healing member."""
@@ -115,7 +119,6 @@ class SupervisorConfig:
     retransmit_interval: float = 0.25
     #: Exponential backoff between failed attempts.
     backoff_base: float = 0.25
-    backoff_factor: float = 2.0
     backoff_max: float = 2.0
     #: Jitter fraction: each backoff is scaled by 1 ± jitter/2 (seeded).
     jitter: float = 0.5
@@ -131,7 +134,7 @@ class SupervisorConfig:
         """
         return BackoffPolicy(
             base=self.backoff_base,
-            factor=self.backoff_factor,
+            factor=BACKOFF_FACTOR,
             max_delay=self.backoff_max,
             jitter=self.jitter,
             mode="centered",
@@ -170,9 +173,9 @@ class ResilientMemberClient:
     One :class:`MemberClient` per manager is kept for the supervisor's
     lifetime (the sans-IO protocol core supports multiple sessions), all
     sharing one network endpoint; exactly one client's receive loop runs
-    at a time.  ``credentials_for`` maps manager id -> credentials, as
-    in :class:`~repro.enclaves.itgm.failover.ResilientMember` (identical
-    entries under password provisioning, per-manager under DH).
+    at a time.  ``credentials_for`` maps manager id -> this user's
+    credentials toward that manager (identical entries under password
+    provisioning, per-manager under DH).
     """
 
     def __init__(
@@ -414,16 +417,11 @@ class ResilientMemberClient:
         client = self._clients.get(manager_id)
         if client is None:
             assert self._shared is not None
-            fork = (
-                self._rng.fork(f"toward-{manager_id}")
-                if isinstance(self._rng, DeterministicRandom)
-                else self._rng
-            )
             client = MemberClient(
                 self._credentials_for[manager_id],
                 manager_id,
                 self._shared,
-                rng=fork,
+                rng=self._rng.fork(f"toward-{manager_id}"),
                 telemetry=self._telemetry,
             )
             self._clients[manager_id] = client
@@ -520,10 +518,10 @@ class ResilientMemberClient:
 class LeaderOrchestrator:
     """Runs one manager at a time; crashes, restores, and fails over.
 
-    Managers are ordinary :class:`GroupLeader` instances (``mgr-0``,
-    ``mgr-1``, ...) sharing one directory, exactly like
-    :class:`~repro.enclaves.itgm.failover.ManagerSet`, but driven as
-    asyncio :class:`LeaderRuntime` processes on a shared network.  A
+    A :class:`~repro.enclaves.itgm.failover.ManagerSet` (:attr:`managers`
+    — ordinary :class:`GroupLeader` instances ``mgr-0``, ``mgr-1``, ...
+    sharing one directory, and the succession rule) whose primary is
+    driven as an asyncio :class:`LeaderRuntime` on a shared network.  A
     crash closes the endpoint — in-flight and future frames to that
     address vanish, as on a real dead host.
     """
@@ -545,8 +543,6 @@ class LeaderOrchestrator:
             raise ValueError("need at least one manager")
         self.network = network
         self.directory = directory
-        self.order = list(manager_ids)
-        self._config = config
         self._clock = clock
         self._tick_interval = tick_interval
         self._heartbeat_interval = heartbeat_interval
@@ -559,29 +555,19 @@ class LeaderOrchestrator:
         self._disk = disk
         self._storage_key: KeyMaterial | None = None
         if disk is not None:
-            key_rng = (
-                rng.fork("journal-storage")
-                if isinstance(rng, DeterministicRandom) else rng
+            self._storage_key = KeyMaterial(
+                rng.fork("journal-storage").key_material(KEY_LEN)
             )
-            self._storage_key = KeyMaterial(key_rng.key_material(KEY_LEN))
         self._journals: dict[str, object] = {}
         self._all_journals: list = []
         self.journal_replays = 0
         self.journal_records_replayed = 0
-        self.leaders: dict[str, GroupLeader] = {}
-        for manager_id in self.order:
-            fork = (
-                rng.fork(manager_id)
-                if isinstance(rng, DeterministicRandom)
-                else rng
-            )
-            self.leaders[manager_id] = GroupLeader(
-                manager_id, directory,
-                config=config, rng=fork, clock=clock,
-                telemetry=self._telemetry,
-            )
-        self.failed: set[str] = set()
-        self.current_index = 0
+        #: Who is primary, who has failed and who succeeds whom.
+        self.managers = ManagerSet.create(
+            len(manager_ids), directory, config=config, rng=rng,
+            manager_ids=manager_ids, clock=clock,
+            telemetry=self._telemetry,
+        )
         self.runtime: LeaderRuntime | None = None
         self._snapshot: dict | None = None
         self.crashes = 0
@@ -590,11 +576,11 @@ class LeaderOrchestrator:
 
     @property
     def current_id(self) -> str:
-        return self.order[self.current_index]
+        return self.managers.primary_id
 
     @property
     def current_leader(self) -> GroupLeader:
-        return self.leaders[self.current_id]
+        return self.managers.primary
 
     @property
     def running(self) -> bool:
@@ -609,15 +595,15 @@ class LeaderOrchestrator:
     def _attach_journal(self, manager_id: str) -> None:
         from repro.storage.journal import Journal
 
-        rng = self._rng
         journal = Journal(
             self._disk, f"{manager_id}.wal", self._storage_key,
-            rng=(rng.fork(f"journal-{manager_id}-{len(self._all_journals)}")
-                 if isinstance(rng, DeterministicRandom) else rng),
+            rng=self._rng.fork(
+                f"journal-{manager_id}-{len(self._all_journals)}"
+            ),
             node=manager_id,
             telemetry=self._telemetry,
         )
-        journal.attach(self.leaders[manager_id])
+        journal.attach(self.managers.managers[manager_id])
         self._journals[manager_id] = journal
         self._all_journals.append(journal)
 
@@ -638,7 +624,7 @@ class LeaderOrchestrator:
             self._attach_journal(manager_id)
         endpoint = await self.network.attach(manager_id)
         self.runtime = LeaderRuntime(
-            self.leaders[manager_id],
+            self.managers.managers[manager_id],
             endpoint,
             tick_interval=self._tick_interval,
             heartbeat_interval=self._heartbeat_interval,
@@ -689,7 +675,7 @@ class LeaderOrchestrator:
         """Restart the crashed manager from its crash-time snapshot."""
         if self.runtime is not None:
             raise StateError("a manager is already running")
-        old = self.leaders[self.current_id]
+        old = self.current_leader
         if self._disk is not None:
             from repro.storage.recovery import recover_leader
 
@@ -709,7 +695,7 @@ class LeaderOrchestrator:
                 config=old.config, rng=old._rng, clock=self._clock,
                 telemetry=self._telemetry,
             )
-        self.leaders[self.current_id] = leader
+        self.managers.managers[self.current_id] = leader
         await self._launch(self.current_id)
         self.warm_restores += 1
         if self._telemetry:
@@ -725,16 +711,9 @@ class LeaderOrchestrator:
         if self.runtime is not None:
             await self.crash(flush=False)
         dead = self.current_id
-        self.failed.add(dead)
-        for offset in range(1, len(self.order) + 1):
-            candidate = self.order[
-                (self.current_index + offset) % len(self.order)
-            ]
-            if candidate not in self.failed:
-                self.current_index = self.order.index(candidate)
-                await self._launch(candidate)
-                self.failovers += 1
-                if self._telemetry:
-                    self._telemetry.emit(LeaderFailover(dead, candidate))
-                return candidate
-        raise StateError("all group managers have failed")
+        candidate = self.managers.fail_primary()
+        await self._launch(candidate)
+        self.failovers += 1
+        if self._telemetry:
+            self._telemetry.emit(LeaderFailover(dead, candidate))
+        return candidate

@@ -166,7 +166,3 @@ class PropertyViolation(FormalModelError):
         super().__init__(message)
         self.state = state
         self.trace = trace
-
-
-class SimulationError(ReproError):
-    """The discrete-event simulation harness was misused."""

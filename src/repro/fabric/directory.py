@@ -24,7 +24,7 @@ import hashlib
 from dataclasses import dataclass
 
 from repro.crypto.keys import KEY_LEN, KeyMaterial
-from repro.crypto.rng import DeterministicRandom, RandomSource, SystemRandom
+from repro.crypto.rng import RandomSource, SystemRandom
 from repro.exceptions import StateError
 from repro.telemetry.events import DirectoryUpdated, EventBus
 
@@ -143,11 +143,7 @@ class GroupDirectory:
         return frozenset(self.draining | self.failed)
 
     def _storage_key(self, group_id: str) -> KeyMaterial:
-        rng = (
-            self._rng.fork(f"storage-{group_id}")
-            if isinstance(self._rng, DeterministicRandom)
-            else self._rng
-        )
+        rng = self._rng.fork(f"storage-{group_id}")
         return KeyMaterial(rng.key_material(KEY_LEN))
 
     # -- the service API ----------------------------------------------------
@@ -258,10 +254,6 @@ class GroupDirectory:
                 group_id, new_shard, self.version, old.storage_key
             )
         return moved
-
-    def add_shard(self, shard_id: str) -> None:
-        """Grow the pool (existing placements stay where they are)."""
-        self.ring.add(shard_id)
 
     # -- introspection -------------------------------------------------------
 

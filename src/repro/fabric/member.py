@@ -23,7 +23,7 @@ old leader (treated as a replay) and a new one (ordinary message 1).
 
 from __future__ import annotations
 
-from repro.crypto.rng import DeterministicRandom, RandomSource, SystemRandom
+from repro.crypto.rng import RandomSource, SystemRandom
 from repro.enclaves.common import Credentials, Event, Joined
 from repro.enclaves.itgm.member import MemberProtocol, MemberState
 from repro.fabric.directory import GroupDirectory, RouteResult
@@ -80,11 +80,7 @@ class FabricMember:
         # A fresh protocol per join epoch, on a forked rng stream, so a
         # rejoin never reuses nonces from the abandoned attempt (and
         # deterministic runs replay identically).
-        rng = (
-            self._rng.fork(f"{self.user_id}-epoch-{self._epoch}")
-            if isinstance(self._rng, DeterministicRandom)
-            else self._rng
-        )
+        rng = self._rng.fork(f"{self.user_id}-epoch-{self._epoch}")
         if self._protocol_factory is not None:
             return self._protocol_factory(
                 self.credentials, self.group_id, rng,

@@ -66,6 +66,23 @@ from repro.util.backoff import constant as backoff_constant
 from repro.wire.message import Envelope, wrap_group
 
 
+MEMBERS_PER_GROUP = 3
+#: Per-group churn (aggregate join arrivals/s and mean session).
+CHURN_JOIN_RATE = 0.35
+CHURN_MEAN_SESSION = 6.0
+#: Fraction of the duration during which churn events may fire; after
+#: the horizon every member is mustered back in so the convergence
+#: check covers the full fabric.
+CHURN_HORIZON = 0.55
+#: Seconds between a member's application messages, between the
+#: outsider's cross-group posts and between the monitor's §5.4 samples.
+APP_INTERVAL = 1.0
+CROSS_POST_INTERVAL = 1.5
+MONITOR_INTERVAL = 0.5
+#: Authenticated silence after which a member driver suspects its shard.
+WATCHDOG_TIMEOUT = 2.5
+
+
 @dataclass
 class FabricConfig:
     """One seeded fabric soak scenario."""
@@ -73,17 +90,7 @@ class FabricConfig:
     seed: int = 7
     n_groups: int = 16
     n_shards: int = 4
-    members_per_group: int = 3
     duration: float = 40.0
-    #: Per-group churn (aggregate join arrivals/s and mean session).
-    churn_join_rate: float = 0.35
-    churn_mean_session: float = 6.0
-    #: Fraction of the duration during which churn events may fire;
-    #: after the horizon every member is mustered back in so the
-    #: convergence check covers the full fabric.
-    churn_horizon: float = 0.55
-    app_interval: float = 1.0
-    cross_post_interval: float = 1.5
     #: Network fault windows (None disables).
     loss_window: tuple[float, float] | None = None
     drop_rate: float = 0.12
@@ -98,8 +105,6 @@ class FabricConfig:
     #: Timers.
     tick_interval: float = 0.25
     heartbeat_interval: float = 0.5
-    monitor_interval: float = 0.5
-    watchdog_timeout: float = 2.5
     retransmit_interval: float = 0.5
     converge_timeout: float = 20.0
 
@@ -388,7 +393,7 @@ class _MemberRuntime:
                     if now - self.last_attempt >= interval:
                         self.last_attempt = now
                         await self._send_all(self.fm.retransmit_last())
-                elif now - self.last_heard > self.config.watchdog_timeout:
+                elif now - self.last_heard > WATCHDOG_TIMEOUT:
                     # Connected but silent past the liveness horizon:
                     # assume our leader-side session is gone (crash,
                     # migration) and re-authenticate from scratch.
@@ -485,7 +490,7 @@ async def _run_fabric(
         directory = UserDirectory()
         users[group_id] = directory
         members[group_id] = {}
-        for j in range(config.members_per_group):
+        for j in range(MEMBERS_PER_GROUP):
             uid = f"{group_id}.u{j}"
             creds = directory.register_password(uid, f"pw-{uid}")
             fm = FabricMember(
@@ -543,18 +548,18 @@ async def _run_fabric(
 
     async def monitor() -> None:
         while True:
-            await asyncio.sleep(config.monitor_interval)
+            await asyncio.sleep(MONITOR_INTERVAL)
             sample_safety()
 
     # -- workloads -----------------------------------------------------------
 
-    churn_until = config.churn_horizon * config.duration
+    churn_until = CHURN_HORIZON * config.duration
 
     async def churn(group_id: str) -> None:
         workload = ChurnWorkload(
             sorted(members[group_id]),
-            join_rate=config.churn_join_rate,
-            mean_session=config.churn_mean_session,
+            join_rate=CHURN_JOIN_RATE,
+            mean_session=CHURN_MEAN_SESSION,
             seed=int.from_bytes(
                 rng.fork(f"churn-{group_id}").random_bytes(4), "big"
             ),
@@ -587,7 +592,7 @@ async def _run_fabric(
         nonlocal app_sent
         round_no = 0
         while True:
-            await asyncio.sleep(config.app_interval)
+            await asyncio.sleep(APP_INTERVAL)
             round_no += 1
             for group_id, group in members.items():
                 for uid, runtime in group.items():
@@ -617,7 +622,7 @@ async def _run_fabric(
         nonlocal cross_attempts, foreign_attempts
         turn = 0
         while True:
-            await asyncio.sleep(config.cross_post_interval)
+            await asyncio.sleep(CROSS_POST_INTERVAL)
             async with lifecycle_busy:
                 turn += 1
                 src = group_ids[turn % len(group_ids)]
@@ -927,7 +932,7 @@ async def _run_fabric(
         duration=config.duration,
         n_groups=config.n_groups,
         n_shards=config.n_shards,
-        n_members=config.n_groups * config.members_per_group,
+        n_members=config.n_groups * MEMBERS_PER_GROUP,
         converged=converged,
         converge_time=converge_time,
         n_desired=n_desired,

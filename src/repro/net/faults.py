@@ -121,14 +121,10 @@ class DelayReorderPolicy:
         #: Frames held back.
         self.delayed = 0
 
-    def _uniform(self) -> float:
-        raw = int.from_bytes(self._rng.random_bytes(8), "big")
-        return raw / float(1 << 64)
-
     def __call__(self, frame: ObservedFrame) -> Verdict:
-        if self._uniform() >= self.delay_rate:
+        if self._rng.uniform() >= self.delay_rate:
             return Verdict.deliver()
-        hold = self.min_hold + self._uniform() * (
+        hold = self.min_hold + self._rng.uniform() * (
             self.max_hold - self.min_hold
         )
         self.delayed += 1
@@ -177,20 +173,16 @@ class GilbertElliottPolicy:
         #: Completed GOOD→BAD transitions (burst count).
         self.bursts = 0
 
-    def _uniform(self) -> float:
-        raw = int.from_bytes(self._rng.random_bytes(8), "big")
-        return raw / float(1 << 64)
-
     def __call__(self, frame: ObservedFrame) -> Verdict:
         if self.in_bad:
-            if self._uniform() < self.p_bad_to_good:
+            if self._rng.uniform() < self.p_bad_to_good:
                 self.in_bad = False
         else:
-            if self._uniform() < self.p_good_to_bad:
+            if self._rng.uniform() < self.p_good_to_bad:
                 self.in_bad = True
                 self.bursts += 1
         loss = self.loss_bad if self.in_bad else self.loss_good
-        if self._uniform() < loss:
+        if self._rng.uniform() < loss:
             self.dropped += 1
             if self._metrics is not None:
                 self._metrics.counter(

@@ -46,10 +46,6 @@ class LossyPolicy:
         self.dropped = 0
         self.duplicated = 0
 
-    def _uniform(self) -> float:
-        raw = int.from_bytes(self._rng.random_bytes(8), "big")
-        return raw / float(1 << 64)
-
     def _count(self, fate: str) -> None:
         if self._metrics is not None:
             self._metrics.counter(
@@ -57,7 +53,7 @@ class LossyPolicy:
             ).incr()
 
     def __call__(self, frame: ObservedFrame) -> Verdict:
-        roll = self._uniform()
+        roll = self._rng.uniform()
         if roll < self.drop_rate:
             self.dropped += 1
             self._count("dropped")

@@ -45,6 +45,20 @@ from repro.util.clock import VirtualClock
 from repro.wire.message import Envelope
 
 FLOODER = "mallory"
+#: Scheduler tick (virtual seconds).
+DT = 0.1
+#: Frames the leader can service per virtual second.
+SERVICE_RATE = 80.0
+#: Honest members joining as a baseline trickle, and the seconds
+#: between their join starts (first at t=1).
+BASELINE_MEMBERS = 8
+BASELINE_SPACING = 1.0
+#: Honest-member join p99 objective (virtual seconds).
+SLO_JOIN_P99 = 2.0
+#: Protected-stack intake bound and per-sender fair share.
+MAILBOX_CAPACITY = 128
+FAIR_RATE = 10.0
+FAIR_BURST = 20.0
 
 
 @dataclass(frozen=True)
@@ -54,40 +68,23 @@ class OverloadConfig:
     seed: int = 7
     #: Virtual seconds of soak.
     duration: float = 20.0
-    #: Scheduler tick.
-    dt: float = 0.1
-    #: Frames the leader can service per virtual second.
-    service_rate: float = 80.0
     #: Insider flood rate (sealed APP frames per virtual second).
     flood_rate: float = 240.0
     #: The flood stops here (< duration), so the protected stack's
     #: brownout hysteresis and recovery are part of the soak too.
     flood_until: float = 16.0
-    #: Honest members joining as a baseline trickle.
-    baseline_members: int = 8
-    #: Seconds between baseline join starts (first at t=1).
-    baseline_spacing: float = 1.0
     #: The surge: this many extra members all start at ``surge_at`` —
     #: with spacing 1.0 that is a 10× instantaneous join rate.
     surge_members: int = 10
     surge_at: float = 12.0
     #: Joining members retransmit a half-open handshake this often.
     retransmit_interval: float = 1.0
-    #: Honest-member join p99 objective (virtual seconds).
-    slo_join_p99: float = 2.0
-    #: Protected-stack intake bound.
-    mailbox_capacity: int = 128
-    #: Protected-stack per-sender fair share.
-    fair_rate: float = 10.0
-    fair_burst: float = 20.0
 
     def __post_init__(self) -> None:
-        if self.duration <= 0 or self.dt <= 0:
-            raise ValueError("duration and dt must be > 0")
-        if self.service_rate <= 0 or self.flood_rate < 0:
+        if self.duration <= 0:
+            raise ValueError("duration must be > 0")
+        if self.flood_rate < 0:
             raise ValueError("rates must be sensible")
-        if self.baseline_members < 1:
-            raise ValueError("need at least one honest member")
 
 
 @dataclass
@@ -193,9 +190,9 @@ class _StackRun:
             self.mailbox = BoundedMailbox(
                 f"leader/{stack}-intake",
                 MailboxConfig(
-                    capacity=config.mailbox_capacity,
+                    capacity=MAILBOX_CAPACITY,
                     fair_share=FairShareAdmission(FairShareConfig(
-                        rate=config.fair_rate, burst=config.fair_burst,
+                        rate=FAIR_RATE, burst=FAIR_BURST,
                     )),
                 ),
                 telemetry=telemetry,
@@ -219,8 +216,8 @@ class _StackRun:
 
         # Honest joiners: a baseline trickle plus the surge batch.
         self.joiners: dict[str, _Joiner] = {}
-        for i in range(config.baseline_members):
-            start = 1.0 + i * config.baseline_spacing
+        for i in range(BASELINE_MEMBERS):
+            start = 1.0 + i * BASELINE_SPACING
             self._add_joiner(f"user-{i:03d}", start, rng)
         for i in range(config.surge_members):
             self._add_joiner(
@@ -309,7 +306,7 @@ class _StackRun:
 
             # 1. The leader services its budget (last tick's backlog
             #    first, so a join always costs at least one tick).
-            self._service_credit += cfg.service_rate * cfg.dt
+            self._service_credit += SERVICE_RATE * DT
             while self._service_credit >= 1.0:
                 self._service_credit -= 1.0
                 frame = self._take()
@@ -331,7 +328,7 @@ class _StackRun:
             # 2. The insider floods: one fresh sealed frame per tick,
             #    replayed up to the flood rate (the cheap insider DoS).
             if now < cfg.flood_until:
-                self._flood_credit += cfg.flood_rate * cfg.dt
+                self._flood_credit += cfg.flood_rate * DT
                 if self._flood_credit >= 1.0:
                     self._flood_frame = self.flooder.seal_app(
                         flood_payload
@@ -380,7 +377,7 @@ class _StackRun:
                     for frame in self.leader.rekey_now():
                         self._deliver_to_member(frame, now)
 
-            now = round(now + cfg.dt, 9)
+            now = round(now + DT, 9)
 
         return self._finish()
 
@@ -402,7 +399,7 @@ class _StackRun:
         rep.slo_met = (
             rep.joins_pending == 0
             and rep.join_p99 is not None
-            and rep.join_p99 <= cfg.slo_join_p99
+            and rep.join_p99 <= SLO_JOIN_P99
         )
         if self.mailbox is not None:
             stats = self.mailbox.stats
@@ -437,7 +434,7 @@ def run_overload_soak(
     whole before/after story with one monotone sequence.
     """
     cfg = config if config is not None else OverloadConfig()
-    report = OverloadReport(cfg.seed, cfg.duration, cfg.slo_join_p99)
+    report = OverloadReport(cfg.seed, cfg.duration, SLO_JOIN_P99)
     for stack in ("unprotected", "protected"):
         run = _StackRun(stack, cfg, telemetry)
         setattr(report, stack, run.run())

@@ -33,7 +33,7 @@ cryptographically retires both branches.
 from __future__ import annotations
 
 from repro.crypto.keys import KEY_LEN, KeyMaterial
-from repro.crypto.rng import DeterministicRandom, RandomSource, SystemRandom
+from repro.crypto.rng import RandomSource, SystemRandom
 from repro.enclaves.common import Credentials, UserDirectory
 from repro.enclaves.itgm.admin import (
     CertifiedPayload,
@@ -87,10 +87,6 @@ MUTATION_PAYLOADS = (
     MemberLeftPayload,
     MembershipPayload,
 )
-
-
-def _fork(rng: RandomSource, label: str) -> RandomSource:
-    return rng.fork(label) if isinstance(rng, DeterministicRandom) else rng
 
 
 class QuorumConfig:
@@ -320,7 +316,7 @@ class QuorumLeaderSet:
         self.disk = disk if disk is not None else SimDisk()
         self.leader = QuorumGroupLeader(
             session_id, directory, config=leader_config,
-            rng=_fork(self._rng, "primary"), clock=clock,
+            rng=self._rng.fork("primary"), clock=clock,
             telemetry=telemetry,
         )
         self.journal = Journal(

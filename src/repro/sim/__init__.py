@@ -1,16 +1,16 @@
-"""Discrete-event simulation harness.
+"""Virtual-time simulation scenarios.
 
 The paper has no performance evaluation, but a credible release needs a
 way to characterize the protocol's behaviour at scale: join/leave churn,
 rekey storms under different policies, admin-channel throughput vs.
-group size.  This package provides a small deterministic discrete-event
-engine (:mod:`~repro.sim.engine`), workload generators
-(:mod:`~repro.sim.workload`), metric collection
-(:mod:`~repro.sim.metrics`), and ready-made scenarios
-(:mod:`~repro.sim.scenarios`) on top of the sans-IO protocol cores.
+group size.  This package provides workload generators
+(:mod:`~repro.sim.workload`), delay models (:mod:`~repro.sim.netmodel`),
+metric collection (:mod:`~repro.sim.metrics`), and ready-made scenarios
+(:mod:`~repro.sim.scenarios`, :mod:`~repro.sim.latency`) that run the
+sans-IO protocol cores on the virtual-time loop of
+:mod:`repro.chaos.loop`.
 """
 
-from repro.sim.engine import EventQueue, Simulator
 from repro.sim.metrics import LatencyRecorder, MetricSet
 from repro.sim.scenarios import ChurnScenario, ChurnReport, run_churn
 from repro.sim.workload import (
@@ -20,8 +20,6 @@ from repro.sim.workload import (
 )
 
 __all__ = [
-    "EventQueue",
-    "Simulator",
     "MetricSet",
     "LatencyRecorder",
     "ChurnWorkload",

@@ -1,7 +1,7 @@
 """Latency studies over the delay-modelled network.
 
 The §3.2 message diagram fixes the hop counts of every operation; with
-a delay model attached the simulator measures them:
+a delay model attached the virtual-time loop measures them:
 
 * **join-to-member**: AuthInitReq → AuthKeyDist → AuthAckKey = 2 one-way
   delays until the member holds K_a (the third message is the leader's
@@ -19,18 +19,30 @@ linear-in-delay shapes.
 
 from __future__ import annotations
 
+import asyncio
 from dataclasses import dataclass
 
+from repro.chaos.loop import LoopClock, run_virtual
 from repro.crypto.rng import DeterministicRandom
-from repro.enclaves.common import GroupKeyChanged, Joined, UserDirectory
-from repro.enclaves.harness import wire
+from repro.enclaves.common import (
+    AdminDelivered,
+    GroupKeyChanged,
+    Joined,
+    UserDirectory,
+)
 from repro.enclaves.itgm.admin import TextPayload
 from repro.enclaves.itgm.leader import GroupLeader
-from repro.enclaves.common import AdminDelivered
 from repro.enclaves.itgm.member import MemberProtocol
-from repro.sim.engine import Simulator
+from repro.enclaves.itgm.runtime import LeaderRuntime
+from repro.net.adversary import Adversary
+from repro.net.memnet import MemoryNetwork
 from repro.sim.metrics import LatencyRecorder
-from repro.sim.netmodel import DelayedNetwork, DelayModel, FixedDelay
+from repro.sim.netmodel import DelayModel, FixedDelay
+
+#: Virtual seconds between joins — far enough apart that each completes
+#: alone — and between admin rounds, so each quiesces before the next.
+JOIN_SPACING = 10.0
+ROUND_SPACING = 50.0
 
 
 @dataclass
@@ -42,6 +54,19 @@ class LatencyReport:
     admin_round_trip: LatencyRecorder
 
 
+class _StampedCore:
+    """A sans-IO core whose events carry the loop time they occurred at."""
+
+    def __init__(self, core, loop: asyncio.AbstractEventLoop) -> None:
+        self._core = core
+        self._loop = loop
+
+    def handle(self, envelope):
+        outgoing, events = self._core.handle(envelope)
+        now = self._loop.time()
+        return outgoing, [(now, event) for event in events]
+
+
 def run_latency_study(
     n_members: int = 4,
     delay_model: DelayModel | None = None,
@@ -50,76 +75,65 @@ def run_latency_study(
 ) -> LatencyReport:
     """Measure join and admin latencies under a delay model."""
     delay_model = delay_model if delay_model is not None else FixedDelay(0.01)
+    return run_virtual(_study(n_members, delay_model, n_admin_rounds, seed))
+
+
+async def _study(
+    n_members: int, delay_model: DelayModel, n_admin_rounds: int, seed: int
+) -> LatencyReport:
+    loop = asyncio.get_running_loop()
     rng = DeterministicRandom(seed)
-    sim = Simulator()
-    net = DelayedNetwork(sim, delay_model)
+    net = MemoryNetwork()
+    adversary = Adversary()
+    adversary.set_policy(delay_model)
+    net.attach_adversary(adversary)
     directory = UserDirectory()
     leader = GroupLeader("leader", directory, rng=rng.fork("leader"),
-                         clock=sim.clock)
-    wire(net, "leader", leader)
-    report = LatencyReport(LatencyRecorder(), LatencyRecorder(),
-                           LatencyRecorder())
-
+                         clock=LoopClock(loop))
     members: dict[str, MemberProtocol] = {}
-    join_started: dict[str, float] = {}
-
     for i in range(n_members):
         user_id = f"user-{i:03d}"
         creds = directory.register_password(user_id, f"pw-{i}")
-        member = MemberProtocol(creds, "leader", rng.fork(user_id))
-        members[user_id] = member
-        wire(net, user_id, member)
+        members[user_id] = MemberProtocol(creds, "leader", rng.fork(user_id))
 
-        def start(m=member, uid=user_id) -> None:
-            join_started[uid] = sim.now
-            net.post(m.start_join())
+    runtimes: dict[str, LeaderRuntime] = {}
+    for address, core in {"leader": leader, **members}.items():
+        runtimes[address] = LeaderRuntime(
+            _StampedCore(core, loop), await net.attach(address)
+        )
+        runtimes[address].start()
 
-        # Joins staggered far enough apart that each completes alone.
-        sim.at(i * 10.0, start)
+    join_started: dict[str, float] = {}
+    for user_id, member in members.items():
+        join_started[user_id] = loop.time()
+        await runtimes[user_id].endpoint.send(member.start_join())
+        await asyncio.sleep(JOIN_SPACING)
 
-    sim.run()
+    # Admin delivery on the established group: one-way delay plus
+    # processing, from the leader's send to each member's AdminDelivered.
+    round_started: dict[str, float] = {}
+    for i in range(n_admin_rounds):
+        round_started[f"r{i}"] = loop.time()
+        for out in leader.broadcast_admin(TextPayload(f"r{i}")):
+            await runtimes["leader"].endpoint.send(out)
+        await asyncio.sleep(ROUND_SPACING)
 
-    # Extract join latencies from the timed event stream.
-    for uid in members:
-        joined = [te for te in net.events_of(uid, Joined)]
-        keyed = [te for te in net.events_of(uid, GroupKeyChanged)]
-        if joined:
-            report.join_to_connected.record(
-                joined[0].time - join_started[uid]
+    report = LatencyReport(LatencyRecorder(), LatencyRecorder(),
+                           LatencyRecorder())
+    for user_id in members:
+        queue = runtimes[user_id].events
+        stamped = [queue.get_nowait() for _ in range(queue.qsize())]
+        for kind, recorder in ((Joined, report.join_to_connected),
+                               (GroupKeyChanged, report.join_to_group_key)):
+            first = next(
+                (when for when, e in stamped if isinstance(e, kind)), None
             )
-        if keyed:
-            report.join_to_group_key.record(
-                keyed[0].time - join_started[uid]
-            )
-
-    # Admin round trips on the established group: time from send until
-    # the leader's session returns to Connected (ack processed), which
-    # equals the time of the *next* possible send.  We measure via the
-    # member-side AdminDelivered plus one return delay approximated by
-    # the leader-side completion: simplest robust measure is
-    # member-delivery time minus send time, doubled is an upper bound;
-    # instead we record delivery latency (one-way + processing) and the
-    # full cycle from consecutive sends.
-    base = sim.now
-    sent_at: list[float] = []
-
-    def send_round(i: int = 0) -> None:
-        if i >= n_admin_rounds:
-            return
-        sent_at.append(sim.now)
-        net.post_all(leader.broadcast_admin(TextPayload(f"r{i}")))
-        # Schedule the next round well after this one quiesces.
-        sim.after(50.0, lambda: send_round(i + 1))
-
-    sim.after(1.0, lambda: send_round(0))
-    sim.run()
-
-    for index, started in enumerate(sent_at):
-        deliveries = [
-            te for te in net.events
-            if isinstance(te.event, AdminDelivered)
-            and getattr(te.event.payload, "text", None) == f"r{index}"
-        ]
-        for te in deliveries:
-            report.admin_round_trip.record(te.time - started)
+            if first is not None:
+                recorder.record(first - join_started[user_id])
+        for when, event in stamped:
+            text = getattr(getattr(event, "payload", None), "text", None)
+            if isinstance(event, AdminDelivered) and text in round_started:
+                report.admin_round_trip.record(when - round_started[text])
+    for runtime in runtimes.values():
+        await runtime.stop()
     return report

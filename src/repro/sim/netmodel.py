@@ -1,21 +1,21 @@
-"""Network delay models for the discrete-event simulator.
+"""Network delay models for the latency studies.
 
 The in-memory networks deliver instantly, which is fine for protocol
-logic but hides latency structure.  :class:`DelayedNetwork` attaches the
-same sans-IO protocol cores to a :class:`~repro.sim.engine.Simulator`
-and delivers each frame after a sampled delay — so join latency, admin
-round-trips, and rekey convergence become measurable quantities with
-the linear-in-hops shapes the protocol's message diagram predicts.
+logic but hides latency structure.  A :class:`DelayModel` is an
+adversary policy (:data:`~repro.net.adversary.Policy`) that holds every
+frame for a sampled one-way delay: installed on a
+:class:`~repro.net.memnet.MemoryNetwork` under the virtual-time loop
+(:mod:`repro.chaos.loop`), it turns join latency, admin round-trips,
+and rekey convergence into measurable quantities with the
+linear-in-hops shapes the protocol's message diagram predicts.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 from repro.crypto.rng import DeterministicRandom
-from repro.enclaves.common import Event
-from repro.sim.engine import Simulator
+from repro.net.adversary import ObservedFrame, Verdict
 from repro.wire.message import Envelope
 
 
@@ -24,6 +24,9 @@ class DelayModel(ABC):
 
     @abstractmethod
     def sample(self, envelope: Envelope) -> float: ...
+
+    def __call__(self, frame: ObservedFrame) -> Verdict:
+        return Verdict.delay(self.sample(frame.envelope))
 
 
 class FixedDelay(DelayModel):
@@ -48,72 +51,4 @@ class ExponentialDelay(DelayModel):
         self._rng = DeterministicRandom(seed).fork("delays")
 
     def sample(self, envelope: Envelope) -> float:
-        import math
-
-        raw = int.from_bytes(self._rng.random_bytes(8), "big")
-        u = (raw + 1) / float(1 << 64)
-        return -math.log(u) * self.mean
-
-
-@dataclass
-class TimedEvent:
-    """A protocol event with the virtual time it occurred at."""
-
-    time: float
-    address: str
-    event: Event
-
-
-class DelayedNetwork:
-    """A latency-modelled network over the discrete-event engine.
-
-    Same registration interface as the sync harness
-    (:func:`repro.enclaves.harness.wire` works via duck typing), but
-    every frame is delivered ``delay_model.sample()`` seconds after it
-    is posted, in virtual time.  Frames a handler emits in response are
-    posted (and delayed) recursively.
-    """
-
-    def __init__(self, sim: Simulator, delay_model: DelayModel) -> None:
-        self.sim = sim
-        self.delay_model = delay_model
-        self._handlers: dict[str, object] = {}
-        self.wire_log: list[tuple[float, Envelope]] = []
-        self.events: list[TimedEvent] = []
-        self.delivered = 0
-        self.dropped = 0
-
-    def register(self, address: str, handler) -> None:
-        self._handlers[address] = handler
-
-    def post(self, envelope: Envelope) -> None:
-        """Put a frame on the wire; it arrives after the sampled delay."""
-        self.wire_log.append((self.sim.now, envelope))
-        delay = self.delay_model.sample(envelope)
-        self.sim.after(delay, lambda: self._deliver(envelope))
-
-    def post_all(self, envelopes: list[Envelope]) -> None:
-        for envelope in envelopes:
-            self.post(envelope)
-
-    def _deliver(self, envelope: Envelope) -> None:
-        handler = self._handlers.get(envelope.recipient)
-        if handler is None:
-            self.dropped += 1
-            return
-        outgoing, events = handler(envelope)
-        self.delivered += 1
-        for event in events:
-            self.events.append(
-                TimedEvent(self.sim.now, envelope.recipient, event)
-            )
-        for out in outgoing:
-            self.post(out)
-
-    def events_of(self, address: str, event_type: type | None = None):
-        """Timed events emitted at an address (optionally by type)."""
-        return [
-            te for te in self.events
-            if te.address == address
-            and (event_type is None or isinstance(te.event, event_type))
-        ]
+        return self._rng.exponential() * self.mean

@@ -1,7 +1,7 @@
 """Ready-made simulation scenarios.
 
 :func:`run_churn` drives a full improved-protocol group through a
-join/leave/message workload on the discrete-event engine and reports
+join/leave/message workload on the virtual-time loop and reports
 rekey counts, relay volume, membership-view consistency, and admin-
 channel latencies.  This is what `bench_rekey` sweeps across policies
 and group sizes (the paper's "application-dependent policy" knob).
@@ -9,14 +9,16 @@ and group sizes (the paper's "application-dependent policy" knob).
 
 from __future__ import annotations
 
+import asyncio
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from repro.chaos.loop import LoopClock, run_virtual
 from repro.crypto.rng import DeterministicRandom
 from repro.enclaves.common import RekeyPolicy, UserDirectory
 from repro.enclaves.harness import SyncNetwork, wire
 from repro.enclaves.itgm.leader import GroupLeader, LeaderConfig
 from repro.enclaves.itgm.member import MemberProtocol, MemberState
-from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricSet
 from repro.sim.workload import ChurnWorkload, MessageWorkload, WorkloadKind
 from repro.telemetry.events import EventBus
@@ -67,12 +69,19 @@ def run_churn(
     clock and every protocol core emits onto it — a churn run then
     yields a deterministic, virtual-time event log.
     """
+    return run_virtual(_churn(scenario, telemetry))
+
+
+async def _churn(
+    scenario: ChurnScenario, telemetry: EventBus | None
+) -> ChurnReport:
+    loop = asyncio.get_running_loop()
+    clock = LoopClock(loop)
     rng = DeterministicRandom(scenario.seed)
-    sim = Simulator()
     net = SyncNetwork(telemetry=telemetry)
     metrics = MetricSet()
     if telemetry is not None:
-        telemetry.set_clock(sim.clock)
+        telemetry.set_clock(clock)
 
     directory = UserDirectory()
     leader = GroupLeader(
@@ -83,7 +92,7 @@ def run_churn(
             rekey_interval=scenario.rekey_interval,
         ),
         rng=rng.fork("leader"),
-        clock=sim.clock,
+        clock=clock,
         telemetry=telemetry,
     )
     wire(net, "leader", leader)
@@ -101,7 +110,9 @@ def run_churn(
     def pump() -> None:
         net.run()
 
-    # Schedule the workload.
+    # The workload: (time, action) pairs, run in time order with ties
+    # in the order they are listed here.
+    actions: list[tuple[float, Callable[[], None]]] = []
     churn = ChurnWorkload(
         user_ids,
         join_rate=scenario.join_rate,
@@ -111,19 +122,19 @@ def run_churn(
     for event in churn.events(scenario.duration):
         member = members[event.user_id]
         if event.kind is WorkloadKind.JOIN:
-            def do_join(m=member, t=event.time) -> None:
+            def do_join(m=member) -> None:
                 if m.state is MemberState.NOT_CONNECTED:
                     metrics.incr("workload_joins")
                     net.post(m.start_join())
                     pump()
-            sim.at(event.time, do_join)
+            actions.append((event.time, do_join))
         else:
             def do_leave(m=member) -> None:
                 if m.state is MemberState.CONNECTED:
                     metrics.incr("workload_leaves")
                     net.post(m.start_leave())
                     pump()
-            sim.at(event.time, do_leave)
+            actions.append((event.time, do_leave))
 
     # Message traffic: connected members chat; others skip their turn.
     traffic = MessageWorkload(
@@ -137,18 +148,26 @@ def run_churn(
                 metrics.incr("messages_sent")
                 net.post(m.seal_app(payload))
                 pump()
-        sim.at(event.time, do_send)
+        actions.append((event.time, do_send))
 
     # Periodic leader ticks for time-based rekeying.
     if RekeyPolicy.PERIODIC in scenario.rekey_policy:
         def tick() -> None:
             net.post_all(leader.tick())
             pump()
-            if sim.now < scenario.duration:
-                sim.after(scenario.rekey_interval / 4, tick)
-        sim.after(scenario.rekey_interval / 4, tick)
+        when = scenario.rekey_interval / 4
+        while when <= scenario.duration:
+            actions.append((when, tick))
+            when += scenario.rekey_interval / 4
 
-    sim.run(until=scenario.duration)
+    # One coroutine awaits each action's time and calls it, so an action
+    # that raises fails the run instead of vanishing into the loop's
+    # exception handler.
+    for when, action in sorted(actions, key=lambda a: a[0]):
+        arrived = loop.create_future()
+        loop.call_at(when, arrived.set_result, None)
+        await arrived
+        action()
     pump()
 
     # Consistency: every connected member's view equals the leader's.

@@ -9,7 +9,6 @@ model for membership churn and chat traffic.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -42,10 +41,7 @@ class _Exponential:
         self._rate = rate
 
     def sample(self) -> float:
-        # Uniform in (0, 1] from 8 random bytes, then inverse CDF.
-        raw = int.from_bytes(self._rng.random_bytes(8), "big")
-        u = (raw + 1) / float(1 << 64)
-        return -math.log(u) / self._rate
+        return self._rng.exponential() / self._rate
 
 
 class ChurnWorkload:

@@ -35,12 +35,6 @@ from repro.crypto.rng import RandomSource
 JITTER_MODES = ("none", "centered", "full")
 
 
-def _uniform(rng: RandomSource) -> float:
-    """One uniform draw in [0, 1) from eight bytes of the source."""
-    raw = int.from_bytes(rng.random_bytes(8), "big")
-    return raw / float(1 << 64)
-
-
 @dataclass(frozen=True)
 class BackoffPolicy:
     """Exponential backoff schedule with optional seeded jitter.
@@ -87,7 +81,7 @@ class BackoffPolicy:
         delay = self.raw_delay(attempt)
         if rng is None or self.mode == "none" or self.jitter == 0.0:
             return delay
-        u = _uniform(rng)
+        u = rng.uniform()
         if self.mode == "centered":
             return delay * (1.0 + self.jitter * (u - 0.5))
         # mode == "full"

@@ -2,7 +2,7 @@
 
 The runtime protocol stack and the simulation harness both consume a
 :class:`Clock`.  Production code uses :class:`RealClock`; tests and the
-discrete-event simulator use :class:`VirtualClock` so that time-dependent
+synchronous harnesses use :class:`VirtualClock` so that time-dependent
 behaviour (periodic rekeying, timeouts) is deterministic.
 """
 
@@ -19,24 +19,12 @@ class Clock(ABC):
     def now(self) -> float:
         """Return the current time in seconds."""
 
-    def now_ns(self) -> int:
-        """The current time in integer nanoseconds.
-
-        Virtual clocks derive this from :meth:`now`, so virtual-time
-        timestamps stay exact and deterministic; :class:`RealClock`
-        overrides it with the raw monotonic counter.
-        """
-        return int(self.now() * 1_000_000_000)
-
 
 class RealClock(Clock):
     """Wall-clock backed by :func:`time.monotonic`."""
 
     def now(self) -> float:
         return time.monotonic()
-
-    def now_ns(self) -> int:
-        return time.monotonic_ns()
 
 
 class VirtualClock(Clock):

@@ -73,11 +73,6 @@ class Label(enum.IntEnum):
         return 0x01 <= self.value <= 0x06
 
     @property
-    def is_fabric(self) -> bool:
-        """Group-scoped fabric framing (shard demux + redirects)."""
-        return 0x30 <= self.value <= 0x31
-
-    @property
     def is_data(self) -> bool:
         """End-to-end data-plane traffic (ratcheted frames + acks)."""
         return 0x40 <= self.value <= 0x42

@@ -103,6 +103,24 @@ class TestSystemRandom:
         nonces = {rng.nonce().value for _ in range(100)}
         assert len(nonces) == 100
 
+    def test_fork_is_the_source_itself(self):
+        """No streams to keep apart: sub-components share the CSPRNG."""
+        rng = SystemRandom()
+        assert rng.fork("x") is rng
+
+
+class TestDraws:
+    def test_uniform_and_exponential_spend_eight_bytes_each(self):
+        """The byte contract every seeded schedule depends on."""
+        import math
+
+        drawn, reference = DeterministicRandom(3), DeterministicRandom(3)
+        raw = int.from_bytes(reference.random_bytes(8), "big")
+        assert drawn.uniform() == raw / 2**64
+        raw = int.from_bytes(reference.random_bytes(8), "big")
+        assert drawn.exponential() == -math.log((raw + 1) / 2**64)
+        assert drawn.random_bytes(4) == reference.random_bytes(4)
+
 
 class TestTypedRejection:
     """Negative paths: bad inputs fail loudly and typed, never truncate.

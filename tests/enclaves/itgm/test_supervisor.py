@@ -275,8 +275,41 @@ class TestOrchestrator:
                 await orchestrator.failover()   # mgr-0 -> mgr-1
                 with pytest.raises(StateError, match="all group managers"):
                     await orchestrator.failover()  # nothing left
-                assert orchestrator.failed == {"mgr-0", "mgr-1"}
+                assert orchestrator.managers.failed == {"mgr-0", "mgr-1"}
                 assert orchestrator.runtime is None
+            finally:
+                await stop_all(orchestrator, members)
+
+        run_virtual(scenario())
+
+    def test_succession_walks_the_manager_set(self):
+        """mgr-0 → mgr-1 → mgr-2 → (mgr-0 recovered, back in rotation)
+        → StateError: the one succession rule, seen through the
+        orchestrator's ManagerSet."""
+        async def scenario():
+            _, orchestrator, members = build(
+                manager_ids=["mgr-0", "mgr-1", "mgr-2"]
+            )
+            managers = orchestrator.managers
+            await orchestrator.start()
+            try:
+                assert managers.primary_id == "mgr-0"
+                assert await orchestrator.failover() == "mgr-1"
+                assert await orchestrator.failover() == "mgr-2"
+                assert managers.alive_ids == ["mgr-2"]
+                clock = managers.primary._clock
+                managers.recover("mgr-0")
+                assert managers.alive_ids == ["mgr-0", "mgr-2"]
+                assert await orchestrator.failover() == "mgr-0"
+                assert managers.primary_id == orchestrator.current_id
+                assert orchestrator.runtime.leader is managers.primary
+                # The recovered manager runs on the same timeline.
+                assert managers.primary._clock is clock
+                with pytest.raises(StateError, match="all group managers"):
+                    await orchestrator.failover()
+                assert managers.failed == {"mgr-0", "mgr-1", "mgr-2"}
+                assert orchestrator.failovers == 3
+                assert not orchestrator.running
             finally:
                 await stop_all(orchestrator, members)
 

@@ -1,6 +1,6 @@
 """Tests for the directory-following member wrapper."""
 
-from repro.crypto.rng import DeterministicRandom
+from repro.crypto.rng import DeterministicRandom, SystemRandom
 from repro.enclaves.common import AppMessage, UserDirectory
 from repro.enclaves.harness import SyncNetwork, wire
 from repro.enclaves.itgm.member import MemberState
@@ -16,8 +16,8 @@ from repro.wire.message import unwrap_group
 class Fixture:
     """Two shards, one group, two fabric members."""
 
-    def __init__(self, seed=2):
-        self.rng = DeterministicRandom(seed)
+    def __init__(self, seed=2, rng=None):
+        self.rng = rng if rng is not None else DeterministicRandom(seed)
         self.net = SyncNetwork()
         self.fabric = GroupDirectory(
             ["shard-0", "shard-1"], rng=self.rng.fork("directory"),
@@ -69,6 +69,14 @@ class TestRouting:
         group_id, inner = unwrap_group(wrapped)
         assert group_id == fx.group_id
         assert inner.label is Label.AUTH_INIT_REQ
+
+    def test_non_deterministic_source_places_and_joins(self):
+        """On a source without forkable streams the directory still
+        mints storage keys and members still join."""
+        fx = Fixture(rng=SystemRandom())
+        assert fx.record.storage_key is not None
+        fx.join_all()
+        assert all(fm.connected for fm in fx.members.values())
 
     def test_join_and_app_round_trip_through_the_shard(self):
         fx = Fixture()

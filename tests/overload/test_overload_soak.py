@@ -14,6 +14,8 @@ import pytest
 
 from repro.overload.soak import (
     FLOODER,
+    MAILBOX_CAPACITY,
+    SLO_JOIN_P99,
     OverloadConfig,
     OverloadReport,
     render_report,
@@ -48,13 +50,11 @@ class TestProtectionHolds:
         assert rep.joins_pending == 0
         assert rep.joins_completed == rep.joins_started
         assert rep.join_p99 is not None
-        assert rep.join_p99 <= CONFIG.slo_join_p99
+        assert rep.join_p99 <= SLO_JOIN_P99
 
     def test_bounded_queue(self, report):
-        assert (report.protected.max_queue_depth
-                <= CONFIG.mailbox_capacity)
-        assert (report.unprotected.max_queue_depth
-                > CONFIG.mailbox_capacity)
+        assert report.protected.max_queue_depth <= MAILBOX_CAPACITY
+        assert report.unprotected.max_queue_depth > MAILBOX_CAPACITY
 
     def test_shed_fairness(self, report):
         """The shed pain lands on the flooder, not the honest members."""

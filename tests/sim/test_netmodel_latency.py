@@ -1,10 +1,16 @@
-"""Tests for the delay-modelled network and latency studies."""
+"""Tests for the delay models on the memory network and the latency studies."""
+
+import asyncio
 
 import pytest
 
-from repro.sim.engine import Simulator
+from repro.chaos.loop import LoopClock, run_virtual
+from repro.enclaves.itgm.runtime import LeaderRuntime
+from repro.net.adversary import Adversary
+from repro.net.memnet import MemoryNetwork
 from repro.sim.latency import run_latency_study
-from repro.sim.netmodel import DelayedNetwork, ExponentialDelay, FixedDelay
+from repro.sim.netmodel import ExponentialDelay, FixedDelay
+from repro.telemetry.events import EventBus, FrameDelayed
 from repro.wire.labels import Label
 from repro.wire.message import Envelope
 
@@ -44,24 +50,43 @@ class TestDelayModels:
             ExponentialDelay(0)
 
 
+async def delayed_network(model, cores, telemetry=None):
+    """A MemoryNetwork whose adversary holds every frame for
+    ``model``'s delay, with one LeaderRuntime per core."""
+    net = MemoryNetwork(telemetry=telemetry)
+    adversary = Adversary()
+    adversary.set_policy(model)
+    net.attach_adversary(adversary)
+    for address, core in cores.items():
+        LeaderRuntime(core, await net.attach(address)).start()
+    return net, await net.attach("probe")
+
+
 class TestDelayedNetwork:
     def test_frames_arrive_after_delay(self):
-        sim = Simulator()
-        net = DelayedNetwork(sim, FixedDelay(1.5))
-        sink = Sink()
-        net.register("b", sink.handle)
-        net.post(Envelope(Label.APP_DATA, "a", "b", b"x"))
-        assert sink.arrivals == []
-        sim.run()
-        assert len(sink.arrivals) == 1
-        assert sim.now == 1.5
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            sink = Sink()
+            _, probe = await delayed_network(FixedDelay(1.5), {"b": sink})
+            await probe.send(Envelope(Label.APP_DATA, "a", "b", b"x"))
+            await asyncio.sleep(1.0)
+            assert sink.arrivals == []
+            await asyncio.sleep(1.0)
+            return sink.arrivals, loop.time()
+
+        arrivals, now = run_virtual(scenario())
+        assert len(arrivals) == 1
+        assert now == 2.0
 
     def test_unknown_recipient_dropped(self):
-        sim = Simulator()
-        net = DelayedNetwork(sim, FixedDelay(0.1))
-        net.post(Envelope(Label.APP_DATA, "a", "ghost", b""))
-        sim.run()
-        assert net.dropped == 1
+        async def scenario():
+            sink = Sink()
+            net, probe = await delayed_network(FixedDelay(0.1), {"b": sink})
+            await probe.send(Envelope(Label.APP_DATA, "a", "ghost", b""))
+            await asyncio.sleep(1.0)
+            return net.frames_routed, sink.arrivals, probe.pending
+
+        assert run_virtual(scenario()) == (1, [], 0)
 
     def test_responses_also_delayed(self):
         class Echo:
@@ -69,23 +94,36 @@ class TestDelayedNetwork:
                 return [Envelope(Label.APP_DATA, envelope.recipient,
                                  envelope.sender, envelope.body)], []
 
-        sim = Simulator()
-        net = DelayedNetwork(sim, FixedDelay(1.0))
-        sink = Sink()
-        net.register("b", Echo().handle)
-        net.register("a", sink.handle)
-        net.post(Envelope(Label.APP_DATA, "a", "b", b""))
-        sim.run()
-        assert sim.now == 2.0  # one delay out, one back
-        assert len(sink.arrivals) == 1
+        class StampingSink(Sink):
+            def handle(self, envelope):
+                self.arrivals.append(asyncio.get_running_loop().time())
+                return [], []
+
+        async def scenario():
+            sink = StampingSink()
+            _, probe = await delayed_network(
+                FixedDelay(1.0), {"b": Echo(), "a": sink}
+            )
+            await probe.send(Envelope(Label.APP_DATA, "a", "b", b""))
+            await asyncio.sleep(5.0)
+            return sink.arrivals
+
+        assert run_virtual(scenario()) == [2.0]  # one delay out, one back
 
     def test_wire_log_timestamps(self):
-        sim = Simulator()
-        net = DelayedNetwork(sim, FixedDelay(0.2))
-        net.register("b", Sink().handle)
-        sim.at(3.0, lambda: net.post(Envelope(Label.APP_DATA, "a", "b", b"")))
-        sim.run()
-        assert net.wire_log[0][0] == 3.0
+        async def scenario():
+            bus = EventBus(LoopClock(asyncio.get_running_loop()))
+            with bus.capture() as records:
+                _, probe = await delayed_network(
+                    FixedDelay(0.2), {"b": Sink()}, telemetry=bus
+                )
+                await asyncio.sleep(3.0)
+                await probe.send(Envelope(Label.APP_DATA, "a", "b", b""))
+            return records
+
+        (record,) = run_virtual(scenario())
+        assert isinstance(record.event, FrameDelayed)
+        assert (record.ts, record.event.hold) == (3.0, 0.2)
 
 
 class TestLatencyStudy:
@@ -121,3 +159,26 @@ class TestLatencyStudy:
         )
         assert len(report.join_to_group_key) == 3
         assert report.join_to_group_key.mean > 0
+
+    def test_study_is_deterministic(self):
+        runs = [
+            run_latency_study(n_members=3,
+                              delay_model=ExponentialDelay(0.02, seed=1),
+                              n_admin_rounds=2)
+            for _ in range(2)
+        ]
+        for recorder in ("join_to_connected", "join_to_group_key",
+                         "admin_round_trip"):
+            first, second = (getattr(r, recorder).samples for r in runs)
+            assert first == second and first
+
+    @pytest.mark.parametrize("d", [0.01, 0.05])
+    def test_fig1_hop_counts(self, d):
+        """FIG-1: join→K_a = 2d, join→operational = 4d, admin = 1d."""
+        report = run_latency_study(n_members=4, delay_model=FixedDelay(d),
+                                   n_admin_rounds=3)
+        assert abs(report.join_to_connected.mean - 2 * d) < 1e-9
+        assert abs(report.join_to_group_key.mean - 4 * d) < 1e-9
+        assert abs(report.admin_round_trip.mean - d) < 1e-9
+        assert (len(report.join_to_connected), len(report.join_to_group_key),
+                len(report.admin_round_trip)) == (4, 4, 12)

@@ -57,3 +57,15 @@ class TestChurn:
     def test_summary_readable(self):
         text = run_churn(scenario()).summary()
         assert "joins=" in text and "rekeys=" in text
+
+    def test_raising_action_fails_the_run(self, monkeypatch):
+        """A workload action that raises propagates out of run_churn —
+        it must not vanish into the event loop's exception handler."""
+        from repro.enclaves.itgm.leader import GroupLeader
+
+        def boom(self):
+            raise RuntimeError("tick exploded")
+
+        monkeypatch.setattr(GroupLeader, "tick", boom)
+        with pytest.raises(RuntimeError, match="tick exploded"):
+            run_churn(scenario(rekey_policy=RekeyPolicy.PERIODIC))
