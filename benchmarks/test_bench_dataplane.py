@@ -9,10 +9,11 @@ Three measurements, written to ``BENCH_dataplane.json``:
 * **Ratchet overhead** — the same seal→open loop on the plain
   :class:`GroupKeyChannel` baseline, interleaved best-of with the
   ratcheted arm.  The ratchet buys per-message forward secrecy with
-  one extra HMAC derivation per frame plus replay accounting; the
-  gate is that the whole package stays within 2× of group-key-only
-  sealing.  Above that the "use the ratchet everywhere" guidance in
-  docs/architecture.md would need a caveat.
+  three HMACs per chain position plus replay accounting, and pays for a
+  fresh cipher per frame where the baseline's one long-lived key keeps
+  its own.  The gate is per backend (see ``MAX_OVERHEAD``); the record
+  names the backend that produced it, and docs/architecture.md carries
+  the measured caveat beside its "use the ratchet everywhere" guidance.
 
 * **Skip-window hit rate** — delivery in seq-reversed batches (the
   worst in-window disorder) must recover every frame from the skip
@@ -28,14 +29,30 @@ import time
 
 from conftest import write_bench_record
 from repro.crypto.keys import KEY_LEN, GroupKey
+from repro.crypto.provider import get_provider
 from repro.dataplane.channel import DataChannel, GroupKeyChannel
 
 REPEATS = 7
 FRAMES = 400
 PAYLOAD = b"\xa5" * 1024
-#: The acceptance bound: ratcheted seal→open within 2x of the plain
-#: group-key baseline.
-MAX_OVERHEAD = 2.0
+#: The acceptance bound on ratcheted / group-key seal→open time, by
+#: whether the backend keeps a CTR context per long-lived key.
+#:
+#: * Without kept contexts (``reference``, which is what CI's
+#:   ``dataplane`` job runs, and ``fast`` without ``cryptography``) both
+#:   arms build their cipher per frame and the ratchet's extra is its
+#:   HMACs: 2.0, as since this gate was written (measured 1.38; 1.58
+#:   before the message keys came straight off the chain).
+#: * With them (``fast`` + ``cryptography``) the baseline's single
+#:   long-lived key re-arms one context (~1 µs) while every one-time key
+#:   must build its own (~15–22 µs, twice per seal→open) — that build is
+#:   the floor of per-message keys on this backend, not ratchet
+#:   overhead that can be optimised away.  Keeping contexts made the
+#:   baseline 2.4x faster (13,669 → 32,837 frames/s) and the ratchet arm
+#:   1.5x faster (8,547 → 12,920), so the ratio reads 2.54 where it read
+#:   1.60: a faster denominator, not a slower ratchet.  3.5 keeps the
+#:   headroom 2.0 had over 1.6.
+MAX_OVERHEAD = {False: 2.0, True: 3.5}
 #: Out-of-order batch size for the skip-store measurement — must stay
 #: inside the default window so nothing is shed.
 SHUFFLE_SPAN = 16
@@ -114,13 +131,18 @@ def _skip_window_rate() -> dict:
 
 
 def test_dataplane_bench_gate():
+    provider = get_provider()
+    bound = MAX_OVERHEAD[provider.ctr_reuse]
     best = _interleaved_best()
     ratio = best["ratchet"] / best["group_key"]
     throughput = FRAMES / best["ratchet"]
     skip = _skip_window_rate()
 
     write_bench_record("dataplane", {
-        "bound": MAX_OVERHEAD,
+        "backend": provider.name,
+        "aes_backend": provider.aes_backend,
+        "ctr_reuse": provider.ctr_reuse,
+        "bound": bound,
         "frames_per_measurement": FRAMES,
         "payload_bytes": len(PAYLOAD),
         "repeats": REPEATS,
@@ -128,10 +150,12 @@ def test_dataplane_bench_gate():
         "group_key_s": best["group_key"],
         "ratio": ratio,
         "throughput_frames_per_s": throughput,
+        "group_key_frames_per_s": FRAMES / best["group_key"],
         "skip_window": skip,
     })
 
-    assert ratio <= MAX_OVERHEAD, (
-        f"ratchet seal/open overhead {ratio:.4f} > {MAX_OVERHEAD}"
+    assert ratio <= bound, (
+        f"ratchet seal/open overhead {ratio:.4f} > {bound} "
+        f"({provider.name}, ctr_reuse={provider.ctr_reuse})"
     )
     assert throughput > 0

@@ -13,7 +13,17 @@ with independent subkeys derived from K.
 All cryptographic work dispatches through the active
 :class:`~repro.crypto.provider.CryptoProvider`, so switching backends
 (``set_provider`` / ``REPRO_CRYPTO_BACKEND``) retargets every seal and
-open in the process while producing byte-identical boxes.  The one
+open in the process while producing byte-identical boxes.
+
+An :class:`AuthenticatedCipher` lives exactly as long as the long-lived
+key it wraps (``P_a``, ``K_a``, ``K_g``, a journal's storage key), so it
+is the one caller that passes ``reuse=True`` to the provider: the
+expanded cipher state for its encryption subkey is kept between frames.
+Its subkeys are derived when the first frame is sealed or opened, not at
+construction — a key that is installed and rotated away unused costs no
+KDF call.  One-time keys (the data plane's message keys) never go
+through this class; they call ``provider.seal``/``open`` directly and
+are cached nowhere.  The one
 batch entry point, the cross-key module-level :func:`seal_many`, serves
 the leader's admin fan-out: one payload per member, each under that
 member's session key, nonces drawn in request order.
@@ -71,42 +81,50 @@ class AuthenticatedCipher:
     b'hello'
     """
 
-    __slots__ = ("_enc_key", "_mac_key", "_rng")
+    __slots__ = ("_key", "_subkeys", "_rng")
 
     def __init__(self, key: KeyMaterial, rng: RandomSource | None = None) -> None:
-        self._enc_key, self._mac_key = key.subkeys()
+        self._key = key
+        self._subkeys: tuple[bytes, bytes] | None = None
         self._rng = rng if rng is not None else SystemRandom()
+
+    def _keys(self) -> tuple[bytes, bytes]:
+        """``(enc, mac)`` subkeys, derived on first use."""
+        pair = self._subkeys
+        if pair is None:
+            pair = self._subkeys = self._key.subkeys()
+        return pair
 
     def seal(self, plaintext: bytes, associated_data: bytes = b"") -> SealedBox:
         """Encrypt and authenticate ``plaintext``."""
-        nonce = self._rng.random_bytes(CTR_NONCE_LEN)
-        ciphertext, tag = get_provider().seal(
-            self._enc_key, self._mac_key, nonce, plaintext, associated_data
+        return self.seal_with_nonce(
+            self._rng.random_bytes(CTR_NONCE_LEN), plaintext, associated_data
         )
-        return SealedBox(nonce=nonce, ciphertext=ciphertext, tag=tag)
 
     def seal_with_nonce(
         self, nonce: bytes, plaintext: bytes, associated_data: bytes = b""
     ) -> SealedBox:
         """Encrypt and authenticate under a caller-supplied CTR nonce.
 
-        Only safe when the key is used for exactly one message — the
-        data-plane ratchet derives a fresh message key per sequence
-        number and uses the (big-endian) sequence number as the nonce,
-        making the whole frame deterministic and replay-evident.
+        Only safe when equal nonces can only ever pair with equal
+        plaintexts — the data plane's flow control derives the nonce
+        from everything that determines the plaintext, which keeps the
+        frame reproducible without reusing keystream.
         """
         if len(nonce) != CTR_NONCE_LEN:
             raise CodecError(f"CTR nonce must be {CTR_NONCE_LEN} bytes")
+        enc_key, mac_key = self._keys()
         ciphertext, tag = get_provider().seal(
-            self._enc_key, self._mac_key, nonce, plaintext, associated_data
+            enc_key, mac_key, nonce, plaintext, associated_data, reuse=True
         )
         return SealedBox(nonce=nonce, ciphertext=ciphertext, tag=tag)
 
     def open(self, box: SealedBox, associated_data: bytes = b"") -> bytes:
         """Verify and decrypt, raising :class:`IntegrityError` on forgery."""
+        enc_key, mac_key = self._keys()
         return get_provider().open(
-            self._enc_key, self._mac_key,
-            box.nonce, box.ciphertext, box.tag, associated_data,
+            enc_key, mac_key,
+            box.nonce, box.ciphertext, box.tag, associated_data, reuse=True,
         )
 
 
@@ -139,9 +157,7 @@ def seal_many(requests: Sequence[SealRequest]) -> list[SealedBox]:
     # evaluation order cannot change any output byte.
     groups: dict[tuple[bytes, bytes], list[int]] = {}
     for index, req in enumerate(requests):
-        groups.setdefault(
-            (req.cipher._enc_key, req.cipher._mac_key), []
-        ).append(index)
+        groups.setdefault(req.cipher._keys(), []).append(index)
     out: list[SealedBox | None] = [None] * len(requests)
     for (enc_key, mac_key), indices in groups.items():
         sealed = provider.seal_many(

@@ -25,10 +25,21 @@ Selection:
 
 The provider also carries the **batch** entry points
 (:meth:`CryptoProvider.seal_many` / :meth:`CryptoProvider.open_many`)
-that the leader's admin fan-out and the GROUP_WRAP demux use so a
-multi-frame flush pays the Python call overhead once, and caches AES key
-schedules per key so re-sealing under a long-lived key never re-expands
-the schedule.
+that the leader's admin fan-out uses for a flush under one key.
+
+What is cached, and for which keys.  A provider keeps expanded cipher
+state — an AES key schedule, and on the fast backend an armed OpenSSL
+CTR context — only for keys a caller declares **long-lived** by passing
+``reuse=True`` to :meth:`CryptoProvider.seal` / :meth:`CryptoProvider.open`
+(:class:`~repro.crypto.aead.AuthenticatedCipher` does: ``P_a``, ``K_a``,
+``K_g``, a journal's storage key) and for the one key of a
+``seal_many`` / ``open_many`` flush.  Building a CTR context costs ~15 µs
+and re-arming a kept one with a new nonce ~1 µs, which is most of what a
+short frame pays for encryption.  The default, ``reuse=False``, is the
+one-shot path: build the cipher, use it, drop it.  The data plane's
+one-time message keys take it, so a key that was ratcheted away is never
+left reachable in a process-wide cache.  Each cache is a bounded LRU
+owned by one provider instance; switching backends switches caches.
 """
 
 from __future__ import annotations
@@ -49,13 +60,13 @@ HKDF_MAX_LENGTH = 255 * 32
 
 
 class _KeyScheduleCache:
-    """Small LRU of block-cipher objects keyed by raw key bytes.
+    """Small LRU of expanded cipher state keyed by raw key bytes.
 
-    AES key expansion costs ~40 S-box passes per key; protocol code
-    constructs a cipher per frame in several hot paths, so the schedule
-    is cached here (per provider, since the cached object type differs
-    between backends).  Bounded so a churn of ephemeral message keys
-    cannot grow it without limit.
+    AES key expansion costs ~40 S-box passes per key and an OpenSSL CTR
+    context ~15 µs to build, so both are kept here for long-lived keys
+    (per provider, since the cached object type differs between
+    backends).  Bounded so a churn of session keys cannot grow it
+    without limit.
     """
 
     __slots__ = ("_entries", "_maxsize")
@@ -74,6 +85,9 @@ class _KeyScheduleCache:
         else:
             self._entries.move_to_end(key)
         return entry
+
+    def __contains__(self, key: bytes) -> bool:
+        return key in self._entries
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -95,9 +109,17 @@ class CryptoProvider(ABC):
     #: "cryptography") — surfaced in BENCH_crypto.json so a ratio is
     #: never read without knowing what produced it.
     aes_backend: str = "pure"
+    #: Whether a long-lived key's CTR context is kept and re-armed per
+    #: frame (True) or rebuilt per frame (False) — recorded beside
+    #: ``aes_backend`` for the same reason.
+    ctr_reuse: bool = False
 
     def __init__(self) -> None:
         self._schedules = _KeyScheduleCache()
+
+    def caches_key(self, key: bytes) -> bool:
+        """Whether this provider holds cipher state expanded from ``key``."""
+        return key in self._schedules
 
     # -- hashing ---------------------------------------------------------
 
@@ -185,11 +207,17 @@ class CryptoProvider(ABC):
 
     # -- chaining modes --------------------------------------------------
 
-    def ctr_transform(self, key: bytes, nonce: bytes, data: bytes) -> bytes:
-        """CTR mode over an 8-byte nonce || 64-bit big-endian counter."""
+    def _ctr(self, key: bytes, nonce: bytes, data: bytes, reuse: bool) -> bytes:
+        """The CTR transform under every sealed box.  ``reuse`` keeps the
+        expanded key for the next frame; without it nothing is cached."""
         from repro.crypto.modes import ctr_transform
 
-        return ctr_transform(self.aes(key), nonce, data)
+        cipher = self.aes(key) if reuse else self._make_aes(key)
+        return ctr_transform(cipher, nonce, data)
+
+    def ctr_transform(self, key: bytes, nonce: bytes, data: bytes) -> bytes:
+        """CTR mode over an 8-byte nonce || 64-bit big-endian counter."""
+        return self._ctr(key, nonce, data, False)
 
     def cbc_encrypt(self, key: bytes, iv: bytes, plaintext: bytes) -> bytes:
         """CBC-encrypt with PKCS#7 padding."""
@@ -222,9 +250,16 @@ class CryptoProvider(ABC):
         nonce: bytes,
         plaintext: bytes,
         associated_data: bytes = b"",
+        *,
+        reuse: bool = False,
     ) -> tuple[bytes, bytes]:
-        """Encrypt-then-MAC one frame: ``(ciphertext, tag)``."""
-        ciphertext = self.ctr_transform(enc_key, nonce, plaintext)
+        """Encrypt-then-MAC one frame: ``(ciphertext, tag)``.
+
+        ``reuse=True`` declares ``enc_key`` long-lived: its expanded
+        state is kept for the next frame.  The default builds, uses and
+        drops it, which is what a one-time key needs.
+        """
+        ciphertext = self._ctr(enc_key, nonce, plaintext, reuse)
         return ciphertext, self._tag(mac_key, nonce, ciphertext,
                                      associated_data)
 
@@ -236,14 +271,17 @@ class CryptoProvider(ABC):
         ciphertext: bytes,
         tag: bytes,
         associated_data: bytes = b"",
+        *,
+        reuse: bool = False,
     ) -> bytes:
-        """Verify and decrypt one frame (IntegrityError on forgery)."""
+        """Verify and decrypt one frame (IntegrityError on forgery,
+        raised before any decryption).  ``reuse`` as in :meth:`seal`."""
         from repro.util.bytesops import constant_time_eq
 
         expected = self._tag(mac_key, nonce, ciphertext, associated_data)
         if not constant_time_eq(expected, tag):
             raise IntegrityError("MAC verification failed")
-        return self.ctr_transform(enc_key, nonce, ciphertext)
+        return self._ctr(enc_key, nonce, ciphertext, reuse)
 
     def seal_many(
         self,
@@ -253,21 +291,14 @@ class CryptoProvider(ABC):
     ) -> list[tuple[bytes, bytes]]:
         """Seal a flush of ``(nonce, plaintext, ad)`` frames under one key.
 
-        Semantically identical to calling :meth:`seal` per item; the
-        batch form binds the key schedule and method lookups once so a
-        multi-frame flush (leader fan-out, demux drain) amortizes the
-        per-call overhead.
+        Identical to :meth:`seal` with ``reuse=True`` per item: a key
+        that seals a batch is long-lived by construction.
         """
-        cipher = self.aes(key=enc_key)
-        from repro.crypto.modes import ctr_transform
-
-        hmac_sha256 = self.hmac_sha256
+        ctr, tag = self._ctr, self._tag
         out = []
         for nonce, plaintext, ad in items:
-            ciphertext = ctr_transform(cipher, nonce, plaintext)
-            header = len(ad).to_bytes(4, "big") + ad
-            out.append((ciphertext,
-                        hmac_sha256(mac_key, header + nonce + ciphertext)))
+            ciphertext = ctr(enc_key, nonce, plaintext, True)
+            out.append((ciphertext, tag(mac_key, nonce, ciphertext, ad)))
         return out
 
     def open_many(
@@ -284,16 +315,11 @@ class CryptoProvider(ABC):
         """
         from repro.util.bytesops import constant_time_eq
 
-        cipher = self.aes(key=enc_key)
-        from repro.crypto.modes import ctr_transform
-
-        hmac_sha256 = self.hmac_sha256
+        ctr, tag_of = self._ctr, self._tag
         out: list[bytes | None] = []
         for nonce, ciphertext, tag, ad in items:
-            header = len(ad).to_bytes(4, "big") + ad
-            expected = hmac_sha256(mac_key, header + nonce + ciphertext)
-            if constant_time_eq(expected, tag):
-                out.append(ctr_transform(cipher, nonce, ciphertext))
+            if constant_time_eq(tag_of(mac_key, nonce, ciphertext, ad), tag):
+                out.append(ctr(enc_key, nonce, ciphertext, True))
             else:
                 out.append(None)
         return out
@@ -379,9 +405,12 @@ class FastProvider(CryptoProvider):
     * AES/CBC/CTR and the sealed box: ``cryptography`` when importable
       (our 8-byte-nonce CTR layout is standard CTR with the counter
       half of the initial block zero, so ciphertexts match the
-      reference bit-for-bit); otherwise the pure-Python AES with its
-      cached key schedule, so the backend degrades gracefully instead
-      of failing to construct.
+      reference bit-for-bit); otherwise the pure-Python AES, so the
+      backend degrades gracefully instead of failing to construct.
+    * Long-lived keys (``reuse=True``, see the module docstring): one
+      CTR context per key, re-armed per frame with ``reset_nonce`` where
+      the installed ``cryptography`` has it (:attr:`ctr_reuse`), rebuilt
+      per frame where it does not.
     """
 
     name = "fast"
@@ -404,11 +433,18 @@ class FastProvider(CryptoProvider):
             self._algorithms = algorithms
             self._modes = modes
             self.aes_backend = "cryptography"
+            # Observed, not configured: contexts that can take a new
+            # nonce are kept per long-lived key, others rebuilt per frame.
+            self.ctr_reuse = hasattr(self._make_ctr(bytes(16)), "reset_nonce")
         except ImportError:  # graceful degradation, see class docstring
             self._cipher_cls = None
             self._algorithms = None
             self._modes = None
             self.aes_backend = "pure"
+        self._contexts = _KeyScheduleCache()
+
+    def caches_key(self, key: bytes) -> bool:
+        return key in self._contexts or super().caches_key(key)
 
     # -- hashing / MAC ---------------------------------------------------
 
@@ -446,19 +482,27 @@ class FastProvider(CryptoProvider):
 
         return AES(key)
 
-    def ctr_transform(self, key: bytes, nonce: bytes, data: bytes) -> bytes:
+    def _make_ctr(self, key: bytes, nonce: bytes = bytes(8)):
+        # Standard 128-bit-counter CTR with the low 64 bits starting at
+        # zero reproduces the reference nonce||counter keystream exactly.
+        return self._cipher_cls(
+            self._algorithms.AES(key), self._modes.CTR(nonce + bytes(8))
+        ).encryptor()
+
+    def _ctr(self, key: bytes, nonce: bytes, data: bytes, reuse: bool) -> bytes:
         if len(nonce) != 8:
             raise ValueError("CTR nonce must be 8 bytes")
         if self._cipher_cls is None:
-            from repro.crypto.modes import ctr_transform
-
-            return ctr_transform(self.aes(key), nonce, data)
-        # Standard 128-bit-counter CTR with the low 64 bits starting at
-        # zero reproduces the reference nonce||counter keystream exactly.
-        encryptor = self._cipher_cls(
-            self._algorithms.AES(key), self._modes.CTR(nonce + bytes(8))
-        ).encryptor()
-        return encryptor.update(data) + encryptor.finalize()
+            return super()._ctr(key, nonce, data, reuse)
+        if reuse and self.ctr_reuse:
+            # A CTR context is never finalized, and as a stream mode it
+            # returns every byte from update(): re-arming it with the
+            # next nonce is all a new frame under the same key needs.
+            context = self._contexts.get(key, self._make_ctr)
+            context.reset_nonce(nonce + bytes(8))
+            return context.update(data)
+        context = self._make_ctr(key, nonce)
+        return context.update(data) + context.finalize()
 
     def cbc_encrypt(self, key: bytes, iv: bytes, plaintext: bytes) -> bytes:
         if self._cipher_cls is None:
@@ -486,59 +530,6 @@ class FastProvider(CryptoProvider):
         ).decryptor()
         padded = decryptor.update(ciphertext) + decryptor.finalize()
         return pkcs7_unpad(padded, 16)
-
-    # -- sealed boxes ----------------------------------------------------
-
-    def seal_many(
-        self,
-        enc_key: bytes,
-        mac_key: bytes,
-        items: Sequence[tuple[bytes, bytes, bytes]],
-    ) -> list[tuple[bytes, bytes]]:
-        if self._cipher_cls is None:
-            return super().seal_many(enc_key, mac_key, items)
-        cipher_cls = self._cipher_cls
-        aes_alg = self._algorithms.AES(enc_key)
-        ctr_mode = self._modes.CTR
-        hmac_new = self._hmac_mod.new
-        sha256 = self._hashlib.sha256
-        out = []
-        for nonce, plaintext, ad in items:
-            encryptor = cipher_cls(aes_alg, ctr_mode(nonce + bytes(8))).encryptor()
-            ciphertext = encryptor.update(plaintext) + encryptor.finalize()
-            mac = hmac_new(mac_key, len(ad).to_bytes(4, "big") + ad, sha256)
-            mac.update(nonce)
-            mac.update(ciphertext)
-            out.append((ciphertext, mac.digest()))
-        return out
-
-    def open_many(
-        self,
-        enc_key: bytes,
-        mac_key: bytes,
-        items: Sequence[tuple[bytes, bytes, bytes, bytes]],
-    ) -> list[bytes | None]:
-        if self._cipher_cls is None:
-            return super().open_many(enc_key, mac_key, items)
-        cipher_cls = self._cipher_cls
-        aes_alg = self._algorithms.AES(enc_key)
-        ctr_mode = self._modes.CTR
-        hmac_new = self._hmac_mod.new
-        sha256 = self._hashlib.sha256
-        compare_digest = self._hmac_mod.compare_digest
-        out: list[bytes | None] = []
-        for nonce, ciphertext, tag, ad in items:
-            mac = hmac_new(mac_key, len(ad).to_bytes(4, "big") + ad, sha256)
-            mac.update(nonce)
-            mac.update(ciphertext)
-            if compare_digest(mac.digest(), tag):
-                decryptor = cipher_cls(
-                    aes_alg, ctr_mode(nonce + bytes(8))
-                ).decryptor()
-                out.append(decryptor.update(ciphertext) + decryptor.finalize())
-            else:
-                out.append(None)
-        return out
 
 
 # -- registry ------------------------------------------------------------

@@ -26,7 +26,6 @@ from repro.dataplane.channel import DataChannel, GroupKeyChannel
 from repro.dataplane.member import DataMember
 from repro.dataplane.ratchet import (
     DEFAULT_SKIP_WINDOW,
-    DataMessageKey,
     ReceiverState,
     SenderState,
     seed_chain,
@@ -37,7 +36,6 @@ __all__ = [
     "DEFAULT_SKIP_WINDOW",
     "DataChannel",
     "DataMember",
-    "DataMessageKey",
     "GroupKeyChannel",
     "ReceiverState",
     "ReliableReceiver",

@@ -25,6 +25,17 @@ so a frame cannot be replayed under a different chain position or a
 different epoch even if the key were somehow right.  The CTR nonce is
 the sequence number itself — each message key seals exactly one frame,
 making deterministic nonces safe and the whole frame reproducible.
+
+What a bind costs: nothing.  :meth:`DataChannel.rebind` only records the
+new group key and epoch; the local chain is seeded by the first
+:meth:`~DataChannel.seal`, a remote sender's by its first frame, and the
+group-key subkeys of :attr:`~DataChannel.control_cipher` (flow control,
+one cipher per bound epoch) by the first ACK — a member that sits
+through three rekeys without traffic derives no key at all.  Message
+keys come off the chain as the ``(enc, mac)`` pair and go straight to
+``provider.seal``/``open`` on the one-shot path: no
+:class:`~repro.crypto.aead.AuthenticatedCipher`, no per-message KDF, and
+no cache that outlives the frame.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ from __future__ import annotations
 from repro.crypto.aead import AuthenticatedCipher, SealedBox
 from repro.crypto.keys import GroupKey
 from repro.crypto.mac import hmac_sha256
+from repro.crypto.provider import get_provider
 from repro.dataplane.ratchet import (
     DEFAULT_SKIP_WINDOW,
     ReceiverState,
@@ -107,6 +119,10 @@ class DataChannel:
         self._epoch = -1
         self._sender: SenderState | None = None
         self._receivers: dict[str, ReceiverState] = {}
+        #: The bound epoch's group-key cipher (None while unbound).  The
+        #: reliability layer seals flow control under it; data frames
+        #: never use it.
+        self.control_cipher: AuthenticatedCipher | None = None
         #: Frames this channel delivered / shed (cheap introspection
         #: for soaks and attacks without a telemetry subscription).
         self.delivered = 0
@@ -118,29 +134,26 @@ class DataChannel:
         return self._epoch
 
     @property
-    def group_key(self) -> GroupKey | None:
-        """The bound group key (the reliability layer seals flow
-        control under it; data frames never use it directly)."""
-        return self._group_key
-
-    @property
     def bound(self) -> bool:
-        return self._sender is not None
+        return self._group_key is not None
 
     def rebind(self, group_key: GroupKey, epoch: int) -> None:
-        """Re-seed every chain from a new group-key epoch.
+        """Bind every chain to a new group-key epoch.
 
         Called on each installed rekey.  All previous sender and
         receiver state — including banked skip keys — is discarded:
         in-flight frames from the old epoch are the reliability layer's
         problem (it re-seals them), not a hole in forward secrecy.
+        Nothing is derived here; each chain is seeded when it is first
+        used (see the module docstring).
         """
         if epoch == self._epoch:
             return
         self._group_key = group_key
         self._epoch = epoch
-        self._sender = SenderState(seed_chain(group_key, epoch, self.node))
+        self._sender = None
         self._receivers = {}
+        self.control_cipher = AuthenticatedCipher(group_key)
 
     def _receiver_for(self, sender: str) -> ReceiverState:
         state = self._receivers.get(sender)
@@ -159,13 +172,19 @@ class DataChannel:
         confidentiality does not depend on it — the relay never holds a
         message key.
         """
-        if self._sender is None:
+        if self._group_key is None:
             raise StateError("data channel not bound to a group epoch")
-        seq, key = self._sender.next_key()
+        if self._sender is None:
+            self._sender = SenderState(
+                seed_chain(self._group_key, self._epoch, self.node)
+            )
+        seq, (enc_key, mac_key) = self._sender.next_key()
         nonce = seq.to_bytes(_SEQ_LEN, "big")
-        box = AuthenticatedCipher(key).seal_with_nonce(
-            nonce, payload, data_ad(self.node, self._epoch, seq)
+        ciphertext, tag = get_provider().seal(
+            enc_key, mac_key, nonce, payload,
+            data_ad(self.node, self._epoch, seq),
         )
+        box = SealedBox(nonce=nonce, ciphertext=ciphertext, tag=tag)
         body = encode_data_body(self.node, self._epoch, seq, box.to_bytes())
         return seq, Envelope(Label.DATA_MSG, self.node, recipient, body)
 
@@ -188,7 +207,7 @@ class DataChannel:
                 bus.emit(DataShed(self.node, envelope.sender, -1, -1,
                                   "integrity", fid))
             raise
-        if self._sender is None or epoch != self._epoch:
+        if self._group_key is None or epoch != self._epoch:
             self.shed += 1
             if bus:
                 bus.emit(DataShed(self.node, sender, epoch, seq, "epoch", fid))
@@ -211,8 +230,10 @@ class DataChannel:
                 bus.emit(DataShed(self.node, sender, epoch, seq, "window", fid))
             raise
         try:
-            plaintext = AuthenticatedCipher(pending.key).open(
-                SealedBox.from_bytes(box_b), data_ad(sender, epoch, seq)
+            box = SealedBox.from_bytes(box_b)
+            plaintext = get_provider().open(
+                *pending.key, box.nonce, box.ciphertext, box.tag,
+                data_ad(sender, epoch, seq),
             )
         except (IntegrityError, CodecError):
             self.shed += 1
@@ -265,7 +286,6 @@ class GroupKeyChannel:
     def __init__(self, node: str, *, telemetry: EventBus | None = None) -> None:
         self.node = node
         self._telemetry = resolve_bus(telemetry)
-        self._group_key: GroupKey | None = None
         self._cipher: AuthenticatedCipher | None = None
         self._epoch = -1
         self._next_seq = 0
@@ -277,8 +297,9 @@ class GroupKeyChannel:
         return self._epoch
 
     @property
-    def group_key(self) -> GroupKey | None:
-        return self._group_key
+    def control_cipher(self) -> AuthenticatedCipher | None:
+        """Flow control shares the one group-key cipher data uses."""
+        return self._cipher
 
     @property
     def bound(self) -> bool:
@@ -287,7 +308,6 @@ class GroupKeyChannel:
     def rebind(self, group_key: GroupKey, epoch: int) -> None:
         if epoch == self._epoch:
             return
-        self._group_key = group_key
         self._cipher = AuthenticatedCipher(group_key)
         self._epoch = epoch
 
@@ -330,6 +350,10 @@ class GroupKeyChannel:
         if bus:
             bus.emit(DataDelivered(self.node, sender, epoch, seq, fid))
         return sender, seq, plaintext
+
+    def receiver_state(self, sender: str) -> None:
+        """No receive chains here, so nothing to acknowledge from."""
+        return None
 
     def skip_stats(self) -> dict:
         return {"skip_hits": 0, "skips_banked": 0, "skips_evicted": 0}

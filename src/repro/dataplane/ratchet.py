@@ -4,9 +4,15 @@ Each sender owns a forward-only key chain seeded from the group key:
 
 .. code-block:: text
 
-    ck_0 = HKDF(group key, "chain" | sender | epoch)
-    mk_i = HMAC(ck_i, "msg")        one message key per sequence number
+    ck_0     = HKDF(group key, "chain" | sender | epoch)
+    mk_i     = (enc_i, mac_i) = (HMAC(ck_i, "msg|enc")[:16], HMAC(ck_i, "msg|mac"))
     ck_{i+1} = HMAC(ck_i, "next")   then the chain ratchets forward
+
+The message key *is* the (encryption, MAC) pair the sealed box needs —
+three labelled HMACs per chain position and no further KDF — and it goes
+straight to ``provider.seal``/``open`` on the one-shot path, so no cache
+anywhere outlives it (known-answer vectors:
+``tests/crypto/vectors/ratchet_chain.json``).
 
 Two properties follow directly from the one-wayness of HMAC:
 
@@ -39,11 +45,11 @@ throw away chain state or banked skip keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.crypto.kdf import hkdf_expand, hkdf_extract
-from repro.crypto.keys import KEY_LEN, GroupKey, KeyMaterial
-from repro.crypto.mac import hmac_sha256
+from repro.crypto.keys import KEY_LEN, GroupKey
+from repro.crypto.provider import get_provider
 from repro.exceptions import RatchetReplayError, SkipWindowExceeded, StateError
 
 #: Maximum positions a single frame may ratchet the receive chain
@@ -58,15 +64,13 @@ DEFAULT_SKIP_WINDOW = 32
 DEFAULT_MAX_STORED = 4 * DEFAULT_SKIP_WINDOW
 
 _DOMAIN = b"repro-dataplane-v1"
-_MSG_LABEL = b"msg"
+_ENC_LABEL = b"msg|enc"
+_MAC_LABEL = b"msg|mac"
 _NEXT_LABEL = b"next"
+_ENC_KEY_LEN = 16
 
-
-@dataclass(frozen=True, repr=False)
-class DataMessageKey(KeyMaterial):
-    """``mk_i``: the key for exactly one data frame, then gone."""
-
-    usage: str = field(default="data-msg", init=False, repr=False, compare=False)
+#: ``mk_i``: the (encryption, MAC) keys for exactly one data frame.
+MessageKey = tuple[bytes, bytes]
 
 
 def seed_chain(group_key: GroupKey, epoch: int, sender_id: str) -> bytes:
@@ -82,12 +86,14 @@ def seed_chain(group_key: GroupKey, epoch: int, sender_id: str) -> bytes:
     return hkdf_expand(prk, info, KEY_LEN)
 
 
-def _message_key(chain_key: bytes) -> DataMessageKey:
-    return DataMessageKey(hmac_sha256(chain_key, _MSG_LABEL))
-
-
-def _advance(chain_key: bytes) -> bytes:
-    return hmac_sha256(chain_key, _NEXT_LABEL)
+def _step(chain_key: bytes) -> tuple[MessageKey, bytes]:
+    """One chain position: ``(mk_i, ck_{i+1})`` from ``ck_i``."""
+    hmac_sha256 = get_provider().hmac_sha256
+    return (
+        (hmac_sha256(chain_key, _ENC_LABEL)[:_ENC_KEY_LEN],
+         hmac_sha256(chain_key, _MAC_LABEL)),
+        hmac_sha256(chain_key, _NEXT_LABEL),
+    )
 
 
 class SenderState:
@@ -104,15 +110,14 @@ class SenderState:
         """Sequence number the next :meth:`next_key` call will return."""
         return self._next_seq
 
-    def next_key(self) -> tuple[int, DataMessageKey]:
-        """Consume one chain position: ``(seq, message key)``.
+    def next_key(self) -> tuple[int, MessageKey]:
+        """Consume one chain position: ``(seq, (enc, mac))``.
 
         The chain ratchets forward immediately — after this returns,
         the sender state alone can never re-derive the returned key.
         """
         seq = self._next_seq
-        key = _message_key(self._chain)
-        self._chain = _advance(self._chain)
+        key, self._chain = _step(self._chain)
         self._next_seq += 1
         return seq, key
 
@@ -128,9 +133,9 @@ class PendingKey:
     """
 
     seq: int
-    key: DataMessageKey
+    key: MessageKey
     from_skip: bool
-    banked: tuple[tuple[int, DataMessageKey], ...]
+    banked: tuple[tuple[int, MessageKey], ...]
     chain_after: bytes | None
     next_seq_after: int
 
@@ -158,7 +163,7 @@ class ReceiverState:
             raise StateError("max_stored must be >= window")
         self._chain = chain_key
         self._next_seq = 0
-        self._skipped: dict[int, DataMessageKey] = {}
+        self._skipped: dict[int, MessageKey] = {}
         self.window = window
         self.max_stored = max_stored
         #: Late frames served from the skip store (bench: hit rate).
@@ -200,14 +205,14 @@ class ReceiverState:
                 f"{self._next_seq}; window is {self.window}"
             )
         chain = self._chain
-        banked: list[tuple[int, DataMessageKey]] = []
+        banked: list[tuple[int, MessageKey]] = []
         for skipped_seq in range(self._next_seq, seq):
-            banked.append((skipped_seq, _message_key(chain)))
-            chain = _advance(chain)
-        key = _message_key(chain)
+            key, chain = _step(chain)
+            banked.append((skipped_seq, key))
+        key, chain = _step(chain)
         return PendingKey(
             seq=seq, key=key, from_skip=False, banked=tuple(banked),
-            chain_after=_advance(chain), next_seq_after=seq + 1,
+            chain_after=chain, next_seq_after=seq + 1,
         )
 
     def commit(self, pending: PendingKey) -> int:
@@ -248,7 +253,6 @@ class ReceiverState:
 __all__ = [
     "DEFAULT_MAX_STORED",
     "DEFAULT_SKIP_WINDOW",
-    "DataMessageKey",
     "PendingKey",
     "ReceiverState",
     "SenderState",

@@ -24,7 +24,10 @@ sealed envelope it last sent for it:
 ACK/NACK payloads are sealed under the current group key (they are
 group-internal flow control, not end-to-end secrets) with associated
 data binding label, origin sender, acker, and epoch; the origin and
-acker ride in the clear so the relay can route without opening.
+acker ride in the clear so the relay can route without opening.  Every
+ACK of an epoch goes through the channel's one ``control_cipher``, so
+the group key's subkeys are derived once and its cipher context is kept
+for as long as the epoch lasts.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 
 from repro.crypto.aead import AuthenticatedCipher, SealedBox
-from repro.crypto.keys import GroupKey
 from repro.crypto.mac import hmac_sha256
 from repro.exceptions import (
     CodecError,
@@ -62,7 +64,7 @@ def _control_ad(label: Label, origin: str, acker: str, epoch: int) -> bytes:
 
 def _seal_control(
     label: Label,
-    group_key: GroupKey,
+    cipher: AuthenticatedCipher,
     origin: str,
     acker: str,
     epoch: int,
@@ -79,7 +81,7 @@ def _seal_control(
     # the plaintext, so equal nonces only ever pair with equal
     # plaintexts — reproducible frames, no keystream reuse leak.
     nonce = hmac_sha256(b"repro-data-ctl-nonce", ad + payload)[:8]
-    box = AuthenticatedCipher(group_key).seal_with_nonce(nonce, payload, ad)
+    box = cipher.seal_with_nonce(nonce, payload, ad)
     body = encode_fields([encode_str(origin), encode_str(acker), box.to_bytes()])
     return Envelope(label, acker, relay, body)
 
@@ -274,16 +276,15 @@ class ReliableSender:
             self._budget_starved = False
 
     def _open(self, label: Label, envelope: Envelope):
-        key = getattr(self.channel, "group_key", None)
-        if key is None:
+        cipher = self.channel.control_cipher
+        if cipher is None:
             return None
         try:
             origin, acker, box_b = decode_control_routing(envelope.body)
             if origin != self.node:
                 return None
             ad = _control_ad(label, origin, acker, self.channel.epoch)
-            plain = AuthenticatedCipher(key).open(
-                SealedBox.from_bytes(box_b), ad)
+            plain = cipher.open(SealedBox.from_bytes(box_b), ad)
             fields = decode_fields(plain)
         except (CodecError, IntegrityError):
             return None
@@ -339,19 +340,19 @@ class ReliableReceiver:
                 self.duplicates_suppressed += 1
             else:
                 seen.add(msg_id)
-        key = self.channel.group_key
-        state = getattr(self.channel, "receiver_state", lambda _s: None)(sender)
-        if key is None or state is None:
+        cipher = self.channel.control_cipher
+        state = self.channel.receiver_state(sender)
+        if cipher is None or state is None:
             return delivery, []
         control = [_seal_control(
-            Label.DATA_ACK, key, sender, self.node, self.channel.epoch,
+            Label.DATA_ACK, cipher, sender, self.node, self.channel.epoch,
             [state.contiguous_delivered() + 1], relay,  # +1: see on_ack
         )]
         self.acks_sent += 1
         gaps = state.outstanding()
         if gaps:
             control.append(_seal_control(
-                Label.DATA_NACK, key, sender, self.node, self.channel.epoch,
+                Label.DATA_NACK, cipher, sender, self.node, self.channel.epoch,
                 gaps, relay,
             ))
             self.nacks_sent += 1

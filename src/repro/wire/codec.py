@@ -18,19 +18,21 @@ from repro.exceptions import CodecError
 
 MAX_FIELD_LEN = 1 << 24  # 16 MiB per field: generous but bounded
 
+_U32 = struct.Struct(">I")
+
 
 def encode_u32(value: int) -> bytes:
     """Encode an unsigned 32-bit integer big-endian."""
     if not 0 <= value < (1 << 32):
         raise CodecError(f"u32 out of range: {value}")
-    return struct.pack(">I", value)
+    return _U32.pack(value)
 
 
 def decode_u32(data: bytes) -> int:
     """Decode a 4-byte big-endian unsigned integer."""
     if len(data) != 4:
         raise CodecError("u32 must be exactly 4 bytes")
-    return struct.unpack(">I", data)[0]
+    return _U32.unpack(data)[0]
 
 
 def encode_fields(fields: Iterable[bytes]) -> bytes:
@@ -39,16 +41,17 @@ def encode_fields(fields: Iterable[bytes]) -> bytes:
     Layout: ``count:u32 (len:u32 body)*`` — unambiguous and
     self-delimiting, so decoding is a total inverse on valid inputs.
     """
-    parts = []
-    count = 0
+    pack = _U32.pack
+    parts = [b""]  # the count, known once the fields have been walked
     for f in fields:
         if not isinstance(f, (bytes, bytearray)):
             raise CodecError(f"field must be bytes, got {type(f).__name__}")
         if len(f) > MAX_FIELD_LEN:
             raise CodecError("field too long")
-        parts.append(encode_u32(len(f)) + bytes(f))
-        count += 1
-    return encode_u32(count) + b"".join(parts)
+        parts.append(pack(len(f)))
+        parts.append(f)
+    parts[0] = pack(len(parts) // 2)
+    return b"".join(parts)
 
 
 def decode_fields(data: bytes, expect: int | None = None) -> list[bytes]:
@@ -58,23 +61,26 @@ def decode_fields(data: bytes, expect: int | None = None) -> list[bytes]:
     input into a :class:`CodecError` instead of an index error later.
     Trailing garbage is rejected: the encoding must consume all input.
     """
-    if len(data) < 4:
+    size = len(data)
+    if size < 4:
         raise CodecError("truncated field list (missing count)")
-    count = decode_u32(data[:4])
+    unpack_from = _U32.unpack_from
+    (count,) = unpack_from(data, 0)
     offset = 4
     fields: list[bytes] = []
     for _ in range(count):
-        if offset + 4 > len(data):
+        if offset + 4 > size:
             raise CodecError("truncated field list (missing length)")
-        length = decode_u32(data[offset:offset + 4])
+        (length,) = unpack_from(data, offset)
         offset += 4
         if length > MAX_FIELD_LEN:
             raise CodecError("field too long")
-        if offset + length > len(data):
+        end = offset + length
+        if end > size:
             raise CodecError("truncated field body")
-        fields.append(data[offset:offset + length])
-        offset += length
-    if offset != len(data):
+        fields.append(data[offset:end])
+        offset = end
+    if offset != size:
         raise CodecError("trailing bytes after field list")
     if expect is not None and count != expect:
         raise CodecError(f"expected {expect} fields, got {count}")

@@ -79,3 +79,41 @@ def test_soak_jsonl_identical_across_backends(scenario):
     for name, log in exports.items():
         assert log == reference, \
             f"{name} diverged from reference: {first_divergence(log, reference)}"
+
+
+def data_member_wire_log(backend: str) -> list:
+    """A seeded ``DataMember`` exchange through the relay with the first
+    frame lost on its way in: DATA_MSG, DATA_ACK, and a DATA_NACK refill
+    — every byte posted, in order."""
+    from repro.attacks.base import build_data
+    from repro.wire.labels import Label
+
+    with using_provider(backend):
+        scenario = build_data(["alice", "bob", "carol"], seed=31)
+        net = scenario.net
+        lost = []
+
+        def lose_first_data_frame(envelope):
+            if envelope.label is Label.DATA_MSG and not lost:
+                lost.append(envelope)
+                return []
+            return None
+
+        net.set_interceptor(lose_first_data_frame)
+        alice = scenario.members["alice"]
+        for payload in (b"lost on the way in", b"arrives first"):
+            net.post_all(alice.send_data(payload))
+        net.run()
+        assert alice.sender.pending == 0 and alice.sender.retransmits == 2
+        assert [p for (_s, _q, p) in scenario.members["bob"].inbox] == \
+            [b"arrives first", b"lost on the way in"]
+        return [(e.label.name, e.sender, e.recipient, e.body)
+                for e in net.wire_log]
+
+
+def test_data_member_exchange_identical_across_backends():
+    logs = {name: data_member_wire_log(name) for name in BACKENDS}
+    labels = {entry[0] for entry in logs["reference"]}
+    assert {"DATA_MSG", "DATA_ACK", "DATA_NACK"} <= labels
+    for name, log in logs.items():
+        assert log == logs["reference"], f"{name} diverged from reference"

@@ -7,7 +7,8 @@ errors on the same bad inputs.  This suite pins that down two ways:
 * **Primitive-level**: seeded random inputs through every provider
   method, ``reference`` vs every other registered backend, compared
   byte-for-byte (including the batch ``seal_many``/``open_many`` forms
-  against their one-at-a-time equivalents).
+  against their one-at-a-time equivalents, and the kept-context path a
+  long-lived key takes against the one-shot path).
 * **Protocol-level**: a complete seeded group scenario (joins, app
   traffic, a rekey, a leave) replayed under each backend; the entire
   wire log — every envelope on the wire, in order — must be identical
@@ -17,9 +18,14 @@ Nothing here knows how a backend is implemented; a future backend only
 has to register itself to be held to the same contract.
 """
 
+import random
+
 import pytest
 
+from repro.crypto.aead import AuthenticatedCipher
+from repro.crypto.keys import SessionKey
 from repro.crypto.provider import (
+    FastProvider,
     available_backends,
     get_provider,
     using_provider,
@@ -200,6 +206,104 @@ class TestSealedBoxes:
                 for i, job in enumerate(jobs)]
         assert ref.open_many(enc_key, mac_key, items) == want
         assert alt.open_many(enc_key, mac_key, items) == want
+
+
+class TestKeptContexts:
+    """``reuse=True`` (a long-lived key: cipher state kept between
+    frames) must be indistinguishable from the one-shot path and from
+    the other backend — across evictions, forgeries and backend
+    switches."""
+
+    N_KEYS = 600  # more than the provider's 512-entry LRU holds
+    SIZES = (0, 1, 15, 16, 17, 28, 100, 255, 256, 1025)
+
+    def stream(self, n_ops=1200):
+        """A seeded interleaving of seals over hot and cold keys."""
+        rng = random.Random(1717)
+        keys = [(rng.randbytes(16), rng.randbytes(32))
+                for _ in range(self.N_KEYS)]
+        for index in range(n_ops):
+            # Half the frames re-arm one of eight hot contexts; the rest
+            # sweep every key, so the LRU keeps evicting and rebuilding.
+            which = rng.randrange(8) if rng.random() < 0.5 \
+                else rng.randrange(self.N_KEYS)
+            size = 20 * 1024 if index % 200 == 7 else rng.choice(self.SIZES)
+            yield (*keys[which], rng.randbytes(8), rng.randbytes(size),
+                   rng.randbytes(rng.randrange(12)))
+
+    def test_interleaved_seals_and_opens_match_one_shot(self, other):
+        ref, alt = providers(other)
+        rng = random.Random(29)
+        backlog = []
+        for enc_key, mac_key, nonce, plaintext, ad in self.stream():
+            sealed = alt.seal(enc_key, mac_key, nonce, plaintext, ad,
+                              reuse=True)
+            assert sealed == alt.seal(enc_key, mac_key, nonce, plaintext, ad)
+            assert sealed == ref.seal(enc_key, mac_key, nonce, plaintext, ad,
+                                      reuse=True)
+            backlog.append((enc_key, mac_key, nonce, *sealed, ad, plaintext))
+            while backlog and rng.random() < 0.5:
+                *frame, want = backlog.pop(rng.randrange(len(backlog)))
+                assert alt.open(*frame, reuse=True) == want
+                assert ref.open(*frame, reuse=True) == want
+        assert len(alt._schedules) <= 512 and len(ref._schedules) <= 512
+
+    def test_forged_tag_rejected_before_any_decrypt(self, other):
+        ref, alt = providers(other)
+        enc_key, mac_key, nonce, plaintext, ad = next(self.stream(1))
+        ct, tag = alt.seal(enc_key, mac_key, nonce, plaintext, ad, reuse=True)
+        bad = bytes([tag[0] ^ 1]) + tag[1:]
+        for provider in (ref, alt):
+            real_ctr, calls = provider._ctr, []
+            provider._ctr = lambda *a: calls.append(a) or real_ctr(*a)
+            try:
+                with pytest.raises(IntegrityError):
+                    provider.open(enc_key, mac_key, nonce, ct, bad, ad,
+                                  reuse=True)
+                assert calls == []
+                assert provider.open(enc_key, mac_key, nonce, ct, tag, ad,
+                                     reuse=True) == plaintext
+                assert len(calls) == 1
+            finally:
+                del provider._ctr
+
+    def test_fast_backend_without_reuse_capability(self, other):
+        """What this box cannot show by uninstalling: a ``cryptography``
+        whose contexts lack ``reset_nonce``, and no ``cryptography`` at
+        all, both fall through to per-frame construction — same bytes,
+        and the first keeps no context."""
+        ref, _ = providers(other)
+        no_reset, no_package = FastProvider(), FastProvider()
+        no_reset.ctr_reuse = False
+        no_package.ctr_reuse = False
+        no_package._cipher_cls = None
+        for enc_key, mac_key, nonce, plaintext, ad in self.stream(60):
+            want = ref.seal(enc_key, mac_key, nonce, plaintext, ad)
+            for provider in (no_reset, no_package):
+                ct, tag = provider.seal(enc_key, mac_key, nonce, plaintext,
+                                        ad, reuse=True)
+                assert (ct, tag) == want
+                assert provider.open(enc_key, mac_key, nonce, ct, tag, ad,
+                                     reuse=True) == plaintext
+            assert not no_reset.caches_key(enc_key)
+
+    def test_backend_switch_mid_stream_serves_no_stale_context(self, other):
+        """Long-lived ciphers outlive ``using_provider`` switches; each
+        provider instance keeps its own cache, and every frame equals
+        the one-shot reference bytes whichever backend is active."""
+        ref, alt = providers(other)
+        ciphers = {}
+        for index, (enc_seed, mac_seed, nonce, plaintext, ad) in enumerate(
+                self.stream(400)):
+            material = enc_seed + mac_seed[:16]
+            cipher = ciphers.setdefault(
+                material, AuthenticatedCipher(SessionKey(material)))
+            active = (ref, alt)[(index // 25) % 2]
+            with using_provider(active):
+                box = cipher.seal_with_nonce(nonce, plaintext, ad)
+                assert cipher.open(box, ad) == plaintext
+            want = ref.seal(*cipher._keys(), nonce, plaintext, ad)
+            assert (box.ciphertext, box.tag) == want
 
 
 def group_scenario_wire_log(backend):

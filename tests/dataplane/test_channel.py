@@ -182,6 +182,49 @@ class TestRebind:
             forged.open(env)
 
 
+class TestLazyDerivation:
+    """Binding an epoch derives nothing; each key is derived by the
+    first frame that needs it, and the result is what an eagerly seeded
+    peer computes."""
+
+    def test_three_installs_without_traffic_cost_no_provider_call(
+            self, provider_log):
+        alice = DataChannel("alice")
+        for epoch, key in enumerate((KEY_A, KEY_B, KEY_A), start=1):
+            alice.rebind(key, epoch)
+            assert alice.bound and alice.epoch == epoch
+        assert provider_log.calls == []
+
+    def test_first_frame_pays_for_exactly_its_own_chain(self, provider_log):
+        alice = DataChannel("alice")
+        for epoch, key in enumerate((KEY_A, KEY_B, KEY_A), start=1):
+            alice.rebind(key, epoch)
+        _, env = alice.seal(b"late first frame", "leader")
+        # One chain seed (extract + expand), no group-key subkeys.
+        assert provider_log.count("hkdf_extract", "hkdf_expand") == 2
+        bob = DataChannel("bob")
+        bob.rebind(KEY_A, 3)  # a peer that only ever saw this epoch
+        assert bob.open(env) == ("alice", 0, b"late first frame")
+        assert provider_log.count("hkdf_extract", "hkdf_expand") == 4
+        assert provider_log.count("seal", "open") == 2
+
+    def test_control_cipher_is_one_per_epoch_and_derived_by_first_use(
+            self, provider_log):
+        # A key object of this test's own: subkeys are cached on it.
+        alice, bob = pair(key=GroupKey(b"\x55" * KEY_LEN))
+        cipher = bob.control_cipher
+        assert bob.control_cipher is cipher
+        assert provider_log.calls == []
+        box = cipher.seal_with_nonce(bytes(8), b"ack", b"ad")
+        assert alice.control_cipher.open(box, b"ad") == b"ack"
+        cipher.seal_with_nonce(bytes(8), b"ack", b"ad")
+        # The group key's subkeys, once: extract + two expands.
+        assert provider_log.count("hkdf_extract", "hkdf_expand") == 3
+        bob.rebind(KEY_B, 2)
+        assert bob.control_cipher is not cipher
+        assert DataChannel("carol").control_cipher is None
+
+
 class TestBaseline:
     def test_roundtrip(self):
         alice = GroupKeyChannel("alice")

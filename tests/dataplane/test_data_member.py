@@ -72,3 +72,49 @@ class TestRelayedDelivery:
         net.run()
         assert [p for (_s, _q, p)
                 in scenario.members["bob"].inbox] == [b"bare"]
+
+
+class TestKeyLifetimes:
+    """What is derived when, and what stays cached afterwards (the
+    ``provider_log`` fixture runs each case under both backends)."""
+
+    def test_three_rekeys_without_data_derive_no_key(self, provider_log):
+        scenario = build_data(["alice", "bob", "carol"], seed=5)
+        net = scenario.net
+        joined = len(provider_log.calls)
+        epoch = scenario.members["alice"].channel.epoch
+        for _ in range(3):
+            net.post_all(scenario.leader.rekey_now())
+            net.run()
+        assert scenario.members["alice"].channel.epoch == epoch + 3
+        # Three installs at the leader and at every member: no chain
+        # seed, no group-key subkeys — nobody has used the keys yet.
+        rekeys = [name for name, _a, _k in provider_log.calls[joined:]]
+        assert "hkdf_extract" not in rekeys and "hkdf_expand" not in rekeys
+        net.post_all(scenario.members["alice"].send_data(b"first use"))
+        net.run()
+        for peer in ("bob", "carol"):
+            assert [p for (_s, _q, p) in scenario.members[peer].inbox] \
+                == [b"first use"]
+        assert scenario.members["alice"].sender.pending == 0
+
+    def test_used_message_keys_are_cached_nowhere(self, provider_log):
+        scenario = build_data(["alice", "bob"], seed=5)
+        net = scenario.net
+        for index in range(64):
+            sender = scenario.members[("alice", "bob")[index % 2]]
+            net.post_all(sender.send_data(b"frame %d" % index))
+            net.run()
+        assert [len(m.inbox) for m in scenario.members.values()] == [32, 32]
+        provider = provider_log.provider
+        one_time = provider_log.enc_keys(reuse=False)
+        assert len(one_time) == 64  # sealed once, opened once, same key
+        assert not any(provider.caches_key(key) for key in one_time)
+        # The long-lived keys are the ones held: K_g for the ACKs, each
+        # K_a for the admin traffic that set the group up.
+        long_lived = provider_log.enc_keys(reuse=True)
+        assert all(provider.caches_key(key) for key in long_lived)
+        alice = scenario.members["alice"].member
+        assert alice.group_key.subkeys()[0] in long_lived
+        assert alice._session_key.subkeys()[0] in long_lived
+        assert not long_lived & one_time

@@ -36,9 +36,12 @@ class TestChainDerivation:
         assert seed_chain(KEY, 1, "alice") != seed_chain(KEY, 2, "alice")
 
     def test_message_keys_never_repeat(self):
+        # mk_i is the (enc, mac) pair the chain hands out directly (it
+        # used to be a key object with .material): neither half repeats.
         snd, _ = chains()
-        keys = {snd.next_key()[1].material for _ in range(32)}
-        assert len(keys) == 32
+        keys = [snd.next_key()[1] for _ in range(32)]
+        assert len({enc for enc, _mac in keys}) == 32
+        assert len({mac for _enc, mac in keys}) == 32
 
     def test_epoch_bump_reseeds_mid_flight(self):
         """A new epoch restarts the chain: seq resets, keys differ."""

@@ -1,7 +1,7 @@
 """Tests for the end-to-end ACK/NACK reliability layer."""
 
 from repro.crypto.keys import KEY_LEN, GroupKey
-from repro.dataplane.channel import DataChannel
+from repro.dataplane.channel import DataChannel, decode_data_body
 from repro.dataplane.reliable import (
     ReliableReceiver,
     ReliableSender,
@@ -126,6 +126,9 @@ class TestEpochRebind:
         bob_ch.rebind(KEY_B, 2)
         out = sender.rebind(now=1.0)
         assert len(out) == 1
+        # Re-sealed at the head of the new epoch's chain, which this
+        # very seal seeded (rebinding the channel derived nothing).
+        assert decode_data_body(out[0].body)[:3] == ("alice", 2, 0)
         delivery, control = receiver.on_data(out[0], "leader")
         assert delivery[2] == b"unacked"
         sender.on_ack(control[0], now=1.1)

@@ -1,11 +1,13 @@
 """Property-based tests for the wire codec: total, injective, inverse."""
 
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.exceptions import CodecError
-from repro.wire.codec import decode_fields, encode_fields
+from repro.wire.codec import MAX_FIELD_LEN, decode_fields, encode_fields
 from repro.wire.labels import Label
 from repro.wire.message import Envelope
 
@@ -37,6 +39,127 @@ def test_decode_is_total(data):
 def test_trailing_garbage_always_rejected(fields, garbage):
     with pytest.raises(CodecError):
         decode_fields(encode_fields(fields) + garbage)
+
+
+# -- differential: the one-pass codec against the codec it replaced ---------
+#
+# Frozen copy of encode_fields/decode_fields as they stood before the
+# one-pass rewrite (a helper call per field).  Every byte on the wire and
+# every journal record goes through this format, so the rewrite is held
+# to the old implementation's exact output and exact error messages.
+
+
+def encode_u32(value):
+    if not 0 <= value < (1 << 32):
+        raise CodecError(f"u32 out of range: {value}")
+    return struct.pack(">I", value)
+
+
+def decode_u32(data):
+    if len(data) != 4:
+        raise CodecError("u32 must be exactly 4 bytes")
+    return struct.unpack(">I", data)[0]
+
+
+def _frozen_encode_fields(fields):
+    parts = []
+    count = 0
+    for f in fields:
+        if not isinstance(f, (bytes, bytearray)):
+            raise CodecError(f"field must be bytes, got {type(f).__name__}")
+        if len(f) > MAX_FIELD_LEN:
+            raise CodecError("field too long")
+        parts.append(encode_u32(len(f)) + bytes(f))
+        count += 1
+    return encode_u32(count) + b"".join(parts)
+
+
+def _frozen_decode_fields(data, expect=None):
+    if len(data) < 4:
+        raise CodecError("truncated field list (missing count)")
+    count = decode_u32(data[:4])
+    offset = 4
+    fields = []
+    for _ in range(count):
+        if offset + 4 > len(data):
+            raise CodecError("truncated field list (missing length)")
+        length = decode_u32(data[offset:offset + 4])
+        offset += 4
+        if length > MAX_FIELD_LEN:
+            raise CodecError("field too long")
+        if offset + length > len(data):
+            raise CodecError("truncated field body")
+        fields.append(data[offset:offset + length])
+        offset += length
+    if offset != len(data):
+        raise CodecError("trailing bytes after field list")
+    if expect is not None and count != expect:
+        raise CodecError(f"expected {expect} fields, got {count}")
+    return fields
+
+
+def _outcome(fn, *args):
+    """A call's result, or the message of the CodecError it raised."""
+    try:
+        return fn(*args)
+    except CodecError as exc:
+        return ("CodecError", str(exc))
+
+
+def _same_decode(data, expect=None):
+    got = _outcome(decode_fields, data, expect)
+    assert got == _outcome(_frozen_decode_fields, data, expect)
+    return got
+
+
+mixed_fields = st.lists(
+    st.one_of(st.binary(max_size=128),
+              st.binary(max_size=128).map(bytearray)),
+    max_size=8,
+)
+
+
+@given(mixed_fields)
+def test_encode_matches_frozen_codec(fields):
+    encoded = encode_fields(fields)
+    assert type(encoded) is bytes
+    assert encoded == _frozen_encode_fields(fields)
+    # A generator is consumed once, as before.
+    assert encode_fields(f for f in fields) == encoded
+
+
+def test_encode_edge_cases_match_frozen_codec():
+    largest = bytes(MAX_FIELD_LEN)
+    for fields in ([], [b""], [largest], [b"x", bytearray(b"yz"), b""]):
+        assert encode_fields(fields) == _frozen_encode_fields(fields)
+    assert _same_decode(encode_fields([largest])) == [largest]
+    for bad in ([largest + b"!"], ["text"], [b"ok", None]):
+        refused = _outcome(encode_fields, bad)
+        assert refused[0] == "CodecError"
+        assert refused == _outcome(_frozen_encode_fields, bad)
+
+
+@given(field_lists, st.data())
+def test_malformed_input_matches_frozen_codec(fields, data):
+    """Every truncation, a trailing byte, an inflated count and an
+    inflated length of a valid encoding: the same fields or the same
+    CodecError message from both codecs, with and without ``expect``."""
+    encoded = encode_fields(fields)
+    expect = data.draw(st.sampled_from([None, len(fields), len(fields) + 1]))
+    _same_decode(encoded, expect)
+    for cut in range(len(encoded)):
+        _same_decode(encoded[:cut], expect)
+    _same_decode(encoded + b"\x00", expect)
+    bump = data.draw(st.sampled_from([1, 2, 1 << 16, MAX_FIELD_LEN,
+                                      (1 << 32) - 1 - len(fields)]))
+    _same_decode(encode_u32(len(fields) + bump) + encoded[4:], expect)
+    if fields:
+        offset = 4  # the first field's length prefix
+        grown = min(len(fields[0]) + bump, (1 << 32) - 1)
+        _same_decode(
+            encoded[:offset] + encode_u32(grown) + encoded[offset + 4:],
+            expect,
+        )
 
 
 envelope_strategy = st.builds(
