@@ -12,11 +12,15 @@ Regenerates, as a measured run, the claim structure of §2.3/§3:
     stale-session-key     blocked         blocked
     quorum-forgery        SUCCEEDS        blocked
     quorum-equivocation   SUCCEEDS        blocked
+    past-member-data      SUCCEEDS        blocked
+    data-replay           SUCCEEDS        blocked
 
 For the two Byzantine-insider rows the "legacy" column is the single
 *trusted-leader* deployment (the improved §3.2 stack with no quorum
 layer — §6's stated trust assumption) and the "improved" column is the
-quorum-certified stack from :mod:`repro.quorum`.
+quorum-certified stack from :mod:`repro.quorum`.  For the two
+data-plane rows "legacy" is the group-key-only data channel and
+"improved" the ratcheted channel of :mod:`repro.dataplane`.
 
 A failing assertion here means the reproduction no longer matches the
 paper's predictions.
@@ -38,11 +42,12 @@ def test_attack_matrix(benchmark):
             f"(expected {row.expected_legacy}), "
             f"itgm={row.itgm.succeeded} (expected {row.expected_itgm})"
         )
-    # Shape of the table: the trusted-leader stacks fall to 7 attacks
-    # (5 wire attacks + 2 Byzantine-insider ones), improved to none.
+    # Shape of the table: the baseline stacks fall to every attack the
+    # matrix predicts they do (5 wire attacks, 2 Byzantine-insider ones,
+    # 2 on the data plane), improved to none.
     legacy_broken = sum(1 for r in rows if r.legacy.succeeded)
     itgm_broken = sum(1 for r in rows if r.itgm.succeeded)
-    assert legacy_broken == 7
+    assert legacy_broken == sum(a.expected_on_legacy for a in ALL_ATTACKS)
     assert itgm_broken == 0
     benchmark.extra_info["legacy_broken"] = legacy_broken
     benchmark.extra_info["itgm_broken"] = itgm_broken

@@ -39,26 +39,32 @@ def bench_join(benchmark, build, member_cls, leader_factory, connected_state):
         assert member.state is connected_state
         return len(net.wire_log) - frames_before
 
+    # The first join is the wire shape the paper describes; every later
+    # joiner also pays for notifying the members already in the group.
+    first = join_once()
     frames = benchmark(join_once)
+    benchmark.extra_info["wire_frames_first_join"] = first
     benchmark.extra_info["wire_frames_per_join"] = frames
-    return frames
+    return first, frames
 
 
 def test_itgm_join(benchmark):
-    frames = bench_join(
+    first, frames = bench_join(
         benchmark,
         build_itgm_group,
         MemberProtocol,
         lambda d, rng: GroupLeader("leader", d, rng=rng.fork("leader")),
         MemberState.CONNECTED,
     )
-    # 3 handshake frames + 2 admin exchanges (view, key) x2 frames = 7
-    # for the first joiner; later joiners trigger notifications too.
-    assert frames >= 7
+    # 3 handshake frames + 1 admin exchange (view and key batched into
+    # one AdminMsg, and its Ack) = 5 for the first joiner; later joiners
+    # trigger notifications too.
+    assert first == 5
+    assert frames >= 5
 
 
 def test_legacy_join(benchmark):
-    frames = bench_join(
+    _first, frames = bench_join(
         benchmark,
         build_legacy_group,
         LegacyMemberProtocol,

@@ -24,7 +24,6 @@ from __future__ import annotations
 import time
 
 from conftest import write_bench_record
-from repro.cli import _obs_scenario
 from repro.crypto.rng import DeterministicRandom
 from repro.enclaves.common import UserDirectory
 from repro.enclaves.harness import SyncNetwork, wire
@@ -33,6 +32,7 @@ from repro.fabric.directory import GroupDirectory
 from repro.fabric.member import FabricMember
 from repro.fabric.shard import ShardHost
 from repro.observability import PhaseProfiler
+from repro.quorum.fabric import obs_scenario
 from repro.storage.simdisk import SimDisk
 from repro.telemetry.events import EventBus
 from repro.util.clock import TickClock
@@ -55,7 +55,7 @@ def _profiled_scenario(seed: int = 7) -> PhaseProfiler:
     """The ``repro obs`` workload under a deterministic profiler."""
     profiler = PhaseProfiler(TickClock())
     # No subscribers: the telemetry guards stay falsy.
-    _obs_scenario(seed, EventBus(), profiler=profiler)
+    obs_scenario(seed, EventBus(), profiler=profiler)
     return profiler
 
 

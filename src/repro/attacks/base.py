@@ -38,86 +38,56 @@ class AttackResult:
 
 
 @dataclass
-class LegacyScenario:
-    """A running legacy group with a deterministic seed."""
+class Scenario:
+    """A running group with a deterministic seed: legacy (§2.2),
+    improved (§3.2), or improved with the data plane on its members."""
 
     net: SyncNetwork
-    leader: LegacyGroupLeader
-    members: dict[str, LegacyMemberProtocol]
+    leader: GroupLeader | LegacyGroupLeader
+    members: dict  # user id -> the stack's member (protocol or DataMember)
     directory: UserDirectory
 
 
-@dataclass
-class ItgmScenario:
-    """A running improved-protocol group with a deterministic seed."""
-
-    net: SyncNetwork
-    leader: GroupLeader
-    members: dict[str, MemberProtocol]
-    directory: UserDirectory
+def _build(member_ids, seed, leader_cls, member_cls, **leader_options):
+    """Start a group of ``leader_cls``/``member_cls`` with every listed
+    member joined."""
+    rng = DeterministicRandom(seed)
+    net = SyncNetwork()
+    directory = UserDirectory()
+    leader = leader_cls(
+        "leader", directory, rng=rng.fork("leader"), **leader_options
+    )
+    wire(net, "leader", leader)
+    members = {}
+    for user_id in member_ids:
+        creds = directory.register_password(user_id, f"pw-{user_id}")
+        member = member_cls(creds, "leader", rng.fork(user_id))
+        members[user_id] = member
+        wire(net, user_id, member)
+    for user_id in member_ids:
+        net.post(members[user_id].start_join())
+        net.run()
+    return Scenario(net, leader, members, directory)
 
 
 def build_legacy(
     member_ids: list[str],
     seed: int = 0,
     rekey_policy: RekeyPolicy = RekeyPolicy.MANUAL,
-) -> LegacyScenario:
+) -> Scenario:
     """Start a legacy group with every listed member joined."""
-    rng = DeterministicRandom(seed)
-    net = SyncNetwork()
-    directory = UserDirectory()
-    leader = LegacyGroupLeader(
-        "leader", directory, rekey_policy=rekey_policy,
-        rng=rng.fork("leader"),
-    )
-    wire(net, "leader", leader)
-    members: dict[str, LegacyMemberProtocol] = {}
-    for user_id in member_ids:
-        creds = directory.register_password(user_id, f"pw-{user_id}")
-        member = LegacyMemberProtocol(creds, "leader", rng.fork(user_id))
-        members[user_id] = member
-        wire(net, user_id, member)
-    for user_id in member_ids:
-        net.post(members[user_id].start_join())
-        net.run()
-    return LegacyScenario(net, leader, members, directory)
+    return _build(member_ids, seed, LegacyGroupLeader, LegacyMemberProtocol,
+                  rekey_policy=rekey_policy)
 
 
 def build_itgm(
     member_ids: list[str],
     seed: int = 0,
     rekey_policy: RekeyPolicy = RekeyPolicy.ON_JOIN | RekeyPolicy.ON_LEAVE,
-) -> ItgmScenario:
+) -> Scenario:
     """Start an improved-protocol group with every listed member joined."""
-    rng = DeterministicRandom(seed)
-    net = SyncNetwork()
-    directory = UserDirectory()
-    leader = GroupLeader(
-        "leader", directory,
-        config=LeaderConfig(rekey_policy=rekey_policy),
-        rng=rng.fork("leader"),
-    )
-    wire(net, "leader", leader)
-    members: dict[str, MemberProtocol] = {}
-    for user_id in member_ids:
-        creds = directory.register_password(user_id, f"pw-{user_id}")
-        member = MemberProtocol(creds, "leader", rng.fork(user_id))
-        members[user_id] = member
-        wire(net, user_id, member)
-    for user_id in member_ids:
-        net.post(members[user_id].start_join())
-        net.run()
-    return ItgmScenario(net, leader, members, directory)
-
-
-@dataclass
-class DataScenario:
-    """A running §3.2 group whose members carry the data plane."""
-
-    net: SyncNetwork
-    leader: GroupLeader
-    members: dict  # user id -> DataMember
-    directory: UserDirectory
+    return _build(member_ids, seed, GroupLeader, MemberProtocol,
+                  config=LeaderConfig(rekey_policy=rekey_policy))
 
 
 def build_data(
@@ -126,7 +96,7 @@ def build_data(
     ratcheted: bool = True,
     reliable: bool = True,
     rekey_policy: RekeyPolicy = RekeyPolicy.ON_JOIN | RekeyPolicy.ON_LEAVE,
-) -> DataScenario:
+) -> Scenario:
     """Start an improved-protocol group with the data plane attached.
 
     ``ratcheted=False`` swaps every member's channel for the
@@ -141,13 +111,11 @@ def build_data(
     from repro.dataplane.member import DataMember
 
     scenario = build_itgm(member_ids, seed=seed, rekey_policy=rekey_policy)
-    members: dict = {}
-    for user_id, member in scenario.members.items():
+    for user_id, member in list(scenario.members.items()):
         dm = DataMember(member, ratcheted=ratcheted, reliable=reliable)
-        members[user_id] = dm
+        scenario.members[user_id] = dm
         wire(scenario.net, user_id, dm)
-    return DataScenario(scenario.net, scenario.leader, members,
-                        scenario.directory)
+    return scenario
 
 
 class Attack(ABC):

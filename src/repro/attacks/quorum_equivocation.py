@@ -27,12 +27,12 @@ stack — the baseline the quorum hardens.
 from __future__ import annotations
 
 from repro.attacks.base import Attack, AttackResult
-from repro.enclaves.harness import wire
 from repro.quorum.byzantine import (
     EquivocatingPrimary,
     build_quorum_scenario,
     build_single_scenario,
 )
+from repro.quorum.soak import quorum_respond
 
 
 class QuorumEquivocationAttack(Attack):
@@ -70,42 +70,13 @@ class QuorumEquivocationAttack(Attack):
         qs = scenario.qs
         strike = EquivocatingPrimary(seed=self.seed).strike_quorum(scenario)
 
-        # Certificate gossip: each member re-verifies what its peers
-        # accepted.  The first conflicting pair yields evidence.
-        evidence = None
-        detector = None
-        pool = [
-            (uid, cert)
-            for uid, member in sorted(scenario.members.items())
-            for cert in member.accepted_certificates
-        ]
-        for uid, member in sorted(scenario.members.items()):
-            for origin_uid, cert in pool:
-                if origin_uid == uid:
-                    continue
-                found = member.verifier.observe(cert)
-                if found is not None:
-                    evidence, detector = found, uid
-                    break
-            if evidence is not None:
-                break
-
+        # Gossip, evidence, view change: the response the soak runs.
+        _, _, detector, evidence = quorum_respond(scenario, "equivocation")
         if evidence is None:
             return AttackResult(
                 self.name, "itgm", True,
                 f"fork at epoch {strike['epoch']} went undetected",
             )
-
-        # The evidence convicts; the view change retires both forks.
-        out = qs.view_change(
-            evidence.accused, "equivocation evidence", evidence
-        )
-        wire(scenario.net, qs.session_id, qs.leader)
-        for member in scenario.members.values():
-            member.verifier.evict(evidence.accused)
-            member.verifier.set_primary(qs.primary_id)
-        scenario.net.post_all(out)
-        scenario.net.run()
 
         fingerprints = {
             member.group_key_fingerprint

@@ -102,3 +102,41 @@ def format_matrix(rows: list[MatrixRow]) -> str:
             f"{'yes' if row.as_expected else 'NO':<12}"
         )
     return "\n".join(lines)
+
+
+def print_attack_rows(
+    attacks: list[type[Attack]], seed: int, header: str,
+    verdicts: tuple[str, str],
+) -> int:
+    """Run some rows of the matrix on their own (``quorum attack``,
+    ``data attack``): the table under ``header``, each improved-stack
+    detail, then ``verdicts[0]`` when every row came out as expected
+    and ``verdicts[1]`` when not.  Returns the exit status."""
+    rows = run_attack_matrix(seed, attacks=attacks)
+    print(header)
+    print(format_matrix(rows))
+    for row in rows:
+        print(f"\n{row.attack}: {row.itgm.detail}")
+    as_expected = all(row.as_expected for row in rows)
+    print("\n" + verdicts[0 if as_expected else 1])
+    return 0 if as_expected else 1
+
+
+def _cmd_attack_matrix(args, _bus) -> int:
+    rows = run_attack_matrix(seed=args.seed)
+    print(format_matrix(rows))
+    deviations = [row for row in rows if not row.as_expected]
+    if deviations:
+        print(f"\n{len(deviations)} deviation(s) from the paper!")
+        return 1
+    print("\nall outcomes match the paper's predictions")
+    return 0
+
+
+def register(sub) -> None:
+    matrix = sub.add_parser("attack-matrix", help="run the §2.3 attacks")
+    matrix.add_argument("--seed", type=int, default=0)
+    matrix.set_defaults(
+        select="command",
+        dispatch={"attack-matrix": (_cmd_attack_matrix, None, False, "")},
+    )

@@ -45,10 +45,11 @@ from repro.exceptions import StateError
 from repro.net.adversary import Adversary
 from repro.net.faults import FaultPlan, LeaderEventKind
 from repro.net.memnet import MemoryNetwork
-from repro.sim.metrics import MetricSet
 from repro.storage.simdisk import SimDisk
 from repro.telemetry.events import EventBus
+from repro.telemetry.export import LiveSummary
 from repro.telemetry.health import HealthProbe
+from repro.telemetry.metrics import MetricsRegistry
 
 
 #: Seconds between one member's application messages, and between the
@@ -243,7 +244,7 @@ async def _soak_itgm(
 ) -> SoakReport:
     loop = asyncio.get_running_loop()
     rng = DeterministicRandom(config.seed)
-    metrics = MetricSet()
+    metrics = MetricsRegistry()
     violations: list[str] = []
     notes: list[str] = []
 
@@ -330,7 +331,7 @@ async def _soak_itgm(
                         )
                     except StateError:
                         pass
-            metrics.incr("app_rounds")
+            metrics.counter("app_rounds").incr()
 
     async def leader_events() -> None:
         for event in sorted(plan.leader_events, key=lambda e: e.at):
@@ -393,26 +394,25 @@ async def _soak_itgm(
         await supervisor.stop()
     await orchestrator.stop()
 
-    metrics.incr("frames_routed", net.frames_routed)
-    metrics.incr("crashes", orchestrator.crashes)
-    metrics.incr("warm_restores", orchestrator.warm_restores)
-    metrics.incr("failovers", orchestrator.failovers)
-    rejoin = metrics.latency("rejoin")
+    metrics.counter("frames_routed").incr(net.frames_routed)
+    metrics.counter("crashes").incr(orchestrator.crashes)
+    metrics.counter("warm_restores").incr(orchestrator.warm_restores)
+    metrics.counter("failovers").incr(orchestrator.failovers)
+    rejoin = metrics.histogram("rejoin")
     for supervisor in members.values():
-        metrics.incr("suspicions", supervisor.suspicions)
-        metrics.incr("rejoins", supervisor.rejoins)
-        metrics.incr("attempts", supervisor.attempts)
+        metrics.counter("suspicions").incr(supervisor.suspicions)
+        metrics.counter("rejoins").incr(supervisor.rejoins)
+        metrics.counter("attempts").incr(supervisor.attempts)
         # The first "rejoin" is the initial join; recovery latencies
         # are the rest.
         for latency in supervisor.rejoin_latencies[1:]:
             rejoin.record(latency)
-    metrics.incr(
-        "rekeys",
+    metrics.counter("rekeys").incr(
         sum(leader.stats.rekeys
-            for leader in orchestrator.managers.managers.values()),
+            for leader in orchestrator.managers.managers.values())
     )
     for name, value in orchestrator.journal_counters().items():
-        metrics.incr(name, value)
+        metrics.counter(name).incr(value)
 
     if probe is not None:
         violations.extend(probe.violations)
@@ -442,7 +442,7 @@ async def _soak_legacy(
 ) -> SoakReport:
     loop = asyncio.get_running_loop()
     rng = DeterministicRandom(config.seed)
-    metrics = MetricSet()
+    metrics = MetricsRegistry()
     violations: list[str] = []
     notes: list[str] = []
 
@@ -501,7 +501,7 @@ async def _soak_legacy(
                     await leader_endpoint.send(out)
                 assert leader.group_key_fingerprint is not None
                 issued.append(leader.group_key_fingerprint)
-                metrics.incr("rekeys")
+                metrics.counter("rekeys").incr()
 
     async def workload() -> None:
         round_no = 0
@@ -516,7 +516,7 @@ async def _soak_legacy(
                         )
                     except StateError:
                         pass
-            metrics.incr("app_rounds")
+            metrics.counter("app_rounds").incr()
 
     async def leader_events() -> None:
         for event in sorted(plan.leader_events, key=lambda e: e.at):
@@ -528,7 +528,7 @@ async def _soak_legacy(
                 if alive["leader"]:
                     alive["leader"] = False
                     await leader_driver.stop()
-                    metrics.incr("crashes")
+                    metrics.counter("crashes").incr()
                     notes.append(
                         f"leader crashed at t={event.at:.0f}s — the "
                         "legacy stack has no restore or failover path; "
@@ -585,7 +585,7 @@ async def _soak_legacy(
     await leader_driver.stop()
     for driver in drivers.values():
         await driver.stop()
-    metrics.incr("frames_routed", net.frames_routed)
+    metrics.counter("frames_routed").incr(net.frames_routed)
 
     return SoakReport(
         stack="legacy",
@@ -704,3 +704,52 @@ def format_recovery_matrix(rows: list[RecoveryRow]) -> str:
             f"{row.violations:<11} {row.detail}"
         )
     return "\n".join(lines)
+
+
+def _cmd_matrix(args, _bus) -> int:
+    rows = run_recovery_matrix(seed=args.seed)
+    print(format_recovery_matrix(rows))
+    bad = [
+        row for row in rows
+        if row.stack == "itgm" and (not row.converged or row.violations)
+    ]
+    if bad:
+        print(f"\n{len(bad)} improved-stack scenario(s) failed!")
+        return 1
+    print("\nimproved stack recovered everywhere with zero violations")
+    return 0
+
+
+def _cmd_soak(args, bus) -> int:
+    config = clip_to_duration(SoakConfig(
+        stack=args.stack, seed=args.seed, duration=args.duration,
+        n_members=args.members,
+    ))
+    summary = None if bus is None else bus.subscribe(LiveSummary())
+    report = run_soak(config, telemetry=bus)
+    print(report.format_table())
+    if summary is not None:
+        print(summary.render())
+    if args.stack == "itgm":
+        return 0 if report.converged and report.safe else 1
+    return 0
+
+
+def register(sub) -> None:
+    chaos = sub.add_parser(
+        "chaos", help="run a chaos soak / the recovery matrix"
+    )
+    chaos.add_argument("--stack", choices=("itgm", "legacy"),
+                       default="itgm")
+    chaos.add_argument("--seed", type=int, default=7)
+    chaos.add_argument("--duration", type=float, default=60.0)
+    chaos.add_argument("--members", type=int, default=5)
+    chaos.add_argument("--matrix", action="store_true",
+                       help="run the full recovery matrix instead")
+    chaos.add_argument("--telemetry", metavar="PATH",
+                       help="export the telemetry event stream as JSONL "
+                            "(ignored with --matrix)")
+    chaos.set_defaults(select="matrix", dispatch={
+        True: (_cmd_matrix, None, False, ""),
+        False: (_cmd_soak, "telemetry", True, ""),
+    })

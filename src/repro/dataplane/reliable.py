@@ -128,17 +128,14 @@ class ReliableSender:
         *,
         peers: Callable[[], Iterable[str]],
         telemetry: EventBus | None = None,
-        tracker: LatencyTracker | None = None,
-        budget: RetryBudget | None = None,
-        deadline_floor: float = 0.25,
     ) -> None:
         self.node = node
         self.channel = channel
         self._peers = peers
         self._telemetry = resolve_bus(telemetry)
-        self.tracker = tracker if tracker is not None else LatencyTracker()
-        self.deadline = AdaptiveDeadline(self.tracker, floor=deadline_floor)
-        self.budget = budget if budget is not None else RetryBudget()
+        self.tracker = LatencyTracker()
+        self.deadline = AdaptiveDeadline(self.tracker)
+        self.budget = RetryBudget()
         #: seq -> (message id, plaintext, sealed envelope, last send time).
         #: The message id is assigned once per payload and survives
         #: epoch re-seals, so receivers can deduplicate a payload that

@@ -37,12 +37,7 @@ from repro.enclaves.itgm.failover import ManagerSet
 from repro.enclaves.itgm.leader import GroupLeader, LeaderConfig
 from repro.enclaves.itgm.leader_session import LeaderSession, LeaderState
 from repro.enclaves.itgm.member import MemberProtocol, MemberState
-from repro.enclaves.itgm.persistence import (
-    open_snapshot,
-    restore_leader,
-    seal_snapshot,
-    snapshot_leader,
-)
+from repro.enclaves.itgm.persistence import restore_leader, snapshot_leader
 from repro.enclaves.itgm.runtime import LeaderRuntime
 from repro.enclaves.itgm.supervisor import (
     LeaderOrchestrator,
@@ -77,6 +72,4 @@ __all__ = [
     "RecoveryExhausted",
     "snapshot_leader",
     "restore_leader",
-    "seal_snapshot",
-    "open_snapshot",
 ]

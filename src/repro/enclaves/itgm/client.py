@@ -29,7 +29,6 @@ class MemberClient:
         endpoint: Endpoint,
         rng: RandomSource | None = None,
         telemetry: EventBus | None = None,
-        tracer: SpanTracer | None = None,
     ) -> None:
         self._telemetry = resolve_bus(telemetry)
         self.protocol = MemberProtocol(
@@ -40,12 +39,12 @@ class MemberClient:
         self.events: asyncio.Queue[Event] = asyncio.Queue()
         self._state_changed = asyncio.Event()
         self._recv_task: asyncio.Task | None = None
-        self._tracer = tracer
+        self._tracer: SpanTracer | None = None
 
     @property
     def tracer(self) -> SpanTracer:
-        """The span tracer (created lazily on the running loop's clock
-        when none was injected)."""
+        """The span tracer (created lazily on the running loop's
+        clock)."""
         if self._tracer is None:
             self._tracer = SpanTracer(
                 time_source=asyncio.get_running_loop().time,
@@ -118,12 +117,11 @@ class MemberClient:
         packet loss are indistinguishable by design).
         """
         self.start()
-        # Trace the handshake when telemetry is live or a tracer was
-        # injected; otherwise stay strictly zero-cost.
+        # Trace the handshake when telemetry is live; otherwise stay
+        # strictly zero-cost.
         span = (
             self.tracer.start("handshake", node=self.user_id)
-            if (self._telemetry or self._tracer is not None)
-            else None
+            if self._telemetry else None
         )
         await self.endpoint.send(self.protocol.start_join())
 

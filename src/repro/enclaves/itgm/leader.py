@@ -402,24 +402,17 @@ class GroupLeader:
         session = self._sessions.get(user_id)
         if session is None or not session.is_member:
             raise StateError(f"{user_id!r} is not a member")
-        session.close_locally()
-        self._outboxes[user_id].clear()
-        if self._telemetry:
-            self._telemetry.emit(MemberExpelled(self.leader_id, user_id))
-        out = self._on_member_left(user_id)
-        out.extend(self._pump())
-        self._checkpoint()
-        return out
+        return self.abort_session(user_id)
 
     def abort_session(self, user_id: str) -> list[Envelope]:
         """Unilaterally close *any* active per-user session.
 
-        Like :meth:`expel`, but also legal for half-open handshakes
-        (WaitingForKeyAck), which are not yet memberships.  Operators
-        use it after a crash recovery when a member's channel is known
-        to be desynced (the member is ahead of the journal's durable
-        prefix): closing the stale leader-side session lets the member
-        re-authenticate, since a leader never accepts a fresh
+        What :meth:`expel` does to a member, also legal for half-open
+        handshakes (WaitingForKeyAck), which are not yet memberships.
+        Operators use it after a crash recovery when a member's channel
+        is known to be desynced (the member is ahead of the journal's
+        durable prefix): closing the stale leader-side session lets the
+        member re-authenticate, since a leader never accepts a fresh
         AuthInitReq while it holds an active session.
         """
         session = self._sessions.get(user_id)

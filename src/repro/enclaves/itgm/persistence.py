@@ -10,11 +10,11 @@ cache, pending outboxes) and restoring it into a fresh
 their sessions, nonce chains, and pending admin exchanges continue
 exactly where they were.
 
-Snapshots contain live keys, so the on-disk form is *sealed*:
-:func:`seal_snapshot` wraps the serialized state in the same
-encrypt-then-MAC construction as the wire protocol, under a storage key
-the operator controls.  Restoring from a tampered or wrong-key blob
-fails loudly.
+Snapshots contain live keys, so the on-disk form is *sealed*: the
+journal (:mod:`repro.storage.journal`) writes each one as a record under
+the same encrypt-then-MAC construction as the wire protocol, keyed by a
+storage key the operator controls, and replay of a tampered or
+wrong-key record fails loudly.
 
 Restrictions: the user directory (long-term keys) is provisioning
 state, not protocol state; it is passed to :func:`restore_leader`
@@ -23,11 +23,10 @@ separately, exactly like the failover module does.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 
-from repro.crypto.aead import AuthenticatedCipher, SealedBox
-from repro.crypto.keys import GroupKey, KeyMaterial, SessionKey
+from repro.crypto.aead import AuthenticatedCipher
+from repro.crypto.keys import GroupKey, SessionKey
 from repro.crypto.rng import RandomSource
 from repro.enclaves.common import UserDirectory
 from repro.enclaves.itgm.admin import decode_payload
@@ -59,8 +58,6 @@ def validate_snapshot_version(snapshot: dict) -> None:
             f"unsupported snapshot version {version!r} "
             f"(this build understands {known})"
         )
-
-_STORAGE_AD = b"repro-enclaves-leader-snapshot-v1"
 
 
 def _hex(data: bytes | None) -> str | None:
@@ -210,47 +207,6 @@ def restore_leader(
     return leader
 
 
-def seal_snapshot(snapshot: dict, storage_key: KeyMaterial) -> bytes:
-    """Serialize and seal a snapshot for storage at rest."""
-    plain = json.dumps(snapshot, sort_keys=True).encode("utf-8")
-    return AuthenticatedCipher(storage_key).seal(
-        plain, _STORAGE_AD
-    ).to_bytes()
-
-
-def load_snapshot(blob: bytes, storage_key: KeyMaterial) -> dict:
-    """Open a sealed snapshot *and* validate its format version.
-
-    The safe entry point for blobs of unknown provenance (disk, a
-    standby's replica): :func:`open_snapshot` only authenticates, so a
-    sealed snapshot written by a newer build would pass the MAC check
-    and then explode mid-restore.  Raises :class:`IntegrityError` on
-    tampering and :class:`ProtocolError` on malformed content or an
-    unknown ``version``.
-    """
-    snapshot = open_snapshot(blob, storage_key)
-    validate_snapshot_version(snapshot)
-    return snapshot
-
-
-def open_snapshot(blob: bytes, storage_key: KeyMaterial) -> dict:
-    """Verify and deserialize a sealed snapshot.
-
-    Raises :class:`IntegrityError` on tampering or a wrong key, and
-    :class:`ProtocolError` on malformed content.
-    """
-    box = SealedBox.from_bytes(blob)
-    plain = AuthenticatedCipher(storage_key).open(box, _STORAGE_AD)
-    try:
-        snapshot = json.loads(plain.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError("malformed snapshot payload") from exc
-    if not isinstance(snapshot, dict):
-        raise ProtocolError("snapshot must be a JSON object")
-    return snapshot
-
-
 #: Public alias: the journal (:mod:`repro.storage.journal`) snapshots
 #: individual sessions to build per-mutation state deltas.
 session_snapshot = _session_snapshot
-restore_session = _restore_session

@@ -56,7 +56,7 @@ from repro.enclaves.itgm.persistence import restore_leader, snapshot_leader
 from repro.enclaves.itgm.runtime import LeaderRuntime
 from repro.exceptions import ProtocolError, RecoveryFailed, StateError
 from repro.net.transport import Endpoint
-from repro.overload.deadline import AdaptiveDeadline, RetryBudget
+from repro.overload.deadline import RetryBudget
 from repro.telemetry.events import (
     EventBus,
     LeaderCrashed,
@@ -183,12 +183,10 @@ class ResilientMemberClient:
         credentials_for: dict[str, Credentials],
         manager_order: list[str],
         network,
-        address: str | None = None,
         config: SupervisorConfig | None = None,
         rng: RandomSource | None = None,
         telemetry: EventBus | None = None,
         retry_budget: RetryBudget | None = None,
-        adaptive_deadline: AdaptiveDeadline | None = None,
     ) -> None:
         if not manager_order:
             raise ValueError("manager_order must not be empty")
@@ -199,7 +197,6 @@ class ResilientMemberClient:
         self.manager_order = list(manager_order)
         self._network = network
         self.user_id = next(iter(credentials_for.values())).user_id
-        self.address = address if address is not None else self.user_id
         self.config = config if config is not None else SupervisorConfig()
         self._rng = rng if rng is not None else SystemRandom()
         self._jitter_rng = (
@@ -209,15 +206,11 @@ class ResilientMemberClient:
         )
 
         self._telemetry = resolve_bus(telemetry)
-        #: Optional overload hardening (both default off = seed
-        #: behaviour).  A retry budget caps how many reconnect retries
-        #: a crash-restart storm may spend — without one the fixed
-        #: max_rounds budget is the only brake.  An adaptive deadline
-        #: replaces the static join_timeout with an EWMA-tracked one,
-        #: so the supervisor stops waiting a full second for a manager
-        #: that normally answers in 30 ms.
+        #: Optional overload hardening (default off = seed behaviour):
+        #: a retry budget caps how many reconnect retries a
+        #: crash-restart storm may spend — without one the fixed
+        #: max_rounds budget is the only brake.
         self._retry_budget = retry_budget
-        self._adaptive_deadline = adaptive_deadline
         self._tracer: SpanTracer | None = None
         self._endpoint = None          # real MemoryEndpoint
         self._shared: _SharedEndpoint | None = None
@@ -264,7 +257,7 @@ class ResilientMemberClient:
         """Attach the endpoint and start the supervision task."""
         if self._task is not None:
             return
-        self._endpoint = await self._network.attach(self.address)
+        self._endpoint = await self._network.attach(self.user_id)
         self._shared = _SharedEndpoint(self._endpoint)
         self._last_alive = self._now()
         if self._tracer is None:
@@ -350,15 +343,6 @@ class ResilientMemberClient:
 
     def _backoff(self, attempt: int) -> float:
         return self.config.backoff_policy().delay(attempt, self._jitter_rng)
-
-    def _join_timeout(self) -> float:
-        if self._adaptive_deadline is not None:
-            return self._adaptive_deadline.current()
-        return self.config.join_timeout
-
-    def _observe_join(self, elapsed: float) -> None:
-        if self._adaptive_deadline is not None:
-            self._adaptive_deadline.tracker.observe(elapsed)
 
     async def _reconnect(self) -> None:
         """Cycle managers with backoff until joined; terminal on budget."""
@@ -449,16 +433,14 @@ class ResilientMemberClient:
         close_frame = self._pending_close.get(manager_id)
         if close_frame is not None:
             await self._shared.send(close_frame)
-        started = self._now()
         try:
             await client.join(
-                timeout=self._join_timeout(),
+                timeout=cfg.join_timeout,
                 retransmit_interval=cfg.retransmit_interval,
             )
         except ProtocolError as exc:
             self.last_error = f"join {manager_id} failed: {exc}"
             return False
-        self._observe_join(self._now() - started)
         self._pending_close.pop(manager_id, None)
         self.active = manager_id
         return True
@@ -475,8 +457,7 @@ class ResilientMemberClient:
         """
         cfg = self.config
         assert self._shared is not None
-        started = self._now()
-        deadline = started + self._join_timeout()
+        deadline = self._now() + cfg.join_timeout
         while self._now() < deadline:
             close_frame = self._pending_close.get(manager_id)
             if close_frame is not None:
@@ -488,7 +469,6 @@ class ResilientMemberClient:
             if self._joined(client):
                 break
         if self._joined(client):
-            self._observe_join(self._now() - started)
             self._pending_close.pop(manager_id, None)
             return True
         self.last_error = (

@@ -18,7 +18,11 @@ from dataclasses import dataclass
 
 from repro.crypto.aead import AuthenticatedCipher, SealedBox
 from repro.crypto.keys import KeyMaterial
-from repro.enclaves.itgm.member import seal_ad
+from repro.crypto.rng import DeterministicRandom
+from repro.enclaves.common import UserDirectory
+from repro.enclaves.harness import SyncNetwork, wire
+from repro.enclaves.itgm.leader import GroupLeader
+from repro.enclaves.itgm.member import MemberProtocol, seal_ad
 from repro.exceptions import CodecError, IntegrityError
 from repro.telemetry.events import frame_id
 from repro.wire.codec import decode_fields
@@ -144,3 +148,56 @@ def transcript_records(
             record["sealed"] = len(envelope.body)
         records.append(record)
     return records
+
+
+def run_demo_session(seed: int):
+    """The scripted demo group session (join, chat, rekey, leave).
+
+    Returns ``(net, leader, members, keys)`` so both ``demo`` (which
+    prints the annotated transcript) and ``trace`` (which observes the
+    telemetry stream) can drive the same scenario.
+    """
+    rng = DeterministicRandom(seed)
+    net = SyncNetwork()
+    directory = UserDirectory()
+    leader = GroupLeader("leader", directory, rng=rng.fork("leader"))
+    wire(net, "leader", leader)
+    members = {}
+    keys = []
+    for name in ("alice", "bob"):
+        creds = directory.register_password(name, f"{name}-pw")
+        keys.append(creds.long_term_key)
+        member = MemberProtocol(creds, "leader", rng.fork(name))
+        members[name] = member
+        wire(net, name, member)
+        net.post(member.start_join())
+        net.run()
+    net.post(members["alice"].seal_app(b"hello group"))
+    net.run()
+    net.post_all(leader.rekey_now())
+    net.run()
+    net.post(members["bob"].start_leave())
+    net.run()
+
+    # Annotate with every key the demo legitimately holds.
+    for member in members.values():
+        for attr in ("_session_key", "_group_key"):
+            key = getattr(member, attr)
+            if key is not None:
+                keys.append(key)
+    return net, leader, members, keys
+
+
+def _cmd_demo(args, _bus) -> int:
+    net, leader, _members, keys = run_demo_session(args.seed)
+    print(format_transcript(net.wire_log, KeyRing(keys),
+                            title="demo session transcript"))
+    print(f"\nfinal members: {leader.members}")
+    return 0
+
+
+def register(sub) -> None:
+    demo = sub.add_parser("demo", help="scripted session with transcript")
+    demo.add_argument("--seed", type=int, default=0)
+    demo.set_defaults(select="command",
+                      dispatch={"demo": (_cmd_demo, None, False, "")})

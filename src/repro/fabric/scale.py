@@ -37,6 +37,7 @@ from repro.enclaves.common import (
     RekeyPolicy,
     UserDirectory,
 )
+from repro.enclaves.harness import SyncNetwork, wire
 from repro.enclaves.itgm.leader import LeaderConfig
 from repro.enclaves.itgm.member import MemberState
 from repro.enclaves.itgm.runtime import LeaderRuntime
@@ -45,7 +46,11 @@ from repro.exceptions import ConnectionClosed, StateError
 from repro.fabric.balancer import RebalancePolicy
 from repro.fabric.directory import GroupDirectory
 from repro.fabric.member import FabricMember
-from repro.fabric.migration import migrate_group, rehost_cold
+from repro.fabric.migration import (
+    migrate_group,
+    rehost_cold,
+    run_migration_demo,
+)
 from repro.fabric.shard import ShardHost
 from repro.net.adversary import Adversary
 from repro.net.faults import FaultPlan
@@ -167,7 +172,6 @@ class FabricReport:
     regrouped: int
     directory_version: int
     placements: dict[str, str]
-    metrics: dict
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -917,16 +921,6 @@ async def _run_fabric(
             f"attempts {foreign_attempts}"
         )
 
-    for shard_id, runtime in shards.items():
-        stats = runtime.host.stats
-        registry.counter("fabric_frames", shard=shard_id).incr(
-            stats.frames_in
-        )
-        registry.counter("fabric_redirects", shard=shard_id).incr(
-            stats.redirected
-        )
-    registry.gauge("fabric_directory_version").set(fabric.version)
-
     return FabricReport(
         seed=config.seed,
         duration=config.duration,
@@ -953,7 +947,6 @@ async def _run_fabric(
         regrouped=regrouped,
         directory_version=fabric.version,
         placements=fabric.placements(),
-        metrics=registry.snapshot(),
         notes=notes,
     )
 
@@ -965,3 +958,124 @@ def run_fabric_soak(
     """Run one fabric soak deterministically on the virtual clock."""
     config = config if config is not None else FabricConfig.full()
     return run_virtual(_run_fabric(config, telemetry))
+
+
+def _cmd_demo(args, _bus) -> int:
+    """Scripted sharded-hosting tour: placement, demux, isolation."""
+    seed = args.seed
+    rng = DeterministicRandom(seed)
+    net = SyncNetwork()
+    users = UserDirectory()
+    shard_ids = ["shard-a", "shard-b"]
+    fabric = GroupDirectory(shard_ids, rng=rng.fork("directory"))
+    shards = {
+        shard_id: ShardHost(
+            shard_id, SimDisk(rng=rng.fork(f"disk-{shard_id}")),
+            rng=rng.fork(shard_id),
+        )
+        for shard_id in shard_ids
+    }
+    for shard_id, host in shards.items():
+        wire(net, shard_id, host)
+
+    print(f"fabric demo — {len(shard_ids)} shards, seed={seed}")
+    members: dict[str, FabricMember] = {}
+    for g in range(3):
+        group_id = f"grp-{g}"
+        record = fabric.create_group(group_id)
+        shards[record.shard_id].host_group(
+            group_id, users, storage_key=record.storage_key
+        )
+        for m in range(2):
+            uid = f"{group_id}.u{m}"
+            creds = users.register_password(uid, f"pw-{uid}")
+            fm = FabricMember(creds, group_id, fabric, rng=rng.fork(uid))
+            members[uid] = fm
+            wire(net, uid, fm)
+            net.post_all(fm.start_join())
+            net.run()
+        print(f"  {group_id:<8} placed on {record.shard_id} "
+              f"(directory v{record.version}), members joined: "
+              f"{shards[record.shard_id].leader(group_id).members}")
+
+    for group_id in ("grp-0", "grp-1", "grp-2"):
+        net.post(members[f"{group_id}.u0"].seal_app(
+            f"hello {group_id}".encode()
+        ))
+        net.run()
+
+    # Cross-post grp-0's sealed frame into grp-1's key space, plus a
+    # frame scoped to a group nobody hosts: both die loudly.
+    legit = members["grp-0.u0"].protocol.seal_app(b"LEAK")
+    victim = fabric.record("grp-1")
+    forged = Envelope(legit.label, legit.sender, "grp-1", legit.body)
+    net.post(wrap_group("grp-1", forged, victim.shard_id))
+    net.post(wrap_group("grp-phantom", legit, victim.shard_id))
+    net.run()
+
+    delivered = sum(
+        len(net.events_of(uid, AppMessage)) for uid in members
+    )
+    print(f"  app deliveries     : {delivered} "
+          "(one echo-free relay per fellow member)")
+    for shard_id, host in sorted(shards.items()):
+        s = host.stats
+        print(f"  {shard_id:<8} demux     : {s.frames_in} in, "
+              f"{s.delivered} delivered, {s.foreign_rejected} foreign "
+              f"rejected, {s.malformed} malformed")
+    foreign = sum(h.stats.foreign_rejected for h in shards.values())
+    leaked = sum(
+        1 for uid, fm in members.items()
+        for e in net.events_of(uid, AppMessage)
+        if b"LEAK" in e.payload
+    )
+    print(f"  isolation          : cross-post leaked to {leaked} members; "
+          f"{foreign} phantom-group frame(s) rejected by the demux")
+    return 0 if leaked == 0 and foreign >= 1 else 1
+
+
+def _cmd_migrate(args, _bus) -> int:
+    demo = run_migration_demo(args.seed)
+    print(demo.format_report())
+    return 0 if demo.ok else 1
+
+
+def _cmd_soak(args, bus) -> int:
+    report = run_fabric_soak(
+        FabricConfig.full(
+            seed=args.seed,
+            n_groups=args.groups,
+            n_shards=args.shards,
+            duration=args.duration,
+        ),
+        telemetry=bus,
+    )
+    print(report.format_table())
+    return 0 if (
+        report.safe and report.isolated and report.converged
+    ) else 1
+
+
+def register(sub) -> None:
+    fabric = sub.add_parser(
+        "fabric",
+        help="drive the multi-group fabric (demo / soak / migrate)",
+    )
+    fabric.add_argument("mode", choices=("demo", "soak", "migrate"),
+                        help="scripted shard demo, seeded many-group "
+                             "soak, or live-migration walkthrough")
+    fabric.add_argument("--seed", type=int, default=7)
+    fabric.add_argument("--groups", type=int, default=16,
+                        help="groups in the soak")
+    fabric.add_argument("--shards", type=int, default=4,
+                        help="shard hosts in the soak")
+    fabric.add_argument("--duration", type=float, default=40.0,
+                        help="virtual seconds of soak workload")
+    fabric.add_argument("--telemetry", metavar="PATH",
+                        help="export the run's event stream as JSONL "
+                             "(schema-validated before exit)")
+    fabric.set_defaults(select="mode", dispatch={
+        "demo": (_cmd_demo, "telemetry", False, ""),
+        "migrate": (_cmd_migrate, "telemetry", False, ""),
+        "soak": (_cmd_soak, "telemetry", True, ""),
+    })

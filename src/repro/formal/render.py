@@ -17,6 +17,8 @@ explorer actually takes).
 
 from __future__ import annotations
 
+import sys
+
 from repro.formal.diagram import DIAGRAM
 from repro.formal.explorer import Explorer
 from repro.formal.model import (
@@ -133,3 +135,35 @@ def _observed_edges(config, actor: str, component: str) -> set[tuple[str, str]]:
 
     Explorer(model, checks={}, edge_hooks=[hook]).run()
     return edges
+
+
+def _cmd_render(args, _bus) -> int:
+    renderers = {
+        "2": render_figure2, "3": render_figure3, "4": render_figure4,
+    }
+    figures = list(args.figures) if args.figures else ["2", "3", "4"]
+    chunks = []
+    for figure in figures:
+        if figure not in renderers:
+            print(f"unknown figure {figure!r} (choose from 2, 3, 4)",
+                  file=sys.stderr)
+            return 2
+        chunks.append(renderers[figure](args.format))
+    output = "\n\n".join(chunks)
+    if args.out:
+        with open(args.out, "w") as f:
+            f.write(output + "\n")
+        print(f"wrote {args.out}")
+    else:
+        print(output)
+    return 0
+
+
+def register(sub) -> None:
+    render = sub.add_parser("render", help="emit Figures 2/3/4")
+    render.add_argument("figures", nargs="*", help="figure numbers (2 3 4)")
+    render.add_argument("--format", choices=("dot", "ascii"),
+                        default="ascii")
+    render.add_argument("--out", help="write to a file instead of stdout")
+    render.set_defaults(select="command",
+                        dispatch={"render": (_cmd_render, None, False, "")})

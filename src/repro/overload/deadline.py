@@ -28,16 +28,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+#: RFC 6298's gains for the smoothed mean and for the deviation.
+ALPHA = 0.125
+BETA = 0.25
+
+
 class LatencyTracker:
     """EWMA mean + deviation over operation latencies (seconds)."""
 
-    __slots__ = ("alpha", "beta", "srtt", "dev", "samples")
+    __slots__ = ("srtt", "dev", "samples")
 
-    def __init__(self, alpha: float = 0.125, beta: float = 0.25) -> None:
-        if not 0.0 < alpha <= 1.0 or not 0.0 < beta <= 1.0:
-            raise ValueError("alpha and beta must be in (0, 1]")
-        self.alpha = alpha
-        self.beta = beta
+    def __init__(self) -> None:
         self.srtt = 0.0
         self.dev = 0.0
         self.samples = 0
@@ -51,8 +52,8 @@ class LatencyTracker:
             self.dev = sample / 2.0
         else:
             err = sample - self.srtt
-            self.srtt += self.alpha * err
-            self.dev += self.beta * (abs(err) - self.dev)
+            self.srtt += ALPHA * err
+            self.dev += BETA * (abs(err) - self.dev)
         self.samples += 1
 
 

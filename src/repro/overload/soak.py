@@ -490,6 +490,43 @@ def render_report(report: OverloadReport) -> str:
     return "\n".join(lines)
 
 
+def _cmd_soak(args, bus) -> int:
+    config = OverloadConfig(
+        seed=args.seed,
+        duration=args.duration,
+        surge_members=args.surge,
+        flood_rate=args.flood_rate,
+    )
+    report = run_overload_soak(config, telemetry=bus)
+    print(render_report(report))
+    return 0 if report.protection_holds else 1
+
+
+def register(sub) -> None:
+    overload = sub.add_parser(
+        "overload",
+        help="flooding-insider soak: unprotected vs admission-controlled",
+    )
+    # mode is "soak" (the only one today; the positional keeps the
+    # door open for an "attack" tour like chaos/quorum have).
+    overload.add_argument("mode", choices=("soak",),
+                          help="seeded overload chaos soak comparing the "
+                               "unbounded seed stack against the bounded "
+                               "mailbox + fair share + brownout stack")
+    overload.add_argument("--seed", type=int, default=7)
+    overload.add_argument("--duration", type=float, default=20.0,
+                          help="virtual seconds of soak")
+    overload.add_argument("--surge", type=int, default=10,
+                          help="members in the mid-soak join surge")
+    overload.add_argument("--flood-rate", type=float, default=240.0,
+                          help="flooder frames per virtual second")
+    overload.add_argument("--out", metavar="PATH",
+                          help="export the soak's event stream as "
+                               "deterministic JSONL")
+    overload.set_defaults(select="mode",
+                          dispatch={"soak": (_cmd_soak, "out", True, "\n")})
+
+
 __all__ = [
     "FLOODER",
     "OverloadConfig",

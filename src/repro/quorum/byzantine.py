@@ -43,11 +43,11 @@ classes draw forged keys from their own seeded source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.crypto.keys import KEY_LEN, GroupKey, KeyMaterial
 from repro.crypto.rng import DeterministicRandom
-from repro.enclaves.common import Credentials, UserDirectory
+from repro.enclaves.common import UserDirectory
 from repro.enclaves.harness import SyncNetwork, wire
 from repro.enclaves.itgm.admin import CertifiedPayload, NewGroupKeyPayload
 from repro.enclaves.itgm.failover import ManagerSet
@@ -75,8 +75,6 @@ class QuorumScenario:
     """A wired quorum stack: replica set + certificate-verifying members."""
 
     net: SyncNetwork
-    directory: UserDirectory
-    creds: dict[str, Credentials]
     qs: QuorumLeaderSet
     members: dict[str, QuorumMemberProtocol]
 
@@ -94,21 +92,16 @@ class QuorumScenario:
 class SingleScenario:
     """The vulnerable baseline: one trusted leader, trusting members.
 
-    Carries the PR-3 durability machinery (journal, shipper, one warm
-    standby follower) so the corruption fault can demonstrate the
-    silent-rollback promotion the quorum layer closes.
+    The leader journals and ships to one warm standby ``follower``, so
+    the corruption fault can demonstrate the silent-rollback promotion
+    the quorum layer closes.
     """
 
     net: SyncNetwork
-    directory: UserDirectory
-    creds: dict[str, Credentials]
     managers: ManagerSet
-    journal: Journal
-    shipper: JournalShipper
     follower: JournalFollower
     members: dict[str, MemberProtocol]
-    disk: SimDisk = field(default_factory=SimDisk)
-    leader_addr: str = "mgr-0"
+    leader_addr: str
 
     @property
     def leader(self) -> GroupLeader:
@@ -140,7 +133,7 @@ def build_quorum_scenario(
         wire(net, uid, member)
         net.post(member.start_join())
         net.run()
-    return QuorumScenario(net, directory, creds, qs, members)
+    return QuorumScenario(net, qs, members)
 
 
 def build_single_scenario(
@@ -184,9 +177,7 @@ def build_single_scenario(
         net.post(member.start_join())
         net.run()
     return SingleScenario(
-        net=net, directory=directory, creds=creds, managers=managers,
-        journal=journal, shipper=shipper, follower=follower,
-        members=members, disk=disk, leader_addr=managers.primary_id,
+        net, managers, follower, members, managers.primary_id
     )
 
 

@@ -1,6 +1,7 @@
 """Hosting quorum replica sets on the shard fabric.
 
-Two integrations, both deliberately thin:
+Two integrations, both deliberately thin, and the scenario that
+exercises them:
 
 * **Hosting** — :func:`host_quorum_group` builds a
   :class:`~repro.quorum.replicas.QuorumLeaderSet` whose primary journals
@@ -13,6 +14,11 @@ Two integrations, both deliberately thin:
   :class:`~repro.fabric.member.FabricMember` whose inner protocol is
   the certificate-verifying
   :class:`~repro.quorum.member.QuorumMemberProtocol`.
+
+* **Observed scenario** — :func:`obs_scenario` is one seeded
+  quorum-on-fabric group driven through joins, an app message and a
+  certified rekey: the workload of ``repro obs`` and of the
+  observability benches.
 
 * **Migration** — :func:`migrate_quorum_group` moves a hosted set
   between shards **warm**, unlike the cold single-leader move in
@@ -42,13 +48,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.rng import RandomSource
+from repro.crypto.rng import DeterministicRandom, RandomSource
 from repro.enclaves.common import Credentials, UserDirectory
+from repro.enclaves.harness import SyncNetwork, wire
 from repro.enclaves.itgm.persistence import restore_leader
 from repro.fabric.directory import GroupDirectory
 from repro.fabric.member import FabricMember
 from repro.fabric.migration import ship_and_flip
 from repro.fabric.shard import ShardHost
+from repro.overload.mailbox import BoundedMailbox
 from repro.quorum.member import QuorumMemberProtocol
 from repro.quorum.replicas import (
     QuorumConfig,
@@ -56,6 +64,7 @@ from repro.quorum.replicas import (
     QuorumLeaderSet,
 )
 from repro.storage.journal import Journal
+from repro.storage.simdisk import SimDisk
 from repro.telemetry.events import EventBus
 from repro.util.clock import Clock
 from repro.wire.message import Envelope
@@ -122,6 +131,70 @@ def quorum_fabric_member(
         rng=rng, rekey_grace=rekey_grace, telemetry=telemetry,
         protocol_factory=factory,
     )
+
+
+def obs_scenario(seed: int, bus, profiler=None):
+    """One seeded quorum-on-fabric group: the obs commands' workload.
+
+    A replica set hosted behind a shard demux, certificate-verifying
+    members routed by the directory — so one join's causal chain spans
+    every layer: member handshake → GROUP_WRAP demux → leader core →
+    quorum certification → WAL → admin multicast.  Frames for the shard
+    go through its bounded intake (``enqueue``, then ``pump`` once the
+    members have spoken), the way production takes them.  Returns
+    ``(net, shard, qs, members)`` after joins, one sealed app message,
+    and one leader-initiated certified rekey.
+    """
+    group_id = "grp-obs"
+    rng = DeterministicRandom(seed)
+    users = UserDirectory()
+    net = SyncNetwork(telemetry=bus)
+    fabric = GroupDirectory(
+        ["shard-a"], rng=rng.fork("directory"), telemetry=bus
+    )
+    shard = ShardHost(
+        "shard-a", SimDisk(rng=rng.fork("disk")),
+        rng=rng.fork("shard"), telemetry=bus,
+        mailbox=BoundedMailbox("shard-a", telemetry=bus),
+    )
+
+    def intake(envelope):
+        shard.enqueue(envelope)
+        return [], []
+
+    def settle():
+        net.run()
+        while len(shard.mailbox):
+            net.post_all(shard.pump(64)[0])
+            net.run()
+
+    net.register("shard-a", intake)
+    fabric.create_group(group_id)
+    qs = host_quorum_group(
+        shard, users, group_id, rng=rng.fork("quorum"), telemetry=bus
+    )
+    if profiler is not None:
+        shard.bind_profiler(profiler)
+        qs.leader.bind_profiler(profiler)
+        qs.journal.bind_profiler(profiler)
+
+    members = {}
+    for name in ("alice", "bob", "carol"):
+        creds = users.register_password(name, f"pw-{name}")
+        fm = quorum_fabric_member(
+            creds, group_id, fabric, qs, rng=rng.fork(name), telemetry=bus
+        )
+        members[name] = fm
+        wire(net, name, fm)
+        if profiler is not None:
+            fm.protocol.bind_profiler(profiler)
+        net.post_all(fm.start_join())
+        settle()
+    net.post(members["alice"].seal_app(b"hello observable group"))
+    settle()
+    net.post_all(qs.leader.rekey_now())
+    settle()
+    return net, shard, qs, members
 
 
 def rebind_after_view_change(shard: ShardHost, qs: QuorumLeaderSet) -> None:
@@ -236,6 +309,7 @@ __all__ = [
     "QuorumMigrationReport",
     "host_quorum_group",
     "migrate_quorum_group",
+    "obs_scenario",
     "quorum_fabric_member",
     "rebind_after_view_change",
 ]

@@ -42,7 +42,7 @@ from repro.enclaves.itgm.admin import (
     MembershipPayload,
     NewGroupKeyPayload,
 )
-from repro.enclaves.itgm.leader import GroupLeader, LeaderConfig
+from repro.enclaves.itgm.leader import GroupLeader
 from repro.enclaves.itgm.persistence import restore_leader
 from repro.exceptions import QuorumError, StateError
 from repro.quorum.attestation import (
@@ -277,7 +277,6 @@ class QuorumLeaderSet:
         config: QuorumConfig | None = None,
         *,
         session_id: str = "quorum",
-        leader_config: LeaderConfig | None = None,
         rng: RandomSource | None = None,
         clock: Clock | None = None,
         telemetry: EventBus | None = None,
@@ -315,7 +314,7 @@ class QuorumLeaderSet:
 
         self.disk = disk if disk is not None else SimDisk()
         self.leader = QuorumGroupLeader(
-            session_id, directory, config=leader_config,
+            session_id, directory,
             rng=self._rng.fork("primary"), clock=clock,
             telemetry=telemetry,
         )

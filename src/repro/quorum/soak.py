@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 from repro.enclaves.harness import wire
 from repro.enclaves.itgm.member import MemberState
+from repro.quorum.attestation import EquivocationEvidence
 from repro.quorum.byzantine import (
     FAULT_NAMES,
     FAULTS,
@@ -73,20 +74,6 @@ class QuorumSoakReport:
     @property
     def safe(self) -> bool:
         return not self.violations
-
-    def as_dict(self) -> dict:
-        return {
-            "stack": self.stack,
-            "fault": self.fault,
-            "seed": self.seed,
-            "detected": self.detected,
-            "detail": self.detail,
-            "view_changes": self.view_changes,
-            "violations": list(self.violations),
-            "converged": self.converged,
-            "final_epoch": self.final_epoch,
-            "n_members": self.n_members,
-        }
 
 
 def run_quorum_soak(
@@ -146,9 +133,9 @@ def run_quorum_soak(
 
     # Phase 2 — the strike.
     if stack == "quorum":
-        strike = fault_obj.strike_quorum(scenario)
+        fault_obj.strike_quorum(scenario)
     else:
-        strike = fault_obj.strike_single(scenario)
+        fault_obj.strike_single(scenario)
     sample()
 
     # Phase 3 — detection and response.  Only the quorum stack has
@@ -157,7 +144,7 @@ def run_quorum_soak(
     detected = False
     detail_bits: list[str] = []
     if stack == "quorum":
-        detected, detail_bits = _quorum_respond(scenario, fault, strike)
+        detected, detail_bits, _, _ = quorum_respond(scenario, fault)
         sample()
 
     # Phase 4 — settling: retransmission rounds flush stalled channels.
@@ -185,10 +172,16 @@ def run_quorum_soak(
     )
 
 
-def _quorum_respond(
-    scenario: QuorumScenario, fault: str, strike: dict
-) -> tuple[bool, list[str]]:
+def quorum_respond(
+    scenario: QuorumScenario, fault: str
+) -> tuple[bool, list[str], str | None, EquivocationEvidence | None]:
     """The quorum stack's defences, run in their deployment order.
+
+    The one response procedure: the soak runs it after every strike and
+    the ``quorum-equivocation`` attack row after its own, so the row
+    certifies the procedure the soak exercises.  Returns ``(detected,
+    detail, detector, evidence)`` — the last two name the member whose
+    gossip found a fork and what it found, ``None`` otherwise.
 
     1. *Certificate gossip*: members exchange recently accepted
        certificates; any member's verifier that observes a conflict
@@ -262,7 +255,7 @@ def _quorum_respond(
                 accused, "failover drill with damaged replica present"
             )
     if accused is None:
-        return False, detail
+        return False, detail, None, None
 
     # The accused primary is gone: its standing interference with the
     # wire (selective silence) goes with it.
@@ -277,7 +270,7 @@ def _quorum_respond(
     )
     net.post_all(out)
     net.run()
-    return True, detail
+    return True, detail, detector, evidence
 
 
 def _judge(
@@ -379,10 +372,103 @@ def format_byzantine_matrix(reports: list[QuorumSoakReport]) -> str:
     return "\n".join(lines)
 
 
+def _cmd_demo(args, _bus) -> int:
+    """Scripted tour: certified mutations, a fork, detection, healing."""
+    seed = args.seed
+    scenario = build_quorum_scenario(["alice", "bob", "carol"], seed=seed)
+    qs = scenario.qs
+    print(f"quorum demo — n={qs.config.n} replicas (f={qs.config.f}), "
+          f"certificates need {qs.config.threshold} attestations, "
+          f"seed={seed}")
+    print(f"  replica set        : primary {qs.primary_id}, "
+          f"witnesses {sorted(qs.witnesses)}")
+    print(f"  members joined     : {qs.leader.members} "
+          f"(every join certified)")
+    scenario.net.post_all(qs.leader.rekey_now())
+    scenario.net.run()
+    alice = scenario.members["alice"]
+    certificate = alice.accepted_certificates[-1]
+    print(f"  certified rekey    : epoch {alice.group_epoch}, "
+          f"signed by {sorted(certificate.signers)}")
+
+    report = run_quorum_soak("equivocation", stack="quorum", seed=seed)
+    print(f"  equivocation drill : detected={report.detected} — "
+          f"{report.detail}")
+    print(f"  view change        : {report.view_changes} "
+          f"(healed at epoch {report.final_epoch}, "
+          f"{len(report.violations)} invariant violations)")
+    ok = report.safe and report.detected and report.converged
+    print("  verdict            : "
+          + ("OK — fork detected, attributed, healed" if ok else "FAILED"))
+    return 0 if ok else 1
+
+
+def _cmd_attack(args, _bus) -> int:
+    """The Byzantine-leader rows of the attack matrix, on their own."""
+    from repro.attacks import QuorumEquivocationAttack, QuorumForgeryAttack
+    from repro.attacks.suite import print_attack_rows
+
+    return print_attack_rows(
+        [QuorumForgeryAttack, QuorumEquivocationAttack], args.seed,
+        "Byzantine-leader attacks — 'legacy' is the single-trusted-"
+        "leader deployment,\n'improved' the quorum-hardened stack:\n",
+        ("both attacks break the single leader and die on the quorum",
+         "deviation from the quorum claim!"),
+    )
+
+
+def _cmd_soak(args, bus):
+    """The full Byzantine fault × stack comparison grid."""
+    faults = tuple(args.faults.split(",")) if args.faults else None
+    reports = run_byzantine_matrix(
+        seed=args.seed, faults=faults, telemetry=bus
+    )
+    print(format_byzantine_matrix(reports))
+
+    def verdict() -> int:
+        bad = [r for r in reports if not soak_as_expected(r)]
+        if bad:
+            print(f"\n{len(bad)} cell(s) deviated from the quorum claim!")
+            for r in bad:
+                for violation in r.violations[:3]:
+                    print(f"  {r.fault}/{r.stack}: {violation}")
+            return 1
+        print("\nquorum stack: zero violations, every fault detected; "
+              "single leader: broken under every fault")
+        return 0
+
+    return verdict
+
+
+def register(sub) -> None:
+    quorum = sub.add_parser(
+        "quorum",
+        help="drive the Byzantine leader quorum (demo / attack / soak)",
+    )
+    quorum.add_argument("mode", choices=("demo", "attack", "soak"),
+                        help="scripted certification-and-healing demo, "
+                             "Byzantine-leader attack rows, or the "
+                             "fault × stack soak matrix")
+    quorum.add_argument("--seed", type=int, default=7)
+    quorum.add_argument("--faults", metavar="F1,F2",
+                        help="comma-separated subset of equivocation,"
+                             "silence,withholding,corruption "
+                             "(soak mode only)")
+    quorum.add_argument("--out", metavar="PATH",
+                        help="export the run's event stream as "
+                             "deterministic JSONL")
+    quorum.set_defaults(select="mode", dispatch={
+        "demo": (_cmd_demo, "out", False, ""),
+        "attack": (_cmd_attack, "out", False, ""),
+        "soak": (_cmd_soak, "out", True, "\n"),
+    })
+
+
 __all__ = [
     "STACKS",
     "QuorumSoakReport",
     "format_byzantine_matrix",
+    "quorum_respond",
     "run_byzantine_matrix",
     "run_quorum_soak",
     "soak_as_expected",

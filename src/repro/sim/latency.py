@@ -36,8 +36,8 @@ from repro.enclaves.itgm.member import MemberProtocol
 from repro.enclaves.itgm.runtime import LeaderRuntime
 from repro.net.adversary import Adversary
 from repro.net.memnet import MemoryNetwork
-from repro.sim.metrics import LatencyRecorder
 from repro.sim.netmodel import DelayModel, FixedDelay
+from repro.telemetry.metrics import Histogram
 
 #: Virtual seconds between joins — far enough apart that each completes
 #: alone — and between admin rounds, so each quiesces before the next.
@@ -49,9 +49,9 @@ ROUND_SPACING = 50.0
 class LatencyReport:
     """Latency distributions from one study."""
 
-    join_to_connected: LatencyRecorder
-    join_to_group_key: LatencyRecorder
-    admin_round_trip: LatencyRecorder
+    join_to_connected: Histogram
+    join_to_group_key: Histogram
+    admin_round_trip: Histogram
 
 
 class _StampedCore:
@@ -118,8 +118,7 @@ async def _study(
             await runtimes["leader"].endpoint.send(out)
         await asyncio.sleep(ROUND_SPACING)
 
-    report = LatencyReport(LatencyRecorder(), LatencyRecorder(),
-                           LatencyRecorder())
+    report = LatencyReport(Histogram(), Histogram(), Histogram())
     for user_id in members:
         queue = runtimes[user_id].events
         stamped = [queue.get_nowait() for _ in range(queue.qsize())]

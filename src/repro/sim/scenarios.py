@@ -19,9 +19,9 @@ from repro.enclaves.common import RekeyPolicy, UserDirectory
 from repro.enclaves.harness import SyncNetwork, wire
 from repro.enclaves.itgm.leader import GroupLeader, LeaderConfig
 from repro.enclaves.itgm.member import MemberProtocol, MemberState
-from repro.sim.metrics import MetricSet
 from repro.sim.workload import ChurnWorkload, MessageWorkload, WorkloadKind
 from repro.telemetry.events import EventBus
+from repro.telemetry.export import LiveSummary
 
 
 @dataclass
@@ -43,7 +43,6 @@ class ChurnReport:
     """Results of one churn simulation."""
 
     scenario: ChurnScenario
-    metrics: MetricSet
     final_members: list[str] = field(default_factory=list)
     views_consistent: bool = True
     rekeys: int = 0
@@ -79,7 +78,6 @@ async def _churn(
     clock = LoopClock(loop)
     rng = DeterministicRandom(scenario.seed)
     net = SyncNetwork(telemetry=telemetry)
-    metrics = MetricSet()
     if telemetry is not None:
         telemetry.set_clock(clock)
 
@@ -124,14 +122,12 @@ async def _churn(
         if event.kind is WorkloadKind.JOIN:
             def do_join(m=member) -> None:
                 if m.state is MemberState.NOT_CONNECTED:
-                    metrics.incr("workload_joins")
                     net.post(m.start_join())
                     pump()
             actions.append((event.time, do_join))
         else:
             def do_leave(m=member) -> None:
                 if m.state is MemberState.CONNECTED:
-                    metrics.incr("workload_leaves")
                     net.post(m.start_leave())
                     pump()
             actions.append((event.time, do_leave))
@@ -145,7 +141,6 @@ async def _churn(
 
         def do_send(m=member, payload=event.payload) -> None:
             if m.state is MemberState.CONNECTED and m.has_group_key:
-                metrics.incr("messages_sent")
                 net.post(m.seal_app(payload))
                 pump()
         actions.append((event.time, do_send))
@@ -180,7 +175,6 @@ async def _churn(
 
     report = ChurnReport(
         scenario=scenario,
-        metrics=metrics,
         final_members=leader.members,
         views_consistent=consistent,
         rekeys=leader.stats.rekeys,
@@ -189,3 +183,43 @@ async def _churn(
         leaves=leader.stats.leaves,
     )
     return report
+
+
+_POLICIES = {
+    "membership": RekeyPolicy.ON_JOIN | RekeyPolicy.ON_LEAVE,
+    "on-leave": RekeyPolicy.ON_LEAVE,
+    "periodic": RekeyPolicy.PERIODIC,
+    "manual": RekeyPolicy.MANUAL,
+}
+
+
+def _cmd_churn(args, bus) -> int:
+    summary = None if bus is None else bus.subscribe(LiveSummary())
+    report = run_churn(
+        ChurnScenario(
+            n_users=args.users,
+            duration=args.duration,
+            rekey_policy=_POLICIES[args.policy],
+            seed=args.seed,
+        ),
+        telemetry=bus,
+    )
+    print(report.summary())
+    if summary is not None:
+        print(summary.render())
+    return 0 if report.views_consistent else 1
+
+
+def register(sub) -> None:
+    churn = sub.add_parser("churn", help="run a churn simulation")
+    churn.add_argument("--users", type=int, default=8)
+    churn.add_argument("--duration", type=float, default=60.0)
+    churn.add_argument("--policy", default="membership",
+                       choices=tuple(_POLICIES))
+    churn.add_argument("--seed", type=int, default=0)
+    churn.add_argument("--telemetry", metavar="PATH",
+                       help="export the telemetry event stream as JSONL")
+    churn.set_defaults(
+        select="command",
+        dispatch={"churn": (_cmd_churn, "telemetry", True, "")},
+    )

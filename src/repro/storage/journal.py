@@ -72,11 +72,10 @@ from repro.telemetry.events import (
     JournalSynced,
 )
 
-#: Associated-data label binding a seal to "journal record", so a sealed
-#: snapshot blob can never be spliced into a journal (or vice versa).
+#: Associated-data label binding a seal to "journal record", so nothing
+#: else sealed under the storage key can be spliced into a journal.
 RECORD_AD = b"repro-journal-record-v1"
 
-_HEADER_LEN = 8  # u32 length + u32 crc32
 #: Upper bound on a single record's body, to reject absurd lengths from
 #: corrupted headers before allocating.
 MAX_RECORD_LEN = 16 * 1024 * 1024

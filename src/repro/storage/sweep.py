@@ -494,3 +494,36 @@ def _bitrot_cases(config: SweepConfig, report: SweepReport) -> None:
                 f"{case}: truncated replay is not the mutation prefix "
                 f"before the rotten record"
             )
+
+
+def _cmd_durability(args, _bus) -> int:
+    modes = (
+        tuple(args.modes.split(",")) if args.modes else ALL_MODES
+    )
+    report = run_crash_sweep(SweepConfig(
+        seed=args.seed, modes=modes, stride=args.stride,
+        fsync_every=args.fsync_every,
+    ))
+    print(report.format_table())
+    return 0 if report.ok else 1
+
+
+def register(sub) -> None:
+    durability = sub.add_parser(
+        "durability",
+        help="run the crash-point sweep over the leader journal",
+    )
+    durability.add_argument("--seed", type=int, default=7)
+    durability.add_argument("--stride", type=int, default=1,
+                            help="sweep every Nth write index "
+                                 "(1 = exhaustive)")
+    durability.add_argument("--modes", metavar="M1,M2",
+                            help="comma-separated subset of "
+                                 "failstop,torn,lost,bitrot")
+    durability.add_argument("--fsync-every", type=int, default=1,
+                            dest="fsync_every",
+                            help="journal records per fsync")
+    durability.set_defaults(
+        select="command",
+        dispatch={"durability": (_cmd_durability, None, False, "")},
+    )

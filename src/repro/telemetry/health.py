@@ -2,14 +2,10 @@
 
 The chaos soak asserts the paper's safety properties by sampling
 protocol state; this probe checks the *event stream* itself, which
-gives two things the state sampler cannot:
-
-* violations are reported **with the event trail that led to them**
-  (the last N records before the offending event, frame ids included),
-  so a failed invariant is a story, not a boolean;
-* rekey propagation is measured as it happens — the probe opens a span
-  per (leader, epoch) at ``RekeyIssued`` and records one
-  ``rekey_propagation`` sample per member at ``RekeyInstalled``.
+gives what the state sampler cannot: violations are reported **with
+the event trail that led to them** (the last N records before the
+offending event, frame ids included), so a failed invariant is a story,
+not a boolean.
 
 Invariants checked live (per §5.4's per-session reading):
 
@@ -32,34 +28,22 @@ from repro.telemetry.events import (
     JoinCompleted,
     ProbeViolation,
     RekeyInstalled,
-    RekeyIssued,
     TelemetryRecord,
 )
-from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.spans import SpanTracer
 
 
 class HealthProbe:
     """A bus subscriber that checks invariants as events arrive."""
 
-    def __init__(
-        self,
-        trail: int = 24,
-        registry: MetricsRegistry | None = None,
-        tracer: SpanTracer | None = None,
-    ) -> None:
+    def __init__(self, trail: int = 24) -> None:
         self.violations: list[str] = []
         self._trail: deque[TelemetryRecord] = deque(maxlen=trail)
-        self._registry = registry
-        self._tracer = tracer
         #: (member, leader) -> session generation (bumped per rejoin).
         self._generation: dict[tuple[str, str], int] = {}
         #: (member, leader, generation) -> last accepted epoch.
         self._last_epoch: dict[tuple[str, str, int], int] = {}
         #: (leader, epoch) -> fingerprint first seen for it.
         self._fingerprints: dict[tuple[str, int], str] = {}
-        #: (leader, epoch) -> ts of the RekeyIssued event.
-        self._issued_at: dict[tuple[str, int], float] = {}
         #: The bus we watch (set by subscribe_to); violations are
         #: echoed onto it as ProbeViolation events so downstream
         #: subscribers (e.g. a flight recorder) can trigger on them.
@@ -78,15 +62,11 @@ class HealthProbe:
         if isinstance(event, JoinCompleted):
             key = (event.node, event.leader)
             self._generation[key] = self._generation.get(key, 0) + 1
-        elif isinstance(event, RekeyIssued):
-            self._issued_at[(event.node, event.epoch)] = record.ts
         elif isinstance(event, RekeyInstalled):
-            self._check_install(record, event)
+            self._check_install(event)
         self._trail.append(record)
 
-    def _check_install(
-        self, record: TelemetryRecord, event: RekeyInstalled
-    ) -> None:
+    def _check_install(self, event: RekeyInstalled) -> None:
         self.checked += 1
         member, leader = event.node, event.leader
         generation = self._generation.get((member, leader), 0)
@@ -109,18 +89,6 @@ class HealthProbe:
                 f"{leader} epoch {event.epoch}: fingerprint disagreement "
                 f"({event.fingerprint[:8]} vs {seen[:8]})"
             )
-
-        issued = self._issued_at.get((leader, event.epoch))
-        if issued is not None and record.ts >= issued:
-            if self._registry is not None:
-                self._registry.histogram(
-                    "rekey_propagation", leader=leader
-                ).record(record.ts - issued)
-            if self._tracer is not None:
-                self._tracer.record_span(
-                    "rekey", member, issued, record.ts,
-                    leader=leader, epoch=event.epoch,
-                )
 
     def _report(self, message: str) -> None:
         trail = " | ".join(self._describe(r) for r in self._trail)

@@ -1,10 +1,9 @@
 """Metrics registry: counters, gauges, histograms, per-node labels.
 
-Generalizes :mod:`repro.sim.metrics` (which remains as thin aliases
-over these types).  Instruments are cheap plain objects; the registry
-keys them by ``(name, sorted label items)`` so the same metric can be
-tracked per node, per window, per stack...  Rendering for humans and
-for Prometheus-style scrapes lives in :mod:`repro.telemetry.export`.
+Instruments are cheap plain objects; the registry keys them by
+``(name, sorted label items)`` so the same metric can be tracked per
+node, per window, per stack...  Rendering for humans and for
+Prometheus-style scrapes lives in :mod:`repro.telemetry.export`.
 """
 
 from __future__ import annotations
@@ -44,12 +43,7 @@ class Gauge:
 
 @dataclass
 class Histogram:
-    """Sample collector with linear-interpolated percentiles.
-
-    This is the exact statistic engine `sim.metrics.LatencyRecorder`
-    always had (that name is now an alias of this class), promoted to
-    the registry so any labeled series gets the same percentiles.
-    """
+    """Sample collector with linear-interpolated percentiles."""
 
     samples: list[float] = field(default_factory=list)
 
@@ -119,8 +113,8 @@ class MetricsRegistry:
     """Named, labeled instruments with lazy creation.
 
     ``registry.counter("rejoins", node="user-3").incr()`` — one series
-    per distinct label set.  ``snapshot()`` renders everything to plain
-    dicts for reports and assertions.
+    per distinct label set.  ``snapshot()`` renders counters and
+    histograms to plain dicts for reports and assertions.
     """
 
     def __init__(self) -> None:
@@ -180,11 +174,11 @@ class MetricsRegistry:
             yield "histogram", name, key, h
 
     def snapshot(self) -> dict:
-        """Plain-dict view of every series."""
+        """A plain-dict view for reports and assertions: counters by
+        series and histograms as their ``latencies`` summaries."""
         return {
             "counters": self.counters(),
-            "gauges": self.gauges(),
-            "histograms": {
+            "latencies": {
                 series: h.summary() for series, h in self.histograms().items()
             },
         }

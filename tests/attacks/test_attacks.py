@@ -112,6 +112,43 @@ class TestByzantineAttacks:
         result = QuorumEquivocationAttack().run_itgm()
         assert not result.succeeded, result.detail
 
+    def test_equivocation_row_runs_the_soaks_response(self, monkeypatch):
+        """One response procedure: the attack row and the equivocation
+        soak both go through ``quorum_respond``, once each — so the row
+        emits the ``EquivocationDetected`` the soak always did — and
+        the row's verdict reads as it did when it spelled its own."""
+        import repro.attacks.quorum_equivocation as row
+        import repro.quorum.soak as soak
+        from repro.telemetry import DEFAULT_BUS
+
+        real, calls = soak.quorum_respond, []
+
+        def spy(scenario, fault):
+            calls.append(fault)
+            return real(scenario, fault)
+
+        monkeypatch.setattr(soak, "quorum_respond", spy)
+        monkeypatch.setattr(row, "quorum_respond", spy)
+        seen = []
+        DEFAULT_BUS.subscribe(seen.append)
+        try:
+            result = QuorumEquivocationAttack().run_itgm()
+        finally:
+            DEFAULT_BUS.unsubscribe(seen.append)
+        assert calls == ["equivocation"]
+        assert result.detail == (
+            "alice detected the fork; evidence convicted rep-0; view "
+            "change promoted rep-3 and re-keyed at epoch 3 (above both "
+            "forks at 2)"
+        )
+        detected = [r for r in seen
+                    if type(r.event).__name__ == "EquivocationDetected"]
+        assert len(detected) == 1 and detected[0].event.accused == "rep-0"
+
+        report = soak.run_quorum_soak("equivocation", stack="quorum")
+        assert calls == ["equivocation", "equivocation"]
+        assert report.detected and report.safe
+
 
 class TestDataPlaneAttacks:
     """The data-plane rows: group-key-only channel vs the ratchet.

@@ -5,6 +5,7 @@ import pytest
 
 from repro.enclaves.common import MemberLeft, RekeyPolicy
 from repro.enclaves.itgm.leader import LeaderConfig
+from repro.enclaves.itgm.leader_session import LeaderState
 from repro.exceptions import StateError
 from repro.wire.labels import Label
 
@@ -83,6 +84,23 @@ class TestExpel:
         # Expelling twice is an error: the session is already closed.
         with pytest.raises(StateError):
             group.leader.expel("alice")
+
+    def test_half_open_session_is_aborted_not_expelled(self):
+        """``expel`` is the membership check in front of
+        ``abort_session``: a handshake that has not completed is no
+        membership, so only the latter may close it."""
+        group = ItgmGroup(["alice"]).join_all()
+        newbie = group.add_member("bob")
+        group.leader.handle(newbie.start_join())  # AuthKeyDist withheld
+        assert (group.leader.session_state("bob")
+                is LeaderState.WAITING_FOR_KEY_ACK)
+        with pytest.raises(StateError, match="not a member"):
+            group.leader.expel("bob")
+        assert (group.leader.session_state("bob")
+                is LeaderState.WAITING_FOR_KEY_ACK)
+        group.leader.abort_session("bob")
+        assert group.leader.session_state("bob") is LeaderState.NOT_CONNECTED
+        assert group.leader.members == ["alice"]
 
     def test_pending_outbox_cleared(self):
         group = ItgmGroup(["alice", "bob"]).join_all()

@@ -163,7 +163,7 @@ class TestFailover:
                 # The dead primary's AuthKeyDist, admin and heartbeat frames.
                 stale = [f.envelope for f in adversary.log
                          if f.envelope.sender == "mgr-0"
-                         and f.envelope.recipient == supervisor.address]
+                         and f.envelope.recipient == supervisor.user_id]
                 assert stale
                 await orchestrator.failover()
                 assert await wait_until(

@@ -2,20 +2,20 @@
 
 import pytest
 
-from repro.crypto.keys import GroupKey, SessionKey
+from repro.crypto.aead import AuthenticatedCipher
+from repro.crypto.keys import GroupKey
 from repro.enclaves.common import AppMessage, UserDirectory
 from repro.enclaves.harness import wire
 from repro.enclaves.itgm.admin import TextPayload
 from repro.enclaves.itgm.leader_session import LeaderState
 from repro.enclaves.itgm.persistence import (
     SNAPSHOT_VERSION,
-    load_snapshot,
-    open_snapshot,
     restore_leader,
-    seal_snapshot,
     snapshot_leader,
 )
-from repro.exceptions import IntegrityError, ProtocolError
+from repro.exceptions import ProtocolError, RecoveryError
+from repro.storage.journal import frame_record, seal_record
+from repro.storage.recovery import replay_records
 
 from tests.conftest import ItgmGroup
 
@@ -171,47 +171,54 @@ class TestSnapshotFormat:
 
 
 class TestSealedStorage:
+    """A snapshot at rest is a journal record: sealed by ``seal_record``
+    under the operator's storage key, opened and version-checked by
+    ``replay_records``."""
+
     STORAGE_KEY = GroupKey(b"\x55" * 32)
+
+    def seal(self, snapshot) -> bytes:
+        return seal_record(
+            AuthenticatedCipher(self.STORAGE_KEY), 0, "snapshot", snapshot
+        )
 
     def test_roundtrip(self):
         group = ItgmGroup(["alice"]).join_all()
         snapshot = snapshot_leader(group.leader)
-        blob = seal_snapshot(snapshot, self.STORAGE_KEY)
-        assert open_snapshot(blob, self.STORAGE_KEY) == snapshot
+        blob = self.seal(snapshot)
+        assert replay_records(blob, self.STORAGE_KEY).state == snapshot
 
     def test_wrong_key_rejected(self):
         group = ItgmGroup(["alice"]).join_all()
-        blob = seal_snapshot(snapshot_leader(group.leader), self.STORAGE_KEY)
-        with pytest.raises(IntegrityError):
-            open_snapshot(blob, GroupKey(b"\x56" * 32))
+        blob = self.seal(snapshot_leader(group.leader))
+        with pytest.raises(RecoveryError, match="unreadable"):
+            replay_records(blob, GroupKey(b"\x56" * 32))
 
     def test_tampered_blob_rejected(self):
+        """The seal's MAC is the authoritative check: a flipped bit
+        under a *valid* CRC frame still fails to open."""
         group = ItgmGroup(["alice"]).join_all()
-        blob = bytearray(
-            seal_snapshot(snapshot_leader(group.leader), self.STORAGE_KEY)
-        )
-        blob[-1] ^= 0x01
-        with pytest.raises(IntegrityError):
-            open_snapshot(bytes(blob), self.STORAGE_KEY)
+        body = bytearray(self.seal(snapshot_leader(group.leader))[8:])
+        body[-1] ^= 0x01
+        with pytest.raises(RecoveryError, match="unreadable"):
+            replay_records(frame_record(bytes(body)), self.STORAGE_KEY)
 
     def test_keys_not_visible_in_blob(self):
         group = ItgmGroup(["alice"]).join_all()
         snapshot = snapshot_leader(group.leader)
-        blob = seal_snapshot(snapshot, self.STORAGE_KEY)
+        blob = self.seal(snapshot)
         group_key_hex = snapshot["group_key"]
         assert bytes.fromhex(group_key_hex) not in blob
 
     def test_load_snapshot_rejects_unknown_version(self):
-        """A blob from a future (or corrupted) format version must fail
-        loudly at load time, not halfway through a restore."""
+        """A record from a future (or corrupted) format version must
+        fail loudly at load time, not halfway through a restore."""
         group = ItgmGroup(["alice"]).join_all()
         snapshot = snapshot_leader(group.leader)
         snapshot["version"] = SNAPSHOT_VERSION + 1
-        blob = seal_snapshot(snapshot, self.STORAGE_KEY)
         # The seal itself is fine -- only the version gate trips.
-        assert open_snapshot(blob, self.STORAGE_KEY) == snapshot
-        with pytest.raises(ProtocolError) as err:
-            load_snapshot(blob, self.STORAGE_KEY)
+        with pytest.raises(RecoveryError) as err:
+            replay_records(self.seal(snapshot), self.STORAGE_KEY)
         message = str(err.value)
         assert str(SNAPSHOT_VERSION + 1) in message
         assert str(SNAPSHOT_VERSION) in message
@@ -219,12 +226,13 @@ class TestSealedStorage:
     def test_load_snapshot_accepts_current_version(self):
         group = ItgmGroup(["alice"]).join_all()
         snapshot = snapshot_leader(group.leader)
-        blob = seal_snapshot(snapshot, self.STORAGE_KEY)
-        assert load_snapshot(blob, self.STORAGE_KEY) == snapshot
+        result = replay_records(self.seal(snapshot), self.STORAGE_KEY)
+        assert result.state["version"] == SNAPSHOT_VERSION
+        assert not result.truncated
 
     def test_full_cycle_restart_from_sealed_blob(self):
         group = ItgmGroup(["alice", "bob"]).join_all()
-        blob = seal_snapshot(snapshot_leader(group.leader), self.STORAGE_KEY)
-        snapshot = open_snapshot(blob, self.STORAGE_KEY)
+        blob = self.seal(snapshot_leader(group.leader))
+        snapshot = replay_records(blob, self.STORAGE_KEY).state
         restored = restore_leader(snapshot, group.directory)
         assert restored.members == ["alice", "bob"]

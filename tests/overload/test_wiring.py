@@ -216,7 +216,7 @@ class TestSupervisorRetryBudget:
         deadline = AdaptiveDeadline(
             tracker, multiplier=4.0, floor=0.05, cap=10.0, warmup=1
         )
-        # Simulates what _observe_join feeds: fast successful joins.
+        # What the data plane's ACK round trips feed: fast operations.
         for _ in range(10):
             deadline.observe(0.02)
         assert deadline.current() < 0.5  # far below the 1s static default

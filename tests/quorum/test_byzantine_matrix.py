@@ -8,6 +8,8 @@ JSONL determinism check CI diffs on failure — is ``chaos``-marked
 ``pytest -m chaos``).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.quorum.byzantine import FAULT_NAMES
@@ -53,7 +55,7 @@ class TestSingleCells:
 class TestReportShape:
     def test_as_dict_round_trips_the_verdict_inputs(self):
         report = run_quorum_soak("withholding", stack="quorum", seed=3)
-        data = report.as_dict()
+        data = dataclasses.asdict(report)
         assert data["stack"] == "quorum"
         assert data["fault"] == "withholding"
         assert data["seed"] == 3

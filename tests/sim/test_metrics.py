@@ -1,19 +1,21 @@
-"""Tests for metric collection."""
+"""Tests for metric collection: the simulations and soaks count into
+:class:`MetricsRegistry` and time into :class:`Histogram` directly (the
+``sim.metrics`` aliases ``MetricSet`` / ``LatencyRecorder`` are gone)."""
 
 import math
 
-from repro.sim.metrics import LatencyRecorder, MetricSet
+from repro.telemetry.metrics import Histogram, MetricsRegistry
 
 
 class TestLatencyRecorder:
     def test_empty_stats_are_nan(self):
-        rec = LatencyRecorder()
+        rec = Histogram()
         assert math.isnan(rec.mean)
         assert math.isnan(rec.p50)
         assert math.isnan(rec.maximum)
 
     def test_single_sample(self):
-        rec = LatencyRecorder()
+        rec = Histogram()
         rec.record(5.0)
         assert rec.mean == 5.0
         assert rec.p50 == 5.0
@@ -21,13 +23,13 @@ class TestLatencyRecorder:
         assert rec.percentile(100) == 5.0
 
     def test_mean(self):
-        rec = LatencyRecorder()
+        rec = Histogram()
         for v in (1.0, 2.0, 3.0):
             rec.record(v)
         assert rec.mean == 2.0
 
     def test_percentiles(self):
-        rec = LatencyRecorder()
+        rec = Histogram()
         for v in range(1, 101):
             rec.record(float(v))
         assert rec.p50 == 50.5
@@ -37,13 +39,13 @@ class TestLatencyRecorder:
         assert rec.maximum == 100.0
 
     def test_interpolation(self):
-        rec = LatencyRecorder()
+        rec = Histogram()
         rec.record(0.0)
         rec.record(10.0)
         assert rec.p50 == 5.0
 
     def test_order_independent(self):
-        a, b = LatencyRecorder(), LatencyRecorder()
+        a, b = Histogram(), Histogram()
         for v in (5.0, 1.0, 3.0):
             a.record(v)
         for v in (1.0, 3.0, 5.0):
@@ -51,28 +53,35 @@ class TestLatencyRecorder:
         assert a.p50 == b.p50
 
     def test_len(self):
-        rec = LatencyRecorder()
+        rec = Histogram()
         rec.record(1.0)
         assert len(rec) == 1
 
 
 class TestMetricSet:
     def test_counters(self):
-        metrics = MetricSet()
-        metrics.incr("joins")
-        metrics.incr("joins", 2)
-        assert metrics.counters["joins"] == 3
+        metrics = MetricsRegistry()
+        metrics.counter("joins").incr()
+        metrics.counter("joins").incr(2)
+        assert metrics.counters()["joins"] == 3
 
     def test_latency_lazy_creation(self):
-        metrics = MetricSet()
-        metrics.latency("auth").record(0.1)
-        assert metrics.latency("auth") is metrics.latencies["auth"]
+        metrics = MetricsRegistry()
+        metrics.histogram("auth").record(0.1)
+        assert metrics.histogram("auth") is metrics.histograms()["auth"]
 
     def test_snapshot(self):
-        metrics = MetricSet()
-        metrics.incr("x")
-        metrics.latency("y").record(2.0)
-        snap = metrics.snapshot()
-        assert snap["counters"] == {"x": 1}
-        assert snap["latencies"]["y"]["count"] == 1
-        assert snap["latencies"]["y"]["mean"] == 2.0
+        """``snapshot()`` is the dict ``MetricSet.snapshot()`` returned —
+        what ``SoakReport.format_table`` reads."""
+        metrics = MetricsRegistry()
+        metrics.counter("x").incr()
+        metrics.counter("rejoins").incr(3)
+        metrics.histogram("y").record(2.0)
+        metrics.histogram("y").record(4.0)
+        assert metrics.snapshot() == {
+            "counters": {"x": 1, "rejoins": 3},
+            "latencies": {
+                "y": {"count": 2, "mean": 3.0, "p50": 3.0,
+                      "p99": 3.98, "max": 4.0},
+            },
+        }

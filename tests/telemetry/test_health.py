@@ -1,14 +1,8 @@
 """Tests for the live invariant probe."""
 
-from repro.telemetry.events import (
-    EventBus,
-    JoinCompleted,
-    RekeyInstalled,
-    RekeyIssued,
-)
+from repro.observability.slo import SLOEvaluator
+from repro.telemetry.events import EventBus, JoinCompleted, RekeyInstalled
 from repro.telemetry.health import HealthProbe
-from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.spans import SpanTracer
 from repro.util.clock import TickClock
 
 
@@ -84,23 +78,14 @@ class TestFingerprintAgreement:
 
 
 class TestRekeyPropagation:
-    def test_histogram_and_span_per_install(self):
-        reg = MetricsRegistry()
-        tracer = SpanTracer(clock=TickClock())
-        bus, probe = probe_on_bus(registry=reg, tracer=tracer)
-        bus.emit(RekeyIssued("mgr-0", 2, eviction=False))   # ts=0
-        bus.emit(RekeyInstalled("alice", "mgr-0", 2, "fp"))  # ts=1
-        bus.emit(RekeyInstalled("bob", "mgr-0", 2, "fp"))    # ts=2
-        hist = reg.histogram("rekey_propagation", leader="mgr-0")
-        assert hist.samples == [1.0, 2.0]
-        assert tracer.durations("rekey") == [1.0, 2.0]
-        (a, b) = tracer.finished
-        assert a.node == "alice" and b.node == "bob"
-        assert a.attrs == {"leader": "mgr-0", "epoch": 2}
+    """The probe checks invariants only; rekey propagation has one
+    meter, :class:`SLOEvaluator` (tests/observability/test_slo.py)."""
 
     def test_install_without_issue_records_nothing(self):
-        reg = MetricsRegistry()
-        bus, probe = probe_on_bus(registry=reg)
+        bus, probe = probe_on_bus()
+        evaluator = bus.subscribe(SLOEvaluator())
         bus.emit(RekeyInstalled("alice", "mgr-0", 2, "fp"))
-        assert reg.histograms() == {}
-        assert probe.healthy
+        assert probe.healthy and probe.checked == 1
+        (rekey,) = [r for r in evaluator.report()
+                    if r.spec.indicator == "rekey_propagation"]
+        assert (rekey.good, rekey.bad) == (0, 0)

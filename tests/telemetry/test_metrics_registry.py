@@ -78,8 +78,8 @@ class TestRegistry:
         reg.histogram("latency", node="u1").record(0.25)
         snap = reg.snapshot()
         assert snap["counters"] == {"events": 3}
-        assert snap["gauges"] == {"members": 4}
-        assert snap["histograms"]['latency{node="u1"}']["count"] == 1
+        assert reg.gauges() == {"members": 4}  # a view of their own
+        assert snap["latencies"]['latency{node="u1"}']["count"] == 1
 
     def test_iter_series_covers_all_kinds(self):
         reg = MetricsRegistry()
@@ -88,28 +88,3 @@ class TestRegistry:
         reg.histogram("h").record(1.0)
         kinds = sorted(kind for kind, *_ in reg.iter_series())
         assert kinds == ["counter", "gauge", "histogram"]
-
-
-class TestSimAliases:
-    def test_latency_recorder_is_histogram(self):
-        from repro.sim.metrics import LatencyRecorder
-
-        assert LatencyRecorder is Histogram
-
-    def test_metric_set_backed_by_registry(self):
-        from repro.sim.metrics import MetricSet
-
-        ms = MetricSet()
-        ms.incr("joins")
-        ms.latency("handshake").record(0.5)
-        assert ms.counters["joins"] == 1
-        assert ms.snapshot()["latencies"]["handshake"]["count"] == 1
-        assert isinstance(ms.registry, MetricsRegistry)
-
-    def test_metric_set_accepts_shared_registry(self):
-        from repro.sim.metrics import MetricSet
-
-        reg = MetricsRegistry()
-        ms = MetricSet(registry=reg)
-        ms.incr("joins")
-        assert reg.counters() == {"joins": 1}

@@ -212,6 +212,30 @@ class TestParser:
         assert "fabric" in err
 
 
+class TestOneExportFlag:
+    """``quorum`` and ``data`` export through ``--out`` in every mode;
+    the second flag that one mode or the other silently ignored is an
+    argparse error now."""
+
+    @pytest.mark.parametrize("argv", [
+        ["quorum", "soak", "--telemetry", "x.jsonl"],
+        ["quorum", "attack", "--telemetry", "x.jsonl"],
+        ["data", "demo", "--telemetry", "x.jsonl"],
+    ], ids=["quorum-soak", "quorum-attack", "data-demo"])
+    def test_telemetry_flag_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--telemetry" in capsys.readouterr().err
+
+    def test_quorum_attack_exports_through_out(self, tmp_path, capsys):
+        target = tmp_path / "attack.jsonl"
+        assert main(["quorum", "attack", "--out", str(target)]) == 0
+        out = capsys.readouterr().out
+        assert "schema-valid" in out
+        assert "EquivocationDetected" in target.read_text()
+
+
 class TestDataCommand:
     def test_demo_recovers_and_locks_out_leaver(self, capsys):
         code = main(["data", "demo"])
