@@ -154,9 +154,9 @@ def _chase_once(entry: str, attempt: int) -> float:
         parse_redirect(envelope)
         member.refresh_route()
         if member.protocol.state is MemberState.WAITING_FOR_KEY:
-            return member.retransmit_last()
+            return member.retransmit_last(), []
         member.reset_for_rejoin()
-        return member.start_join()
+        return member.start_join(), []
 
     fn = chase if entry == "bare" else member._on_redirect
     with _gc_pinned():
@@ -164,7 +164,7 @@ def _chase_once(entry: str, attempt: int) -> float:
         for _ in range(REDIRECTS):
             out = fn(envelope)
         elapsed = time.perf_counter() - start
-    assert out  # every redirect was chased
+    assert out[0]  # every redirect was chased
     assert member.chases_dropped == 0
     return elapsed
 

@@ -4,7 +4,7 @@
 Drives 5 supervised members and 2 group managers through a seeded
 fault plan — 30% loss with duplication, delay/reordering, a bursty
 Gilbert-Elliott overlay, a partition that isolates half the members,
-a leader crash restored warm from its sealed snapshot, and a second
+a leader crash restored warm by replaying its journal, and a second
 crash that fails over to the standby manager — all on a virtual-time
 event loop, so 60 simulated seconds take a few wall seconds and every
 run of the same seed is byte-identical.

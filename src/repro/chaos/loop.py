@@ -71,12 +71,24 @@ def run_virtual(main: Coroutine):
     """``asyncio.run`` on a fresh :class:`VirtualTimeEventLoop`.
 
     Same cleanup discipline as ``asyncio.run``: on exit, outstanding
-    tasks are cancelled and async generators shut down.
+    tasks are cancelled and async generators shut down.  Stricter in one
+    way: a background task that died with an exception nobody retrieved
+    fails the run once ``main`` has returned, instead of taking its half
+    of the scenario with it in silence.
     """
     loop = VirtualTimeEventLoop()
+    died: list[BaseException] = []
+
+    def on_error(loop, context):
+        if "exception" in context:
+            died.append(context["exception"])
+        else:
+            loop.default_exception_handler(context)
+
+    loop.set_exception_handler(on_error)
     try:
         asyncio.set_event_loop(loop)
-        return loop.run_until_complete(main)
+        result = loop.run_until_complete(main)
     finally:
         try:
             _cancel_all_tasks(loop)
@@ -84,6 +96,11 @@ def run_virtual(main: Coroutine):
         finally:
             asyncio.set_event_loop(None)
             loop.close()
+    if died:
+        raise RuntimeError(
+            f"{len(died)} background task(s) died under run_virtual"
+        ) from died[0]
+    return result
 
 
 def _cancel_all_tasks(loop: asyncio.AbstractEventLoop) -> None:

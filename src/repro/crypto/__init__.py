@@ -25,12 +25,7 @@ conformance suite proves the two byte-identical on every primitive and
 on seeded end-to-end transcripts.
 """
 
-from repro.crypto.aead import (
-    AuthenticatedCipher,
-    SealedBox,
-    SealRequest,
-    seal_many,
-)
+from repro.crypto.aead import AuthenticatedCipher, SealedBox
 from repro.crypto.keys import (
     GroupKey,
     KeyMaterial,
@@ -52,8 +47,6 @@ from repro.crypto.rng import DeterministicRandom, Nonce, SystemRandom
 __all__ = [
     "AuthenticatedCipher",
     "SealedBox",
-    "SealRequest",
-    "seal_many",
     "KeyMaterial",
     "LongTermKey",
     "SessionKey",

@@ -23,16 +23,12 @@ Its subkeys are derived when the first frame is sealed or opened, not at
 construction — a key that is installed and rotated away unused costs no
 KDF call.  One-time keys (the data plane's message keys) never go
 through this class; they call ``provider.seal``/``open`` directly and
-are cached nowhere.  The one
-batch entry point, the cross-key module-level :func:`seal_many`, serves
-the leader's admin fan-out: one payload per member, each under that
-member's session key, nonces drawn in request order.
+are cached nowhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.crypto.keys import KeyMaterial
 from repro.crypto.provider import get_provider
@@ -128,53 +124,9 @@ class AuthenticatedCipher:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class SealRequest:
-    """One frame of a cross-key batch seal (see :func:`seal_many`)."""
-
-    cipher: AuthenticatedCipher
-    plaintext: bytes
-    associated_data: bytes = b""
-
-
-def seal_many(requests: Sequence[SealRequest]) -> list[SealedBox]:
-    """Seal a flush of frames under *different* keys, in request order.
-
-    This is the leader fan-out shape: one rekey or admin broadcast seals
-    one payload per member, each under that member's session key.  Nonces
-    are drawn from each request's cipher rng in request order (identical
-    to sequential sealing); the frames are then grouped per key so each
-    key pays a single provider batch call.
-    """
-    provider = get_provider()
-    # (nonce, plaintext, ad) per request, nonces drawn in request order.
-    jobs = [
-        (req.cipher._rng.random_bytes(CTR_NONCE_LEN),
-         req.plaintext, req.associated_data)
-        for req in requests
-    ]
-    # Group by key pair; sealing is pure given the nonce, so per-group
-    # evaluation order cannot change any output byte.
-    groups: dict[tuple[bytes, bytes], list[int]] = {}
-    for index, req in enumerate(requests):
-        groups.setdefault(req.cipher._keys(), []).append(index)
-    out: list[SealedBox | None] = [None] * len(requests)
-    for (enc_key, mac_key), indices in groups.items():
-        sealed = provider.seal_many(
-            enc_key, mac_key, [jobs[i] for i in indices]
-        )
-        for i, (ciphertext, tag) in zip(indices, sealed):
-            out[i] = SealedBox(
-                nonce=jobs[i][0], ciphertext=ciphertext, tag=tag
-            )
-    return out  # type: ignore[return-value]
-
-
 __all__ = [
     "CTR_NONCE_LEN",
     "TAG_LEN",
     "AuthenticatedCipher",
-    "SealRequest",
     "SealedBox",
-    "seal_many",
 ]

@@ -24,8 +24,11 @@ Selection:
   scoped variant tests use.
 
 The provider also carries the **batch** entry points
-(:meth:`CryptoProvider.seal_many` / :meth:`CryptoProvider.open_many`)
-that the leader's admin fan-out uses for a flush under one key.
+(:meth:`CryptoProvider.seal_many` / :meth:`CryptoProvider.open_many`).
+Nothing under ``src/`` calls them: the leader's admin fan-out is M seals
+under M session keys, one :meth:`CryptoProvider.seal` each.  They stay
+for the cross-backend conformance suite and the e2e tracer, which reads
+both attributes off the provider it wraps.
 
 What is cached, and for which keys.  A provider keeps expanded cipher
 state — an AES key schedule, and on the fast backend an armed OpenSSL

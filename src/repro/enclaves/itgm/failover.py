@@ -92,10 +92,6 @@ class ManagerSet:
     def primary(self) -> GroupLeader:
         return self.managers[self.primary_id]
 
-    @property
-    def alive_ids(self) -> list[str]:
-        return [m for m in self.order if m not in self.failed]
-
     def fail_primary(self) -> str:
         """Crash the current primary and promote the next live standby.
 

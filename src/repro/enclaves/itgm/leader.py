@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.crypto.aead import AuthenticatedCipher, SealedBox, seal_many
+from repro.crypto.aead import AuthenticatedCipher, SealedBox
 from repro.crypto.keys import KEY_LEN, GroupKey
 from repro.crypto.rng import RandomSource, SystemRandom
 from repro.enclaves.common import (
@@ -508,25 +508,23 @@ class GroupLeader:
         per notification, and a leaver's key is retired one Ack sooner.
 
         A rekey or membership broadcast readies every member at once;
-        flushing them here is the leader's multicast fan-out, so the
-        seals go through one :func:`repro.crypto.aead.seal_many` batch.
-        Draw order stays deterministic (prepare in session order, then
-        nonces in the same order), so seeded runs replay byte-for-byte.
+        flushing them here is the leader's multicast fan-out: M seals
+        under M session keys (§3.2).  Every session and its cipher share
+        the leader's one rng, and seeded runs and the journal's record
+        bytes pin the draw order: every ``N_l`` in session order, then
+        every CTR nonce in the same order — hence the two passes.
         """
         prof = self._profiler
         tok = prof.begin("multicast") if prof else None
-        ready: list[LeaderSession] = []
-        requests = []
+        ready: list[tuple[LeaderSession, bytes]] = []
         for user_id, session in self._sessions.items():
             outbox = self._outboxes[user_id]
             if outbox and session.can_send_admin:
-                ready.append(session)
-                requests.append(session.prepare_admin(as_one_payload(outbox)))
+                ready.append(
+                    (session, session.prepare_admin(as_one_payload(outbox)))
+                )
                 outbox.clear()
-        out = [
-            session.finish_admin(box)
-            for session, box in zip(ready, seal_many(requests))
-        ]
+        out = [session.finish_admin(plaintext) for session, plaintext in ready]
         if prof:
             prof.end(tok)
         return out
@@ -635,32 +633,3 @@ class GroupLeader:
         """The ``snd_A`` list for one member (empty when not in session)."""
         session = self._sessions.get(user_id)
         return list(session.admin_log) if session else []
-
-    def stats_snapshot(self) -> dict:
-        """One observability snapshot: group state, aggregate counters,
-        and per-session health — what a monitoring endpoint would expose."""
-        return {
-            "members": self.members,
-            "group_epoch": self._group_epoch,
-            "stats": {
-                "joins": self.stats.joins,
-                "leaves": self.stats.leaves,
-                "rekeys": self.stats.rekeys,
-                "relayed_frames": self.stats.relayed_frames,
-                "rejected": self.stats.rejected,
-                "denied": self.stats.denied,
-                "grace_resealed": self.stats.grace_resealed,
-            },
-            "sessions": {
-                user_id: {
-                    "state": session.state.name,
-                    "outbox_depth": self.outbox_depth(user_id),
-                    "admin_sent": session.stats.admin_sent,
-                    "acks_accepted": session.stats.acks_accepted,
-                    "rejected": session.stats.rejected,
-                    "sessions_opened": session.stats.sessions_opened,
-                    "sessions_closed": session.stats.sessions_closed,
-                }
-                for user_id, session in self._sessions.items()
-            },
-        }

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.crypto.aead import AuthenticatedCipher, SealedBox, SealRequest
+from repro.crypto.aead import AuthenticatedCipher, SealedBox
 from repro.crypto.keys import KEY_LEN, LongTermKey, SessionKey
 from repro.crypto.rng import NONCE_LEN, RandomSource, SystemRandom
 from repro.enclaves.common import Event, Joined, Left, Rejected
@@ -103,21 +103,17 @@ class LeaderSession:
         Only legal in Connected (the channel is stop-and-wait: one
         outstanding admin message per member).
         """
-        request = self.prepare_admin(payload)
-        return self.finish_admin(
-            request.cipher.seal(request.plaintext, request.associated_data)
-        )
+        return self.finish_admin(self.prepare_admin(payload))
 
-    def prepare_admin(self, payload: AdminPayload) -> SealRequest:
+    def prepare_admin(self, payload: AdminPayload) -> bytes:
         """Phase 1 of an admin send: everything except the seal.
 
-        Advances the nonce chain and the channel state exactly as
-        :meth:`send_admin` would, and returns the
-        :class:`~repro.crypto.aead.SealRequest` for the frame body.  The
-        leader's fan-out collects one request per member and seals them
-        in a single :func:`repro.crypto.aead.seal_many` batch; the
-        sealed box must then come back through :meth:`finish_admin`
-        (before any other frame is processed) to arm retransmission.
+        Draws ``N_l``, advances the nonce chain and the channel state,
+        and returns the plaintext ``L, A, N_a, N_l, X``, which must come
+        back through :meth:`finish_admin` before any other frame is
+        processed.  The split exists for the leader's fan-out: every
+        session shares the leader's one rng, and seeded runs pin the
+        draw order "every ``N_l``, then every CTR nonce".
 
         A :class:`~repro.enclaves.itgm.admin.BatchPayload` is one X —
         one nonce step, one seal, one Ack — but ``snd_A`` stays flat:
@@ -137,17 +133,15 @@ class LeaderSession:
         self.admin_log.extend(items)
         self.version += 1
         self.stats.admin_sent += len(items)
-        return SealRequest(
-            cipher=self._session_cipher,
-            plaintext=plaintext,
-            associated_data=seal_ad(
-                Label.ADMIN_MSG, self.leader_id, self.user_id
-            ),
-        )
+        return plaintext
 
-    def finish_admin(self, box: SealedBox) -> Envelope:
-        """Phase 2 of an admin send: wrap the sealed body and arm
-        retransmission (see :meth:`prepare_admin`)."""
+    def finish_admin(self, plaintext: bytes) -> Envelope:
+        """Phase 2 of an admin send: seal under ``K_a`` (drawing the CTR
+        nonce) and arm retransmission (see :meth:`prepare_admin`)."""
+        assert self._session_cipher is not None
+        box = self._session_cipher.seal(
+            plaintext, seal_ad(Label.ADMIN_MSG, self.leader_id, self.user_id)
+        )
         envelope = Envelope(
             Label.ADMIN_MSG, self.leader_id, self.user_id, box.to_bytes()
         )

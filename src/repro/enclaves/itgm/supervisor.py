@@ -11,8 +11,8 @@ rejoin, and automatic failover across an ordered manager list.
 :class:`LeaderOrchestrator` is the other half: it runs the current
 manager as a :class:`~repro.enclaves.itgm.runtime.LeaderRuntime`, can
 crash it (endpoint detached, frames to it vanish — a real crash, not a
-graceful stop), restore it *warm* from a persistence snapshot taken at
-crash time, or fail over *cold* to the next standby manager.
+graceful stop), restore it *warm* by replaying its write-ahead journal,
+or fail over *cold* to the next standby manager.
 
 Design notes:
 
@@ -52,7 +52,6 @@ from repro.enclaves.itgm.client import MemberClient
 from repro.enclaves.itgm.failover import ManagerSet
 from repro.enclaves.itgm.leader import GroupLeader, LeaderConfig
 from repro.enclaves.itgm.member import MemberState
-from repro.enclaves.itgm.persistence import restore_leader, snapshot_leader
 from repro.enclaves.itgm.runtime import LeaderRuntime
 from repro.exceptions import ProtocolError, RecoveryFailed, StateError
 from repro.net.transport import Endpoint
@@ -529,15 +528,17 @@ class LeaderOrchestrator:
         self._telemetry = resolve_bus(telemetry)
         rng = rng if rng is not None else SystemRandom()
         self._rng = rng
-        # Durable mode: every manager journals onto this (simulated)
-        # disk, and crash recovery replays the journal instead of an
-        # in-memory snapshot.
+        # Every manager journals onto this (simulated) disk — a private
+        # one unless the caller wants to inject faults or inspect it —
+        # and crash recovery replays the journal.
+        if disk is None:
+            from repro.storage.simdisk import SimDisk
+
+            disk = SimDisk(rng=rng.fork("disk"))
         self._disk = disk
-        self._storage_key: KeyMaterial | None = None
-        if disk is not None:
-            self._storage_key = KeyMaterial(
-                rng.fork("journal-storage").key_material(KEY_LEN)
-            )
+        self._storage_key = KeyMaterial(
+            rng.fork("journal-storage").key_material(KEY_LEN)
+        )
         self._journals: dict[str, object] = {}
         self._all_journals: list = []
         self.journal_replays = 0
@@ -549,7 +550,6 @@ class LeaderOrchestrator:
             telemetry=self._telemetry,
         )
         self.runtime: LeaderRuntime | None = None
-        self._snapshot: dict | None = None
         self.crashes = 0
         self.warm_restores = 0
         self.failovers = 0
@@ -600,8 +600,7 @@ class LeaderOrchestrator:
         }
 
     async def _launch(self, manager_id: str) -> None:
-        if self._disk is not None:
-            self._attach_journal(manager_id)
+        self._attach_journal(manager_id)
         endpoint = await self.network.attach(manager_id)
         self.runtime = LeaderRuntime(
             self.managers.managers[manager_id],
@@ -612,7 +611,7 @@ class LeaderOrchestrator:
         self.runtime.start()
 
     async def stop(self) -> None:
-        """Graceful stop (no crash semantics, no snapshot)."""
+        """Graceful stop (no crash semantics)."""
         if self.runtime is not None:
             await self.runtime.stop()
             self.runtime = None
@@ -622,29 +621,16 @@ class LeaderOrchestrator:
     async def crash(self, flush: bool = False) -> None:
         """Kill the running manager.
 
-        With ``flush`` the protocol state is snapshotted *at crash
-        time* so :meth:`restore_warm` can continue every session where
-        it was —
-        a stale snapshot would desync the per-member nonce chains.
-        Without ``flush`` the state is simply gone: the only way back
-        is :meth:`failover`.
+        The journal is what :meth:`restore_warm` comes back from.
+        ``flush`` syncs its tail first (clean-ish shutdown); without it
+        the power cut leaves only what fsync had already covered.
         """
         if self.runtime is None:
             raise StateError("no manager is running")
-        if self._disk is not None:
-            # Durable mode: the journal *is* the snapshot.  ``flush``
-            # syncs the tail (clean-ish shutdown); without it the
-            # power cut takes whatever fsync already covered.
-            journal = self._journals.get(self.current_id)
-            if flush and journal is not None:
-                journal.sync()
-            self._disk.crash("all" if flush else "none")
-            self._disk.restart()
-            self._snapshot = None
-        else:
-            self._snapshot = (
-                snapshot_leader(self.current_leader) if flush else None
-            )
+        if flush:
+            self._journals[self.current_id].sync()
+        self._disk.crash("all" if flush else "none")
+        self._disk.restart()
         await self.runtime.stop()
         self.runtime = None
         self.crashes += 1
@@ -652,29 +638,20 @@ class LeaderOrchestrator:
             self._telemetry.emit(LeaderCrashed(self.current_id, flush))
 
     async def restore_warm(self) -> None:
-        """Restart the crashed manager from its crash-time snapshot."""
+        """Restart the crashed manager by replaying its journal."""
+        from repro.storage.recovery import recover_leader
+
         if self.runtime is not None:
             raise StateError("a manager is already running")
         old = self.current_leader
-        if self._disk is not None:
-            from repro.storage.recovery import recover_leader
-
-            leader, result = recover_leader(
-                self._disk, f"{self.current_id}.wal",
-                self._storage_key, self.directory,
-                config=old.config, rng=old._rng, clock=self._clock,
-                telemetry=self._telemetry, node=self.current_id,
-            )
-            self.journal_replays += 1
-            self.journal_records_replayed += result.records
-        elif self._snapshot is None:
-            raise StateError("no snapshot to restore from")
-        else:
-            leader = restore_leader(
-                self._snapshot, self.directory,
-                config=old.config, rng=old._rng, clock=self._clock,
-                telemetry=self._telemetry,
-            )
+        leader, result = recover_leader(
+            self._disk, f"{self.current_id}.wal",
+            self._storage_key, self.directory,
+            config=old.config, rng=old._rng, clock=self._clock,
+            telemetry=self._telemetry, node=self.current_id,
+        )
+        self.journal_replays += 1
+        self.journal_records_replayed += result.records
         self.managers.managers[self.current_id] = leader
         await self._launch(self.current_id)
         self.warm_restores += 1

@@ -122,34 +122,6 @@ def format_transcript(
     return "\n".join(lines)
 
 
-def transcript_records(
-    frames: list[Envelope], keyring: KeyRing | None = None
-) -> list[dict]:
-    """The wire log as JSON-ready dicts keyed by frame id.
-
-    Each record carries the same ``frame`` identifier the telemetry
-    events use, so an exported event log and an exported transcript can
-    be joined on it.  Decrypted fields are included when the keyring
-    opens the frame; otherwise the record is marked ``sealed``.
-    """
-    records = []
-    for index, envelope in enumerate(frames, 1):
-        record: dict = {
-            "index": index,
-            "frame": frame_id(envelope),
-            "label": envelope.label.name,
-            "sender": envelope.sender,
-            "recipient": envelope.recipient,
-        }
-        fields = keyring.try_open(envelope) if keyring is not None else None
-        if fields is not None:
-            record["fields"] = [_field_preview(f) for f in fields]
-        else:
-            record["sealed"] = len(envelope.body)
-        records.append(record)
-    return records
-
-
 def run_demo_session(seed: int):
     """The scripted demo group session (join, chat, rekey, leave).
 

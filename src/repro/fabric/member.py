@@ -24,8 +24,9 @@ old leader (treated as a replay) and a new one (ordinary message 1).
 from __future__ import annotations
 
 from repro.crypto.rng import RandomSource, SystemRandom
-from repro.enclaves.common import Credentials, Event, Joined
+from repro.enclaves.common import Credentials, Event, Joined, Rejected
 from repro.enclaves.itgm.member import MemberProtocol, MemberState
+from repro.exceptions import CodecError
 from repro.fabric.directory import GroupDirectory, RouteResult
 from repro.fabric.shard import parse_redirect
 from repro.overload.deadline import RetryBudget
@@ -198,16 +199,26 @@ class FabricMember:
         session and rejoins.  Everything else goes to the §3.2 core.
         """
         if envelope.label is Label.GROUP_REDIRECT:
-            return self._on_redirect(envelope), []
+            return self._on_redirect(envelope)
         out, events = self.protocol.handle(envelope)
         if any(isinstance(e, Joined) for e in events):
             # The join landed: any stale session it superseded is gone.
             self._pending_close = None
         return [self._wrap(frame) for frame in out], events
 
-    def _on_redirect(self, envelope: Envelope) -> list[Envelope]:
-        # With a budget armed, a dry budget sheds the redirect before
-        # even parsing it — backpressure ahead of work.
+    def _on_redirect(
+        self, envelope: Envelope
+    ) -> tuple[list[Envelope], list[Event]]:
+        # GROUP_REDIRECT is plaintext anyone can send: one that does not
+        # parse, or names another group, is dropped before it can spend
+        # chase budget.
+        try:
+            group_id, _ = parse_redirect(envelope)
+        except CodecError:
+            return [], [Rejected("malformed GROUP_REDIRECT", envelope.label)]
+        if group_id != self.group_id:
+            return [], [Rejected("GROUP_REDIRECT for another group",
+                                 envelope.label)]
         if self._retry_budget is not None:
             if not self._retry_budget.can_retry():
                 # Out of chase budget: stop following this redirect.
@@ -219,16 +230,15 @@ class FabricMember:
                     self._telemetry.emit(RetryBudgetExhausted(
                         self.user_id, "redirect-chase", self.redirects
                     ))
-                return []
+                return [], []
             self._retry_budget.record_retry()
         # Re-consult the directory and resume or restart the join at
         # the group's new shard.
-        parse_redirect(envelope)  # CodecError on malformed frames
         self.refresh_route()
         if self.protocol.state is MemberState.WAITING_FOR_KEY:
             # Half-open join: replay message 1 at the new shard.  Safe
             # verbatim — a leader that saw it treats the copy as a
             # replay/resend; a fresh leader treats it as message 1.
-            return self.retransmit_last()
+            return self.retransmit_last(), []
         self.reset_for_rejoin()
-        return self.start_join()
+        return self.start_join(), []

@@ -37,7 +37,6 @@ from repro.telemetry.events import (
     FaultWindowClosed,
     FaultWindowOpened,
 )
-from repro.telemetry.metrics import MetricsRegistry
 
 
 class PartitionPolicy:
@@ -51,12 +50,7 @@ class PartitionPolicy:
     partition only the subset of the world it cares about.
     """
 
-    def __init__(
-        self,
-        components: Iterable[Iterable[str]],
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        self._metrics = metrics
+    def __init__(self, components: Iterable[Iterable[str]]) -> None:
         self.components: list[frozenset[str]] = [
             frozenset(c) for c in components
         ]
@@ -85,10 +79,6 @@ class PartitionPolicy:
         if a == b:
             return Verdict.deliver()
         self.severed += 1
-        if self._metrics is not None:
-            self._metrics.counter(
-                "fault_frames_total", policy="partition", fate="severed"
-            ).incr()
         return Verdict.drop()
 
 
@@ -107,7 +97,6 @@ class DelayReorderPolicy:
         max_hold: float = 0.5,
         delay_rate: float = 1.0,
         seed: int = 0,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         if min_hold < 0 or max_hold < min_hold:
             raise ValueError("need 0 <= min_hold <= max_hold")
@@ -117,7 +106,6 @@ class DelayReorderPolicy:
         self.max_hold = max_hold
         self.delay_rate = delay_rate
         self._rng = DeterministicRandom(seed).fork("delay-reorder")
-        self._metrics = metrics
         #: Frames held back.
         self.delayed = 0
 
@@ -128,10 +116,6 @@ class DelayReorderPolicy:
             self.max_hold - self.min_hold
         )
         self.delayed += 1
-        if self._metrics is not None:
-            self._metrics.counter(
-                "fault_frames_total", policy="delay-reorder", fate="delayed"
-            ).incr()
         return Verdict.delay(hold)
 
 
@@ -152,9 +136,7 @@ class GilbertElliottPolicy:
         loss_good: float = 0.01,
         loss_bad: float = 0.7,
         seed: int = 0,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
-        self._metrics = metrics
         for name, p in (
             ("p_good_to_bad", p_good_to_bad),
             ("p_bad_to_good", p_bad_to_good),
@@ -184,10 +166,6 @@ class GilbertElliottPolicy:
         loss = self.loss_bad if self.in_bad else self.loss_good
         if self._rng.uniform() < loss:
             self.dropped += 1
-            if self._metrics is not None:
-                self._metrics.counter(
-                    "fault_frames_total", policy="bursty", fate="dropped"
-                ).incr()
             return Verdict.drop()
         return Verdict.deliver()
 

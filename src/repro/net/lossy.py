@@ -13,23 +13,16 @@ from __future__ import annotations
 
 from repro.crypto.rng import DeterministicRandom
 from repro.net.adversary import ObservedFrame, Verdict
-from repro.telemetry.metrics import MetricsRegistry
 
 
 class LossyPolicy:
-    """Per-frame i.i.d. drop/duplicate policy, seeded.
-
-    When a :class:`~repro.telemetry.metrics.MetricsRegistry` is given,
-    every non-DELIVER verdict also increments
-    ``fault_frames_total{policy="loss", fate=...}``.
-    """
+    """Per-frame i.i.d. drop/duplicate policy, seeded."""
 
     def __init__(
         self,
         drop_rate: float = 0.0,
         duplicate_rate: float = 0.0,
         seed: int = 0,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         if not 0.0 <= drop_rate < 1.0:
             raise ValueError("drop_rate must be in [0, 1)")
@@ -42,24 +35,15 @@ class LossyPolicy:
         self.drop_rate = drop_rate
         self.duplicate_rate = duplicate_rate
         self._rng = DeterministicRandom(seed).fork("lossy")
-        self._metrics = metrics
         self.dropped = 0
         self.duplicated = 0
-
-    def _count(self, fate: str) -> None:
-        if self._metrics is not None:
-            self._metrics.counter(
-                "fault_frames_total", policy="loss", fate=fate
-            ).incr()
 
     def __call__(self, frame: ObservedFrame) -> Verdict:
         roll = self._rng.uniform()
         if roll < self.drop_rate:
             self.dropped += 1
-            self._count("dropped")
             return Verdict.drop()
         if roll < self.drop_rate + self.duplicate_rate:
             self.duplicated += 1
-            self._count("duplicated")
             return Verdict.duplicate()
         return Verdict.deliver()

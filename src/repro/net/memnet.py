@@ -55,16 +55,6 @@ class MemoryEndpoint(Endpoint):
             raise ConnectionClosed(f"endpoint {self._address} is closed")
         return item
 
-    def recv_nowait(self) -> Envelope | None:
-        """Non-blocking receive; returns None if no frame is queued."""
-        try:
-            item = self._queue.get_nowait()
-        except asyncio.QueueEmpty:
-            return None
-        if item is _CLOSED:
-            raise ConnectionClosed(f"endpoint {self._address} is closed")
-        return item
-
     @property
     def pending(self) -> int:
         """Number of frames waiting to be received."""

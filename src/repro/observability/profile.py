@@ -172,22 +172,6 @@ class PhaseProfiler:
             )
         return "\n".join(lines)
 
-    def export_to(self, registry) -> None:
-        """Mirror the table into a
-        :class:`~repro.telemetry.metrics.MetricsRegistry` (two
-        counters and a gauge per path), so phase totals ride the same
-        Prometheus dump as everything else."""
-        for path, stats in self.phases().items():
-            registry.counter("profile_phase_calls", phase=path).incr(
-                stats["calls"]
-            )
-            registry.counter("profile_phase_frames", phase=path).incr(
-                stats["frames"]
-            )
-            registry.gauge("profile_phase_seconds", phase=path).set(
-                stats["cumulative"]
-            )
-
 
 def bind_profiler_everywhere(profiler, *components) -> None:
     """Attach one profiler to every component that accepts one.

@@ -199,18 +199,6 @@ class TraceGraph:
         walk(root_seq, 0, "")
         return "\n".join(lines)
 
-    def render_all(self) -> str:
-        """Every root's tree, plus an orphan report."""
-        sections = [self.render(root.seq) for root in self.roots()]
-        orphans = self.orphans()
-        if orphans:
-            sections.append(
-                "ORPHANS (parentless, not operation roots):\n" + "\n".join(
-                    f"  {node.describe()}" for node in orphans
-                )
-            )
-        return "\n\n".join(sections)
-
 
 class TraceBuilder:
     """Accumulate event payloads, then :meth:`build` the causal graph.

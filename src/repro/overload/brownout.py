@@ -158,8 +158,5 @@ class BrownoutController:
         self._pending_rekey = False
         return owed
 
-    def note_rebalance_deferred(self) -> None:
-        self.deferred_rebalances += 1
-
 
 __all__ = ["BrownoutConfig", "BrownoutController"]

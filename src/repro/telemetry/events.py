@@ -330,7 +330,7 @@ class LeaderCrashed(TelemetryEvent):
 @register_event
 @dataclass(frozen=True, slots=True)
 class LeaderRestored(TelemetryEvent):
-    """A crashed manager came back from its crash-time snapshot."""
+    """A crashed manager came back by replaying its journal."""
 
     node: str
 

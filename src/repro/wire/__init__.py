@@ -7,12 +7,7 @@ binary encoding for structured message bodies (the property the formal
 model's concatenation fields assume).
 """
 
-from repro.wire.codec import (
-    decode_fields,
-    decode_u32,
-    encode_fields,
-    encode_u32,
-)
+from repro.wire.codec import decode_fields, encode_fields
 from repro.wire.labels import Label
 from repro.wire.message import Envelope
 
@@ -21,6 +16,4 @@ __all__ = [
     "Envelope",
     "encode_fields",
     "decode_fields",
-    "encode_u32",
-    "decode_u32",
 ]

@@ -21,20 +21,6 @@ MAX_FIELD_LEN = 1 << 24  # 16 MiB per field: generous but bounded
 _U32 = struct.Struct(">I")
 
 
-def encode_u32(value: int) -> bytes:
-    """Encode an unsigned 32-bit integer big-endian."""
-    if not 0 <= value < (1 << 32):
-        raise CodecError(f"u32 out of range: {value}")
-    return _U32.pack(value)
-
-
-def decode_u32(data: bytes) -> int:
-    """Decode a 4-byte big-endian unsigned integer."""
-    if len(data) != 4:
-        raise CodecError("u32 must be exactly 4 bytes")
-    return _U32.unpack(data)[0]
-
-
 def encode_fields(fields: Iterable[bytes]) -> bytes:
     """Encode a sequence of byte strings injectively.
 

@@ -4,6 +4,8 @@ seeded scenario (soaks, churn, the latency study) runs on."""
 import asyncio
 import time
 
+import pytest
+
 from repro.chaos.loop import LoopClock, run_virtual
 
 
@@ -97,3 +99,37 @@ class TestVirtualTime:
             return order
 
         assert run_virtual(scenario()) == run_virtual(scenario())
+
+
+class TestBackgroundTasks:
+    """A task nobody awaits is half of the scenario: if it dies, the run
+    must not report success on what the other half saw."""
+
+    def test_a_task_that_raises_fails_the_run(self):
+        async def deaf_receiver():
+            raise ValueError("attacker input reached a handler")
+
+        async def scenario():
+            asyncio.get_running_loop().create_task(deaf_receiver())
+            await asyncio.sleep(1.0)
+            return "looked fine"
+
+        with pytest.raises(RuntimeError, match="1 background task") as info:
+            run_virtual(scenario())
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_a_task_that_is_cancelled_does_not(self):
+        async def scenario():
+            task = asyncio.get_running_loop().create_task(asyncio.sleep(60))
+            await asyncio.sleep(1.0)
+            task.cancel()
+            return "fine"
+
+        assert run_virtual(scenario()) == "fine"
+
+    def test_a_task_still_pending_at_exit_does_not(self):
+        async def scenario():
+            asyncio.get_running_loop().create_task(asyncio.sleep(60))
+            return "fine"
+
+        assert run_virtual(scenario()) == "fine"

@@ -67,13 +67,13 @@ class TestManagerSet:
     def test_initial_primary(self):
         managers = World().managers
         assert managers.primary_id == "mgr-0"
-        assert managers.alive_ids == ["mgr-0", "mgr-1", "mgr-2"]
+        assert managers.failed == set()
 
     def test_fail_primary_promotes_next(self):
         managers = World().managers
         assert managers.fail_primary() == "mgr-1"
         assert managers.primary_id == "mgr-1"
-        assert managers.alive_ids == ["mgr-1", "mgr-2"]
+        assert managers.failed == {"mgr-0"}
 
     def test_cascading_failures(self):
         managers = World().managers
@@ -86,7 +86,7 @@ class TestManagerSet:
         managers = World().managers
         managers.fail_primary()
         managers.recover("mgr-0")
-        assert "mgr-0" in managers.alive_ids
+        assert "mgr-0" not in managers.failed
         # Recovered manager is cold: no members.
         assert managers.managers["mgr-0"].members == []
 

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.crypto.aead import CTR_NONCE_LEN
+from repro.crypto.keys import KEY_LEN
+from repro.crypto.rng import NONCE_LEN
 from repro.enclaves.common import (
     AppMessage,
     Denied,
@@ -226,6 +229,29 @@ class TestAdminDistribution:
             group.net.run()
         for user_id, member in group.members.items():
             assert member.admin_log == group.leader.admin_send_log(user_id)
+
+    def test_pump_draws_every_chain_nonce_before_any_seal_nonce(self):
+        """Every session and its cipher draw from the leader's one rng,
+        so the order of draws inside a fan-out is part of every seeded
+        stream and of the journal's record bytes: all ``N_l`` in session
+        order, then all CTR nonces — not N_l, ctr per member."""
+        group = ItgmGroup(["alice", "bob", "carol"]).join_all()
+        rng = group.leader._rng
+        draws, draw = [], rng.random_bytes
+        rng.random_bytes = lambda n: draws.append(n) or draw(n)
+
+        frames = group.leader.rekey_now()
+
+        assert [f.recipient for f in frames] == ["alice", "bob", "carol"]
+        assert draws == [
+            KEY_LEN,                                        # the new K_g
+            NONCE_LEN, NONCE_LEN, NONCE_LEN,                # N_l x 3
+            CTR_NONCE_LEN, CTR_NONCE_LEN, CTR_NONCE_LEN,    # seals x 3
+        ]
+        group.net.post_all(frames)
+        group.net.run()
+        for member in group.members.values():
+            assert member.group_epoch == group.leader.group_epoch
 
 
 class TestRelay:

@@ -141,7 +141,7 @@ class TestSelfHealing:
 
     def test_warm_restore_with_pending_outboxes_and_retransmit_cache(self):
         """Crash with one admin in flight per member and more queued:
-        the crash-time snapshot carries the retransmission cache and the
+        the journal carries the retransmission cache and the
         outboxes, and the restored leader drains both."""
         async def scenario():
             _, orchestrator, members = build()
@@ -296,10 +296,10 @@ class TestOrchestrator:
                 assert managers.primary_id == "mgr-0"
                 assert await orchestrator.failover() == "mgr-1"
                 assert await orchestrator.failover() == "mgr-2"
-                assert managers.alive_ids == ["mgr-2"]
+                assert managers.failed == {"mgr-0", "mgr-1"}
                 clock = managers.primary._clock
                 managers.recover("mgr-0")
-                assert managers.alive_ids == ["mgr-0", "mgr-2"]
+                assert managers.failed == {"mgr-1"}
                 assert await orchestrator.failover() == "mgr-0"
                 assert managers.primary_id == orchestrator.current_id
                 assert orchestrator.runtime.leader is managers.primary
@@ -315,14 +315,24 @@ class TestOrchestrator:
 
         run_virtual(scenario())
 
-    def test_cold_crash_has_no_snapshot(self):
+    def test_no_disk_argument_still_journals_and_restores_warm(self):
+        """``disk=None`` is a private SimDisk, not "no journal": an
+        unflushed crash comes back warm from what fsync had covered."""
         async def scenario():
             _, orchestrator, members = build()
-            await orchestrator.start()
+            await start_all(orchestrator, members)
             try:
+                assert orchestrator.journal_counters()["journal_appends"] > 0
+                rejoins = {uid: s.rejoins for uid, s in members.items()}
                 await orchestrator.crash(flush=False)
-                with pytest.raises(StateError, match="no snapshot"):
-                    await orchestrator.restore_warm()
+                await orchestrator.restore_warm()
+                await asyncio.sleep(2.0)
+                assert orchestrator.journal_counters()["journal_replays"] == 1
+                assert orchestrator.current_leader.members == sorted(members)
+                for uid, supervisor in members.items():
+                    assert supervisor.connected
+                    assert supervisor.rejoins == rejoins[uid]
+                    assert supervisor.suspicions == 0
             finally:
                 await stop_all(orchestrator, members)
 
@@ -341,9 +351,8 @@ class TestDurableOrchestrator:
     """The orchestrator on a simulated disk: journal-backed recovery."""
 
     def test_unflushed_crash_recovers_from_journal(self):
-        """Without a disk, crash(flush=False) loses everything.  With
-        the write-ahead journal, the state is already durable — warm
-        restore works even after an unflushed power cut."""
+        """With the write-ahead journal the state is already durable —
+        warm restore works even after an unflushed power cut."""
         async def scenario():
             from repro.storage.simdisk import SimDisk
 

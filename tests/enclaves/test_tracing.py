@@ -8,7 +8,6 @@ from repro.enclaves.tracing import (
     KeyRing,
     format_frame,
     format_transcript,
-    transcript_records,
 )
 from repro.crypto.rng import DeterministicRandom
 from repro.telemetry.events import frame_id
@@ -125,35 +124,3 @@ class TestFormatTranscript:
         text = format_transcript(net.wire_log, show_ids=True)
         for envelope in net.wire_log:
             assert f"[{frame_id(envelope)}]" in text
-
-
-class TestTranscriptRecords:
-    def test_records_mirror_the_wire_log(self):
-        net, _, member, creds = build_session()
-        records = transcript_records(net.wire_log)
-        assert len(records) == len(net.wire_log)
-        assert [r["index"] for r in records] == \
-               list(range(1, len(records) + 1))
-        first = records[0]
-        assert first["label"] == net.wire_log[0].label.name
-        assert first["sender"] == net.wire_log[0].sender
-
-    def test_records_share_frame_ids_with_telemetry(self):
-        """The join point between exported transcripts and exported
-        event logs: the same frame carries the same id in both."""
-        net, _, member, creds = build_session()
-        records = transcript_records(net.wire_log)
-        assert [r["frame"] for r in records] == \
-               [frame_id(e) for e in net.wire_log]
-
-    def test_records_decrypt_with_keyring_else_sealed(self):
-        net, _, member, creds = build_session()
-        ring = KeyRing([creds.long_term_key])
-        records = transcript_records(net.wire_log, ring)
-        opened = [r for r in records if "fields" in r]
-        sealed = [r for r in records if "sealed" in r]
-        assert opened, "long-term key opens the auth frames"
-        assert sealed, "session-key frames stay sealed"
-        for record in sealed:
-            assert record["sealed"] > 0
-            assert "fields" not in record

@@ -1,16 +1,25 @@
 """Tests for the directory-following member wrapper."""
 
+import asyncio
+
+import pytest
+
+from repro.chaos.loop import run_virtual
 from repro.crypto.rng import DeterministicRandom, SystemRandom
-from repro.enclaves.common import AppMessage, UserDirectory
+from repro.enclaves.common import AppMessage, Rejected, UserDirectory
 from repro.enclaves.harness import SyncNetwork, wire
 from repro.enclaves.itgm.member import MemberState
+from repro.enclaves.itgm.runtime import LeaderRuntime
 from repro.fabric.directory import GroupDirectory
 from repro.fabric.member import FabricMember
 from repro.fabric.migration import migrate_group
-from repro.fabric.shard import ShardHost
+from repro.fabric.scale import FabricConfig, _MemberRuntime
+from repro.fabric.shard import ShardHost, redirect_envelope
+from repro.net import MemoryNetwork
+from repro.overload.deadline import RetryBudget
 from repro.storage.simdisk import SimDisk
 from repro.wire.labels import Label
-from repro.wire.message import unwrap_group
+from repro.wire.message import Envelope, unwrap_group
 
 
 class Fixture:
@@ -176,3 +185,87 @@ class TestRejoinDiscipline:
 
         assert transcript(4) == transcript(4)
         assert transcript(4) != transcript(5)
+
+
+class TestRedirectFromAnOutsider:
+    """GROUP_REDIRECT is plaintext any Dolev–Yao outsider can send:
+    ``handle`` must not raise on one, nor follow one it should not."""
+
+    FORGED = {
+        "malformed": Envelope(
+            Label.GROUP_REDIRECT, "mallory", "alice", b"\xff\xff\xff"
+        ),
+        "foreign group": redirect_envelope(
+            "mallory", "alice", "grp-other", "shard-1"
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", FORGED)
+    def test_forged_redirect_is_rejected_and_changes_nothing(self, kind):
+        fx = Fixture()
+        budget = RetryBudget(min_reserve=2)
+        fm = FabricMember(
+            fx.users.register_password("carol", "pw-carol"), fx.group_id,
+            fx.fabric, rng=fx.rng.fork("carol"), retry_budget=budget,
+        )
+        wire(fx.net, "carol", fm)
+        fx.net.post_all(fm.start_join())
+        fx.net.run()
+        assert fm.connected
+        before = (fm.state, fm.route, fm.redirects, fm.rejoins,
+                  budget.balance, budget.retries, fm.chases_dropped)
+
+        out, events = fm.handle(self.FORGED[kind])
+
+        assert out == []
+        assert [type(e) for e in events] == [Rejected]
+        assert events[0].label is Label.GROUP_REDIRECT
+        assert before == (fm.state, fm.route, fm.redirects, fm.rejoins,
+                          budget.balance, budget.retries, fm.chases_dropped)
+
+    @pytest.mark.parametrize("kind", FORGED)
+    def test_member_runtime_keeps_receiving_after_one(self, kind):
+        """The asyncio driver's receive loop survives the frame: the
+        member still hears the group afterwards, on the same session."""
+        async def scenario():
+            rng = DeterministicRandom(6)
+            net = MemoryNetwork()
+            fabric = GroupDirectory(["shard-0"], rng=rng.fork("directory"))
+            record = fabric.create_group("grp-m")
+            users = UserDirectory()
+            host = ShardHost(
+                "shard-0", SimDisk(rng=rng.fork("disk")),
+                rng=rng.fork("shard-0"),
+            )
+            host.host_group(
+                "grp-m", users, storage_key=record.storage_key,
+            )
+            shard = LeaderRuntime(host, await net.attach("shard-0"))
+            shard.start()
+            runtimes = {}
+            for uid in ("alice", "bob"):
+                fm = FabricMember(
+                    users.register_password(uid, f"pw-{uid}"), "grp-m",
+                    fabric, rng=rng.fork(uid),
+                )
+                runtimes[uid] = _MemberRuntime(
+                    fm, await net.attach(uid), FabricConfig()
+                )
+                runtimes[uid].start()
+                await runtimes[uid].want_join()
+                await asyncio.sleep(1.0)
+                assert fm.connected
+            mallory = await net.attach("mallory")
+            await mallory.send(self.FORGED[kind])
+            await asyncio.sleep(1.0)
+            await runtimes["bob"].endpoint.send(
+                runtimes["bob"].fm.seal_app(b"still there?")
+            )
+            await asyncio.sleep(1.0)
+            alice = runtimes["alice"]
+            for runtime in runtimes.values():
+                await runtime.stop()
+            await shard.stop()
+            return alice.received, alice.fm.rejoins
+
+        assert run_virtual(scenario()) == ([b"still there?"], 0)

@@ -68,18 +68,6 @@ class TestBasicDelivery:
 
         assert run(scenario()) == ["a", "b"]
 
-    def test_recv_nowait(self):
-        async def scenario():
-            net = MemoryNetwork()
-            a = await net.attach("a")
-            b = await net.attach("b")
-            assert b.recv_nowait() is None
-            await a.send(env())
-            assert b.recv_nowait() is not None
-            assert b.pending == 0
-
-        run(scenario())
-
     def test_closed_endpoint(self):
         async def scenario():
             net = MemoryNetwork()

@@ -6,7 +6,6 @@ import pytest
 
 from repro.observability.profile import PhaseProfiler, bind_profiler_everywhere
 from repro.telemetry.events import EventBus
-from repro.telemetry.metrics import MetricsRegistry
 from repro.util.clock import TickClock
 
 from tests.shard_world import ShardWorld
@@ -127,15 +126,6 @@ class TestViews:
         assert payload["total"] == 2.0
         assert list(payload["phases"]) == ["open", "seal"]
         assert payload["phases"]["seal"]["frames"] == 1
-
-    def test_export_to_registry(self):
-        prof = ticked()
-        prof.end(prof.begin("seal"), frames=4)
-        reg = MetricsRegistry()
-        prof.export_to(reg)
-        assert reg.counters()['profile_phase_calls{phase="seal"}'] == 1
-        assert reg.counters()['profile_phase_frames{phase="seal"}'] == 4
-        assert reg.gauges()['profile_phase_seconds{phase="seal"}'] == 1.0
 
 
 class TestNeutrality:

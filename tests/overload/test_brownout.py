@@ -88,7 +88,7 @@ class TestBrownoutController:
         ctrl = make(bus, min_dwell=0.0)
         ctrl.observe(0.95, 0.0)
         ctrl.note_rekey_wanted(0.5)
-        ctrl.note_rebalance_deferred()
+        ctrl.deferred_rebalances += 1  # what a driver parking one does
         ctrl.observe(0.1, 1.0)
         ctrl.observe(0.1, 2.0)
         entered, exited = seen

@@ -7,33 +7,10 @@ from repro.wire.codec import (
     decode_fields,
     decode_str,
     decode_str_list,
-    decode_u32,
     encode_fields,
     encode_str,
     encode_str_list,
-    encode_u32,
 )
-
-
-class TestU32:
-    def test_roundtrip(self):
-        for v in (0, 1, 255, 65536, (1 << 32) - 1):
-            assert decode_u32(encode_u32(v)) == v
-
-    def test_out_of_range(self):
-        with pytest.raises(CodecError):
-            encode_u32(-1)
-        with pytest.raises(CodecError):
-            encode_u32(1 << 32)
-
-    def test_wrong_length(self):
-        with pytest.raises(CodecError):
-            decode_u32(b"\x00" * 3)
-        with pytest.raises(CodecError):
-            decode_u32(b"\x00" * 5)
-
-    def test_big_endian(self):
-        assert encode_u32(1) == b"\x00\x00\x00\x01"
 
 
 class TestFields:
@@ -74,7 +51,7 @@ class TestFields:
 
     def test_oversized_length_rejected(self):
         # A forged header claiming a giant field must fail cleanly.
-        data = encode_u32(1) + encode_u32(1 << 25) + b"x"
+        data = (1).to_bytes(4, "big") + (1 << 25).to_bytes(4, "big") + b"x"
         with pytest.raises(CodecError):
             decode_fields(data)
 
