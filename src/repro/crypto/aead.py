@@ -103,9 +103,9 @@ class AuthenticatedCipher:
         """Encrypt and authenticate under a caller-supplied CTR nonce.
 
         Only safe when equal nonces can only ever pair with equal
-        plaintexts — the data plane's flow control derives the nonce
-        from everything that determines the plaintext, which keeps the
-        frame reproducible without reusing keystream.
+        plaintexts — the group-key baseline channel derives the nonce
+        from everything that determines the frame, which keeps it
+        reproducible without reusing keystream.
         """
         if len(nonce) != CTR_NONCE_LEN:
             raise CodecError(f"CTR nonce must be {CTR_NONCE_LEN} bytes")
@@ -122,6 +122,17 @@ class AuthenticatedCipher:
             enc_key, mac_key,
             box.nonce, box.ciphertext, box.tag, associated_data, reuse=True,
         )
+
+    def tag(self, data: bytes, associated_data: bytes = b"") -> bytes:
+        """Authenticate ``data`` without encrypting it: the MAC subkey's
+        tag over the sealed-box layout with an empty nonce.
+
+        For content that is public to everyone who could verify it (the
+        data plane's ACKs).  The caller must pass associated data no
+        box is ever sealed under, so a tag and a box cannot stand in
+        for one another; verify with ``constant_time_eq``.
+        """
+        return get_provider()._tag(self._keys()[1], b"", data, associated_data)
 
 
 __all__ = [

@@ -120,8 +120,8 @@ class DataChannel:
         self._sender: SenderState | None = None
         self._receivers: dict[str, ReceiverState] = {}
         #: The bound epoch's group-key cipher (None while unbound).  The
-        #: reliability layer seals flow control under it; data frames
-        #: never use it.
+        #: reliability layer tags flow control with its MAC subkey; data
+        #: frames never use it.
         self.control_cipher: AuthenticatedCipher | None = None
         #: Frames this channel delivered / shed (cheap introspection
         #: for soaks and attacks without a telemetry subscription).

@@ -21,21 +21,35 @@ sealed envelope it last sent for it:
   re-seals all pending plaintexts on the *new* chain with new sequence
   numbers — the old epoch's frames are undeliverable by design.
 
-ACK/NACK payloads are sealed under the current group key (they are
-group-internal flow control, not end-to-end secrets) with associated
-data binding label, origin sender, acker, and epoch; the origin and
-acker ride in the clear so the relay can route without opening.  Every
-ACK of an epoch goes through the channel's one ``control_cipher``, so
-the group key's subkeys are derived once and its cipher context is kept
-for as long as the epoch lasts.
+ACKs and NACKs are authenticated under the current group key, not
+encrypted.  Uplink body (``DATA_ACK`` / ``DATA_NACK``, member to relay)::
+
+    fields[ origin | acker | payload | tag ]
+    payload = epoch (8B BE) || seq (8B BE)*
+
+``tag`` is the HMAC of the group key's MAC subkey (the channel's one
+``control_cipher``, subkeys derived by the epoch's first ACK) over the
+payload, with associated data binding label, origin, acker and epoch.
+What the tag gives the origin: a current holder of ``K_g`` said this —
+an outsider or a past member can neither forge an ACK (and make a
+sender drop a frame nobody received) nor replay one across epochs or
+into the other label.  An epoch and a sequence number are all an ACK
+says, and both already ride in the clear in every ``DATA_MSG`` body, so
+there was never anything in it to hide.
+
+Downlink body (relay to origin): always a *bundle*, ``fields[item...]``
+whose items are uplink bodies verbatim — every control frame for one
+``(label, origin)`` that reached the relay in one flush, a lone ACK as a
+bundle of one.  The relay reads an item's origin to route it and
+nothing else; the origin verifies each item on its own, so a forged or
+stale item costs only itself.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 
-from repro.crypto.aead import AuthenticatedCipher, SealedBox
-from repro.crypto.mac import hmac_sha256
+from repro.crypto.aead import AuthenticatedCipher
 from repro.exceptions import (
     CodecError,
     IntegrityError,
@@ -48,6 +62,7 @@ from repro.telemetry.events import (
     RetryBudgetExhausted,
     resolve_bus,
 )
+from repro.util.bytesops import constant_time_eq
 from repro.wire.codec import decode_fields, decode_str, encode_fields, encode_str
 from repro.wire.labels import Label
 from repro.wire.message import Envelope
@@ -56,8 +71,11 @@ _SEQ_LEN = 8
 
 
 def _control_ad(label: Label, origin: str, acker: str, epoch: int) -> bytes:
+    # The first field is one no sealed box is ever opened under: a
+    # control tag and a ``SealedBox`` tag share a layout and, here, a
+    # key, so the associated data is what keeps them apart.
     return encode_fields([
-        b"repro-data-ctl", bytes([label.value]),
+        b"repro-data-ctl-mac", bytes([label.value]),
         encode_str(origin), encode_str(acker), epoch.to_bytes(8, "big"),
     ])
 
@@ -71,25 +89,31 @@ def _seal_control(
     seqs: list[int],
     relay: str,
 ) -> Envelope:
-    """Build one sealed ACK/NACK envelope addressed at the relay."""
-    payload = encode_fields(
+    """Build one authenticated ACK/NACK envelope addressed at the relay."""
+    payload = b"".join(
         [epoch.to_bytes(8, "big")] + [s.to_bytes(_SEQ_LEN, "big") for s in seqs]
     )
-    ad = _control_ad(label, origin, acker, epoch)
-    # Deterministic nonce: the message key is the (multi-use) group
-    # key, but (label, origin, acker, epoch, payload) fully determines
-    # the plaintext, so equal nonces only ever pair with equal
-    # plaintexts — reproducible frames, no keystream reuse leak.
-    nonce = hmac_sha256(b"repro-data-ctl-nonce", ad + payload)[:8]
-    box = cipher.seal_with_nonce(nonce, payload, ad)
-    body = encode_fields([encode_str(origin), encode_str(acker), box.to_bytes()])
+    tag = cipher.tag(payload, _control_ad(label, origin, acker, epoch))
+    body = encode_fields([encode_str(origin), encode_str(acker), payload, tag])
     return Envelope(label, acker, relay, body)
 
 
-def decode_control_routing(body: bytes) -> tuple[str, str, bytes]:
-    """Parse ``(origin, acker, sealed box)`` — the relay-visible part."""
-    origin_b, acker_b, box = decode_fields(body, expect=3)
-    return decode_str(origin_b), decode_str(acker_b), box
+def decode_control_routing(body: bytes) -> tuple[str, str, bytes, bytes]:
+    """Parse one uplink body: ``(origin, acker, payload, tag)``.  The
+    relay routes on the origin and reads nothing else."""
+    origin_b, acker_b, payload, tag = decode_fields(body, expect=4)
+    return decode_str(origin_b), decode_str(acker_b), payload, tag
+
+
+def bundle_control(items: list[bytes]) -> bytes:
+    """The downlink body carrying these uplink bodies to their origin."""
+    return encode_fields(items)
+
+
+def unbundle_control(body: bytes) -> list[bytes]:
+    """Inverse of :func:`bundle_control` (:class:`CodecError` if
+    malformed); the items are not validated here."""
+    return decode_fields(body)
 
 
 _MSG_MAGIC = b"repro-data-msg"
@@ -193,47 +217,42 @@ class ReliableSender:
         return out
 
     def on_ack(self, envelope: Envelope, now: float) -> None:
-        """Fold one DATA_ACK into the pending set (bad acks ignored)."""
+        """Fold every item of one DATA_ACK bundle into the pending set
+        (a bad item is ignored; the others still count)."""
         if envelope.label is not Label.DATA_ACK:
             return
-        parsed = self._open(Label.DATA_ACK, envelope)
-        if parsed is None:
-            return
-        # ACK values ride +1 on the wire so "nothing contiguous yet"
-        # (cumulative -1) stays an unsigned field.
-        acker = parsed[0]
-        cum = parsed[1][0] - 1 if parsed[1] else -1
-        previous = self._acked.get(acker, -1)
-        if cum <= previous:
-            return
-        self._acked[acker] = cum
-        # RTT sample: age of the newest frame this ack covers.
-        newest = max(
-            (sent for seq, (_, _, _, sent) in self._pending.items()
-             if seq <= cum),
-            default=None,
-        )
-        if newest is not None:
-            self.tracker.observe(max(0.0, now - newest))
-        self._collect()
+        for acker, seqs in self._open(envelope):
+            # ACK values ride +1 on the wire so "nothing contiguous yet"
+            # (cumulative -1) stays an unsigned field.
+            cum = seqs[0] - 1 if seqs else -1
+            if cum <= self._acked.get(acker, -1):
+                continue
+            self._acked[acker] = cum
+            # RTT sample: age of the newest frame this ack covers.
+            newest = max(
+                (sent for seq, (_, _, _, sent) in self._pending.items()
+                 if seq <= cum),
+                default=None,
+            )
+            if newest is not None:
+                self.tracker.observe(max(0.0, now - newest))
+            self._collect()
 
     def on_nack(self, envelope: Envelope) -> list[Envelope]:
-        """Retransmit the cached frames a DATA_NACK names."""
+        """Retransmit the cached frames a DATA_NACK bundle names."""
         if envelope.label is not Label.DATA_NACK:
             return []
-        parsed = self._open(Label.DATA_NACK, envelope)
-        if parsed is None:
-            return []
         out = []
-        for seq in parsed[1]:
-            entry = self._pending.get(seq)
-            if entry is None:
-                continue
-            if not self.budget.record_retry():
-                self._starve()
-                break
-            out.append(entry[2])
-            self.retransmits += 1
+        for _acker, seqs in self._open(envelope):
+            for seq in seqs:
+                entry = self._pending.get(seq)
+                if entry is None:
+                    continue
+                if not self.budget.record_retry():
+                    self._starve()
+                    return out
+                out.append(entry[2])
+                self.retransmits += 1
         return out
 
     def tick(self, now: float) -> list[Envelope]:
@@ -272,30 +291,36 @@ class ReliableSender:
         if done:
             self._budget_starved = False
 
-    def _open(self, label: Label, envelope: Envelope):
+    def _open(self, envelope: Envelope) -> Iterator[tuple[str, list[int]]]:
+        """``(acker, seqs)`` for each item of a downlink bundle that is
+        addressed to this node's chain and verifies under the current
+        epoch's group key; every other item is skipped."""
         cipher = self.channel.control_cipher
         if cipher is None:
-            return None
+            return
         try:
-            origin, acker, box_b = decode_control_routing(envelope.body)
+            items = unbundle_control(envelope.body)
+        except CodecError:
+            return
+        label, epoch = envelope.label, self.channel.epoch
+        epoch_b = epoch.to_bytes(8, "big")
+        for item in items:
+            try:
+                origin, acker, payload, tag = decode_control_routing(item)
+            except CodecError:
+                continue
             if origin != self.node:
-                return None
-            ad = _control_ad(label, origin, acker, self.channel.epoch)
-            plain = cipher.open(SealedBox.from_bytes(box_b), ad)
-            fields = decode_fields(plain)
-        except (CodecError, IntegrityError):
-            return None
-        if not fields or len(fields[0]) != 8:
-            return None
-        epoch = int.from_bytes(fields[0], "big")
-        if epoch != self.channel.epoch:
-            return None
-        seqs = []
-        for raw in fields[1:]:
-            if len(raw) != _SEQ_LEN:
-                return None
-            seqs.append(int.from_bytes(raw, "big"))
-        return acker, seqs
+                continue
+            expected = cipher.tag(
+                payload, _control_ad(label, origin, acker, epoch))
+            if not constant_time_eq(expected, tag):
+                continue
+            if len(payload) % _SEQ_LEN or payload[:8] != epoch_b:
+                continue
+            yield acker, [
+                int.from_bytes(payload[i:i + _SEQ_LEN], "big")
+                for i in range(8, len(payload), _SEQ_LEN)
+            ]
 
 
 class ReliableReceiver:
@@ -359,7 +384,9 @@ class ReliableReceiver:
 __all__ = [
     "ReliableReceiver",
     "ReliableSender",
+    "bundle_control",
     "decode_control_routing",
+    "unbundle_control",
     "unwrap_msg",
     "wrap_msg",
 ]

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from repro.crypto.aead import AuthenticatedCipher, SealedBox
 from repro.crypto.keys import KEY_LEN, GroupKey
 from repro.crypto.rng import RandomSource, SystemRandom
+from repro.dataplane.reliable import bundle_control, decode_control_routing
 from repro.enclaves.common import (
     AccessPolicy,
     Denied,
@@ -62,7 +63,7 @@ from repro.telemetry.events import (
 )
 from repro.util.clock import Clock, RealClock
 from repro.wire.codec import decode_fields, encode_fields, encode_str
-from repro.wire.labels import Label
+from repro.wire.labels import DATA_CONTROL_LABELS, Label
 from repro.wire.message import Envelope
 
 
@@ -217,11 +218,14 @@ class GroupLeader:
     ) -> tuple[list[Envelope], list[Event]]:
         """Process a flush of envelopes as one journaled unit.
 
-        Same outputs, events and state as calling :meth:`handle` in
-        order, but the whole flush is journaled as *one* record (and
-        one fsync) after its last frame, before any of its outgoing
-        frames is returned: group commit, with the write-ahead rule
-        intact — a failed write withholds every frame of the flush.
+        Same events and state as calling :meth:`handle` in order, and
+        the same outputs but for data-plane flow control (the
+        ``DATA_ACK``/``DATA_NACK`` frames of the flush that name one
+        origin leave as one bundle, see :meth:`_relay_data`).  The
+        whole flush is journaled as *one* record (and one fsync) after
+        its last frame, before any of its outgoing frames is returned:
+        group commit, with the write-ahead rule intact — a failed write
+        withholds every frame of the flush.
         """
         return self._flush(envelopes)
 
@@ -243,11 +247,28 @@ class GroupLeader:
             self._checkpoint()
         out: list[Envelope] = []
         events: list[Event] = []
+        #: (label, origin) -> (slot in ``out``, uplink bodies so far).
+        bundles: dict[tuple[Label, str], tuple[int, list[bytes]]] = {}
         for envelope, frames, evts in handled:
             if bus:
                 self._publish(envelope, evts)
-            out.extend(frames)
+            if frames and envelope.label in DATA_CONTROL_LABELS:
+                # One routed uplink body (see _relay_data): it joins its
+                # origin's bundle, which leaves where the first went.
+                (routed,) = frames
+                key = (routed.label, routed.recipient)
+                bundle = bundles.get(key)
+                if bundle is None:
+                    bundles[key] = bundle = (len(out), [])
+                    out.append(routed)  # holds the slot, replaced below
+                bundle[1].append(routed.body)
+            else:
+                out.extend(frames)
             events.extend(evts)
+        for (label, origin), (index, items) in bundles.items():
+            out[index] = Envelope(
+                label, self.leader_id, origin, bundle_control(items))
+        self.stats.relayed_frames += len(bundles)
         self._cause = ""
         return out, events
 
@@ -593,9 +614,12 @@ class GroupLeader:
         traffic, which is what turns an expulsion into an immediate
         traffic cutoff on top of the cryptographic rekey.
 
-        ``DATA_MSG`` fans out to every member except the sender;
-        ``DATA_ACK``/``DATA_NACK`` unicast back to the origin sender
-        named (in the clear, as routing metadata) in the body.
+        ``DATA_MSG`` fans out to every member except the sender.
+        ``DATA_ACK``/``DATA_NACK`` go back to the origin sender named
+        (in the clear, as routing metadata) in the body: what this
+        returns for one is the body routed to its origin, and
+        :meth:`_flush` sends every such body of one flush to one origin
+        as one bundle frame, a lone one as a bundle of one.
         """
         sender = envelope.sender
         session = self._sessions.get(sender)
@@ -612,9 +636,7 @@ class GroupLeader:
             return out, []
         # ACK/NACK: route to the origin member named in the body.
         try:
-            from repro.dataplane.reliable import decode_control_routing
-
-            origin, _acker, _box = decode_control_routing(envelope.body)
+            origin = decode_control_routing(envelope.body)[0]
         except CodecError:
             self.stats.rejected += 1
             return [], [Rejected("malformed data control frame",
@@ -624,7 +646,6 @@ class GroupLeader:
             self.stats.rejected += 1
             return [], [Rejected("data control for non-member",
                                  envelope.label)]
-        self.stats.relayed_frames += 1
         return [Envelope(envelope.label, sender, origin, envelope.body)], []
 
     # -- introspection for the formal-vs-concrete cross-checks -------------------

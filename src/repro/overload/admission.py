@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.wire.labels import Label
+from repro.wire.labels import DATA_CONTROL_LABELS, Label
 from repro.wire.message import Envelope, unwrap_group
 
 
@@ -68,7 +68,7 @@ _JOIN_LABELS = frozenset({
 #: channel.  Bulk ``DATA_MSG`` frames are deliberately *not* here: a
 #: data flood must land in the APP class where fair-share pacing and
 #: brownout shedding can starve the flooder, never the joins.
-_DATA_CONTROL_LABELS = frozenset({Label.DATA_ACK, Label.DATA_NACK})
+_DATA_CONTROL_LABELS = DATA_CONTROL_LABELS
 
 
 def classify_frame(

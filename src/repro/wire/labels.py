@@ -48,9 +48,15 @@ class Label(enum.IntEnum):
     #: message key.
     DATA_MSG = 0x40
     #: Cumulative delivery acknowledgement for one sender's chain.
+    #: Uplink (member to leader) the body is one MAC'd item,
+    #: ``fields[origin | acker | epoch || seq* | tag]`` — authenticated
+    #: under the group key, not encrypted; downlink (leader to origin)
+    #: it is always a bundle ``fields[item...]`` of every such item one
+    #: leader flush relayed to that origin (see
+    #: :mod:`repro.dataplane.reliable`).
     DATA_ACK = 0x41
     #: Explicit gap report: the named sequence numbers were skipped over
-    #: and should be retransmitted.
+    #: and should be retransmitted.  Same two body forms as ``DATA_ACK``.
     DATA_NACK = 0x42
 
     # -- fabric envelope scoping (multi-group shard hosting) -----------
@@ -76,3 +82,9 @@ class Label(enum.IntEnum):
     def is_data(self) -> bool:
         """End-to-end data-plane traffic (ratcheted frames + acks)."""
         return 0x40 <= self.value <= 0x42
+
+
+#: Data-plane flow control (cumulative acks, gap reports): what a leader
+#: relays to one origin as a per-flush bundle, and what admission ranks
+#: at heartbeat tier.
+DATA_CONTROL_LABELS = frozenset({Label.DATA_ACK, Label.DATA_NACK})
