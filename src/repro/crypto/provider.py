@@ -54,6 +54,7 @@ from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 from repro.exceptions import CryptoError, IntegrityError
+from repro.util.bytesops import constant_time_eq
 
 #: Environment variable consulted by the first :func:`get_provider` call.
 ENV_VAR = "REPRO_CRYPTO_BACKEND"
@@ -279,8 +280,6 @@ class CryptoProvider(ABC):
     ) -> bytes:
         """Verify and decrypt one frame (IntegrityError on forgery,
         raised before any decryption).  ``reuse`` as in :meth:`seal`."""
-        from repro.util.bytesops import constant_time_eq
-
         expected = self._tag(mac_key, nonce, ciphertext, associated_data)
         if not constant_time_eq(expected, tag):
             raise IntegrityError("MAC verification failed")
@@ -316,8 +315,6 @@ class CryptoProvider(ABC):
         (no exception — batch callers route failures to their existing
         per-frame rejection paths, which re-run the single-frame logic).
         """
-        from repro.util.bytesops import constant_time_eq
-
         ctr, tag_of = self._ctr, self._tag
         out: list[bytes | None] = []
         for nonce, ciphertext, tag, ad in items:

@@ -21,7 +21,7 @@ from collections.abc import Callable
 from repro.dataplane.channel import DataChannel, GroupKeyChannel
 from repro.dataplane.ratchet import DEFAULT_SKIP_WINDOW
 from repro.dataplane.reliable import ReliableReceiver, ReliableSender
-from repro.enclaves.common import Event
+from repro.enclaves.common import Event, MemberJoined, MembershipView
 from repro.enclaves.itgm.member import MemberProtocol
 from repro.telemetry.events import EventBus
 from repro.wire.labels import Label
@@ -79,6 +79,13 @@ class DataMember:
         if envelope.label.is_data:
             return self._handle_data(envelope), []
         out, events = self.member.handle(envelope)
+        for event in events:
+            # A (re)join, a peer's or (the view) this node's own, may
+            # follow a rebuilt session whose message ids restart at 0.
+            if isinstance(event, MemberJoined):
+                self.receiver.forget((event.user_id,))
+            elif isinstance(event, MembershipView):
+                self.receiver.forget(event.members)
         out.extend(self._sync_epoch())
         return out, events
 

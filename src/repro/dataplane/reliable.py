@@ -48,6 +48,7 @@ stale item costs only itself.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
+from functools import lru_cache
 
 from repro.crypto.aead import AuthenticatedCipher
 from repro.exceptions import (
@@ -70,14 +71,23 @@ from repro.wire.message import Envelope
 _SEQ_LEN = 8
 
 
-def _control_ad(label: Label, origin: str, acker: str, epoch: int) -> bytes:
-    # The first field is one no sealed box is ever opened under: a
-    # control tag and a ``SealedBox`` tag share a layout and, here, a
+@lru_cache(maxsize=4096)
+def _control_ad_head(label: Label, origin: str, acker: str) -> bytes:
+    # All of the associated data but its last eight bytes, the epoch:
+    # fixed for a pair of members for as long as both are in the group,
+    # so computed once for the pair.  Not once per epoch — epochs only go
+    # up, and a memory keyed on them fills with entries nobody asks for
+    # again.  The first field is one no sealed box is ever opened under:
+    # a control tag and a ``SealedBox`` tag share a layout and, here, a
     # key, so the associated data is what keeps them apart.
     return encode_fields([
         b"repro-data-ctl-mac", bytes([label.value]),
-        encode_str(origin), encode_str(acker), epoch.to_bytes(8, "big"),
-    ])
+        encode_str(origin), encode_str(acker), bytes(8),
+    ])[:-8]
+
+
+def _control_ad(label: Label, origin: str, acker: str, epoch: int) -> bytes:
+    return _control_ad_head(label, origin, acker) + epoch.to_bytes(8, "big")
 
 
 def _seal_control(
@@ -331,12 +341,18 @@ class ReliableReceiver:
         self.channel = channel
         self.acks_sent = 0
         self.nacks_sent = 0
-        #: sender -> message ids already delivered (any epoch).  The
-        #: ratchet already rejects within-epoch replays; this catches
-        #: the one duplicate it cannot — a payload re-sealed on a new
-        #: chain after its ack was lost across an epoch bump.
+        #: sender -> message ids already delivered (any epoch) since it
+        #: last joined.  The ratchet already rejects within-epoch
+        #: replays; this catches the one duplicate it cannot — a payload
+        #: re-sealed on a new chain after its ack was lost across an
+        #: epoch bump.
         self._seen: dict[str, set[int]] = {}
         self.duplicates_suppressed = 0
+
+    def forget(self, senders: Iterable[str]) -> None:
+        """These senders (re)joined: what they send from here on is new."""
+        for sender in senders:
+            self._seen.pop(sender, None)
 
     def on_data(
         self, envelope: Envelope, relay: str

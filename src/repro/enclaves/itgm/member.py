@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.crypto.aead import AuthenticatedCipher, SealedBox
 from repro.crypto.keys import GroupKey, SessionKey
@@ -72,8 +73,12 @@ from repro.wire.labels import Label
 from repro.wire.message import Envelope
 
 
+@lru_cache(maxsize=1024)
 def seal_ad(label: Label, sender: str, recipient: str) -> bytes:
-    """Associated data binding a sealed box to its envelope header."""
+    """Associated data binding a sealed box to its envelope header.
+
+    A session seals and opens under the same few headers for as long as
+    it lives, so the encoding is remembered, not redone per frame."""
     return encode_fields(
         [bytes([label.value]), encode_str(sender), encode_str(recipient)]
     )

@@ -79,7 +79,8 @@ def classify_frame(
     ``GROUP_WRAP`` fabric envelopes are classified by their *inner*
     frame — the wrapper is routing, not intent; a malformed wrapper
     classifies as APP (it will be rejected loudly downstream anyway,
-    so it deserves no priority).
+    so it deserves no priority).  The parse this takes is the demux's
+    too: :func:`~repro.wire.message.unwrap_group` keeps it on the frame.
 
     Liveness beacons are ordinary ``APP_DATA`` frames sealed by the
     leader (see ``GroupLeader.heartbeat``), indistinguishable on the

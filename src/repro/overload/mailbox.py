@@ -44,6 +44,9 @@ SHED_CAPACITY = "capacity"
 SHED_FAIR_SHARE = "fair_share"
 SHED_BROWNOUT = "brownout"
 
+#: The classes in the order they are served.
+_SERVICE_ORDER = tuple(PriorityClass)
+
 
 @dataclass(frozen=True)
 class MailboxConfig:
@@ -89,7 +92,7 @@ class BoundedMailbox:
         self.config = config if config is not None else MailboxConfig()
         self._telemetry = telemetry
         self._classes: dict[PriorityClass, deque] = {
-            cls: deque() for cls in PriorityClass
+            cls: deque() for cls in _SERVICE_ORDER
         }
         self._depth = 0
         self._saturated = False
@@ -159,7 +162,7 @@ class BoundedMailbox:
     def _evict_below(self, cls: PriorityClass) -> bool:
         """Make room for ``cls`` by shedding the newest frame of the
         lowest-priority occupied class strictly below it."""
-        for victim_cls in reversed(list(PriorityClass)):
+        for victim_cls in reversed(_SERVICE_ORDER):
             if victim_cls <= cls:
                 return False
             queue = self._classes[victim_cls]
@@ -201,7 +204,7 @@ class BoundedMailbox:
 
     def take(self) -> Envelope | None:
         """Dequeue the oldest frame of the highest occupied class."""
-        for cls in PriorityClass:
+        for cls in _SERVICE_ORDER:
             queue = self._classes[cls]
             if queue:
                 self._depth -= 1

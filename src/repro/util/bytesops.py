@@ -1,29 +1,23 @@
 """Byte-string operations used by the crypto substrate.
 
-These are deliberately simple, dependency-free implementations.  The
-constant-time comparison mirrors ``hmac.compare_digest``: the loop always
-visits every byte so the running time does not leak the position of the
-first mismatch.
+These are deliberately simple, dependency-free implementations, with
+one exception: the constant-time comparison *is* the standard library's
+``hmac.compare_digest``, because a loop in Python cannot promise that
+its running time does not leak the position of the first mismatch.
 """
 
 from __future__ import annotations
 
+import hmac
+
 from repro.exceptions import PaddingError
 
 
-def constant_time_eq(a: bytes, b: bytes) -> bool:
-    """Compare two byte strings in time independent of their contents.
-
-    Length differences are still observable (as with HMAC verification in
-    general, the MAC length is public), but the position of the first
-    differing byte is not.
-    """
-    if len(a) != len(b):
-        return False
-    acc = 0
-    for x, y in zip(a, b):
-        acc |= x ^ y
-    return acc == 0
+#: Compare two byte strings in time independent of their contents.
+#: Length differences are still observable (as with HMAC verification in
+#: general, the MAC length is public), but the position of the first
+#: differing byte is not.
+constant_time_eq = hmac.compare_digest
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:

@@ -10,11 +10,27 @@ the sealed body.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 
 from repro.exceptions import CodecError
-from repro.wire.codec import decode_fields, decode_str, encode_fields, encode_str
+from repro.wire.codec import (
+    MAX_FIELD_LEN,
+    decode_fields,
+    decode_str,
+    encode_fields,
+    encode_str,
+)
 from repro.wire.labels import Label
+
+# An envelope is ``encode_fields`` of exactly four fields, the first one
+# byte long: ``count=4 | len=1 | label | len sender | len recipient |
+# len body``.  Everything up to the label depends on the label alone.
+_HEAD = struct.Struct(">IIBI")  # count, label length, label, sender length
+_SENDER_AT = _HEAD.size
+_U32 = struct.Struct(">I")
+_HEAD_OF = {label: struct.pack(">IIB", 4, 1, label.value) for label in Label}
+_LABEL_OF = {label.value: label for label in Label}
 
 
 @dataclass(frozen=True, slots=True)
@@ -25,17 +41,57 @@ class Envelope:
     sender: str
     recipient: str
     body: bytes
+    #: What :func:`unwrap_group` read out of this frame, kept so every
+    #: layer of one hop shares one parse.  Not a constructor argument,
+    #: not compared, hashed or printed, and not copied by
+    #: ``dataclasses.replace``: a frame with another body starts without.
+    _unwrapped: "tuple[str, Envelope] | None" = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def to_bytes(self) -> bytes:
-        """Serialize to the canonical wire form."""
-        return encode_fields(
-            [bytes([self.label.value]), encode_str(self.sender),
-             encode_str(self.recipient), self.body]
-        )
+        """Serialize to the canonical wire form, the bytes of
+        ``encode_fields([label byte, sender, recipient, body])``."""
+        sender = self.sender.encode("utf-8")
+        recipient = self.recipient.encode("utf-8")
+        body = self.body
+        if not isinstance(body, (bytes, bytearray)):
+            raise CodecError(f"field must be bytes, got {type(body).__name__}")
+        if max(len(sender), len(recipient), len(body)) > MAX_FIELD_LEN:
+            raise CodecError("field too long")
+        pack = _U32.pack
+        return b"".join((
+            _HEAD_OF[self.label], pack(len(sender)), sender,
+            pack(len(recipient)), recipient, pack(len(body)), body,
+        ))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Envelope":
-        """Parse a wire message, raising :class:`CodecError` if malformed."""
+        """Parse a wire message, raising :class:`CodecError` if malformed.
+
+        The fixed shape is read directly.  Input that does not fit it is
+        handed to the generic decoder, the reference for what is
+        accepted, which names what is wrong with it.
+        """
+        try:
+            count, label_len, label, sender_len = _HEAD.unpack_from(data)
+            sender_end = _SENDER_AT + sender_len
+            (recipient_len,) = _U32.unpack_from(data, sender_end)
+            recipient_end = sender_end + 4 + recipient_len
+            (body_len,) = _U32.unpack_from(data, recipient_end)
+            body_at = recipient_end + 4
+            if (count == 4 and label_len == 1
+                    and body_at + body_len == len(data)
+                    and max(sender_len, recipient_len, body_len)
+                    <= MAX_FIELD_LEN):
+                return cls(
+                    _LABEL_OF[label],
+                    data[_SENDER_AT:sender_end].decode("utf-8"),
+                    data[sender_end + 4:recipient_end].decode("utf-8"),
+                    data[body_at:],
+                )
+        except (struct.error, KeyError, UnicodeDecodeError):
+            pass
         label_b, sender_b, recipient_b, body = decode_fields(data, expect=4)
         if len(label_b) != 1:
             raise CodecError("label must be one byte")
@@ -80,10 +136,16 @@ def unwrap_group(envelope: Envelope) -> tuple[str, Envelope]:
 
     Raises :class:`CodecError` on a wrong label or malformed body —
     shards reject such frames loudly rather than guessing a group.
+    A successful parse is kept on the wrapper, so admission and demux
+    read one frame once; a failed one leaves nothing behind.
     """
-    if envelope.label is not Label.GROUP_WRAP:
-        raise CodecError(
-            f"expected GROUP_WRAP, got {envelope.label.name}"
-        )
-    group_b, inner_b = decode_fields(envelope.body, expect=2)
-    return decode_str(group_b), Envelope.from_bytes(inner_b)
+    parsed = envelope._unwrapped
+    if parsed is None:
+        if envelope.label is not Label.GROUP_WRAP:
+            raise CodecError(
+                f"expected GROUP_WRAP, got {envelope.label.name}"
+            )
+        group_b, inner_b = decode_fields(envelope.body, expect=2)
+        parsed = decode_str(group_b), Envelope.from_bytes(inner_b)
+        object.__setattr__(envelope, "_unwrapped", parsed)
+    return parsed

@@ -1,6 +1,15 @@
 """End-to-end data-plane tests through the leader relay."""
 
 from repro.attacks.base import build_data
+from repro.crypto.rng import DeterministicRandom
+from repro.dataplane.member import DataMember
+from repro.enclaves.common import UserDirectory
+from repro.enclaves.harness import SyncNetwork, wire
+from repro.enclaves.itgm.member import MemberProtocol
+from repro.fabric.directory import GroupDirectory
+from repro.fabric.member import FabricMember
+from repro.fabric.shard import ShardHost
+from repro.storage.simdisk import SimDisk
 from repro.wire.labels import Label
 from repro.wire.message import Envelope
 
@@ -119,3 +128,122 @@ class TestKeyLifetimes:
         assert alice.group_key.subkeys()[0] not in long_lived
         assert alice._session_key.subkeys()[0] in long_lived
         assert not long_lived & one_time
+
+
+class _DataProtocol:
+    """What ``FabricMember``'s ``protocol_factory`` seam is given to put a
+    data plane on a fabric member: a :class:`MemberProtocol` whose
+    ``handle`` is its :class:`DataMember`'s."""
+
+    def __init__(self, member):
+        self.member = member
+        self.data = DataMember(member)
+        self.handle = self.data.handle
+
+    def __getattr__(self, name):
+        return getattr(self.member, name)
+
+
+class TestSessionRebuild:
+    """``FabricMember.reset_for_rejoin`` (a redirect while connected, a
+    watchdog reset) replaces the protocol: the member comes back with a
+    fresh ``DataMember`` whose message ids restart at 0.  Peers used to
+    hold those ids against it for ever — ACK the first *k* messages of
+    the new session, deliver none of them."""
+
+    SHARD = "shard-0"
+    GROUP = "grp"
+
+    def fabric(self, size=4):
+        rng = DeterministicRandom(23)
+        directory = GroupDirectory([self.SHARD], rng=rng.fork("directory"))
+        shard = ShardHost(self.SHARD, SimDisk(rng=rng.fork("disk")),
+                          rng=rng.fork("shard"))
+        record = directory.create_group(self.GROUP)
+        users = UserDirectory()
+        net = SyncNetwork()
+        wire(net, self.SHARD, shard)
+        members = {}
+        for index in range(size):
+            uid = f"m{index}"
+            members[uid] = FabricMember(
+                users.register_password(uid, f"pw-{uid}"), self.GROUP,
+                directory, rng=rng.fork(uid),
+                protocol_factory=lambda creds, group_id, rng, grace, bus:
+                    _DataProtocol(MemberProtocol(
+                        creds, group_id, rng=rng, rekey_grace=grace,
+                        telemetry=bus)),
+            )
+            wire(net, uid, members[uid])
+        shard.host_group(self.GROUP, users, storage_key=record.storage_key)
+        for member in members.values():
+            net.post_all(member.start_join())
+            net.run()
+        return net, members
+
+    @staticmethod
+    def send(net, member, payload):
+        data = member.protocol.data
+        net.post_all(member._wrap(frame) for frame in data.send_data(payload))
+        net.run()
+        assert data.sender.pending == 0  # every peer acknowledged it
+
+    @staticmethod
+    def received(member, sender):
+        return [p for (s, _q, p) in member.protocol.data.inbox if s == sender]
+
+    def test_every_message_of_the_new_session_is_delivered_once(self):
+        net, members = self.fabric()
+        m0, peers = members["m0"], [members[u] for u in ("m1", "m2", "m3")]
+        first = [b"a0", b"a1", b"a2"]
+        for payload in first:
+            self.send(net, m0, payload)
+
+        m0.reset_for_rejoin()
+        net.post_all(m0.start_join())
+        net.run()
+        assert m0.connected and m0.protocol.data.sender._next_msg_id == 0
+
+        second = [b"b0", b"b1", b"b2"]
+        for payload in second:
+            self.send(net, m0, payload)
+        for peer in peers:
+            assert self.received(peer, "m0") == first + second
+            assert peer.protocol.data.receiver.duplicates_suppressed == 0
+
+    def test_also_for_a_peer_that_was_away_when_it_happened(self):
+        """m2 leaves (keeping its DataMember), m0 is rebuilt, m2 comes
+        back: no ``MemberJoined(m0)`` ever reaches m2, only its own
+        membership view."""
+        net, members = self.fabric()
+        m0, m2 = members["m0"], members["m2"]
+        self.send(net, m0, b"a0")
+        net.post(m2.start_leave())
+        net.run()
+        m0.reset_for_rejoin()
+        for member in (m0, m2):
+            net.post_all(member.start_join())
+            net.run()
+        self.send(net, m0, b"b0")
+        assert self.received(m2, "m0") == [b"a0", b"b0"]
+        assert m2.protocol.data.receiver.duplicates_suppressed == 0
+
+    def test_a_rekey_alone_forgets_nothing(self):
+        """The duplicate the memory exists for — delivered, ACK lost,
+        re-sealed after a rekey with nobody (re)joining — is still
+        caught (the unit case is
+        ``test_reliable.py::test_cross_epoch_duplicate_suppressed``)."""
+        scenario = build_data(["alice", "bob"], seed=1)
+        net = scenario.net
+        alice, bob = scenario.members["alice"], scenario.members["bob"]
+        net.set_interceptor(
+            lambda e: [] if e.label is Label.DATA_ACK else None)
+        net.post_all(alice.send_data(b"once only"))
+        net.run()
+        assert alice.sender.pending == 1 and len(bob.inbox) == 1
+        net.set_interceptor(None)
+        net.post_all(scenario.leader.rekey_now())
+        net.run()
+        assert alice.sender.pending == 0
+        assert [p for (_s, _q, p) in bob.inbox] == [b"once only"]
+        assert bob.receiver.duplicates_suppressed == 1

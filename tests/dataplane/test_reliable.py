@@ -12,6 +12,7 @@ from repro.dataplane.reliable import (
     ReliableReceiver,
     ReliableSender,
     _control_ad,
+    _control_ad_head,
     bundle_control,
     decode_control_routing,
     unbundle_control,
@@ -250,6 +251,88 @@ class TestControlWireFormat:
         assert len(tag) == 32
         items = [control[0].body, b"", b"anything"]
         assert unbundle_control(bundle_control(items)) == items
+
+
+class TestControlAdIsRemembered:
+    """All of ``_control_ad`` but the epoch is computed once per
+    (label, origin, acker) — a rekey adds nothing to remember; the
+    bytes are the ones every epoch-1 tag above was made over, and
+    nothing a rekey or another acker needs is shared."""
+
+    KNOWN = {
+        (Label.DATA_ACK, "alice", "bob", 1):
+            "0000000500000012726570726f2d646174612d63746c2d6d6163"
+            "000000014100000005616c69636500000003626f62"
+            "000000080000000000000001",
+        (Label.DATA_NACK, "alice", "carol", 2):
+            "0000000500000012726570726f2d646174612d63746c2d6d6163"
+            "000000014200000005616c696365000000056361726f6c"
+            "000000080000000000000002",
+    }
+
+    def test_known_answers_first_and_every_later_time(self):
+        _control_ad_head.cache_clear()
+        for _ in range(2):
+            for args, expected in self.KNOWN.items():
+                assert _control_ad(*args).hex() == expected
+        assert _control_ad_head.cache_info().hits == len(self.KNOWN)
+
+    def test_every_argument_is_in_the_key(self):
+        names = ("alice", "bob", "carol")
+        grid = [(label, origin, acker, epoch)
+                for label in (Label.DATA_ACK, Label.DATA_NACK)
+                for origin in names for acker in names
+                for epoch in (0, 1, 2, 1 << 40)]
+        for args in grid + grid[::-1]:
+            label, origin, acker, epoch = args
+            assert _control_ad(*args) == encode_fields([
+                b"repro-data-ctl-mac", bytes([label.value]),
+                encode_str(origin), encode_str(acker),
+                epoch.to_bytes(8, "big"),
+            ])
+        assert len({_control_ad(*args) for args in grid}) == len(grid)
+        assert _control_ad_head.cache_info().maxsize == 4096
+
+    def test_a_new_epoch_is_nothing_more_to_remember(self):
+        _control_ad_head.cache_clear()
+        ads = {_control_ad(Label.DATA_ACK, "alice", "bob", epoch)
+               for epoch in range(50)}
+        assert len(ads) == 50
+        assert _control_ad_head.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    def test_known_answer_bodies_whatever_was_remembered_before(self, backend):
+        for acker, epoch in (("carol", 1), ("bob", 0), ("bob", 2)):
+            _control_ad(Label.DATA_ACK, "alice", acker, epoch)
+            _control_ad(Label.DATA_ACK, acker, "alice", epoch)
+        for _ in range(2):
+            TestControlWireFormat().test_known_answer_uplink_bodies(backend)
+
+    def test_a_rekey_under_the_same_key_still_retires_every_ack(self):
+        """Epoch 1 → 2 with K_g unchanged: only the associated data (and
+        the payload's epoch word) tell bob's two ACKs apart."""
+        peers = ("bob", "carol")
+        sender, receivers = group(peers)
+        env = sender.send(b"one", "leader", now=0.0)
+        old = {p: receivers[p].on_data(env, "leader")[1][0] for p in peers}
+        for channel in (sender.channel,
+                        *(r.channel for r in receivers.values())):
+            channel.rebind(KEY_A, 2)
+        (resealed,) = sender.rebind(now=1.0)
+        sender.on_ack(relayed(*old.values()), now=1.1)
+        assert sender._acked == {} and sender.pending == 1
+        new = {p: receivers[p].on_data(resealed, "leader")[1][0]
+               for p in peers}
+        # carol's new ACK relabelled as bob's: her tag is over her AD.
+        origin, _, payload, tag = decode_control_routing(new["carol"].body)
+        sender.on_ack(Envelope(Label.DATA_ACK, "leader", "alice",
+                               bundle_control([encode_fields([
+                                   encode_str(origin), encode_str("bob"),
+                                   payload, tag])])), now=1.2)
+        assert sender._acked == {} and sender.pending == 1
+        sender.on_ack(relayed(*new.values()), now=1.3)
+        assert sender._acked == {"bob": 0, "carol": 0}
+        assert sender.pending == 0
 
 
 class TestBundledDelivery:

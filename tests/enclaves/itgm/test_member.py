@@ -196,3 +196,42 @@ class TestLifecycle:
         req2 = member.start_join()
         assert member.state is MemberState.WAITING_FOR_KEY
         assert extract_n1(member, req2) != n1
+
+
+class TestSealAd:
+    """``seal_ad`` remembers what it built; what it returns is still
+    ``fields[label | sender | recipient]``, whatever was asked before."""
+
+    KNOWN = {
+        (Label.ADMIN_MSG, "leader", "alice"):
+            "000000030000000104000000066c656164657200000005616c696365",
+        (Label.ACK, "alice", "leader"):
+            "00000003000000010500000005616c696365000000066c6561646572",
+        (Label.ACK, "ålice", "лидер"):
+            "00000003000000010500000006c3a56c6963650000000ad0bbd0b8d0b4d0b5d180",
+    }
+
+    def test_known_answers_first_and_every_later_time(self):
+        seal_ad.cache_clear()
+        for _ in range(2):
+            for args, expected in self.KNOWN.items():
+                assert seal_ad(*args).hex() == expected
+        assert seal_ad.cache_info().hits == len(self.KNOWN)
+
+    def test_every_argument_is_in_the_key(self):
+        names = ("alice", "bob", "leader", "")
+        grid = [(label, sender, recipient)
+                for label in (Label.ADMIN_MSG, Label.ACK, Label.REQ_CLOSE)
+                for sender in names for recipient in names]
+        for args in grid + grid[::-1]:
+            label, sender, recipient = args
+            assert seal_ad(*args) == encode_fields(
+                [bytes([label.value]), encode_str(sender),
+                 encode_str(recipient)])
+        assert len({seal_ad(*args) for args in grid}) == len(grid)
+
+    def test_the_memory_is_bounded(self):
+        for index in range(3 * seal_ad.cache_info().maxsize // 2):
+            seal_ad(Label.ACK, f"user-{index}", "leader")
+        info = seal_ad.cache_info()
+        assert info.currsize == info.maxsize == 1024

@@ -141,6 +141,20 @@ class TestBoundedMailbox:
         assert len(box.drain(3)) == 3
         assert box.depth == 2
 
+    def test_drain_serves_all_four_classes_in_order(self):
+        """Arrival order reversed, twice over: class order first, arrival
+        order within a class — for ``drain`` exactly as for ``take``."""
+        order = list(PriorityClass)
+        assert [c.name for c in order] == [
+            "CONTROL", "HEARTBEAT", "JOIN", "APP"]
+        box = BoundedMailbox("leader", MailboxConfig(capacity=16))
+        for n in (1, 2):
+            for cls in reversed(order):
+                box.offer(app(n=10 * cls + n), priority=cls)
+        served = box.drain(16)
+        assert [e.body[0] for e in served] == [1, 2, 11, 12, 21, 22, 31, 32]
+        assert box.depth == 0 and box.take() is None
+
     def test_explicit_priority_overrides_classification(self):
         box = BoundedMailbox("leader", MailboxConfig(capacity=4))
         box.offer(app("leader"), priority=PriorityClass.HEARTBEAT)

@@ -3,8 +3,11 @@ same frames one ``handle`` at a time.
 
 ``ShardHost.handle`` is the one-frame flush and ``pump`` hands whatever
 the mailbox drained to ``handle_many``, so how the intake happens to cut
-the traffic into flushes may change one thing only: where the journal's
-record boundaries fall.
+the traffic into flushes may change two things only: where the journal's
+record boundaries fall, and which relayed ``DATA_ACK`` items share a
+downlink bundle (one frame per origin per flush, by design — the worlds
+are compared with their bundles taken apart, see
+:meth:`tests.shard_world.ShardWorld.observed`).
 
 Method (see :mod:`tests.shard_world`): a hypothesis script drives live
 members of two interleaved groups against shard A, which is given every
@@ -14,8 +17,8 @@ chunks are cut.  The recorded chunks are then fed to shard B on the same
 seed through ``enqueue`` + ``pump`` with hypothesis-chosen budgets.  The
 script mixes joins and leaves (a rekey each, mid-tape), runs of legacy
 ``APP_DATA`` — with a forged MAC in the middle of a run, and frames held
-across a rekey so they arrive one epoch stale — blind ``DATA_*`` relays,
-a foreign group id, a malformed wrapper, a bare frame, and a redirect
+across a rekey so they arrive one epoch stale — blind ``DATA_MSG`` and
+well-formed ``DATA_ACK`` relays, a foreign group id, a malformed wrapper, a bare frame, and a redirect
 after ``quiesce``.
 """
 
@@ -23,6 +26,10 @@ from itertools import cycle
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from repro.dataplane.reliable import unbundle_control
+from repro.wire.labels import Label
+from repro.wire.message import Envelope
 
 from tests.shard_world import GROUPS, OPS, USERS_PER_GROUP, ShardWorld
 
@@ -79,11 +86,24 @@ def test_the_tape_reaches_what_the_batch_open_used_to_serve():
         ("forged", 0, 1, False),
         ("forged", 1, 1, False),
         ("data", 1, 2, False),
+        ("data", 1, 2, False),      # a second ACK for the same origin
         ("stray", 1, 0, False),
         ("app", 1, 2, True),
     ]
     one_by_one, pumped = twins(script, [64], seed=11)
     assert pumped.observed() == one_by_one.observed()
+
+    # The ACKs were relayed, not rejected: two bundles of one where
+    # each frame was its own flush, one bundle of two where the pump
+    # served both in one — equal only once taken apart.
+    def ack_bundles(world):
+        frames = [Envelope.from_bytes(raw) for raw in world.out]
+        return [len(unbundle_control(f.body)) for f in frames
+                if f.label is Label.DATA_ACK]
+    assert ack_bundles(one_by_one) == [1, 1]
+    assert ack_bundles(pumped) == [2]
+    (items,) = pumped.observed()["control"].values()
+    assert len(items) == 2
 
     grp_a = pumped.shard.leader(GROUPS[0]).stats
     assert grp_a.grace_resealed == 1

@@ -17,7 +17,11 @@ every later nonce).
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
+
 from repro.crypto.rng import DeterministicRandom
+from repro.dataplane.reliable import unbundle_control
 from repro.enclaves.common import UserDirectory
 from repro.enclaves.harness import SyncNetwork, wire
 from repro.enclaves.itgm.leader import GroupLeader
@@ -32,7 +36,7 @@ from repro.storage.journal import Journal
 from repro.storage.recovery import replay_records
 from repro.storage.simdisk import SimDisk
 from repro.wire.codec import encode_fields, encode_str
-from repro.wire.labels import Label
+from repro.wire.labels import DATA_CONTROL_LABELS, Label
 from repro.wire.message import Envelope, unwrap_group, wrap_group
 
 SHARD = "shard-0"
@@ -200,8 +204,11 @@ class ShardWorld:
             elif op == "data":
                 peer = self.members[group_id][(u + 1) % USERS_PER_GROUP]
                 post(self._wrap(group_id, Label.DATA_MSG, uid, b"opaque"))
+                # fields[origin | acker | payload | tag]: all the relay
+                # reads is the origin, so any payload and tag will do.
                 post(self._wrap(group_id, Label.DATA_ACK, uid, encode_fields(
-                    [encode_str(peer.user_id), encode_str(uid), b"box"]
+                    [encode_str(peer.user_id), encode_str(uid),
+                     bytes(16), b"t" * 32]
                 )))
             elif op == "stray":
                 post(self._wrap("grp-ghost", Label.APP_DATA, uid, b"x"))
@@ -237,9 +244,30 @@ class ShardWorld:
         }
 
     def observed(self) -> dict:
-        """Everything a flush boundary must not change."""
+        """Everything a flush boundary must not change.
+
+        How relayed ACKs/NACKs are *bundled* is the one thing it does
+        change, by design (one downlink frame per origin per flush), so
+        bundles are compared un-bundled: ``out`` is every other frame
+        in order, ``control`` the items each ``(label, relay, origin)``
+        was sent, in order, and ``relayed_frames`` counts an item as a
+        frame of its own.
+        """
+        out: list[bytes] = []
+        control: dict[tuple, list[bytes]] = {}
+        bundled = Counter()  # relay -> items that rode in another's frame
+        for raw in self.out:
+            frame = Envelope.from_bytes(raw)
+            if frame.label in DATA_CONTROL_LABELS:
+                items = unbundle_control(frame.body)
+                key = (frame.label, frame.sender, frame.recipient)
+                control.setdefault(key, []).extend(items)
+                bundled[frame.sender] += len(items) - 1
+            else:
+                out.append(raw)
         seen = {
-            "out": self.out,
+            "out": out,
+            "control": control,
             "events": self.events,
             "shard": self.shard.stats,
         }
@@ -247,7 +275,9 @@ class ShardWorld:
             leader = self.shard.leader(group_id)
             replayed = replay_records(data, self.keys[group_id])
             assert not replayed.truncated, replayed.reason
-            seen[group_id] = (
-                leader.stats, snapshot_leader(leader), replayed.state
+            stats = replace(
+                leader.stats,
+                relayed_frames=leader.stats.relayed_frames + bundled[group_id],
             )
+            seen[group_id] = (stats, snapshot_leader(leader), replayed.state)
         return seen

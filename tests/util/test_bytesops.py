@@ -30,6 +30,27 @@ class TestConstantTimeEq:
     def test_last_byte_differs(self):
         assert not constant_time_eq(b"\x00" * 32, b"\x00" * 31 + b"\x01")
 
+    def test_prefix_is_not_equal_either_way(self):
+        assert not constant_time_eq(b"", b"\x00")
+        assert not constant_time_eq(b"tag" * 11, b"tag" * 10)
+
+    def test_bytearray_and_bytes_mix(self):
+        assert constant_time_eq(bytearray(b"tag"), b"tag")
+        assert constant_time_eq(b"tag", bytearray(b"tag"))
+        assert not constant_time_eq(bytearray(b"tag"), b"tah")
+
+    def test_it_is_the_standard_library_comparison(self):
+        """One definition for both crypto backends, and not a loop in
+        Python: only C can promise the time does not depend on where the
+        first difference is."""
+        import hmac
+
+        from repro.crypto import mac, provider
+
+        assert constant_time_eq is hmac.compare_digest
+        assert provider.constant_time_eq is hmac.compare_digest
+        assert mac.constant_time_eq is hmac.compare_digest
+
 
 class TestXorBytes:
     def test_basic(self):
