@@ -108,18 +108,20 @@ def _indirection_best() -> dict[str, float]:
     best = {"routed": float("inf"), "direct": float("inf")}
     with using_provider("reference") as provider:
         cipher = AES(enc_key)
+        keyed_mac = HMACSHA256(mac_key)
 
         def direct_one(nonce, plaintext, ad):
             ciphertext = ctr_transform(cipher, nonce, plaintext)
             header = len(ad).to_bytes(4, "big") + ad
-            return ciphertext, HMACSHA256(
-                mac_key, header + nonce + ciphertext).digest()
+            mac = keyed_mac.copy()
+            mac.update(header + nonce + ciphertext)
+            return ciphertext, mac.digest()
 
         def routed_one(nonce, plaintext, ad):
-            # reuse=True: ``direct`` holds one expanded AES for the whole
-            # run, so the like-for-like routed call is the long-lived-key
-            # path.  The one-shot default re-expands the key per frame
-            # (~79 µs of a ~1.5 ms frame), which is key lifetime, not
+            # reuse=True: ``direct`` holds one expanded AES and one keyed
+            # HMAC for the whole run, so the like-for-like routed call is
+            # the long-lived-key path.  The one-shot default re-expands
+            # both keys per frame, which is key lifetime, not
             # indirection.
             return provider.seal(enc_key, mac_key, nonce, plaintext, ad,
                                  reuse=True)

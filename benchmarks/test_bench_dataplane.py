@@ -41,8 +41,10 @@ PAYLOAD = b"\xa5" * 1024
 #: * Without kept contexts (``reference``, which is what CI's
 #:   ``dataplane`` job runs, and ``fast`` without ``cryptography``) both
 #:   arms build their cipher per frame and the ratchet's extra is its
-#:   HMACs: 2.0, as since this gate was written (measured 1.38; 1.58
-#:   before the message keys came straight off the chain).
+#:   HMACs: 2.0, as since this gate was written (measured 1.29 with a
+#:   chain step's three HMACs under one key schedule, 1.37 with one
+#:   schedule each, 1.58 before the message keys came straight off the
+#:   chain).
 #: * With them (``fast`` + ``cryptography``) the baseline's single
 #:   long-lived key re-arms one context (~1 µs) while every one-time key
 #:   must build its own (~15–22 µs, twice per seal→open) — that build is

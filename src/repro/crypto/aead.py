@@ -18,7 +18,8 @@ open in the process while producing byte-identical boxes.
 An :class:`AuthenticatedCipher` lives exactly as long as the long-lived
 key it wraps (``P_a``, ``K_a``, ``K_g``, a journal's storage key), so it
 is the one caller that passes ``reuse=True`` to the provider: the
-expanded cipher state for its encryption subkey is kept between frames.
+expanded cipher state for its encryption subkey, and on the reference
+backend the keyed HMAC state for its MAC subkey, is kept between frames.
 Its subkeys are derived when the first frame is sealed or opened, not at
 construction — a key that is installed and rotated away unused costs no
 KDF call.  One-time keys (the data plane's message keys) never go
@@ -132,7 +133,8 @@ class AuthenticatedCipher:
         box is ever sealed under, so a tag and a box cannot stand in
         for one another; verify with ``constant_time_eq``.
         """
-        return get_provider()._tag(self._keys()[1], b"", data, associated_data)
+        return get_provider()._tag(self._keys()[1], b"", data,
+                                   associated_data, True)
 
 
 __all__ = [

@@ -18,21 +18,27 @@ from repro.crypto.sha256 import SHA256, sha256
 from repro.util.bytesops import constant_time_eq
 
 _BLOCK_SIZE = 64
-_IPAD = bytes([0x36] * _BLOCK_SIZE)
-_OPAD = bytes([0x5C] * _BLOCK_SIZE)
+_IPAD = int.from_bytes(bytes([0x36] * _BLOCK_SIZE), "big")
+_OPAD = int.from_bytes(bytes([0x5C] * _BLOCK_SIZE), "big")
 
 
 class HMACSHA256:
-    """Incremental HMAC-SHA256 (the pure-Python reference)."""
+    """Incremental HMAC-SHA256 (the pure-Python reference).
+
+    Both keyed states (after ``K ⊕ ipad`` and ``K ⊕ opad``) are kept, so
+    :meth:`copy` carries the whole key schedule and a digest finishes
+    with one outer compression."""
+
+    __slots__ = ("_inner", "_outer")
 
     digest_size = 32
 
     def __init__(self, key: bytes, data: bytes = b"") -> None:
         if len(key) > _BLOCK_SIZE:
             key = sha256(key)
-        key = key.ljust(_BLOCK_SIZE, b"\x00")
-        self._inner = SHA256(bytes(k ^ p for k, p in zip(key, _IPAD)))
-        self._outer_key = bytes(k ^ p for k, p in zip(key, _OPAD))
+        k = int.from_bytes(key.ljust(_BLOCK_SIZE, b"\x00"), "big")
+        self._inner = SHA256((k ^ _IPAD).to_bytes(_BLOCK_SIZE, "big"))
+        self._outer = SHA256((k ^ _OPAD).to_bytes(_BLOCK_SIZE, "big"))
         if data:
             self.update(data)
 
@@ -42,19 +48,22 @@ class HMACSHA256:
     def copy(self) -> "HMACSHA256":
         clone = HMACSHA256.__new__(HMACSHA256)
         clone._inner = self._inner.copy()
-        clone._outer_key = self._outer_key
+        clone._outer = self._outer  # only ever copied, never updated
         return clone
 
     def digest(self) -> bytes:
-        return sha256(self._outer_key + self._inner.digest())
+        outer = self._outer.copy()
+        outer.update(self._inner.digest())
+        return outer.digest()
 
     def hexdigest(self) -> str:
         return self.digest().hex()
 
 
-def hmac_sha256(key: bytes, data: bytes) -> bytes:
-    """One-shot HMAC-SHA256 of ``data`` under ``key`` (active backend)."""
-    return get_provider().hmac_sha256(key, data)
+def hmac_sha256(key: bytes, data: bytes, *, reuse: bool = False) -> bytes:
+    """One-shot HMAC-SHA256 of ``data`` under ``key`` (active backend);
+    ``reuse=True`` declares ``key`` long-lived, as ``seal`` does."""
+    return get_provider().hmac_sha256(key, data, reuse=reuse)
 
 
 def hmac_new(key: bytes, data: bytes = b""):

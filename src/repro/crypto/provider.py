@@ -38,10 +38,17 @@ CTR context — only for keys a caller declares **long-lived** by passing
 ``K_g``, a journal's storage key) and for the one key of a
 ``seal_many`` / ``open_many`` flush.  Building a CTR context costs ~15 µs
 and re-arming a kept one with a new nonce ~1 µs, which is most of what a
-short frame pays for encryption.  The default, ``reuse=False``, is the
-one-shot path: build the cipher, use it, drop it.  The data plane's
-one-time message keys take it, so a key that was ratcheted away is never
-left reachable in a process-wide cache.  Each cache is a bounded LRU
+short frame pays for encryption.  ``seal`` / ``open`` hand the same
+declaration to the MAC key, and ``hmac_sha256(..., reuse=True)`` takes
+it for the DRBG seeds, HKDF-Extract's salt and the fingerprint label:
+the reference backend keeps that key's HMAC state (half of a short
+HMAC's four compressions); the fast backend keeps none, since a cached
+OpenSSL HMAC costs what a new one saves.  The default, ``reuse=False``,
+is the one-shot path: build, use, drop.  The data plane's one-time
+message keys take it and a chain key goes through
+:meth:`CryptoProvider.hmac_sha256_many` (keyed once, kept nowhere), so a
+key that was ratcheted away is never left reachable in a process-wide
+cache; nor is a PBKDF2 password.  Each cache is a bounded LRU
 owned by one provider instance; switching backends switches caches.
 """
 
@@ -53,7 +60,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
-from repro.exceptions import CryptoError, IntegrityError
+from repro.exceptions import CryptoError, IntegrityError, KeyError_
 from repro.util.bytesops import constant_time_eq
 
 #: Environment variable consulted by the first :func:`get_provider` call.
@@ -63,11 +70,16 @@ ENV_VAR = "REPRO_CRYPTO_BACKEND"
 HKDF_MAX_LENGTH = 255 * 32
 
 
-class _KeyScheduleCache:
-    """Small LRU of expanded cipher state keyed by raw key bytes.
+def _wrong_key_size(key: bytes) -> KeyError_:
+    return KeyError_(f"AES key must be 16, 24, or 32 bytes, got {len(key)}")
 
-    AES key expansion costs ~40 S-box passes per key and an OpenSSL CTR
-    context ~15 µs to build, so both are kept here for long-lived keys
+
+class _KeyScheduleCache:
+    """Small LRU of expanded cipher or MAC state keyed by raw key bytes.
+
+    AES key expansion costs ~40 S-box passes per key, an OpenSSL CTR
+    context ~15 µs to build and a pure-Python HMAC key schedule two
+    compressions, so each is kept here for long-lived keys
     (per provider, since the cached object type differs between
     backends).  Bounded so a churn of session keys cannot grow it
     without limit.
@@ -122,7 +134,7 @@ class CryptoProvider(ABC):
         self._schedules = _KeyScheduleCache()
 
     def caches_key(self, key: bytes) -> bool:
-        """Whether this provider holds cipher state expanded from ``key``."""
+        """Whether this provider holds cipher or MAC state for ``key``."""
         return key in self._schedules
 
     # -- hashing ---------------------------------------------------------
@@ -138,8 +150,18 @@ class CryptoProvider(ABC):
     # -- MAC -------------------------------------------------------------
 
     @abstractmethod
-    def hmac_sha256(self, key: bytes, data: bytes) -> bytes:
-        """One-shot HMAC-SHA256."""
+    def hmac_sha256(self, key: bytes, data: bytes, *, reuse=False) -> bytes:
+        """One-shot HMAC-SHA256.  ``reuse=True`` declares ``key``
+        long-lived, as in :meth:`seal`."""
+
+    def hmac_sha256_many(self, key: bytes, messages) -> list[bytes]:
+        """HMAC-SHA256 of each of ``messages`` under one ``key`` that is
+        used for exactly these and then dropped (a ratchet's chain key):
+        a backend may key once for the batch, and keeps nothing after."""
+        out = []
+        for message in messages:
+            out.append(self.hmac_sha256(key, message))
+        return out
 
     @abstractmethod
     def hmac_new(self, key: bytes, data: bytes = b""):
@@ -151,7 +173,9 @@ class CryptoProvider(ABC):
         """HKDF-Extract (RFC 5869) with HMAC-SHA256."""
         if not salt:
             salt = b"\x00" * 32
-        return self.hmac_sha256(salt, ikm)
+        # The salt is public (RFC 5869 §3.1) and every caller passes a
+        # constant, so its key schedule is declared long-lived.
+        return self.hmac_sha256(salt, ikm, reuse=True)
 
     def hkdf_expand(self, prk: bytes, info: bytes, length: int) -> bytes:
         """HKDF-Expand (RFC 5869) with HMAC-SHA256."""
@@ -179,18 +203,17 @@ class CryptoProvider(ABC):
             raise ValueError("iterations must be >= 1")
         if dk_len < 1:
             raise ValueError("dk_len must be >= 1")
-        hmac_sha256 = self.hmac_sha256
-        n_blocks = (dk_len + 31) // 32
-        derived = bytearray()
-        for block_index in range(1, n_blocks + 1):
-            u = hmac_sha256(password, salt + block_index.to_bytes(4, "big"))
-            t = bytearray(u)
-            for _ in range(iterations - 1):
-                u = hmac_sha256(password, u)
-                for j in range(32):
-                    t[j] ^= u[j]
-            derived += t
-        return bytes(derived[:dk_len])
+        keyed = self.hmac_new(password)  # keyed once, kept nowhere
+        derived = b""
+        for block_index in range(1, (dk_len + 31) // 32 + 1):
+            u, t = salt + block_index.to_bytes(4, "big"), 0
+            for _ in range(iterations):
+                mac = keyed.copy()
+                mac.update(u)
+                u = mac.digest()
+                t ^= int.from_bytes(u, "big")
+            derived += t.to_bytes(32, "big")
+        return derived[:dk_len]
 
     # -- block cipher ----------------------------------------------------
 
@@ -242,10 +265,12 @@ class CryptoProvider(ABC):
     # every backend frames identically by construction.
 
     def _tag(
-        self, mac_key: bytes, nonce: bytes, ciphertext: bytes, ad: bytes
+        self, mac_key: bytes, nonce: bytes, ciphertext: bytes, ad: bytes,
+        reuse: bool = False,
     ) -> bytes:
         header = len(ad).to_bytes(4, "big") + ad
-        return self.hmac_sha256(mac_key, header + nonce + ciphertext)
+        return self.hmac_sha256(mac_key, header + nonce + ciphertext,
+                                reuse=reuse)
 
     def seal(
         self,
@@ -259,13 +284,13 @@ class CryptoProvider(ABC):
     ) -> tuple[bytes, bytes]:
         """Encrypt-then-MAC one frame: ``(ciphertext, tag)``.
 
-        ``reuse=True`` declares ``enc_key`` long-lived: its expanded
-        state is kept for the next frame.  The default builds, uses and
-        drops it, which is what a one-time key needs.
+        ``reuse=True`` declares ``enc_key`` and ``mac_key`` long-lived:
+        their expanded state may be kept for the next frame.  The default
+        builds, uses and drops it, which is what a one-time key needs.
         """
         ciphertext = self._ctr(enc_key, nonce, plaintext, reuse)
         return ciphertext, self._tag(mac_key, nonce, ciphertext,
-                                     associated_data)
+                                     associated_data, reuse)
 
     def open(
         self,
@@ -280,7 +305,8 @@ class CryptoProvider(ABC):
     ) -> bytes:
         """Verify and decrypt one frame (IntegrityError on forgery,
         raised before any decryption).  ``reuse`` as in :meth:`seal`."""
-        expected = self._tag(mac_key, nonce, ciphertext, associated_data)
+        expected = self._tag(mac_key, nonce, ciphertext, associated_data,
+                             reuse)
         if not constant_time_eq(expected, tag):
             raise IntegrityError("MAC verification failed")
         return self._ctr(enc_key, nonce, ciphertext, reuse)
@@ -300,7 +326,7 @@ class CryptoProvider(ABC):
         out = []
         for nonce, plaintext, ad in items:
             ciphertext = ctr(enc_key, nonce, plaintext, True)
-            out.append((ciphertext, tag(mac_key, nonce, ciphertext, ad)))
+            out.append((ciphertext, tag(mac_key, nonce, ciphertext, ad, True)))
         return out
 
     def open_many(
@@ -318,7 +344,8 @@ class CryptoProvider(ABC):
         ctr, tag_of = self._ctr, self._tag
         out: list[bytes | None] = []
         for nonce, ciphertext, tag, ad in items:
-            if constant_time_eq(tag_of(mac_key, nonce, ciphertext, ad), tag):
+            if constant_time_eq(tag_of(mac_key, nonce, ciphertext, ad, True),
+                                tag):
                 out.append(ctr(enc_key, nonce, ciphertext, True))
             else:
                 out.append(None)
@@ -346,6 +373,11 @@ class ReferenceProvider(CryptoProvider):
         self._AES = AES
         self._HMACSHA256 = HMACSHA256
         self._SHA256 = SHA256
+        #: Keyed HMAC states of long-lived MAC keys (``reuse=True``).
+        self._macs = _KeyScheduleCache()
+
+    def caches_key(self, key: bytes) -> bool:
+        return key in self._macs or super().caches_key(key)
 
     def sha256(self, data: bytes) -> bytes:
         return self._SHA256(data).digest()
@@ -353,8 +385,21 @@ class ReferenceProvider(CryptoProvider):
     def sha256_new(self, data: bytes = b""):
         return self._SHA256(data)
 
-    def hmac_sha256(self, key: bytes, data: bytes) -> bytes:
-        return self._HMACSHA256(key, data).digest()
+    def hmac_sha256(self, key: bytes, data: bytes, *, reuse=False) -> bytes:
+        if not reuse:
+            return self._HMACSHA256(key, data).digest()
+        mac = self._macs.get(key, self._HMACSHA256).copy()
+        mac.update(data)
+        return mac.digest()
+
+    def hmac_sha256_many(self, key: bytes, messages) -> list[bytes]:
+        keyed = self._HMACSHA256(key)
+        out = []
+        for message in messages:
+            mac = keyed.copy()
+            mac.update(message)
+            out.append(mac.digest())
+        return out
 
     def hmac_new(self, key: bytes, data: bytes = b""):
         return self._HMACSHA256(key, data)
@@ -374,11 +419,7 @@ class _EcbBlockCipher:
 
     def __init__(self, key: bytes, cipher_cls, algorithms, modes) -> None:
         if len(key) not in (16, 24, 32):
-            from repro.exceptions import KeyError_
-
-            raise KeyError_(
-                f"AES key must be 16, 24, or 32 bytes, got {len(key)}"
-            )
+            raise _wrong_key_size(key)
         self.key_size = len(key)
         cipher = cipher_cls(algorithms.AES(key), modes.ECB())
         self._enc = cipher.encryptor()
@@ -454,7 +495,7 @@ class FastProvider(CryptoProvider):
     def sha256_new(self, data: bytes = b""):
         return self._hashlib.sha256(data)
 
-    def hmac_sha256(self, key: bytes, data: bytes) -> bytes:
+    def hmac_sha256(self, key: bytes, data: bytes, *, reuse=False) -> bytes:
         return self._hmac_mod.new(key, data, self._hashlib.sha256).digest()
 
     def hmac_new(self, key: bytes, data: bytes = b""):
@@ -482,11 +523,24 @@ class FastProvider(CryptoProvider):
 
         return AES(key)
 
+    def _cipher(self, key: bytes, mode):
+        # A wrong-size key raises the reference AES's typed KeyError_,
+        # not ``cryptography``'s bare ValueError (here and in _make_ctr).
+        try:
+            return self._cipher_cls(self._algorithms.AES(key), mode)
+        except ValueError:
+            raise _wrong_key_size(key) from None
+
     def _make_ctr(self, key: bytes, nonce: bytes = bytes(8)):
         # Standard 128-bit-counter CTR with the low 64 bits starting at
         # zero reproduces the reference nonce||counter keystream exactly.
+        # Not through _cipher: this runs once per one-time key.
+        try:
+            algorithm = self._algorithms.AES(key)
+        except ValueError:
+            raise _wrong_key_size(key) from None
         return self._cipher_cls(
-            self._algorithms.AES(key), self._modes.CTR(nonce + bytes(8))
+            algorithm, self._modes.CTR(nonce + bytes(8))
         ).encryptor()
 
     def _ctr(self, key: bytes, nonce: bytes, data: bytes, reuse: bool) -> bytes:
@@ -511,9 +565,7 @@ class FastProvider(CryptoProvider):
             raise ValueError("IV must be one block")
         from repro.util.bytesops import pkcs7_pad
 
-        encryptor = self._cipher_cls(
-            self._algorithms.AES(key), self._modes.CBC(iv)
-        ).encryptor()
+        encryptor = self._cipher(key, self._modes.CBC(iv)).encryptor()
         return encryptor.update(pkcs7_pad(plaintext, 16)) + encryptor.finalize()
 
     def cbc_decrypt(self, key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
@@ -525,9 +577,7 @@ class FastProvider(CryptoProvider):
             raise ValueError("ciphertext is not block-aligned")
         from repro.util.bytesops import pkcs7_unpad
 
-        decryptor = self._cipher_cls(
-            self._algorithms.AES(key), self._modes.CBC(iv)
-        ).decryptor()
+        decryptor = self._cipher(key, self._modes.CBC(iv)).decryptor()
         padded = decryptor.update(ciphertext) + decryptor.finalize()
         return pkcs7_unpad(padded, 16)
 

@@ -107,7 +107,8 @@ class DeterministicRandom(RandomSource):
     ``HMAC(seed, counter || block_index)``.  Distinct seeds yield
     independent streams; the same seed always replays the same stream.
     This generator is *not* meant to resist state-compromise attacks —
-    it exists for reproducibility, never for production keys.
+    it exists for reproducibility, never for production keys — so its
+    seed is declared long-lived and the backend may keep it keyed.
     """
 
     def __init__(self, seed: bytes | int | str = 0) -> None:
@@ -139,7 +140,7 @@ class DeterministicRandom(RandomSource):
         block_index = 0
         while len(out) < n:
             msg = self._counter.to_bytes(8, "big") + block_index.to_bytes(4, "big")
-            out += hmac_sha256(self._seed, msg)
+            out += hmac_sha256(self._seed, msg, reuse=True)
             block_index += 1
         return bytes(out[:n])
 
@@ -149,4 +150,5 @@ class DeterministicRandom(RandomSource):
             raise TypeError(
                 f"fork label must be str, got {type(label).__name__}"
             )
-        return DeterministicRandom(hmac_sha256(self._seed, b"fork|" + label.encode()))
+        seed = hmac_sha256(self._seed, b"fork|" + label.encode(), reuse=True)
+        return DeterministicRandom(seed)

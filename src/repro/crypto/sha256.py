@@ -5,8 +5,11 @@ This is a straightforward, readable implementation: message schedule,
 hashing via :class:`SHA256` and a one-shot helper :func:`sha256`.
 
 Performance note: pure Python runs at a few MB/s, which is ample for the
-protocol simulator.  Correctness is established against the NIST example
-vectors and RFC test strings in ``tests/crypto/test_sha256.py``.
+protocol simulator; the round functions are inlined into the compression
+loop (as the AES T-tables are into its rounds) because a function call
+per rotation cost more than the rotation.  Correctness is established
+against the NIST example vectors and RFC test strings in
+``tests/crypto/test_sha256.py``.
 """
 
 from __future__ import annotations
@@ -40,18 +43,48 @@ _H0 = (
 _MASK = 0xFFFFFFFF
 
 
-def _rotr(x: int, n: int) -> int:
-    return ((x >> n) | (x << (32 - n))) & _MASK
+def _compress(state: tuple, block: bytes) -> tuple:
+    """One 64-byte block through the compression function (FIPS 180-4
+    §6.2.2); returns the next state.
+
+    Σ0/Σ1/σ0/σ1, Ch and Maj are written out in place: a rotation is
+    ``x >> n | x << 32 - n``, and the bits it pushes above 32 are masked
+    off once per sum rather than once per rotation (the low 32 bits of a
+    sum depend only on the low 32 bits of its terms).
+    """
+    w = [0] * 64
+    w[:16] = struct.unpack(">16I", block)
+    for t in range(16, 64):
+        x, y = w[t - 15], w[t - 2]
+        s0 = (x >> 7 | x << 25) ^ (x >> 18 | x << 14) ^ (x >> 3)
+        s1 = (y >> 17 | y << 15) ^ (y >> 19 | y << 13) ^ (y >> 10)
+        w[t] = (w[t - 16] + s0 + w[t - 7] + s1) & _MASK
+
+    a, b, c, d, e, f, g, h = state
+    for k, wt in zip(_K, w):
+        big_s1 = (e >> 6 | e << 26) ^ (e >> 11 | e << 21) ^ (e >> 25 | e << 7)
+        ch = g ^ (e & (f ^ g))
+        t1 = h + big_s1 + ch + k + wt
+        big_s0 = (a >> 2 | a << 30) ^ (a >> 13 | a << 19) ^ (a >> 22 | a << 10)
+        maj = (a & b) | (c & (a | b))
+        h, g, f, e = g, f, e, (d + t1) & _MASK
+        d, c, b, a = c, b, a, (t1 + big_s0 + maj) & _MASK
+
+    return tuple(
+        (x + y) & _MASK for x, y in zip(state, (a, b, c, d, e, f, g, h))
+    )
 
 
 class SHA256:
     """Incremental SHA-256 hasher with the familiar update/digest API."""
 
+    __slots__ = ("_h", "_buffer", "_length")
+
     digest_size = 32
     block_size = 64
 
     def __init__(self, data: bytes = b"") -> None:
-        self._h = list(_H0)
+        self._h = _H0
         self._buffer = b""
         self._length = 0  # total bytes hashed so far
         if data:
@@ -64,54 +97,34 @@ class SHA256:
         data = bytes(data)
         self._length += len(data)
         buf = self._buffer + data
-        n_blocks = len(buf) // 64
-        for i in range(n_blocks):
-            self._compress(buf[i * 64:(i + 1) * 64])
-        self._buffer = buf[n_blocks * 64:]
+        end = len(buf) - len(buf) % 64
+        h = self._h
+        for i in range(0, end, 64):
+            h = _compress(h, buf[i:i + 64])
+        self._h = h
+        self._buffer = buf[end:]
 
     def copy(self) -> "SHA256":
         """Return an independent copy of the current hash state."""
-        clone = SHA256()
-        clone._h = list(self._h)
+        clone = SHA256.__new__(SHA256)
+        clone._h = self._h  # a tuple: shared, never mutated
         clone._buffer = self._buffer
         clone._length = self._length
         return clone
 
     def digest(self) -> bytes:
         """Return the 32-byte digest of everything fed so far."""
-        clone = self.copy()
-        bit_length = clone._length * 8
+        length = self._length
         # Padding: 0x80, zeros, then 64-bit big-endian bit length.
-        pad_len = (55 - clone._length) % 64
-        clone.update(b"\x80" + b"\x00" * pad_len + struct.pack(">Q", bit_length))
-        assert not clone._buffer
-        return b"".join(struct.pack(">I", h) for h in clone._h)
+        tail = (self._buffer + b"\x80" + bytes((55 - length) % 64)
+                + struct.pack(">Q", length * 8))
+        h = self._h
+        for i in range(0, len(tail), 64):
+            h = _compress(h, tail[i:i + 64])
+        return struct.pack(">8I", *h)
 
     def hexdigest(self) -> str:
         return self.digest().hex()
-
-    def _compress(self, block: bytes) -> None:
-        w = list(struct.unpack(">16I", block))
-        for t in range(16, 64):
-            s0 = _rotr(w[t - 15], 7) ^ _rotr(w[t - 15], 18) ^ (w[t - 15] >> 3)
-            s1 = _rotr(w[t - 2], 17) ^ _rotr(w[t - 2], 19) ^ (w[t - 2] >> 10)
-            w.append((w[t - 16] + s0 + w[t - 7] + s1) & _MASK)
-
-        a, b, c, d, e, f, g, h = self._h
-        for t in range(64):
-            big_s1 = _rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25)
-            ch = (e & f) ^ (~e & g)
-            t1 = (h + big_s1 + ch + _K[t] + w[t]) & _MASK
-            big_s0 = _rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22)
-            maj = (a & b) ^ (a & c) ^ (b & c)
-            t2 = (big_s0 + maj) & _MASK
-            h, g, f, e = g, f, e, (d + t1) & _MASK
-            d, c, b, a = c, b, a, (t1 + t2) & _MASK
-
-        self._h = [
-            (x + y) & _MASK
-            for x, y in zip(self._h, (a, b, c, d, e, f, g, h))
-        ]
 
 
 def sha256(data: bytes) -> bytes:

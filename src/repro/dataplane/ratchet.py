@@ -64,9 +64,8 @@ DEFAULT_SKIP_WINDOW = 32
 DEFAULT_MAX_STORED = 4 * DEFAULT_SKIP_WINDOW
 
 _DOMAIN = b"repro-dataplane-v1"
-_ENC_LABEL = b"msg|enc"
-_MAC_LABEL = b"msg|mac"
-_NEXT_LABEL = b"next"
+#: The HMAC labels of one chain position: ``enc_i``, ``mac_i``, ``ck_{i+1}``.
+_LABELS = (b"msg|enc", b"msg|mac", b"next")
 _ENC_KEY_LEN = 16
 
 #: ``mk_i``: the (encryption, MAC) keys for exactly one data frame.
@@ -87,13 +86,10 @@ def seed_chain(group_key: GroupKey, epoch: int, sender_id: str) -> bytes:
 
 
 def _step(chain_key: bytes) -> tuple[MessageKey, bytes]:
-    """One chain position: ``(mk_i, ck_{i+1})`` from ``ck_i``."""
-    hmac_sha256 = get_provider().hmac_sha256
-    return (
-        (hmac_sha256(chain_key, _ENC_LABEL)[:_ENC_KEY_LEN],
-         hmac_sha256(chain_key, _MAC_LABEL)),
-        hmac_sha256(chain_key, _NEXT_LABEL),
-    )
+    """One chain position: ``(mk_i, ck_{i+1})`` from ``ck_i`` — three
+    HMACs under one key schedule that is dropped with the chain key."""
+    enc, mac, chain = get_provider().hmac_sha256_many(chain_key, _LABELS)
+    return (enc[:_ENC_KEY_LEN], mac), chain
 
 
 class SenderState:

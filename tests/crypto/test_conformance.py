@@ -31,7 +31,12 @@ from repro.crypto.provider import (
     using_provider,
 )
 from repro.crypto.rng import DeterministicRandom
-from repro.exceptions import IntegrityError, PaddingError
+from repro.exceptions import (
+    CryptoError,
+    IntegrityError,
+    KeyError_,
+    PaddingError,
+)
 
 REFERENCE = "reference"
 OTHERS = sorted(set(available_backends()) - {REFERENCE})
@@ -78,6 +83,22 @@ class TestHashing:
         for key, data in cases("hmac", 20, 100) + cases("hmac-long", 64, 7) \
                 + cases("hmac-oversize", 131, 50):
             assert ref.hmac_sha256(key, data) == alt.hmac_sha256(key, data)
+
+    def test_hmac_reuse_and_many_match_one_shots(self, other):
+        """A declared long-lived key (its HMAC state kept by a backend
+        that keeps one) and a key keyed once for a batch give exactly the
+        one-shot tags, hot or cold, on every backend."""
+        ref, alt = providers(other)
+        messages = [data for (data,) in cases("hmac-many", 40, n=5)]
+        keys = cases("hmac-reuse", 32, n=2) + cases("hmac-reuse-long", 70, n=2)
+        for (key,) in keys:
+            want = [ref.hmac_sha256(key, data) for data in messages]
+            for provider in (ref, alt):
+                for _ in range(2):  # the second pass finds the key kept
+                    assert [provider.hmac_sha256(key, data, reuse=True)
+                            for data in messages] == want
+                assert provider.hmac_sha256_many(key, messages) == want
+                assert provider.hmac_sha256_many(key, []) == []
 
     def test_hmac_incremental(self, other):
         ref, alt = providers(other)
@@ -136,6 +157,34 @@ class TestBlockCipher:
             assert ct == alt.cbc_encrypt(key, iv, data)
             assert ref.cbc_decrypt(key, iv, ct) == \
                 alt.cbc_decrypt(key, iv, ct) == data
+
+    @pytest.mark.parametrize("key_len", [15, 17, 31, 33])
+    def test_wrong_size_key_is_typed_on_both(self, other, key_len):
+        """Every AES entry point raises the same typed ``KeyError_`` —
+        a ``CryptoError`` — for a wrong-size key on every backend, so no
+        ``except CryptoError`` lets one through on one backend only."""
+        ref, alt = providers(other)
+        key, mac_key = bytes(key_len), bytes(32)
+        nonce, iv, block = bytes(8), bytes(16), bytes(16)
+        tag = ref._tag(mac_key, nonce, b"x", b"")
+        entry_points = {
+            "seal": lambda p: p.seal(key, mac_key, nonce, b"x"),
+            "seal-reuse": lambda p: p.seal(key, mac_key, nonce, b"x",
+                                           reuse=True),
+            "open": lambda p: p.open(key, mac_key, nonce, b"x", tag),
+            "open-reuse": lambda p: p.open(key, mac_key, nonce, b"x", tag,
+                                           reuse=True),
+            "ctr_transform": lambda p: p.ctr_transform(key, nonce, b"x"),
+            "cbc_encrypt": lambda p: p.cbc_encrypt(key, iv, b"x"),
+            "cbc_decrypt": lambda p: p.cbc_decrypt(key, iv, block),
+            "aes_encrypt_block": lambda p: p.aes_encrypt_block(key, block),
+            "aes_decrypt_block": lambda p: p.aes_decrypt_block(key, block),
+        }
+        for name, call in entry_points.items():
+            for provider in (ref, alt):
+                with pytest.raises(CryptoError) as raised:
+                    call(provider)
+                assert type(raised.value) is KeyError_, (name, provider.name)
 
     def test_cbc_bad_padding_is_typed_on_both(self, other):
         ref, alt = providers(other)
@@ -247,6 +296,7 @@ class TestKeptContexts:
                 assert alt.open(*frame, reuse=True) == want
                 assert ref.open(*frame, reuse=True) == want
         assert len(alt._schedules) <= 512 and len(ref._schedules) <= 512
+        assert len(ref._macs) <= 512
 
     def test_forged_tag_rejected_before_any_decrypt(self, other):
         ref, alt = providers(other)

@@ -57,6 +57,20 @@ def test_copy_is_independent():
     assert clone.digest() == hmac_sha256(b"key", b"base-more")
 
 
+@pytest.mark.parametrize("key_len", [0, 1, 32, 63, 64, 65, 200])
+def test_keyed_copy_matches_stdlib(key_len):
+    """A keyed object copied per message — how the reference provider
+    MACs under a long-lived key — carries the whole key schedule."""
+    key = bytes((i * 29 + 5) % 256 for i in range(key_len))
+    keyed = HMACSHA256(key)
+    for msg_len in (0, 1, 55, 56, 64, 100):
+        msg = bytes((i * 11) % 256 for i in range(msg_len))
+        mac = keyed.copy()
+        mac.update(msg)
+        assert mac.digest() == std_hmac.new(key, msg, hashlib.sha256).digest()
+    assert keyed.digest() == std_hmac.new(key, b"", hashlib.sha256).digest()
+
+
 def test_verify_accepts_valid():
     tag = hmac_sha256(b"k", b"data")
     assert verify_hmac_sha256(b"k", b"data", tag)

@@ -91,6 +91,19 @@ class TestDeterministicRandom:
     def test_key_material(self):
         assert len(DeterministicRandom(0).key_material()) == 32
 
+    def test_known_answer(self):
+        """Literal bytes: every seeded stream in the repository grows from
+        this generator, so a change to it (or under it, in the HMAC it
+        keys once per seed) must fail here before it re-bases them all."""
+        assert DeterministicRandom(0).random_bytes(48).hex() == (
+            "baaaab637cc146fa4a89b9204250466e3ed16a12bbfc90418dc95ef18448af9e"
+            "40870a01d0c49083df7cef596f46be23"
+        )
+        assert DeterministicRandom(0).fork("x").random_bytes(48).hex() == (
+            "321e2d7caa6aa672c0eefd779e41586cfdeceb62c63dba93cc88480cd974cb97"
+            "9da8b1408442c2b9e537dfb3e92d1e2c"
+        )
+
 
 class TestSystemRandom:
     def test_lengths(self):

@@ -3,6 +3,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.sha256 import SHA256, sha256
 
@@ -39,6 +41,24 @@ def test_incremental_equals_oneshot():
     for i in range(0, len(data), 17):  # deliberately odd chunking
         h.update(data[i:i + 17])
     assert h.digest() == sha256(data)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_incremental_matches_stdlib_on_random_chunking(data):
+    """0–300 bytes cover every padding case (tail of 0–55 bytes: one
+    final block; 56–63: two) across five block boundaries; the chunk
+    cuts land anywhere, including on them."""
+    message = data.draw(st.binary(max_size=300), label="message")
+    cuts = sorted(data.draw(
+        st.lists(st.integers(0, len(message)), max_size=8), label="cuts"))
+    h = SHA256()
+    for start, end in zip([0] + cuts, cuts + [len(message)]):
+        h.update(message[start:end])
+    expected = hashlib.sha256(message).digest()
+    assert h.digest() == expected
+    assert h.copy().digest() == expected
+    assert sha256(message) == expected
 
 
 def test_digest_does_not_consume_state():

@@ -10,14 +10,15 @@ from repro.crypto.provider import (
     using_provider,
 )
 
-_LOGGED = ("seal", "open", "hmac_sha256", "hkdf_extract", "hkdf_expand")
+_LOGGED = ("seal", "open", "_tag", "hmac_sha256", "hmac_sha256_many",
+           "hkdf_extract", "hkdf_expand")
 
 
 @dataclass
 class ProviderLog:
     provider: CryptoProvider | None = None
     #: ``(method, positional args, keyword args)`` per call, in order —
-    #: including the calls a provider makes to itself (the HMAC inside a
+    #: including the calls a provider makes to itself (the tag inside a
     #: seal), which is why tests count KDF calls, not HMACs.
     calls: list = field(default_factory=list)
 
@@ -30,6 +31,19 @@ class ProviderLog:
         return {args[0] for name, args, kwargs in self.calls
                 if name in ("seal", "open")
                 and kwargs.get("reuse", False) is reuse}
+
+    def mac_keys(self, *, reuse):
+        """MAC keys that crossed ``_tag`` — every seal, open and MAC-only
+        tag (an ACK) — declared long-lived or one-time."""
+        return {args[0] for name, args, kwargs in self.calls
+                if name == "_tag"
+                and (args[4] if len(args) > 4
+                     else kwargs.get("reuse", False)) is reuse}
+
+    def chain_keys(self):
+        """Keys a ratchet step MAC'd its three labels under."""
+        return {args[0] for name, args, _kwargs in self.calls
+                if name == "hmac_sha256_many"}
 
 
 @pytest.fixture(params=sorted(available_backends()))

@@ -129,6 +129,24 @@ class TestKeyLifetimes:
         assert alice._session_key.subkeys()[0] in long_lived
         assert not long_lived & one_time
 
+        # MAC keys.  One-time: each message key's MAC half (64) and each
+        # chain key a ratchet step keyed its labels under — on neither
+        # backend is one of them left in a cache.
+        one_time_macs = provider_log.mac_keys(reuse=False)
+        chain_keys = provider_log.chain_keys()
+        assert len(one_time_macs) == 64 and len(chain_keys) >= 64
+        assert not any(provider.caches_key(key)
+                       for key in one_time_macs | chain_keys)
+        # Long-lived: every K_a and K_g MAC subkey (K_g's tags the ACKs).
+        # The reference backend keeps each one's HMAC state; the fast
+        # backend keeps no MAC state at all.
+        long_lived_macs = provider_log.mac_keys(reuse=True)
+        assert alice.group_key.subkeys()[1] in long_lived_macs
+        assert alice._session_key.subkeys()[1] in long_lived_macs
+        assert not long_lived_macs & (one_time_macs | chain_keys)
+        cached = [provider.caches_key(key) for key in long_lived_macs]
+        assert all(cached) if provider.name == "reference" else not any(cached)
+
 
 class _DataProtocol:
     """What ``FabricMember``'s ``protocol_factory`` seam is given to put a

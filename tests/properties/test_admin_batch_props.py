@@ -14,7 +14,7 @@ mid-ack while more payloads queue up behind them.  After every step:
   changes how items travel, never what they do.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.rng import DeterministicRandom
@@ -100,6 +100,9 @@ class World:
                 self.batches_seen += 1
             for event in events:
                 if isinstance(event, Joined):
+                    # A new session: the expelled one's snd_A no longer
+                    # bounds what this member receives.
+                    self.expelled.pop(uid, None)
                     self.epochs[uid] = []
                     self.twins[uid] = Twin(member.credentials)
                 elif isinstance(event, GroupKeyChanged):
@@ -182,6 +185,11 @@ class World:
 
 
 @given(steps, st.integers(0, 2**16))
+# An expelled member that re-authenticates is checked against its new
+# session's snd_A, not the dead one's.
+@example([("join", 2, 0), ("deliver", 0, 0), ("deliver", 0, 0),
+          ("leave", 2, 0), ("join", 2, 0), ("deliver", 0, 0),
+          ("expel", 2, 0)], 0)
 @settings(max_examples=60, deadline=None)
 def test_batched_delivery_equals_item_by_item_delivery(script, seed):
     world = World(seed)
