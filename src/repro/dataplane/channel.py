@@ -40,6 +40,8 @@ no cache that outlives the frame.
 
 from __future__ import annotations
 
+import struct
+
 from repro.crypto.aead import AuthenticatedCipher, SealedBox
 from repro.crypto.keys import GroupKey
 from repro.crypto.mac import hmac_sha256
@@ -67,30 +69,31 @@ from repro.telemetry.events import (
     frame_id,
     resolve_bus,
 )
-from repro.wire.codec import decode_fields, decode_str, encode_fields, encode_str
+from repro.wire.codec import (
+    COUNT_LEN, MAX_FIELD_LEN, decode_fields, decode_str, encode_after,
+    field_head, fixed_layout,
+)
 from repro.wire.labels import Label
 from repro.wire.message import Envelope
 
 _SEQ_LEN = 8
+_EPOCH_SEQ = struct.Struct(">IQIQ")  # len=8 | epoch | len=8 | seq
+_BODY_TAIL = struct.Struct(">IQIQI")  # the same, then len box
 
 
 def data_ad(sender: str, epoch: int, seq: int) -> bytes:
     """Associated data binding one data frame to its chain position."""
-    return encode_fields([
-        b"repro-data", encode_str(sender),
-        epoch.to_bytes(8, "big"), seq.to_bytes(8, "big"),
-    ])
+    return (field_head(4, b"repro-data", sender)
+            + _EPOCH_SEQ.pack(_SEQ_LEN, epoch, _SEQ_LEN, seq))
 
 
 def encode_data_body(sender: str, epoch: int, seq: int, box: bytes) -> bytes:
-    return encode_fields([
-        encode_str(sender), epoch.to_bytes(8, "big"),
-        seq.to_bytes(8, "big"), box,
-    ])
+    return encode_after(
+        field_head(4, sender) + _EPOCH_SEQ.pack(_SEQ_LEN, epoch, _SEQ_LEN, seq),
+        box)
 
 
-def decode_data_body(body: bytes) -> tuple[str, int, int, bytes]:
-    """Parse a DATA_MSG body; raises :class:`CodecError` if malformed."""
+def _decode_data_body(body: bytes) -> tuple[str, int, int, bytes]:
     sender_b, epoch_b, seq_b, box = decode_fields(body, expect=4)
     if len(epoch_b) != _SEQ_LEN or len(seq_b) != _SEQ_LEN:
         raise CodecError("epoch/seq must be 8 bytes")
@@ -100,6 +103,20 @@ def decode_data_body(body: bytes) -> tuple[str, int, int, bytes]:
         int.from_bytes(seq_b, "big"),
         box,
     )
+
+
+@fixed_layout(_decode_data_body)
+def decode_data_body(body: bytes) -> tuple[str, int, int, bytes] | None:
+    """Parse a DATA_MSG body; raises :class:`CodecError` if malformed."""
+    count, sender_end = COUNT_LEN.unpack_from(body)
+    sender_end += 8
+    epoch_len, epoch, seq_len, seq, box_len = _BODY_TAIL.unpack_from(
+        body, sender_end)
+    if (count == 4 and epoch_len == seq_len == _SEQ_LEN and len(body)
+            == sender_end + _BODY_TAIL.size + box_len <= MAX_FIELD_LEN):
+        return (body[8:sender_end].decode("utf-8"), epoch, seq,
+                body[sender_end + _BODY_TAIL.size:])
+    return None
 
 
 class DataChannel:

@@ -47,6 +47,7 @@ stale item costs only itself.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
 
@@ -64,7 +65,10 @@ from repro.telemetry.events import (
     resolve_bus,
 )
 from repro.util.bytesops import constant_time_eq
-from repro.wire.codec import decode_fields, decode_str, encode_fields, encode_str
+from repro.wire.codec import (
+    COUNT_LEN, MAX_FIELD_LEN, U32, decode_fields, decode_str, encode_after,
+    encode_fields, encode_str, field_head, fixed_layout,
+)
 from repro.wire.labels import Label
 from repro.wire.message import Envelope
 
@@ -104,15 +108,30 @@ def _seal_control(
         [epoch.to_bytes(8, "big")] + [s.to_bytes(_SEQ_LEN, "big") for s in seqs]
     )
     tag = cipher.tag(payload, _control_ad(label, origin, acker, epoch))
-    body = encode_fields([encode_str(origin), encode_str(acker), payload, tag])
+    body = encode_after(field_head(4, origin, acker), payload, tag)
     return Envelope(label, acker, relay, body)
 
 
-def decode_control_routing(body: bytes) -> tuple[str, str, bytes, bytes]:
-    """Parse one uplink body: ``(origin, acker, payload, tag)``.  The
-    relay routes on the origin and reads nothing else."""
+def _decode_control_routing(body: bytes) -> tuple[str, str, bytes, bytes]:
     origin_b, acker_b, payload, tag = decode_fields(body, expect=4)
     return decode_str(origin_b), decode_str(acker_b), payload, tag
+
+
+@fixed_layout(_decode_control_routing)
+def decode_control_routing(body: bytes) -> tuple[str, str, bytes, bytes] | None:
+    """Parse one uplink body: ``(origin, acker, payload, tag)``.  The
+    relay routes on the origin and reads nothing else."""
+    length = U32.unpack_from
+    count, origin_len = COUNT_LEN.unpack_from(body)
+    acker_at = 8 + origin_len
+    payload_at = acker_at + 4 + length(body, acker_at)[0]
+    tag_at = payload_at + 4 + length(body, payload_at)[0]
+    if (count == 4 and tag_at + 4 + length(body, tag_at)[0] == len(body)
+            <= MAX_FIELD_LEN):
+        return (body[8:acker_at].decode("utf-8"),
+                body[acker_at + 4:payload_at].decode("utf-8"),
+                body[payload_at + 4:tag_at], body[tag_at + 4:])
+    return None
 
 
 def bundle_control(items: list[bytes]) -> bytes:
@@ -127,6 +146,8 @@ def unbundle_control(body: bytes) -> list[bytes]:
 
 
 _MSG_MAGIC = b"repro-data-msg"
+_MSG_HEAD = field_head(3, _MSG_MAGIC) + U32.pack(8)  # up to the id
+_MSG_TAIL = struct.Struct(">QI")  # id | len payload
 
 
 def wrap_msg(msg_id: int, payload: bytes) -> bytes:
@@ -137,19 +158,18 @@ def wrap_msg(msg_id: int, payload: bytes) -> bytes:
     only handle a receiver has to notice "I already delivered this
     payload at the previous epoch, its ack just got lost".
     """
-    return encode_fields([_MSG_MAGIC, msg_id.to_bytes(8, "big"), payload])
+    return encode_after(_MSG_HEAD + msg_id.to_bytes(8, "big"), payload)
 
 
 def unwrap_msg(plain: bytes) -> tuple[int | None, bytes]:
     """Inverse of :func:`wrap_msg`; bare payloads pass through as
     ``(None, plain)`` so unreliable senders interoperate."""
-    try:
-        magic, mid, payload = decode_fields(plain, expect=3)
-    except CodecError:
-        return None, plain
-    if magic != _MSG_MAGIC or len(mid) != 8:
-        return None, plain
-    return int.from_bytes(mid, "big"), payload
+    at = len(_MSG_HEAD) + _MSG_TAIL.size
+    if plain[:len(_MSG_HEAD)] == _MSG_HEAD and len(plain) >= at:
+        msg_id, size = _MSG_TAIL.unpack_from(plain, len(_MSG_HEAD))
+        if len(plain) == at + size and size <= MAX_FIELD_LEN:
+            return msg_id, plain[at:]
+    return None, plain
 
 
 class ReliableSender:

@@ -19,8 +19,9 @@ replay rejection while the §5.4 lists keep one entry per notification.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.crypto.keys import KEY_LEN, GroupKey
 from repro.exceptions import CodecError
@@ -31,6 +32,8 @@ from repro.wire.codec import (
     encode_fields,
     encode_str,
     encode_str_list,
+    field_head,
+    fixed_layout,
 )
 
 _TAG_NEW_KEY = 0x01
@@ -44,9 +47,21 @@ _TAG_BATCH = 0x07
 
 @dataclass(frozen=True)
 class AdminPayload:
-    """Base class for group-management payloads."""
+    """Base class for group-management payloads.  Frozen, so the encoding
+    is kept from first use, outside ``==``, ``hash``, ``repr`` and
+    ``dataclasses.replace`` (as ``Envelope._unwrapped`` is)."""
+
+    _encoded: bytes | None = field(default=None, init=False, compare=False,
+                                   repr=False)
 
     def encode(self) -> bytes:
+        encoded = self._encoded
+        if encoded is None:
+            encoded = encode_fields(self._fields())
+            object.__setattr__(self, "_encoded", encoded)
+        return encoded
+
+    def _fields(self) -> list[bytes]:
         raise NotImplementedError
 
 
@@ -66,12 +81,10 @@ class NewGroupKeyPayload(AdminPayload):
     epoch: int
     eviction: bool = False
 
-    def encode(self) -> bytes:
-        return encode_fields(
-            [bytes([_TAG_NEW_KEY]), self.key.material,
-             self.epoch.to_bytes(8, "big"),
-             bytes([1 if self.eviction else 0])]
-        )
+    def _fields(self) -> list[bytes]:
+        return [bytes([_TAG_NEW_KEY]), self.key.material,
+                self.epoch.to_bytes(8, "big"),
+                bytes([1 if self.eviction else 0])]
 
 
 @dataclass(frozen=True)
@@ -81,8 +94,8 @@ class MemberJoinedPayload(AdminPayload):
 
     user_id: str
 
-    def encode(self) -> bytes:
-        return encode_fields([bytes([_TAG_JOINED]), encode_str(self.user_id)])
+    def _fields(self) -> list[bytes]:
+        return [bytes([_TAG_JOINED]), encode_str(self.user_id)]
 
 
 @dataclass(frozen=True)
@@ -91,8 +104,8 @@ class MemberLeftPayload(AdminPayload):
 
     user_id: str
 
-    def encode(self) -> bytes:
-        return encode_fields([bytes([_TAG_LEFT]), encode_str(self.user_id)])
+    def _fields(self) -> list[bytes]:
+        return [bytes([_TAG_LEFT]), encode_str(self.user_id)]
 
 
 @dataclass(frozen=True)
@@ -101,10 +114,8 @@ class MembershipPayload(AdminPayload):
 
     members: tuple[str, ...]
 
-    def encode(self) -> bytes:
-        return encode_fields(
-            [bytes([_TAG_MEMBERSHIP]), encode_str_list(list(self.members))]
-        )
+    def _fields(self) -> list[bytes]:
+        return [bytes([_TAG_MEMBERSHIP]), encode_str_list(list(self.members))]
 
 
 @dataclass(frozen=True)
@@ -124,10 +135,8 @@ class CertifiedPayload(AdminPayload):
     inner: AdminPayload
     certificate: bytes
 
-    def encode(self) -> bytes:
-        return encode_fields(
-            [bytes([_TAG_CERTIFIED]), self.inner.encode(), self.certificate]
-        )
+    def _fields(self) -> list[bytes]:
+        return [bytes([_TAG_CERTIFIED]), self.inner.encode(), self.certificate]
 
 
 @dataclass(frozen=True)
@@ -136,8 +145,8 @@ class TextPayload(AdminPayload):
 
     text: str
 
-    def encode(self) -> bytes:
-        return encode_fields([bytes([_TAG_TEXT]), encode_str(self.text)])
+    def _fields(self) -> list[bytes]:
+        return [bytes([_TAG_TEXT]), encode_str(self.text)]
 
 
 @dataclass(frozen=True)
@@ -152,10 +161,8 @@ class BatchPayload(AdminPayload):
 
     items: tuple[AdminPayload, ...]
 
-    def encode(self) -> bytes:
-        return encode_fields(
-            [bytes([_TAG_BATCH]), *(item.encode() for item in self.items)]
-        )
+    def _fields(self) -> list[bytes]:
+        return [bytes([_TAG_BATCH]), *(item.encode() for item in self.items)]
 
 
 def as_one_payload(queued: Sequence[AdminPayload]) -> AdminPayload:
@@ -175,10 +182,9 @@ def items_of(payload: AdminPayload) -> tuple[AdminPayload, ...]:
 _NO_NESTING = {_TAG_CERTIFIED: "CertifiedPayload", _TAG_BATCH: "BatchPayload"}
 
 
-def decode_payload(
+def _decode_payload(
     data: bytes, _forbidden: tuple[int, ...] = ()
 ) -> AdminPayload:
-    """Decode any admin payload, raising :class:`CodecError` if malformed."""
     fields = decode_fields(data)
     if not fields or len(fields[0]) != 1:
         raise CodecError("admin payload missing tag")
@@ -222,6 +228,30 @@ def decode_payload(
         if len(fields) < 3:
             raise CodecError("BatchPayload needs at least two items")
         return BatchPayload(tuple(
-            decode_payload(field, (_TAG_BATCH,)) for field in fields[1:]
+            decode_payload(item, (_TAG_BATCH,)) for item in fields[1:]
         ))
     raise CodecError(f"unknown admin payload tag {tag:#x}")
+
+
+#: A rekey: ``count=4 | len=1 | tag | len=32 | key | len=8 | epoch |
+#: len=1 | eviction``, 62 bytes.
+_NEW_KEY_HEAD = field_head(4, bytes([_TAG_NEW_KEY]), bytes(KEY_LEN))[:-KEY_LEN]
+_NEW_KEY = struct.Struct(f">{len(_NEW_KEY_HEAD)}s{KEY_LEN}sIQIB")
+
+
+@fixed_layout(_decode_payload)
+def decode_payload(
+    data: bytes, _forbidden: tuple[int, ...] = ()
+) -> AdminPayload | None:
+    """Decode any admin payload, raising :class:`CodecError` if malformed.
+    A rekey, read directly, keeps ``data`` as its encoding: the codec is
+    canonical (``tests/enclaves/itgm/test_admin.py`` checks it)."""
+    if len(data) != _NEW_KEY.size:
+        return None
+    head, key, epoch_len, epoch, flag_len, flag = _NEW_KEY.unpack(data)
+    if (head != _NEW_KEY_HEAD or epoch_len != 8 or flag_len != 1
+            or flag > 1):
+        return None
+    payload = NewGroupKeyPayload(GroupKey(key), epoch, bool(flag))
+    object.__setattr__(payload, "_encoded", data)
+    return payload

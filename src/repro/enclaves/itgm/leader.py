@@ -339,20 +339,21 @@ class GroupLeader:
         if rotate:
             self._rotate_group_key()
         # Everyone already in the group learns about the new member (and
-        # the new key, if rotated).
+        # the new key, if rotated): one payload object each, encoded once.
+        key = self._current_key_payload()
+        news = [MemberJoinedPayload(user_id)]
+        if rotate:
+            news.append(key)
         for other in self.members:
-            if other == user_id:
-                continue
-            self._outboxes[other].append(MemberJoinedPayload(user_id))
-            if rotate:
-                self._outboxes[other].append(self._current_key_payload())
+            if other != user_id:
+                self._outboxes[other].extend(news)
         # The new member gets the membership view and the group key —
         # "K_g must be distributed to A in subsequent group-management
         # messages" (§3.2).
         self._outboxes[user_id].append(
             MembershipPayload(tuple(self.members))
         )
-        self._outboxes[user_id].append(self._current_key_payload())
+        self._outboxes[user_id].append(key)
         return []
 
     def _on_member_left(self, user_id: str) -> list[Envelope]:
@@ -363,10 +364,11 @@ class GroupLeader:
         )
         if rotate:
             self._rotate_group_key(eviction=True)
+        news = [MemberLeftPayload(user_id)]
+        if rotate:
+            news.append(self._current_key_payload())
         for other in self.members:
-            self._outboxes[other].append(MemberLeftPayload(user_id))
-            if rotate:
-                self._outboxes[other].append(self._current_key_payload())
+            self._outboxes[other].extend(news)
         return []
 
     # -- rekeying ---------------------------------------------------------------
@@ -404,8 +406,9 @@ class GroupLeader:
         if not self.members:
             raise StateError("cannot rekey an empty group")
         self._rotate_group_key()
+        key = self._current_key_payload()
         for member in self.members:
-            self._outboxes[member].append(self._current_key_payload())
+            self._outboxes[member].append(key)
         out = self._pump()
         self._checkpoint()
         return out

@@ -26,10 +26,10 @@ from repro.crypto.keys import KEY_LEN, LongTermKey, SessionKey
 from repro.crypto.rng import NONCE_LEN, RandomSource, SystemRandom
 from repro.enclaves.common import Event, Joined, Left, Rejected
 from repro.enclaves.itgm.admin import AdminPayload, items_of
-from repro.enclaves.itgm.member import seal_ad
+from repro.enclaves.itgm.member import encode_session_fields, seal_ad
 from repro.exceptions import CodecError, IntegrityError, StateError
 from repro.util.bytesops import constant_time_eq
-from repro.wire.codec import decode_fields, encode_fields, encode_str
+from repro.wire.codec import decode_fields, encode_str
 from repro.wire.labels import Label
 from repro.wire.message import Envelope
 
@@ -123,9 +123,8 @@ class LeaderSession:
             raise StateError(f"cannot send admin from {self.state}")
         assert self._session_cipher is not None and self._nonce is not None
         n_l = self._rng.nonce().value
-        plaintext = encode_fields(
-            [encode_str(self.leader_id), encode_str(self.user_id),
-             self._nonce, n_l, payload.encode()]
+        plaintext = encode_session_fields(
+            self.leader_id, self.user_id, self._nonce, n_l, payload.encode()
         )
         self._nonce = n_l
         self.state = LeaderState.WAITING_FOR_ACK
@@ -217,9 +216,9 @@ class LeaderSession:
         self._session_cipher = AuthenticatedCipher(self._session_key, self._rng)
         self._nonce = n2
         body = self._long_term_cipher.seal(
-            encode_fields(
-                [encode_str(self.leader_id), encode_str(self.user_id),
-                 n1, n2, self._session_key.material]
+            encode_session_fields(
+                self.leader_id, self.user_id, n1, n2,
+                self._session_key.material,
             ),
             seal_ad(Label.AUTH_KEY_DIST, self.leader_id, self.user_id),
         ).to_bytes()

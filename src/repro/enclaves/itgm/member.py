@@ -68,7 +68,9 @@ from repro.telemetry.events import (
     resolve_bus,
 )
 from repro.util.bytesops import constant_time_eq
-from repro.wire.codec import decode_fields, encode_fields, encode_str
+from repro.wire.codec import (
+    decode_fields, encode_after, encode_fields, encode_str, field_head,
+)
 from repro.wire.labels import Label
 from repro.wire.message import Envelope
 
@@ -82,6 +84,12 @@ def seal_ad(label: Label, sender: str, recipient: str) -> bytes:
     return encode_fields(
         [bytes([label.value]), encode_str(sender), encode_str(recipient)]
     )
+
+
+def encode_session_fields(first: str, second: str, *rest: bytes) -> bytes:
+    """``encode_fields([first, second, *rest])``: a §3.2 plaintext that
+    opens with two ids, encoded once per session."""
+    return encode_after(field_head(2 + len(rest), first, second), *rest)
 
 
 def app_ad(sender: str) -> bytes:
@@ -186,9 +194,7 @@ class MemberProtocol:
         n1 = self._rng.nonce().value
         self._nonce = n1
         body = self._long_term_cipher.seal(
-            encode_fields(
-                [encode_str(self.user_id), encode_str(self.leader_id), n1]
-            ),
+            encode_session_fields(self.user_id, self.leader_id, n1),
             seal_ad(Label.AUTH_INIT_REQ, self.user_id, self.leader_id),
         ).to_bytes()
         self.state = MemberState.WAITING_FOR_KEY
@@ -219,7 +225,7 @@ class MemberProtocol:
             raise StateError(f"cannot leave from {self.state}")
         assert self._session_cipher is not None
         body = self._session_cipher.seal(
-            encode_fields([encode_str(self.user_id), encode_str(self.leader_id)]),
+            encode_session_fields(self.user_id, self.leader_id),
             seal_ad(Label.REQ_CLOSE, self.user_id, self.leader_id),
         ).to_bytes()
         self._reset_session()
@@ -399,9 +405,7 @@ class MemberProtocol:
         n_next = self._rng.nonce().value
         self._nonce = n_next
         body = self._session_cipher.seal(
-            encode_fields(
-                [encode_str(self.user_id), encode_str(self.leader_id), n_l, n_next]
-            ),
+            encode_session_fields(self.user_id, self.leader_id, n_l, n_next),
             seal_ad(Label.ACK, self.user_id, self.leader_id),
         ).to_bytes()
         ack = Envelope(Label.ACK, self.user_id, self.leader_id, body)

@@ -15,11 +15,13 @@ from dataclasses import dataclass, field
 
 from repro.exceptions import CodecError
 from repro.wire.codec import (
+    COUNT_LEN,
     MAX_FIELD_LEN,
     decode_fields,
     decode_str,
-    encode_fields,
-    encode_str,
+    encode_after,
+    field_head,
+    fixed_layout,
 )
 from repro.wire.labels import Label
 
@@ -127,8 +129,25 @@ def wrap_group(group_id: str, inner: Envelope, shard: str) -> Envelope:
         label=Label.GROUP_WRAP,
         sender=inner.sender,
         recipient=shard,
-        body=encode_fields([encode_str(group_id), inner.to_bytes()]),
+        body=encode_after(field_head(2, group_id), inner.to_bytes()),
     )
+
+
+def _parse_wrapper_body(body: bytes) -> tuple[str, Envelope]:
+    group_b, inner_b = decode_fields(body, expect=2)
+    return decode_str(group_b), Envelope.from_bytes(inner_b)
+
+
+@fixed_layout(_parse_wrapper_body)
+def parse_wrapper_body(body: bytes) -> tuple[str, Envelope] | None:
+    """``(group id, inner envelope)`` from a GROUP_WRAP body."""
+    count, group_len = COUNT_LEN.unpack_from(body)
+    inner_at = 8 + group_len
+    (inner_len,) = _U32.unpack_from(body, inner_at)
+    if count == 2 and inner_at + 4 + inner_len == len(body) <= MAX_FIELD_LEN:
+        group_id = body[8:inner_at].decode("utf-8")
+        return group_id, Envelope.from_bytes(body[inner_at + 4:])
+    return None
 
 
 def unwrap_group(envelope: Envelope) -> tuple[str, Envelope]:
@@ -145,7 +164,6 @@ def unwrap_group(envelope: Envelope) -> tuple[str, Envelope]:
             raise CodecError(
                 f"expected GROUP_WRAP, got {envelope.label.name}"
             )
-        group_b, inner_b = decode_fields(envelope.body, expect=2)
-        parsed = decode_str(group_b), Envelope.from_bytes(inner_b)
+        parsed = parse_wrapper_body(envelope.body)
         object.__setattr__(envelope, "_unwrapped", parsed)
     return parsed

@@ -6,6 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.crypto.aead import AuthenticatedCipher
+from repro.crypto.keys import GroupKey
+from repro.dataplane.channel import data_ad, decode_data_body, encode_data_body
+from repro.dataplane.reliable import (
+    _seal_control,
+    decode_control_routing,
+    unwrap_msg,
+    wrap_msg,
+)
+from repro.enclaves.itgm.admin import decode_payload
+from repro.enclaves.itgm.member import encode_session_fields
 from repro.exceptions import CodecError
 from repro.wire.codec import (
     MAX_FIELD_LEN,
@@ -14,7 +25,7 @@ from repro.wire.codec import (
     encode_fields,
 )
 from repro.wire.labels import Label
-from repro.wire.message import Envelope
+from repro.wire.message import Envelope, parse_wrapper_body, wrap_group
 
 field_lists = st.lists(st.binary(max_size=128), max_size=8)
 
@@ -301,3 +312,240 @@ def test_envelope_encode_refusals_match_generic_codec():
         encode_u32(4) + encode_fields([b"\x20", b"a", b"b"])[4:]
         + encode_u32(len(too_long)) + too_long)
     assert refused == ("CodecError", "field too long")
+
+
+# -- differential: every hot-path body's fixed layout against the generic codec
+#
+# Each body a frame carries on the data path, and the rekey on the §3.2
+# admin path, is packed and read in a fixed layout
+# (``repro.wire.codec.fixed_layout``); the generic codec is the error
+# path and the reference.  The AdminMsg / Ack plaintexts are packed
+# after a kept prefix but read generically: a direct parse measured no
+# faster than ``decode_fields`` for their five short fields.  The contract,
+# per layout: the encoder's bytes are ``encode_fields`` of the fields;
+# the parse accepts exactly what the reference accepts, with the same
+# result, and refuses the rest with the same ``CodecError`` text; and on
+# the canonical encoding of a well-formed body the direct path itself
+# answers (a layout that never fires is as wrong as one that lies).
+
+
+def _fast_outcome(layout, data, args):
+    """What the direct path alone answers: a result, a ``CodecError``
+    it lets through (a wrapper's inner envelope), or None for a miss.
+    A layout that is total (``unwrap_msg``) is all direct path."""
+    try:
+        return _outcome(getattr(layout, "fast", layout), data, *args)
+    except (struct.error, UnicodeDecodeError):
+        return None
+
+
+def _reference_unwrap_msg(plain):
+    try:
+        magic, mid, payload = decode_fields(plain, expect=3)
+    except CodecError:
+        return None, plain
+    if magic != b"repro-data-msg" or len(mid) != 8:
+        return None, plain
+    return int.from_bytes(mid, "big"), payload
+
+
+def _same_layout(name, data):
+    """The layout's answer, held to the reference's on ``data``."""
+    layout, reference, args = LAYOUTS[name][:3]
+    got = _outcome(layout, data, *args)
+    assert got == _outcome(reference, data, *args)
+    fast = _fast_outcome(layout, data, args)
+    assert fast is None or fast == got
+    return got
+
+
+def _near_the_shape(fields):
+    """A body's canonical encoding and its near misses: the count ±1,
+    each length word ±1 and above ``MAX_FIELD_LEN``, one trailing byte."""
+    encoded = encode_fields(fields)
+    yield encoded
+    yield encoded + b"\x00"
+    for count in (len(fields) - 1, len(fields) + 1):
+        if count >= 0:
+            yield encode_u32(count) + encoded[4:]
+    offset = 4
+    for field in fields:
+        for length in (len(field) - 1, len(field) + 1, MAX_FIELD_LEN + 1):
+            if length >= 0:
+                yield (encoded[:offset] + encode_u32(length)
+                       + encoded[offset + 4:])
+        offset += 4 + len(field)
+
+
+ids = st.one_of(st.text(max_size=12).map(str.encode), st.binary(max_size=12))
+words = st.one_of(st.binary(min_size=8, max_size=8), st.binary(max_size=10))
+blobs = st.binary(max_size=48)
+WELL_FORMED_INNER = Envelope(Label.DATA_MSG, "grp-a.u0", "grp-a", b"x" * 9)
+
+
+#: name -> (layout, its reference, extra arguments, strategy for its field
+#: lists, and a predicate naming the field lists whose encoding must take
+#: the direct path)
+LAYOUTS = {
+    "data body": (
+        decode_data_body, decode_data_body.reference, (),
+        st.lists(st.one_of(ids, words, blobs),
+                                       min_size=3, max_size=5)
+        | st.tuples(ids, words, words, blobs).map(list),
+        lambda f: len(f) == 4 and len(f[1]) == len(f[2]) == 8
+        and _utf8(f[0]),
+    ),
+    "control uplink": (
+        decode_control_routing, decode_control_routing.reference, (),
+        st.tuples(ids, ids, blobs, blobs).map(list)
+        | st.lists(ids, min_size=3, max_size=5),
+        lambda f: len(f) == 4 and _utf8(f[0]) and _utf8(f[1]),
+    ),
+    "msg-id wrapper": (
+        unwrap_msg, _reference_unwrap_msg, (),
+        st.tuples(st.sampled_from([b"repro-data-msg", b"repro-data-msh",
+                                   b""]), words, blobs).map(list)
+        | st.lists(blobs, max_size=4),
+        lambda f: len(f) == 3 and f[0] == b"repro-data-msg"
+        and len(f[1]) == 8,
+    ),
+    "GROUP_WRAP body": (
+        parse_wrapper_body, parse_wrapper_body.reference, (),
+        st.tuples(ids, st.sampled_from([WELL_FORMED_INNER.to_bytes(),
+                                        b"not an envelope"])).map(list)
+        | st.lists(ids, min_size=1, max_size=3),
+        lambda f: len(f) == 2 and _utf8(f[0])
+        and f[1] == WELL_FORMED_INNER.to_bytes(),
+    ),
+    "NewGroupKeyPayload": (
+        decode_payload, decode_payload.reference, (),
+        st.tuples(st.sampled_from([b"\x01", b"\x02", b"\x01\x01"]),
+                  st.binary(min_size=31, max_size=33), words,
+                  st.sampled_from([b"\x00", b"\x01", b"\x02", b""])).map(list),
+        lambda f: f[0] == b"\x01" and len(f[1]) == 32 and len(f[2]) == 8
+        and f[3] in (b"\x00", b"\x01"),
+    ),
+}
+
+
+def _utf8(data):
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", LAYOUTS)
+@given(data=st.binary(max_size=96))
+def test_layout_matches_generic_codec_on_arbitrary_bytes(name, data):
+    _same_layout(name, data)
+
+
+@pytest.mark.parametrize("name", LAYOUTS)
+@given(data=st.data())
+def test_layout_matches_generic_codec_near_the_shape(name, data):
+    layout, _reference, args, field_lists, direct = LAYOUTS[name]
+    fields = data.draw(field_lists)
+    for mutant in _near_the_shape(fields):
+        _same_layout(name, mutant)
+    if direct(fields):
+        assert _fast_outcome(layout, encode_fields(fields), args) is not None
+
+
+@given(st.text(max_size=12), st.integers(0, 2**64 - 1),
+       st.integers(0, 2**64 - 1), blobs)
+def test_data_encoders_match_generic_codec(sender, epoch, seq, box):
+    e, s = epoch.to_bytes(8, "big"), seq.to_bytes(8, "big")
+    assert data_ad(sender, epoch, seq) == encode_fields(
+        [b"repro-data", sender.encode(), e, s])
+    body = encode_data_body(sender, epoch, seq, box)
+    assert body == encode_fields([sender.encode(), e, s, box])
+    assert decode_data_body.fast(body) == (sender, epoch, seq, box)
+
+
+@given(st.integers(0, 2**64 - 1), blobs, st.text(max_size=12),
+       st.text(max_size=12), st.lists(st.integers(0, 2**64 - 1), max_size=4))
+def test_relay_encoders_match_generic_codec(msg_id, payload, origin, acker,
+                                            seqs):
+    wrapped = wrap_msg(msg_id, payload)
+    assert wrapped == encode_fields(
+        [b"repro-data-msg", msg_id.to_bytes(8, "big"), payload])
+    assert unwrap_msg(wrapped) == (msg_id, payload)
+    cipher = AuthenticatedCipher(GroupKey(bytes(32)))
+    frame = _seal_control(Label.DATA_ACK, cipher, origin, acker, 3, seqs, "r")
+    _, _, ack, tag = decode_control_routing.reference(frame.body)
+    assert frame.body == encode_fields(
+        [origin.encode(), acker.encode(), ack, tag])
+    assert decode_control_routing.fast(frame.body) == (origin, acker, ack, tag)
+    group = wrap_group(origin, WELL_FORMED_INNER, "shard")
+    assert group.body == encode_fields(
+        [origin.encode(), WELL_FORMED_INNER.to_bytes()])
+    assert parse_wrapper_body.fast(group.body) == (origin, WELL_FORMED_INNER)
+
+
+@given(st.text(max_size=12), st.text(max_size=12),
+       st.lists(st.binary(max_size=24), max_size=4))
+def test_session_encoder_matches_generic_codec(first, second, rest):
+    encoded = encode_session_fields(first, second, *rest)
+    assert encoded == encode_fields([first.encode(), second.encode(), *rest])
+
+
+def test_encoder_refusals_match_generic_codec():
+    too_long = bytes(MAX_FIELD_LEN + 1)
+    for encode, reference in (
+        (lambda: encode_data_body("a", 1, 2, too_long),
+         lambda: encode_fields([b"a", bytes(8), bytes(8), too_long])),
+        (lambda: wrap_msg(1, too_long),
+         lambda: encode_fields([b"repro-data-msg", bytes(8), too_long])),
+        (lambda: encode_session_fields("a", "b", bytes(16), too_long),
+         lambda: encode_fields([b"a", b"b", bytes(16), too_long])),
+        (lambda: wrap_group("g", Envelope(Label.APP_DATA, "a", "b",
+                                          bytes(MAX_FIELD_LEN)), "s"),
+         lambda: encode_fields([b"g", bytes(MAX_FIELD_LEN + 16)])),
+    ):
+        refused = _outcome(encode)
+        assert refused == ("CodecError", "field too long")
+        assert refused == _outcome(reference)
+
+
+@pytest.mark.parametrize("name", LAYOUTS)
+def test_layout_refuses_an_over_long_field_like_the_generic_codec(name):
+    """A well-delimited body whose open field is one byte too long: the
+    direct path must not take it (checked once, 16 MiB per body)."""
+    too_long = bytes(MAX_FIELD_LEN + 1)
+    fields = {
+        "data body": [b"a", bytes(8), bytes(8), too_long],
+        "control uplink": [b"o", b"a", too_long, bytes(32)],
+        "msg-id wrapper": [b"repro-data-msg", bytes(8), too_long],
+        "GROUP_WRAP body": [b"g", too_long],
+        "NewGroupKeyPayload": [b"\x01", too_long, bytes(8), b"\x00"],
+    }[name]
+    encoded = encode_u32(len(fields)) + b"".join(
+        encode_u32(len(f)) + f for f in fields)
+    got = _same_layout(name, encoded)
+    assert got in (("CodecError", "field too long"), (None, encoded))
+
+
+#: One well-formed body per layout, for the exhaustive check below.
+WELL_FORMED = {
+    "data body": [b"grp-a.u1", bytes(range(8)), bytes(range(1, 9)), b"box"],
+    "control uplink": [b"grp-a.u1", b"grp-a.u2", bytes(16), b"t" * 32],
+    "msg-id wrapper": [b"repro-data-msg", bytes(range(8)), b"payload"],
+    "GROUP_WRAP body": [b"grp-a", WELL_FORMED_INNER.to_bytes()],
+    "NewGroupKeyPayload": [b"\x01", bytes(range(32)), bytes(range(8)),
+                           b"\x01"],
+}
+
+
+@pytest.mark.parametrize("name", LAYOUTS)
+def test_layout_matches_generic_codec_on_every_one_byte_change(name):
+    """Every byte of a well-formed body replaced by every value: no
+    content the reference refuses gets past the direct path, however
+    unlikely a random draw is to find it."""
+    fields = WELL_FORMED[name]
+    assert LAYOUTS[name][4](fields)  # the direct path reads it
+    encoded = encode_fields(fields)
+    for at in range(len(encoded)):
+        for value in range(256):
+            _same_layout(name, encoded[:at] + bytes([value]) + encoded[at + 1:])

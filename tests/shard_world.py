@@ -61,7 +61,8 @@ def forge(wrapped: Envelope) -> Envelope:
 class ShardWorld:
     """A shard hosting :data:`GROUPS`, with their members on a wire."""
 
-    def __init__(self, seed, *, pumped=False, telemetry=None):
+    def __init__(self, seed, *, pumped=False, telemetry=None,
+                 group_size=USERS_PER_GROUP, protocol_factory=None):
         rng = DeterministicRandom(seed)
         self.fabric = GroupDirectory([SHARD], rng=rng.fork("directory"))
         self.disk = SimDisk(rng=rng.fork("disk"))
@@ -89,11 +90,12 @@ class ShardWorld:
             journal.attach(leader)
             self.shard.host_prepared(group_id, leader, journal)
             self.members[group_id] = []
-            for index in range(USERS_PER_GROUP):
+            for index in range(group_size):
                 uid = f"{group_id}.u{index}"
                 member = FabricMember(
                     users.register_password(uid, f"pw-{uid}"), group_id,
                     self.fabric, rng=rng.fork(uid), telemetry=telemetry,
+                    protocol_factory=protocol_factory,
                 )
                 self.members[group_id].append(member)
                 wire(self.net, uid, member)
