@@ -13,13 +13,18 @@ Two promises from PR 10, measured and enforced:
 
 Alongside the gates, the artifact records per-backend handshake and
 rekey throughput so protocol-level numbers can be normalized by crypto
-cost across revisions.
+cost across revisions, and ``fast_primitives``: the fast backend's MAC
+and one-time-CTR kernels in µs per call, each beside the stdlib
+``hmac.new`` / ``Cipher(...)`` call it replaced.  One revert sentinel
+rides on it: the provider's one-shot HMAC is no slower than stdlib's.
 """
 
 from __future__ import annotations
 
 import contextlib
 import gc
+import hashlib
+import hmac as std_hmac
 import time
 
 import pytest
@@ -30,6 +35,7 @@ from repro.crypto.mac import HMACSHA256
 from repro.crypto.modes import ctr_transform
 from repro.crypto.provider import available_backends, get_provider, using_provider
 from repro.crypto.rng import DeterministicRandom
+from repro.dataplane.ratchet import _LABELS as CHAIN_LABELS
 
 REPEATS = 5
 BULK_FRAMES = 120
@@ -40,6 +46,8 @@ REKEYS = 3
 MIN_SPEEDUP = 10.0
 #: provider indirection on the reference backend must cost at most this.
 MAX_INDIRECTION = 1.02
+#: calls per timed arm of the fast-primitive block.
+PRIMITIVE_CALLS = 2000
 
 BACKENDS = sorted(available_backends())
 
@@ -150,6 +158,66 @@ def _indirection_best() -> dict[str, float]:
     return best
 
 
+def _fast_primitives_best() -> dict[str, dict[str, float]]:
+    """µs per call of each fast-backend kernel (``provider``) and of the
+    stdlib ``hmac.new`` or ``cryptography`` ``Cipher(...)`` call it
+    replaced (``replaced``), every arm interleaved with every other,
+    best of REPEATS."""
+    rng = DeterministicRandom(77)
+    key, kept_key, data = (rng.random_bytes(32), rng.random_bytes(32),
+                           rng.random_bytes(100))
+    enc_key, nonce = rng.random_bytes(16), rng.random_bytes(8)
+    sha256 = hashlib.sha256
+    with using_provider("fast") as provider:
+        kernels = {
+            "hmac_one_shot": (
+                lambda: provider.hmac_sha256(key, data),
+                lambda: std_hmac.new(key, data, sha256).digest(),
+            ),
+            "hmac_kept_key": (
+                lambda: provider.hmac_sha256(kept_key, data, reuse=True),
+                lambda: std_hmac.new(kept_key, data, sha256).digest(),
+            ),
+            "chain_step_3_labels": (
+                lambda: provider.hmac_sha256_many(key, CHAIN_LABELS),
+                lambda: [std_hmac.new(key, label, sha256).digest()
+                         for label in CHAIN_LABELS],
+            ),
+        }
+        if provider.aes_backend == "cryptography":
+            from cryptography.hazmat.primitives.ciphers import (
+                Cipher,
+                algorithms,
+                modes,
+            )
+
+            def ctr_before():
+                context = Cipher(algorithms.AES(enc_key),
+                                 modes.CTR(nonce + bytes(8))).encryptor()
+                return context.update(data) + context.finalize()
+
+            kernels["ctr_one_time"] = (
+                lambda: provider.ctr_transform(enc_key, nonce, data),
+                ctr_before,
+            )
+        arms = {}
+        for name, (after, before) in kernels.items():
+            assert after() == before()  # same bytes, and warm
+            arms[(name, "provider")], arms[(name, "replaced")] = after, before
+
+        def measure(arm, _attempt):
+            call = arms[arm]
+            with _gc_pinned():
+                start = time.perf_counter()
+                for _ in range(PRIMITIVE_CALLS):
+                    call()
+                return (time.perf_counter() - start) / PRIMITIVE_CALLS * 1e6
+
+        best = _interleaved_best(list(arms), measure)
+    return {name: {"provider": best[(name, "provider")],
+                   "replaced": best[(name, "replaced")]} for name in kernels}
+
+
 def _handshake_once(backend: str, attempt: int) -> float:
     """Seconds for JOIN_MEMBERS full join handshakes."""
     with using_provider(backend):
@@ -182,6 +250,7 @@ def test_crypto_backend_gate():
     indirection = _indirection_best()
     handshake = _interleaved_best(BACKENDS, _handshake_once)
     rekey = _interleaved_best(BACKENDS, _rekey_once)
+    primitives = _fast_primitives_best()
 
     with using_provider("fast") as fast:
         fast_aes, fast_ctr_reuse = fast.aes_backend, fast.ctr_reuse
@@ -212,7 +281,18 @@ def test_crypto_backend_gate():
             "ratio": indirection_ratio,
             "bound": MAX_INDIRECTION,
         },
+        "fast_primitives": {
+            "unit": "us_per_call",
+            "calls_per_measurement": PRIMITIVE_CALLS,
+            "kernels": primitives,
+        },
     })
+
+    one_shot = primitives["hmac_one_shot"]
+    assert one_shot["provider"] <= one_shot["replaced"], (
+        f"fast one-shot HMAC {one_shot['provider']:.2f} µs slower than "
+        f"stdlib hmac.new {one_shot['replaced']:.2f} µs"
+    )
 
     assert indirection_ratio <= MAX_INDIRECTION, (
         f"provider indirection {indirection_ratio:.4f} > {MAX_INDIRECTION}"

@@ -41,15 +41,16 @@ and re-arming a kept one with a new nonce ~1 µs, which is most of what a
 short frame pays for encryption.  ``seal`` / ``open`` hand the same
 declaration to the MAC key, and ``hmac_sha256(..., reuse=True)`` takes
 it for the DRBG seeds, HKDF-Extract's salt and the fingerprint label:
-the reference backend keeps that key's HMAC state (half of a short
-HMAC's four compressions); the fast backend keeps none, since a cached
-OpenSSL HMAC costs what a new one saves.  The default, ``reuse=False``,
-is the one-shot path: build, use, drop.  The data plane's one-time
-message keys take it and a chain key goes through
-:meth:`CryptoProvider.hmac_sha256_many` (keyed once, kept nowhere), so a
-key that was ratcheted away is never left reachable in a process-wide
-cache; nor is a PBKDF2 password.  Each cache is a bounded LRU
-owned by one provider instance; switching backends switches caches.
+both backends keep that key's keyed HMAC state in ``_macs`` (half of a
+short HMAC's four compressions; on the fast backend the two keyed
+``hashlib`` states, so a tag is two C-level ``copy``/``update``/``digest``
+rounds).  The default, ``reuse=False``, is the one-shot path: build,
+use, drop.  The data plane's one-time message keys take it and a chain
+key goes through :meth:`CryptoProvider.hmac_sha256_many` (keyed once per
+step, kept nowhere), so a key that was ratcheted away is never left
+reachable in a process-wide cache; nor is a PBKDF2 password.  Each
+cache is a bounded LRU owned by one provider instance; switching
+backends switches caches.
 """
 
 from __future__ import annotations
@@ -70,6 +71,11 @@ ENV_VAR = "REPRO_CRYPTO_BACKEND"
 HKDF_MAX_LENGTH = 255 * 32
 
 
+#: RFC 2104's key pads as ``bytes.translate`` tables (byte b -> b ^ pad).
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+
 def _wrong_key_size(key: bytes) -> KeyError_:
     return KeyError_(f"AES key must be 16, 24, or 32 bytes, got {len(key)}")
 
@@ -78,8 +84,8 @@ class _KeyScheduleCache:
     """Small LRU of expanded cipher or MAC state keyed by raw key bytes.
 
     AES key expansion costs ~40 S-box passes per key, an OpenSSL CTR
-    context ~15 µs to build and a pure-Python HMAC key schedule two
-    compressions, so each is kept here for long-lived keys
+    context ~15 µs to build and an HMAC key schedule two compressions,
+    so each is kept here for long-lived keys
     (per provider, since the cached object type differs between
     backends).  Bounded so a churn of session keys cannot grow it
     without limit.
@@ -132,10 +138,12 @@ class CryptoProvider(ABC):
 
     def __init__(self) -> None:
         self._schedules = _KeyScheduleCache()
+        #: Keyed HMAC states of long-lived MAC keys (``reuse=True``).
+        self._macs = _KeyScheduleCache()
 
     def caches_key(self, key: bytes) -> bool:
         """Whether this provider holds cipher or MAC state for ``key``."""
-        return key in self._schedules
+        return key in self._schedules or key in self._macs
 
     # -- hashing ---------------------------------------------------------
 
@@ -373,11 +381,6 @@ class ReferenceProvider(CryptoProvider):
         self._AES = AES
         self._HMACSHA256 = HMACSHA256
         self._SHA256 = SHA256
-        #: Keyed HMAC states of long-lived MAC keys (``reuse=True``).
-        self._macs = _KeyScheduleCache()
-
-    def caches_key(self, key: bytes) -> bool:
-        return key in self._macs or super().caches_key(key)
 
     def sha256(self, data: bytes) -> bytes:
         return self._SHA256(data).digest()
@@ -417,11 +420,11 @@ class _EcbBlockCipher:
 
     __slots__ = ("_enc", "_dec", "key_size")
 
-    def __init__(self, key: bytes, cipher_cls, algorithms, modes) -> None:
+    def __init__(self, key: bytes, cipher_cls, aes, ecb) -> None:
         if len(key) not in (16, 24, 32):
             raise _wrong_key_size(key)
         self.key_size = len(key)
-        cipher = cipher_cls(algorithms.AES(key), modes.ECB())
+        cipher = cipher_cls(aes(key), ecb())
         self._enc = cipher.encryptor()
         self._dec = cipher.decryptor()
 
@@ -439,9 +442,12 @@ class _EcbBlockCipher:
 class FastProvider(CryptoProvider):
     """Stdlib ``hashlib``/``hmac`` (plus optional ``cryptography`` AES).
 
-    * SHA-256, HMAC, PBKDF2: :mod:`hashlib`/:mod:`hmac` — identical
-      functions at C speed (``hashlib.pbkdf2_hmac`` for the stretch
-      loop).
+    * SHA-256, PBKDF2: :mod:`hashlib` (``hashlib.pbkdf2_hmac`` for the
+      stretch loop).  HMAC: RFC 2104 written directly on
+      ``hashlib.sha256``, the key padded by ``bytes.translate``, not
+      stdlib's pure-Python ``hmac.HMAC`` class, whose Python frames cost
+      more than its two hashes.  A long-lived key keeps its two keyed
+      states; a chain step keys once for its labels.
     * HKDF: the generic RFC 5869 chain over the fast HMAC.
     * AES/CBC/CTR and the sealed box: ``cryptography`` when importable
       (our 8-byte-nonce CTR layout is standard CTR with the counter
@@ -462,6 +468,7 @@ class FastProvider(CryptoProvider):
         import hmac as hmac_mod
 
         self._hashlib = hashlib
+        self._sha = hashlib.sha256
         self._hmac_mod = hmac_mod
         try:
             from cryptography.hazmat.primitives.ciphers import (
@@ -470,17 +477,17 @@ class FastProvider(CryptoProvider):
                 modes,
             )
 
+            # Bound once: each attribute of ``algorithms`` / ``modes`` is
+            # a Python-level module ``__getattr__`` away.
             self._cipher_cls = Cipher
-            self._algorithms = algorithms
-            self._modes = modes
+            self._AES, self._CTR = algorithms.AES, modes.CTR
+            self._ECB, self._CBC = modes.ECB, modes.CBC
             self.aes_backend = "cryptography"
             # Observed, not configured: contexts that can take a new
             # nonce are kept per long-lived key, others rebuilt per frame.
             self.ctr_reuse = hasattr(self._make_ctr(bytes(16)), "reset_nonce")
         except ImportError:  # graceful degradation, see class docstring
             self._cipher_cls = None
-            self._algorithms = None
-            self._modes = None
             self.aes_backend = "pure"
         self._contexts = _KeyScheduleCache()
 
@@ -490,16 +497,47 @@ class FastProvider(CryptoProvider):
     # -- hashing / MAC ---------------------------------------------------
 
     def sha256(self, data: bytes) -> bytes:
-        return self._hashlib.sha256(data).digest()
+        return self._sha(data).digest()
 
     def sha256_new(self, data: bytes = b""):
-        return self._hashlib.sha256(data)
+        return self._sha(data)
+
+    def _keyed(self, key: bytes):
+        """HMAC's inner and outer SHA-256 states, keyed (RFC 2104)."""
+        if len(key) > 64:
+            key = self._sha(key).digest()
+        key = key.ljust(64, b"\0")
+        return self._sha(key.translate(_IPAD)), self._sha(key.translate(_OPAD))
 
     def hmac_sha256(self, key: bytes, data: bytes, *, reuse=False) -> bytes:
-        return self._hmac_mod.new(key, data, self._hashlib.sha256).digest()
+        if reuse:
+            inner, outer = self._macs.get(key, self._keyed)
+            inner = inner.copy()
+            inner.update(data)
+            outer = outer.copy()
+            outer.update(inner.digest())
+            return outer.digest()
+        # The one-shot inlines _keyed: two hashes, no kept state.
+        sha = self._sha
+        if len(key) > 64:
+            key = sha(key).digest()
+        key = key.ljust(64, b"\0")
+        inner = sha(key.translate(_IPAD) + data).digest()
+        return sha(key.translate(_OPAD) + inner).digest()
+
+    def hmac_sha256_many(self, key: bytes, messages) -> list[bytes]:
+        inner, outer = self._keyed(key)
+        out = []
+        for message in messages:
+            mac = inner.copy()
+            mac.update(message)
+            tag = outer.copy()
+            tag.update(mac.digest())
+            out.append(tag.digest())
+        return out
 
     def hmac_new(self, key: bytes, data: bytes = b""):
-        return self._hmac_mod.new(key, data, self._hashlib.sha256)
+        return self._hmac_mod.new(key, data, self._sha)
 
     def pbkdf2_hmac_sha256(
         self, password: bytes, salt: bytes, iterations: int, dk_len: int = 32
@@ -516,9 +554,7 @@ class FastProvider(CryptoProvider):
 
     def _make_aes(self, key: bytes):
         if self._cipher_cls is not None:
-            return _EcbBlockCipher(
-                key, self._cipher_cls, self._algorithms, self._modes
-            )
+            return _EcbBlockCipher(key, self._cipher_cls, self._AES, self._ECB)
         from repro.crypto.aes import AES
 
         return AES(key)
@@ -527,7 +563,7 @@ class FastProvider(CryptoProvider):
         # A wrong-size key raises the reference AES's typed KeyError_,
         # not ``cryptography``'s bare ValueError (here and in _make_ctr).
         try:
-            return self._cipher_cls(self._algorithms.AES(key), mode)
+            return self._cipher_cls(self._AES(key), mode)
         except ValueError:
             raise _wrong_key_size(key) from None
 
@@ -536,12 +572,11 @@ class FastProvider(CryptoProvider):
         # zero reproduces the reference nonce||counter keystream exactly.
         # Not through _cipher: this runs once per one-time key.
         try:
-            algorithm = self._algorithms.AES(key)
+            algorithm = self._AES(key)
         except ValueError:
             raise _wrong_key_size(key) from None
-        return self._cipher_cls(
-            algorithm, self._modes.CTR(nonce + bytes(8))
-        ).encryptor()
+        mode = self._CTR(nonce + bytes(8))
+        return self._cipher_cls(algorithm, mode).encryptor()
 
     def _ctr(self, key: bytes, nonce: bytes, data: bytes, reuse: bool) -> bytes:
         if len(nonce) != 8:
@@ -555,8 +590,8 @@ class FastProvider(CryptoProvider):
             context = self._contexts.get(key, self._make_ctr)
             context.reset_nonce(nonce + bytes(8))
             return context.update(data)
-        context = self._make_ctr(key, nonce)
-        return context.update(data) + context.finalize()
+        # finalize() of a CTR context returns nothing: not called.
+        return self._make_ctr(key, nonce).update(data)
 
     def cbc_encrypt(self, key: bytes, iv: bytes, plaintext: bytes) -> bytes:
         if self._cipher_cls is None:
@@ -565,7 +600,7 @@ class FastProvider(CryptoProvider):
             raise ValueError("IV must be one block")
         from repro.util.bytesops import pkcs7_pad
 
-        encryptor = self._cipher(key, self._modes.CBC(iv)).encryptor()
+        encryptor = self._cipher(key, self._CBC(iv)).encryptor()
         return encryptor.update(pkcs7_pad(plaintext, 16)) + encryptor.finalize()
 
     def cbc_decrypt(self, key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
@@ -577,7 +612,7 @@ class FastProvider(CryptoProvider):
             raise ValueError("ciphertext is not block-aligned")
         from repro.util.bytesops import pkcs7_unpad
 
-        decryptor = self._cipher(key, self._modes.CBC(iv)).decryptor()
+        decryptor = self._cipher(key, self._CBC(iv)).decryptor()
         padded = decryptor.update(ciphertext) + decryptor.finalize()
         return pkcs7_unpad(padded, 16)
 

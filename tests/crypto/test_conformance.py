@@ -296,7 +296,7 @@ class TestKeptContexts:
                 assert alt.open(*frame, reuse=True) == want
                 assert ref.open(*frame, reuse=True) == want
         assert len(alt._schedules) <= 512 and len(ref._schedules) <= 512
-        assert len(ref._macs) <= 512
+        assert len(alt._macs) <= 512 and len(ref._macs) <= 512
 
     def test_forged_tag_rejected_before_any_decrypt(self, other):
         ref, alt = providers(other)

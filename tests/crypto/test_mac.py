@@ -6,6 +6,7 @@ import hmac as std_hmac
 import pytest
 
 from repro.crypto.mac import HMACSHA256, hmac_sha256, verify_hmac_sha256
+from repro.crypto.provider import available_backends, using_provider
 
 # RFC 4231 test cases 1-4, 6, 7 (case 5 truncates the output).
 RFC4231 = [
@@ -93,3 +94,46 @@ def test_different_keys_different_tags():
 
 def test_hexdigest():
     assert HMACSHA256(b"k", b"m").hexdigest() == hmac_sha256(b"k", b"m").hex()
+
+
+class TestProviderKernels:
+    """Every backend's HMAC entry points against stdlib ``hmac`` as the
+    oracle, across the key and data lengths where RFC 2104's padding and
+    SHA-256's block boundaries change shape: the one-shot, a long-lived
+    key (``reuse=True``) cold and warm, and a chain step's batch."""
+
+    KEY_LENS = (0, 1, 32, 63, 64, 65, 200)
+    DATA_LENS = (0, 1, 55, 56, 63, 64, 65, 119, 120, 300)
+
+    @pytest.fixture(params=sorted(available_backends()))
+    def provider(self, request):
+        with using_provider(request.param) as provider:  # a fresh instance
+            yield provider
+
+    @staticmethod
+    def oracle(key, data):
+        return std_hmac.new(key, data, hashlib.sha256).digest()
+
+    @pytest.mark.parametrize("key_len", KEY_LENS)
+    def test_one_shot_and_kept_key(self, provider, key_len):
+        key = bytes((i * 31 + 7) % 256 for i in range(key_len))
+        cases = [bytes((i * 17 + key_len) % 256 for i in range(n))
+                 for n in self.DATA_LENS]
+        for data in cases:
+            assert provider.hmac_sha256(key, data) == self.oracle(key, data)
+        assert not provider.caches_key(key)  # a one-shot keeps nothing
+        for _ in range(2):  # cold on the first call, warm on every other
+            for data in cases:
+                assert provider.hmac_sha256(key, data, reuse=True) == \
+                    self.oracle(key, data)
+                assert provider.caches_key(key)
+
+    @pytest.mark.parametrize("key_len", KEY_LENS)
+    def test_chain_step_matches_and_keeps_nothing(self, provider, key_len):
+        key = bytes((i * 53 + 3) % 256 for i in range(key_len))
+        messages = [bytes((i + n) % 256 for i in range(n))
+                    for n in self.DATA_LENS]
+        assert provider.hmac_sha256_many(key, messages) == \
+            [self.oracle(key, message) for message in messages]
+        assert provider.hmac_sha256_many(key, []) == []
+        assert not provider.caches_key(key)

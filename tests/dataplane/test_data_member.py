@@ -138,14 +138,12 @@ class TestKeyLifetimes:
         assert not any(provider.caches_key(key)
                        for key in one_time_macs | chain_keys)
         # Long-lived: every K_a and K_g MAC subkey (K_g's tags the ACKs).
-        # The reference backend keeps each one's HMAC state; the fast
-        # backend keeps no MAC state at all.
+        # Both backends keep each one's keyed HMAC state.
         long_lived_macs = provider_log.mac_keys(reuse=True)
         assert alice.group_key.subkeys()[1] in long_lived_macs
         assert alice._session_key.subkeys()[1] in long_lived_macs
         assert not long_lived_macs & (one_time_macs | chain_keys)
-        cached = [provider.caches_key(key) for key in long_lived_macs]
-        assert all(cached) if provider.name == "reference" else not any(cached)
+        assert all(provider.caches_key(key) for key in long_lived_macs)
 
 
 class _DataProtocol:
