@@ -335,7 +335,10 @@ class TestKeptContexts:
                 assert (ct, tag) == want
                 assert provider.open(enc_key, mac_key, nonce, ct, tag, ad,
                                      reuse=True) == plaintext
-            assert not no_reset.caches_key(enc_key)
+            # Without `cryptography` the pure AES serves ``reuse=True``
+            # and keeps its key schedule, which is not a CTR context.
+            if no_reset.aes_backend == "cryptography":
+                assert not no_reset.caches_key(enc_key)
 
     def test_backend_switch_mid_stream_serves_no_stale_context(self, other):
         """Long-lived ciphers outlive ``using_provider`` switches; each

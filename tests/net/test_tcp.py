@@ -1,10 +1,15 @@
 """Tests for the TCP transport."""
 
 import asyncio
+import gc
 import logging
+import socket
+import struct
+
+import pytest
 
 from repro.exceptions import ConnectionClosed
-from repro.net.tcp import TcpTransport
+from repro.net.tcp import TcpMemberEndpoint, TcpTransport
 from repro.wire.labels import Label
 from repro.wire.message import Envelope
 
@@ -331,3 +336,215 @@ class TestTcpEdgeCases:
         assert eofs == 2
         assert caplog.records == []
         assert capfd.readouterr().err == ""
+
+
+def framed(*envelopes: Envelope) -> bytes:
+    """The bytes a link puts on the socket for ``envelopes``."""
+    return b"".join(
+        struct.pack(">I", len(raw)) + raw
+        for raw in (envelope.to_bytes() for envelope in envelopes)
+    )
+
+
+class _Intake:
+    """A leader mailbox whose ``offer`` fails: a bug in frame intake."""
+
+    def __init__(self) -> None:
+        self.offered = 0
+
+    def offer(self, envelope, now):
+        self.offered += 1
+        raise LookupError("intake bug")
+
+    def take(self):
+        return None
+
+
+class TestTcpFraming:
+    """What the link owes its callers however the bytes are cut, and
+    whatever happens inside it: frames whole and in order, a bug never
+    mistaken for a disconnect, a returned ``send`` that is on its way,
+    and back-pressure that parks the sender."""
+
+    def test_intake_exception_is_loud_closes_link_and_propagates(self):
+        from repro.telemetry.events import EventBus, TransportError
+
+        async def scenario():
+            reported = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reported.append(context.get("exception"))
+            )
+            bus = EventBus()
+            seen = []
+            bus.subscribe(
+                lambda r: seen.append(r.event)
+                if isinstance(r.event, TransportError) else None
+            )
+            intake = _Intake()
+            transport = TcpTransport(port=0, mailbox=intake, telemetry=bus)
+            leader = await transport.attach("leader")
+            member = await transport.attach("alice")
+            await member.send(
+                Envelope(Label.AUTH_INIT_REQ, "alice", "leader", b"x")
+            )
+            # The leader drops the link: the member sees it end.
+            with pytest.raises(ConnectionClosed):
+                await asyncio.wait_for(member.recv(), 2)
+            await member.close()
+            await leader.close()
+            gc.collect()  # an exception kept by a dead task reports when freed
+            await asyncio.sleep(0)
+            return intake.offered, seen, reported
+
+        offered, seen, reported = run(scenario())
+        assert offered == 1
+        assert len(seen) == 1
+        assert seen[0].peer == "alice" and "intake bug" in seen[0].error
+        # Not swallowed: the exception itself reaches the loop's handler.
+        assert any(isinstance(exc, LookupError) for exc in reported)
+
+    def test_frames_cut_one_byte_at_a_time_arrive_whole(self):
+        frames = [
+            Envelope(Label.AUTH_INIT_REQ, "alice", "leader", b"first"),
+            Envelope(Label.APP_DATA, "alice", "leader", bytes(300)),
+        ]
+
+        async def scenario():
+            transport = TcpTransport(port=0)
+            leader = await transport.attach("leader")
+            _, writer = await asyncio.open_connection(
+                "127.0.0.1", transport._port
+            )
+            for i, byte in enumerate(framed(*frames)):
+                writer.write(bytes([byte]))
+                await writer.drain()
+                if i % 16 == 0:
+                    await asyncio.sleep(0.001)  # let each cut land alone
+            received = [await asyncio.wait_for(leader.recv(), 2)
+                        for _ in frames]
+            writer.close()
+            await leader.close()
+            return received
+
+        assert run(scenario()) == frames
+
+    def test_fifty_frames_in_one_write_arrive_in_order(self):
+        """Both directions: into the leader's link from a raw client, and
+        into a member's link from a raw server."""
+        up = [Envelope(Label.APP_DATA, "alice", "leader", bytes([i]) * i)
+              for i in range(50)]
+        down = [Envelope(Label.ADMIN_MSG, "leader", "alice", bytes([i]) * i)
+                for i in range(50)]
+
+        async def scenario():
+            transport = TcpTransport(port=0)
+            leader = await transport.attach("leader")
+            _, writer = await asyncio.open_connection(
+                "127.0.0.1", transport._port
+            )
+            writer.write(framed(*up))
+            into_leader = [await asyncio.wait_for(leader.recv(), 2)
+                           for _ in up]
+            writer.close()
+            await leader.close()
+
+            async def serve(reader, writer):
+                writer.write(framed(*down))
+                await writer.drain()
+                await reader.read()  # until the member hangs up
+                writer.close()
+
+            server = await asyncio.start_server(serve, "127.0.0.1", 0)
+            member = TcpMemberEndpoint("alice")
+            await member.connect("127.0.0.1",
+                                 server.sockets[0].getsockname()[1])
+            into_member = [await asyncio.wait_for(member.recv(), 2)
+                           for _ in down]
+            await member.close()
+            server.close()
+            await server.wait_closed()
+            return into_leader, into_member
+
+        into_leader, into_member = run(scenario())
+        assert into_leader == up
+        assert into_member == down
+
+    def test_send_then_close_in_one_turn_still_delivers(self):
+        async def scenario():
+            transport = TcpTransport(port=0)
+            leader = await transport.attach("leader")
+            member = await transport.attach("alice")
+            await member.send(
+                Envelope(Label.AUTH_INIT_REQ, "alice", "leader", b"hi")
+            )
+            up = await asyncio.wait_for(leader.recv(), 2)
+            # Leader to member, then the leader goes away at once.
+            await leader.send(
+                Envelope(Label.AUTH_KEY_DIST, "leader", "alice", b"last")
+            )
+            await leader.close()
+            down = await asyncio.wait_for(member.recv(), 2)
+            await member.close()
+
+            # Member to leader, then the member goes away at once.
+            transport = TcpTransport(port=0)
+            leader = await transport.attach("leader")
+            member = await transport.attach("bob")
+            await member.send(
+                Envelope(Label.AUTH_INIT_REQ, "bob", "leader", b"bye")
+            )
+            await member.close()
+            late = await asyncio.wait_for(leader.recv(), 2)
+            await leader.close()
+            return up.body, down.body, late.body
+
+        assert run(scenario()) == (b"hi", b"last", b"bye")
+
+    def test_paused_transport_parks_send_until_it_resumes(self):
+        """A peer that stops reading fills the socket buffers; ``send``
+        then waits instead of queueing without bound, and finishes once
+        the peer reads again."""
+        frame = Envelope(Label.APP_DATA, "alice", "leader", bytes(1 << 20))
+        # 32 MiB: past the kernel's socket buffers (Linux autotunes the
+        # send side up to tcp_wmem's 4 MiB default) plus the high-water
+        # mark, while a parked sender holds only one frame in memory.
+        count = 32
+        total = count * len(framed(frame))
+
+        async def scenario():
+            reading = asyncio.Event()
+            got = asyncio.get_running_loop().create_future()
+
+            async def serve(reader, writer):
+                await reading.wait()
+                size = 0
+                while size < total and (chunk := await reader.read(1 << 16)):
+                    size += len(chunk)
+                got.set_result(size)
+                writer.close()
+
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16)
+            sock.bind(("127.0.0.1", 0))
+            server = await asyncio.start_server(serve, sock=sock)
+            member = TcpMemberEndpoint("alice")
+            await member.connect("127.0.0.1", sock.getsockname()[1])
+
+            async def send_all():
+                for _ in range(count):
+                    await member.send(frame)
+
+            sender = asyncio.create_task(send_all())
+            await asyncio.sleep(0.3)
+            parked = not sender.done()
+            reading.set()
+            await asyncio.wait_for(sender, 10)
+            size = await asyncio.wait_for(got, 10)
+            await member.close()
+            server.close()
+            await server.wait_closed()
+            return parked, size
+
+        parked, size = run(scenario())
+        assert parked
+        assert size == total
