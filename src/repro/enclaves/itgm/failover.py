@@ -141,13 +141,15 @@ promote`): ``state`` is a snapshot dict replayed from shipped journal
         """Bring a crashed manager back as a cold standby.
 
         Its in-memory group state is gone (crash-recovery model); it is
-        re-created fresh around the shared directory.
+        re-created fresh around the shared directory, on a fork of its
+        predecessor's stream so its sessions draw no key twice.
         """
         if manager_id not in self.managers:
             raise StateError(f"unknown manager {manager_id!r}")
         old = self.managers[manager_id]
         self.managers[manager_id] = GroupLeader(
-            manager_id, self.directory, config=old.config, rng=old._rng,
+            manager_id, self.directory, config=old.config,
+            rng=old._rng.fork("recovered"),
             clock=old._clock, telemetry=old._telemetry,
         )
         self.failed.discard(manager_id)

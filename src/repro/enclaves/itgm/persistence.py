@@ -103,13 +103,7 @@ def _session_snapshot(
     return snap
 
 
-def _restore_session(
-    leader_id: str, user_id: str, directory: UserDirectory,
-    data: dict, rng: RandomSource | None,
-) -> LeaderSession:
-    session = LeaderSession(
-        leader_id, user_id, directory.lookup(user_id), rng
-    )
+def _restore_session(session: LeaderSession, data: dict) -> None:
     session.state = LeaderState[data["state"]]
     session._nonce = _unhex(data["nonce"])
     key_material = _unhex(data["session_key"])
@@ -128,7 +122,6 @@ def _restore_session(
         session._last_outbound = Envelope.from_bytes(
             bytes.fromhex(data["last_outbound"])
         )
-    return session
 
 
 def snapshot_leader(leader: GroupLeader) -> dict:
@@ -171,6 +164,11 @@ def restore_leader(
     snapshot).
     """
     validate_snapshot_version(snapshot)
+    if rng is not None:
+        # A new incarnation, whose sessions continue under journaled
+        # keys: it must not replay the draws of a predecessor that
+        # drew from ``rng`` (SystemRandom.fork returns itself).
+        rng = rng.fork("restored")
     leader = leader_cls(
         snapshot["leader_id"], directory, config=config, rng=rng, clock=clock,
         telemetry=telemetry,
@@ -193,17 +191,12 @@ def restore_leader(
             raise ProtocolError(
                 f"snapshot references unknown user {user_id!r}"
             )
-        leader._sessions[user_id] = _restore_session(
-            leader.leader_id, user_id, directory, data, leader._rng
-        )
+        _restore_session(leader._session(user_id), data)
     for user_id, encoded_payloads in snapshot["outboxes"].items():
         leader._outboxes[user_id] = deque(
             decode_payload(bytes.fromhex(encoded))
             for encoded in encoded_payloads
         )
-    # Every session needs an outbox, even if it was empty at snapshot.
-    for user_id in leader._sessions:
-        leader._outboxes.setdefault(user_id, deque())
     return leader
 
 
