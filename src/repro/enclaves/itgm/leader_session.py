@@ -101,30 +101,21 @@ class LeaderSession:
         """Send ``AdminMsg, L, A, {L, A, N_a, N_l, X}_{K_a}``.
 
         Only legal in Connected (the channel is stop-and-wait: one
-        outstanding admin message per member).
-        """
-        return self.finish_admin(self.prepare_admin(payload))
-
-    def prepare_admin(self, payload: AdminPayload) -> bytes:
-        """Phase 1 of an admin send: everything except the seal.
-
-        Draws ``N_l``, advances the nonce chain and the channel state,
-        and returns the plaintext ``L, A, N_a, N_l, X``, which must come
-        back through :meth:`finish_admin` before any other frame is
-        processed.  The split exists for the leader's fan-out: every
-        session shares the leader's one rng, and seeded runs pin the
-        draw order "every ``N_l``, then every CTR nonce".
-
-        A :class:`~repro.enclaves.itgm.admin.BatchPayload` is one X —
-        one nonce step, one seal, one Ack — but ``snd_A`` stays flat:
-        the log gains its items, never the batch.
+        outstanding admin message per member).  A
+        :class:`~repro.enclaves.itgm.admin.BatchPayload` is one X — one
+        nonce step, one seal, one Ack — but ``snd_A`` stays flat: the
+        log gains its items, never the batch.
         """
         if self.state is not LeaderState.CONNECTED:
             raise StateError(f"cannot send admin from {self.state}")
         assert self._session_cipher is not None and self._nonce is not None
         n_l = self._rng.nonce().value
-        plaintext = encode_session_fields(
-            self.leader_id, self.user_id, self._nonce, n_l, payload.encode()
+        box = self._session_cipher.seal(
+            encode_session_fields(
+                self.leader_id, self.user_id, self._nonce, n_l,
+                payload.encode(),
+            ),
+            seal_ad(Label.ADMIN_MSG, self.leader_id, self.user_id),
         )
         self._nonce = n_l
         self.state = LeaderState.WAITING_FOR_ACK
@@ -132,15 +123,6 @@ class LeaderSession:
         self.admin_log.extend(items)
         self.version += 1
         self.stats.admin_sent += len(items)
-        return plaintext
-
-    def finish_admin(self, plaintext: bytes) -> Envelope:
-        """Phase 2 of an admin send: seal under ``K_a`` (drawing the CTR
-        nonce) and arm retransmission (see :meth:`prepare_admin`)."""
-        assert self._session_cipher is not None
-        box = self._session_cipher.seal(
-            plaintext, seal_ad(Label.ADMIN_MSG, self.leader_id, self.user_id)
-        )
         envelope = Envelope(
             Label.ADMIN_MSG, self.leader_id, self.user_id, box.to_bytes()
         )
