@@ -196,7 +196,8 @@ class FabricMember:
         ``GROUP_REDIRECT`` frames are consumed here: the member
         re-consults the directory and either resumes a half-open join at
         the new shard (byte-identical retransmission) or abandons the
-        session and rejoins.  Everything else goes to the §3.2 core.
+        session and rejoins — a connected one only if the directory
+        confirms the move.  Everything else goes to the §3.2 core.
         """
         if envelope.label is Label.GROUP_REDIRECT:
             return self._on_redirect(envelope)
@@ -218,6 +219,10 @@ class FabricMember:
             return [], [Rejected("malformed GROUP_REDIRECT", envelope.label)]
         if group_id != self.group_id:
             return [], [Rejected("GROUP_REDIRECT for another group",
+                                 envelope.label)]
+        if self.connected and not self.refresh_route().redirected:
+            # A live session ends only on a move the directory confirms.
+            return [], [Rejected("unconfirmed GROUP_REDIRECT",
                                  envelope.label)]
         if self._retry_budget is not None:
             if not self._retry_budget.can_retry():

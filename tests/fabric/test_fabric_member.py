@@ -198,6 +198,9 @@ class TestRedirectFromAnOutsider:
         "foreign group": redirect_envelope(
             "mallory", "alice", "grp-other", "shard-1"
         ),
+        "own group, no move": redirect_envelope(
+            "mallory", "alice", "grp-m", "shard-1"
+        ),
     }
 
     @pytest.mark.parametrize("kind", FORGED)
