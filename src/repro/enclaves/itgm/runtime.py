@@ -17,7 +17,7 @@ class LeaderRuntime:
     ``handle(envelope) -> (out, events)``, so it drives a group leader,
     a shard host or a legacy core alike.  The optional timer loops call
     :meth:`~repro.enclaves.itgm.leader.GroupLeader.tick` (periodic
-    rekeying) and ``heartbeat`` and are for a :class:`GroupLeader`.
+    rekeying) and ``heartbeat``, which a shard host also has.
     """
 
     def __init__(

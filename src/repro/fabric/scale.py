@@ -246,42 +246,17 @@ class FabricReport:
 
 
 class _ShardRuntime(LeaderRuntime):
-    """Pumps one :class:`ShardHost` over one network endpoint.
-
-    The receive loop and teardown are :class:`LeaderRuntime`'s; the
-    timer is its own — one loop that ticks every interval and beats
-    when a heartbeat interval has elapsed since the last beat.  Two
-    independent loops fire the beats at different virtual instants,
-    which moves every seeded stream, so the merged loop stays.
-    """
+    """Pumps one :class:`ShardHost` over one network endpoint; the
+    receive, tick and heartbeat loops are :class:`LeaderRuntime`'s."""
 
     def __init__(self, host: ShardHost, endpoint, config: FabricConfig) -> None:
-        super().__init__(host, endpoint)
-        self.host = host
-        self.config = config
-        self.alive = True
-
-    def start(self) -> None:
-        super().start()
-        self._tasks.append(
-            asyncio.get_running_loop().create_task(self._timer_loop())
+        super().__init__(
+            host, endpoint,
+            tick_interval=config.tick_interval,
+            heartbeat_interval=config.heartbeat_interval,
         )
-
-    async def _timer_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        last_heartbeat = loop.time()
-        try:
-            while True:
-                await asyncio.sleep(self.config.tick_interval)
-                for out in self.host.tick_all():
-                    await self.endpoint.send(out)
-                if (loop.time() - last_heartbeat
-                        >= self.config.heartbeat_interval):
-                    last_heartbeat = loop.time()
-                    for out in self.host.heartbeats():
-                        await self.endpoint.send(out)
-        except (ConnectionClosed, asyncio.CancelledError):
-            pass
+        self.host = host
+        self.alive = True
 
     async def crash(self) -> None:
         """Power-cut the host: tasks die, endpoint detaches, disk drops

@@ -208,7 +208,7 @@ class TestHosting:
                 state=state, rng=fx.rng.fork("cohost"),
             )
         a_host.quiesce("grp-a")
-        beats = a_host.heartbeats()
+        beats = a_host.heartbeat()
         assert beats, "the live group still beats"
         assert all(e.recipient != fx.members["grp-a"].user_id
                    for e in beats)
