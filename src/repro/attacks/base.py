@@ -130,6 +130,11 @@ class Attack(ABC):
     #: What the paper guarantees for the improved stack (always False).
     expected_on_itgm: bool = False
 
+    def adversary_rng(self) -> DeterministicRandom:
+        """The attacker's own seeded stream: a forgery draws its nonce
+        here, so a seeded run forges the same bytes every time."""
+        return DeterministicRandom(self.seed).fork("adversary")
+
     @abstractmethod
     def run_legacy(self) -> AttackResult:
         """Run against the legacy §2.2 stack."""

@@ -45,7 +45,7 @@ class ForgedRemovalAttack(Attack):
         # endpoint and forges the leader's removal notice.
         group_key = mallory.current_group_key
         assert group_key is not None
-        cipher = AuthenticatedCipher(group_key)
+        cipher = AuthenticatedCipher(group_key, self.adversary_rng())
         body = cipher.seal(
             encode_fields([encode_str("mallory")]),
             seal_ad(Label.MEM_REMOVED, "leader", "bob"),
@@ -74,7 +74,7 @@ class ForgedRemovalAttack(Attack):
         # group key and hope bob's admin channel accepts it.
         group_key = mallory._group_key
         assert group_key is not None
-        cipher = AuthenticatedCipher(group_key)
+        cipher = AuthenticatedCipher(group_key, self.adversary_rng())
         fake = MemberLeftPayload("mallory").encode()
         body = cipher.seal(
             encode_fields(

@@ -78,7 +78,7 @@ class RekeyReplayAttack(Attack):
                 e for e in net.wire_log
                 if e.label is Label.APP_DATA and e.sender == "alice"
             ]
-            cipher = AuthenticatedCipher(old_group_key)
+            cipher = AuthenticatedCipher(old_group_key, self.adversary_rng())
             for frame in app_frames:
                 try:
                     plain = cipher.open(

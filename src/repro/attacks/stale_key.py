@@ -48,7 +48,7 @@ class StaleSessionKeyAttack(Attack):
 
         # Inject a NEW_KEY under the old session key.
         from repro.crypto.keys import GroupKey
-        cipher = AuthenticatedCipher(old_key)
+        cipher = AuthenticatedCipher(old_key, self.adversary_rng())
         evil_group_key = GroupKey(b"\x13" * 32)
         body = cipher.seal(
             encode_fields([evil_group_key.material]),
@@ -79,7 +79,7 @@ class StaleSessionKeyAttack(Attack):
         assert "alice" in leader.members
 
         # Forge an AdminMsg and a ReqClose under the leaked old key.
-        cipher = AuthenticatedCipher(old_key)
+        cipher = AuthenticatedCipher(old_key, self.adversary_rng())
         admin_body = cipher.seal(
             encode_fields(
                 [encode_str("leader"), encode_str("alice"),
