@@ -212,7 +212,7 @@ class LegacyEnclavesModel:
             )
         elif isinstance(usr, LUserWaiting):
             # Accept {L, A, N1, N2, K_a, K_g}_{P_a}.
-            for f in state.trace_parts:
+            for f in sorted(state.trace_parts, key=repr):
                 if (
                     isinstance(f, Crypt) and f.key == self.Pa
                     and isinstance(f.body, Concat)
@@ -235,7 +235,7 @@ class LegacyEnclavesModel:
             # (Bounded by max_applies or the state space is infinite:
             # the same message can be applied forever.)
             if len(state.applied) < cfg.max_applies:
-                for f in state.trace_parts:
+                for f in sorted(state.trace_parts, key=repr):
                     if (
                         isinstance(f, Crypt) and f.key == usr.key
                         and isinstance(f.body, SessionK)
