@@ -66,8 +66,6 @@ from repro.telemetry.events import (
     frame_id,
 )
 from repro.telemetry.metrics import MetricsRegistry
-from repro.util.backoff import BackoffPolicy
-from repro.util.backoff import constant as backoff_constant
 from repro.wire.message import Envelope, wrap_group
 
 
@@ -112,16 +110,6 @@ class FabricConfig:
     heartbeat_interval: float = 0.5
     retransmit_interval: float = 0.5
     converge_timeout: float = 20.0
-
-    def retry_policy(self) -> BackoffPolicy:
-        """The member driver's retry pacing as a shared policy object.
-
-        Historically a bare fixed interval; expressed as a degenerate
-        :class:`~repro.util.backoff.BackoffPolicy` (factor 1, no
-        jitter) so every retry knob in the codebase lives behind the
-        same type without changing the produced delays.
-        """
-        return backoff_constant(self.retransmit_interval)
 
     @classmethod
     def full(cls, seed: int = 7, **overrides) -> "FabricConfig":
@@ -357,8 +345,7 @@ class _MemberRuntime:
 
     async def _drive_loop(self) -> None:
         loop = asyncio.get_running_loop()
-        policy = self.config.retry_policy()
-        interval = policy.delay(0)
+        interval = self.config.retransmit_interval
         try:
             while True:
                 await asyncio.sleep(interval)
