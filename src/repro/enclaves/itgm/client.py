@@ -15,8 +15,7 @@ from repro.enclaves.common import Credentials, Event
 from repro.enclaves.itgm.member import MemberProtocol, MemberState
 from repro.exceptions import ConnectionClosed, ProtocolError
 from repro.net.transport import Endpoint
-from repro.telemetry.events import EventBus, resolve_bus
-from repro.telemetry.spans import SpanTracer
+from repro.telemetry.events import EventBus
 
 
 class MemberClient:
@@ -30,27 +29,14 @@ class MemberClient:
         rng: RandomSource | None = None,
         telemetry: EventBus | None = None,
     ) -> None:
-        self._telemetry = resolve_bus(telemetry)
         self.protocol = MemberProtocol(
-            credentials, leader_id, rng, telemetry=self._telemetry
+            credentials, leader_id, rng, telemetry=telemetry
         )
         self.endpoint = endpoint
         #: Every protocol event, in order; consumers drain this queue.
         self.events: asyncio.Queue[Event] = asyncio.Queue()
         self._state_changed = asyncio.Event()
         self._recv_task: asyncio.Task | None = None
-        self._tracer: SpanTracer | None = None
-
-    @property
-    def tracer(self) -> SpanTracer:
-        """The span tracer (created lazily on the running loop's
-        clock)."""
-        if self._tracer is None:
-            self._tracer = SpanTracer(
-                time_source=asyncio.get_running_loop().time,
-                bus=self._telemetry,
-            )
-        return self._tracer
 
     @property
     def user_id(self) -> str:
@@ -117,12 +103,6 @@ class MemberClient:
         packet loss are indistinguishable by design).
         """
         self.start()
-        # Trace the handshake when telemetry is live; otherwise stay
-        # strictly zero-cost.
-        span = (
-            self.tracer.start("handshake", node=self.user_id)
-            if self._telemetry else None
-        )
         await self.endpoint.send(self.protocol.start_join())
 
         async def _until_ready() -> None:
@@ -149,11 +129,7 @@ class MemberClient:
         )
         try:
             await asyncio.wait_for(_until_ready(), timeout)
-            if span is not None:
-                self.tracer.finish(span, ok=True)
         except asyncio.TimeoutError:
-            if span is not None:
-                self.tracer.finish(span, ok=False)
             raise ProtocolError(
                 f"{self.user_id}: join timed out (denied or lost)"
             ) from None

@@ -2,7 +2,6 @@
 
 * :mod:`~repro.telemetry.events` — the typed event bus (no-op by
   default; components fall back to :data:`DEFAULT_BUS`).
-* :mod:`~repro.telemetry.spans` — clock-injected span tracing.
 * :mod:`~repro.telemetry.metrics` — labeled counters/gauges/histograms.
 * :mod:`~repro.telemetry.export` — JSONL / Prometheus / live summary.
 * :mod:`~repro.telemetry.health` — live §5.4 invariant probe.
@@ -38,7 +37,6 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     render_series,
 )
-from repro.telemetry.spans import Span, SpanFinished, SpanTracer
 
 __all__ = [
     "DEFAULT_BUS",
@@ -63,7 +61,4 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "render_series",
-    "Span",
-    "SpanFinished",
-    "SpanTracer",
 ]

@@ -69,13 +69,3 @@ class TickClock(Clock):
         self._now += self._step
         return value
 
-
-class CallableClock(Clock):
-    """Adapt any ``() -> float`` time source (e.g. an asyncio loop's
-    ``time`` method) to the :class:`Clock` interface."""
-
-    def __init__(self, fn) -> None:
-        self._fn = fn
-
-    def now(self) -> float:
-        return self._fn()
