@@ -53,7 +53,10 @@ class RandomWalker:
         if violations:
             return 0, violations, path
         for step in range(max_steps):
-            transitions = self.model.successors(state)
+            # successors() builds some transitions from sets: pick in
+            # description order, not PYTHONHASHSEED's iteration order.
+            transitions = sorted(self.model.successors(state),
+                                 key=lambda t: t.description)
             if not transitions:
                 return step, [], path
             pick = int.from_bytes(self._rng.random_bytes(4), "big")

@@ -1,5 +1,10 @@
 """Tests for figure rendering and the random walker."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.formal.diagram import DIAGRAM
@@ -14,6 +19,8 @@ from repro.formal.render import (
     render_figure4,
 )
 from repro.formal.walker import RandomWalker
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestRenderings:
@@ -84,6 +91,23 @@ class TestRandomWalker:
         r1 = RandomWalker(EnclavesModel(config), seed=9).run(3, 50)
         r2 = RandomWalker(EnclavesModel(config), seed=9).run(3, 50)
         assert r1.steps_taken == r2.steps_taken
+
+    def test_walks_independent_of_the_string_hash_seed(self):
+        """``successors()`` builds some transitions from sets; the walker
+        picks among them in a hash-free order, so one seed walks the
+        same path in every interpreter."""
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-m", "repro", "verify", "--walks", "5",
+                 "--seed", "3"],
+                check=True, capture_output=True, text=True, cwd=ROOT,
+                env={**os.environ, "PYTHONHASHSEED": seed,
+                     "REPRO_CRYPTO_BACKEND": "fast",
+                     "PYTHONPATH": str(ROOT / "src")},
+            ).stdout
+            for seed in ("0", "1")
+        }
+        assert len(outputs) == 1, outputs
 
     @pytest.mark.slow
     def test_long_walk_campaign(self):
