@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Same bytes as the parent, as a check instead of a private script.
 
-Runs the 30 deterministic rows of EXPERIMENTS *DELETION-II* (and
-*STREAMS*, which added the attack-matrix trace) in-process through
-``repro.cli.main`` on the ``fast`` crypto backend and takes the SHA-256
-of each row's stdout (export path masked) and of the JSONL it exported.
+Runs the 31 deterministic rows of EXPERIMENTS *DELETION-II* (plus the
+attack-matrix trace of *STREAMS* and the seeded random walks of *SPANS*)
+in-process through ``repro.cli.main`` on the ``fast`` crypto backend and
+takes the SHA-256 of each row's stdout (export path masked) and of the
+JSONL it exported.
 
 ``--write`` records the digests in ``tests/data/seeded_streams.json``
 under this interpreter's minor version (virtual-time scheduling across
@@ -67,6 +68,7 @@ ROWS = (
     "durability --seed 7",
     "durability --seed 11",
     "trace --scenario attack-matrix --out {out}",
+    "verify --walks 5 --seed 3",
 )
 
 
