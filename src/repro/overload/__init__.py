@@ -18,8 +18,7 @@ free when off:
   silent unbounded growth; higher-priority arrivals evict the lowest
   class when full.
 * :mod:`repro.overload.deadline` — EWMA-tracked operation latency
-  feeding adaptive deadlines, plus deposit/withdraw retry budgets
-  layered on the existing :class:`~repro.util.backoff.BackoffPolicy`.
+  feeding adaptive deadlines, plus deposit/withdraw retry budgets.
 * :mod:`repro.overload.breaker` — per-link circuit breakers
   (closed / open / half-open) with deterministic, injected time.
 * :mod:`repro.overload.brownout` — a leader-side controller that,

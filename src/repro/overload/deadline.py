@@ -18,9 +18,9 @@ traffic has been retried, converting a thundering retry herd into a
 bounded, observable give-up.  A ``min_reserve`` floor keeps cold-start
 retries (first reconnect of a quiet client) possible.
 
-Both layer on — not replace — :class:`~repro.util.backoff.BackoffPolicy`:
-backoff decides *when* the next attempt happens; the budget decides
-*whether* it happens; the deadline decides *how long* it may run.
+Neither paces retries: the caller's backoff decides *when* the next
+attempt happens; the budget decides *whether* it happens; the deadline
+decides *how long* it may run.
 """
 
 from __future__ import annotations
