@@ -55,7 +55,6 @@ from repro.enclaves.itgm.member import MemberState
 from repro.enclaves.itgm.runtime import LeaderRuntime
 from repro.exceptions import ProtocolError, RecoveryFailed, StateError
 from repro.net.transport import Endpoint
-from repro.overload.deadline import RetryBudget
 from repro.telemetry.events import (
     EventBus,
     LeaderCrashed,
@@ -63,7 +62,6 @@ from repro.telemetry.events import (
     LeaderRestored,
     RecoveryGaveUp,
     RejoinCompleted,
-    RetryBudgetExhausted,
     WatchdogFired,
     resolve_bus,
 )
@@ -172,7 +170,6 @@ class ResilientMemberClient:
         config: SupervisorConfig | None = None,
         rng: RandomSource | None = None,
         telemetry: EventBus | None = None,
-        retry_budget: RetryBudget | None = None,
     ) -> None:
         if not manager_order:
             raise ValueError("manager_order must not be empty")
@@ -188,11 +185,6 @@ class ResilientMemberClient:
         self._jitter_rng = self._rng.fork("supervisor-jitter")
 
         self._telemetry = resolve_bus(telemetry)
-        #: Optional overload hardening (default off = seed behaviour):
-        #: a retry budget caps how many reconnect retries a
-        #: crash-restart storm may spend — without one the fixed
-        #: max_rounds budget is the only brake.
-        self._retry_budget = retry_budget
         self._endpoint = None          # real MemoryEndpoint
         self._shared: _SharedEndpoint | None = None
         self._clients: dict[str, MemberClient] = {}
@@ -331,11 +323,6 @@ class ResilientMemberClient:
         down_since = self._now()
         attempts_here = 0
         rotation = self._rotation()
-        if self._retry_budget is not None:
-            # One deposit per reconnect *episode* — the Finagle scheme
-            # the budget documents: only original requests deposit;
-            # the retries below must not replenish what they withdraw.
-            self._retry_budget.record_request()
         for _round in range(self.config.max_rounds):
             for manager_id in rotation:
                 self.attempts += 1
@@ -355,18 +342,6 @@ class ResilientMemberClient:
                             attempts_here + 1, downtime,
                         ))
                     return
-                if self._retry_budget is not None:
-                    if not self._retry_budget.can_retry():
-                        if self._telemetry:
-                            self._telemetry.emit(RetryBudgetExhausted(
-                                self.user_id, "reconnect",
-                                attempts_here + 1,
-                            ))
-                        raise RecoveryFailed(
-                            f"{self.user_id}: reconnect retry budget "
-                            f"exhausted after {attempts_here + 1} attempts"
-                        )
-                    self._retry_budget.record_retry()
                 await asyncio.sleep(self._backoff(attempts_here))
                 attempts_here += 1
         raise RecoveryFailed(

@@ -29,8 +29,7 @@ from repro.enclaves.itgm.member import MemberProtocol, MemberState
 from repro.exceptions import CodecError
 from repro.fabric.directory import GroupDirectory, RouteResult
 from repro.fabric.shard import parse_redirect
-from repro.overload.deadline import RetryBudget
-from repro.telemetry.events import EventBus, RetryBudgetExhausted
+from repro.telemetry.events import EventBus
 from repro.wire.labels import Label
 from repro.wire.message import Envelope, wrap_group
 
@@ -48,7 +47,6 @@ class FabricMember:
         rekey_grace: bool = True,
         telemetry: EventBus | None = None,
         protocol_factory=None,
-        retry_budget: RetryBudget | None = None,
     ) -> None:
         self.credentials = credentials
         self.user_id = credentials.user_id
@@ -66,16 +64,8 @@ class FabricMember:
         self.protocol = self._new_protocol()
         self.route: RouteResult | None = None
         self._pending_close: Envelope | None = None
-        #: Optional cap on redirect chasing.  During a migration storm
-        #: (or a malicious directory bouncing a member between shards)
-        #: each ``GROUP_REDIRECT`` costs a directory lookup plus a
-        #: retransmit or full re-join; the budget turns an unbounded
-        #: chase into a clean, observable stop.  None (default) = chase
-        #: forever, the seed behaviour.
-        self._retry_budget = retry_budget
         self.redirects = 0
         self.rejoins = 0
-        self.chases_dropped = 0
 
     def _new_protocol(self) -> MemberProtocol:
         # A fresh protocol per join epoch, on a forked rng stream, so a
@@ -131,8 +121,6 @@ class FabricMember:
         arrives.
         """
         self.refresh_route()
-        if self._retry_budget is not None:
-            self._retry_budget.record_request()
         out: list[Envelope] = []
         if self._pending_close is not None:
             out.append(self._wrap(self._pending_close))
@@ -211,8 +199,8 @@ class FabricMember:
         self, envelope: Envelope
     ) -> tuple[list[Envelope], list[Event]]:
         # GROUP_REDIRECT is plaintext anyone can send: one that does not
-        # parse, or names another group, is dropped before it can spend
-        # chase budget.
+        # parse, or names another group, is dropped before it can move
+        # the member.
         try:
             group_id, _ = parse_redirect(envelope)
         except CodecError:
@@ -224,19 +212,6 @@ class FabricMember:
             # A live session ends only on a move the directory confirms.
             return [], [Rejected("unconfirmed GROUP_REDIRECT",
                                  envelope.label)]
-        if self._retry_budget is not None:
-            if not self._retry_budget.can_retry():
-                # Out of chase budget: stop following this redirect.
-                # The join simply does not progress; the driver's
-                # timers surface that as a failed join instead of the
-                # member spinning through lookups forever.
-                self.chases_dropped += 1
-                if self._telemetry:
-                    self._telemetry.emit(RetryBudgetExhausted(
-                        self.user_id, "redirect-chase", self.redirects
-                    ))
-                return [], []
-            self._retry_budget.record_retry()
         # Re-consult the directory and resume or restart the join at
         # the group's new shard.
         self.refresh_route()

@@ -6,8 +6,8 @@ ones the reproduction survived.  A single compromised member flooding
 JOIN/APP frames could grow the leader's unbounded mailbox without
 bound and starve honest members: an insider availability attack
 squarely inside the §2.3 threat model.  This package closes that gap
-with four cooperating mechanisms, each independently useful and all
-free when off:
+with three cooperating mechanisms, plus the deadline and retry-budget
+arithmetic the data plane's retransmit timer runs on:
 
 * :mod:`repro.overload.admission` — priority classes for wire frames
   (control > heartbeat > join > app) and per-sender fair-share token
@@ -17,13 +17,13 @@ free when off:
   :class:`~repro.telemetry.events.QueueSaturated` telemetry instead of
   silent unbounded growth; higher-priority arrivals evict the lowest
   class when full.
-* :mod:`repro.overload.deadline` — EWMA-tracked operation latency
-  feeding adaptive deadlines, plus deposit/withdraw retry budgets.
-* :mod:`repro.overload.breaker` — per-link circuit breakers
-  (closed / open / half-open) with deterministic, injected time.
 * :mod:`repro.overload.brownout` — a leader-side controller that,
-  under sustained saturation, coalesces rekeys, defers rebalancing,
-  and sheds lowest-priority work, with recovery hysteresis.
+  under sustained saturation, coalesces rekeys and sheds
+  lowest-priority work, with recovery hysteresis.
+* :mod:`repro.overload.deadline` — EWMA-tracked operation latency
+  feeding adaptive deadlines, plus deposit/withdraw retry budgets
+  (:class:`~repro.dataplane.reliable.ReliableSender` runs both on every
+  retransmit).
 
 The seeded soak (:mod:`repro.overload.soak`, ``python -m repro
 overload soak``) runs a flooding insider plus a 10× join surge against
@@ -38,7 +38,6 @@ from repro.overload.admission import (
     TokenBucket,
     classify_frame,
 )
-from repro.overload.breaker import BreakerConfig, BreakerState, CircuitBreaker
 from repro.overload.brownout import BrownoutConfig, BrownoutController
 from repro.overload.deadline import (
     AdaptiveDeadline,
@@ -50,11 +49,8 @@ from repro.overload.mailbox import BoundedMailbox, MailboxConfig
 __all__ = [
     "AdaptiveDeadline",
     "BoundedMailbox",
-    "BreakerConfig",
-    "BreakerState",
     "BrownoutConfig",
     "BrownoutController",
-    "CircuitBreaker",
     "FairShareAdmission",
     "FairShareConfig",
     "LatencyTracker",

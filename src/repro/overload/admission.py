@@ -71,9 +71,7 @@ _JOIN_LABELS = frozenset({
 _DATA_CONTROL_LABELS = DATA_CONTROL_LABELS
 
 
-def classify_frame(
-    envelope: Envelope, *, heartbeat_sender: str | None = None
-) -> PriorityClass:
+def classify_frame(envelope: Envelope) -> PriorityClass:
     """The priority class of one wire frame.
 
     ``GROUP_WRAP`` fabric envelopes are classified by their *inner*
@@ -83,10 +81,9 @@ def classify_frame(
     too: :func:`~repro.wire.message.unwrap_group` keeps it on the frame.
 
     Liveness beacons are ordinary ``APP_DATA`` frames sealed by the
-    leader (see ``GroupLeader.heartbeat``), indistinguishable on the
-    wire from app traffic.  A caller that knows the leader's identity
-    passes it as ``heartbeat_sender`` and those frames classify as
-    HEARTBEAT — above joins, below control — instead of APP.
+    leader (see ``GroupLeader.heartbeat``); they flow leader → member
+    and never reach a leader's intake, so every ``APP_DATA`` frame an
+    intake sees is APP.
     """
     label = envelope.label
     if label is Label.GROUP_WRAP:
@@ -94,17 +91,13 @@ def classify_frame(
             _, inner = unwrap_group(envelope)
         except Exception:
             return PriorityClass.APP
-        return classify_frame(inner, heartbeat_sender=heartbeat_sender)
+        return classify_frame(inner)
     if label in _CONTROL_LABELS:
         return PriorityClass.CONTROL
     if label in _DATA_CONTROL_LABELS:
         return PriorityClass.HEARTBEAT
     if label in _JOIN_LABELS:
         return PriorityClass.JOIN
-    if (heartbeat_sender is not None
-            and label is Label.APP_DATA
-            and envelope.sender == heartbeat_sender):
-        return PriorityClass.HEARTBEAT
     return PriorityClass.APP
 
 

@@ -3,16 +3,13 @@
 A bounded mailbox keeps the leader *correct* at saturation; brownout
 keeps it *useful*.  When the saturation signal (mailbox occupancy
 fraction) stays above ``enter_threshold``, the controller drops into
-degraded mode and the leader's drivers consult three flags:
+degraded mode and the leader's driver consults it twice:
 
-* :attr:`BrownoutController.coalesce_rekeys` — membership-triggered
+* :meth:`BrownoutController.note_rekey_wanted` — membership-triggered
   rekeys batch into one rotation per ``rekey_interval`` instead of one
   per join/leave, trading key-freshness granularity for the O(members)
   fan-out cost of each rotation (the single most expensive control
   operation under a join surge).
-* :attr:`BrownoutController.defer_rebalance` — the fabric's rebalancer
-  proposals are parked; migrating groups *during* an overload spike
-  adds load exactly when there is none to spare.
 * :attr:`BrownoutController.shed_classes` — the priority classes the
   mailbox sheds at the door (APP under brownout), on top of fair-share
   admission.
@@ -21,8 +18,8 @@ Recovery has **hysteresis**: the controller exits only after the
 signal has stayed at or below ``exit_threshold`` for ``min_dwell``
 consecutive virtual seconds — a single drained tick must not flap the
 group back into full-cost mode while the flood is still running.
-Entry and exit are telemetry events carrying the coalescing evidence
-(how many rekeys were folded, how many rebalances parked).
+Entry and exit are telemetry events; exit carries the coalescing
+evidence (how many rekeys were folded).
 """
 
 from __future__ import annotations
@@ -77,7 +74,6 @@ class BrownoutController:
         self._last_rekey_flush = 0.0
         self.episodes = 0
         self.coalesced_rekeys = 0
-        self.deferred_rebalances = 0
         self._pending_rekey = False
 
     # -- the control loop ----------------------------------------------------
@@ -107,20 +103,10 @@ class BrownoutController:
             self._calm_since = None
             if self._telemetry:
                 self._telemetry.emit(BrownoutExited(
-                    self.node,
-                    self.coalesced_rekeys,
-                    self.deferred_rebalances,
+                    self.node, self.coalesced_rekeys
                 ))
 
     # -- what drivers consult -------------------------------------------------
-
-    @property
-    def coalesce_rekeys(self) -> bool:
-        return self.active
-
-    @property
-    def defer_rebalance(self) -> bool:
-        return self.active
 
     @property
     def shed_classes(self) -> frozenset[PriorityClass]:

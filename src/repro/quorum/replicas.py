@@ -53,7 +53,6 @@ from repro.quorum.attestation import (
     derive_attestation_key,
     member_set_digest,
 )
-from repro.overload.deadline import RetryBudget
 from repro.quorum.member import QuorumMemberProtocol, QuorumVerifier
 from repro.storage.journal import Journal
 from repro.storage.shipping import JournalFollower, JournalShipper
@@ -64,7 +63,6 @@ from repro.telemetry.events import (
     CertificateIssued,
     EventBus,
     ReplicaEvicted,
-    RetryBudgetExhausted,
     ViewChangeCompleted,
     ViewChangeStarted,
     resolve_bus,
@@ -282,7 +280,6 @@ class QuorumLeaderSet:
         telemetry: EventBus | None = None,
         disk: SimDisk | None = None,
         journal_path: str = "quorum/journal.log",
-        view_change_budget: RetryBudget | None = None,
     ) -> None:
         self.config = config if config is not None else QuorumConfig()
         self.directory = directory
@@ -302,15 +299,6 @@ class QuorumLeaderSet:
         self.primary_id = self.replica_ids[0]
         self.evicted: set[str] = set()
         self.view_changes = 0
-        #: Optional brake on *accusation-driven* view changes.  Every
-        #: eviction costs an O(members) rekey, so an insider feeding
-        #: the operator fabricated suspicion can turn the eviction path
-        #: itself into a flood.  Deposits accrue from certified
-        #: mutations (legitimate work earns eviction allowance);
-        #: evidence-backed view changes bypass the budget entirely — a
-        #: verified equivocation proof is irrefutable and the convicted
-        #: replica must never be left in place.
-        self._view_change_budget = view_change_budget
 
         self.disk = disk if disk is not None else SimDisk()
         self.leader = QuorumGroupLeader(
@@ -378,9 +366,6 @@ class QuorumLeaderSet:
         seq = self.journal.seq
         if self._cert_cache is not None and self._cert_cache[0] == seq:
             return self._cert_cache[1]
-        if self._view_change_budget is not None:
-            # Fresh certified work deposits view-change allowance.
-            self._view_change_budget.record_request()
         prof = self.leader._profiler
         tok = prof.begin("certify") if prof else None
         try:
@@ -482,20 +467,6 @@ class QuorumLeaderSet:
                     f"evidence convicts {evidence.accused!r}, "
                     f"not {accused!r}"
                 )
-        elif self._view_change_budget is not None:
-            # No cryptographic proof: this eviction spends budget.
-            if not self._view_change_budget.can_retry():
-                if self._telemetry:
-                    self._telemetry.emit(RetryBudgetExhausted(
-                        self.session_id, "view-change", self.view_changes
-                    ))
-                raise QuorumError(
-                    "view-change budget exhausted: refusing an "
-                    f"evidence-less eviction of {accused!r} — supply "
-                    "equivocation evidence or wait for certified work "
-                    "to replenish the budget"
-                )
-            self._view_change_budget.record_retry()
         if self._telemetry:
             self._telemetry.emit(ViewChangeStarted(
                 self.session_id, accused, reason

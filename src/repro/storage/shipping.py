@@ -27,7 +27,6 @@ from __future__ import annotations
 from repro.crypto.keys import KeyMaterial
 from repro.crypto.rng import RandomSource
 from repro.exceptions import RecoveryError
-from repro.overload.breaker import BreakerConfig, BreakerState, CircuitBreaker
 from repro.storage.journal import Journal
 from repro.storage.recovery import ReplayResult, replay_records
 from repro.telemetry.events import (
@@ -36,7 +35,6 @@ from repro.telemetry.events import (
     JournalShipped,
     StandbyPromoted,
 )
-from repro.util.clock import Clock
 
 
 class JournalFollower:
@@ -61,11 +59,6 @@ class JournalFollower:
         #: considers shipped, and :func:`promote` refuses it.
         self.applied_seq = -1
 
-    @property
-    def seq(self) -> int:
-        """The replica's applied head (kept for older callers)."""
-        return self.applied_seq
-
     def receive(self, record: bytes, seq: int, kind: str) -> None:
         """Ingest one framed, sealed journal record."""
         if seq > self.offered_seq:
@@ -78,16 +71,6 @@ class JournalFollower:
         else:
             self._tail.append(record)
         self.applied_seq = seq
-
-    def mark_missed(self, seq: int) -> None:
-        """The primary offered ``seq`` but the link dropped it (e.g. an
-        open circuit breaker).  Advancing only the offered head keeps
-        the replica *honest*: ``applied_seq`` now trails it, so
-        :func:`promote` refuses this follower until a catch-up snapshot
-        re-bases it — a silently stale standby can never be promoted
-        over members' live sessions."""
-        if seq > self.offered_seq:
-            self.offered_seq = seq
 
     @property
     def records(self) -> int:
@@ -119,28 +102,12 @@ class JournalShipper:
         journal: Journal,
         node: str | None = None,
         telemetry: EventBus | None = None,
-        *,
-        breaker_config: BreakerConfig | None = None,
-        clock: Clock | None = None,
     ) -> None:
         self.journal = journal
         self.node = node if node is not None else journal.node
         self._telemetry = telemetry
         self.followers: list[JournalFollower] = []
         self.shipped = 0
-        #: With a breaker config, each follower link gets its own
-        #: circuit breaker: a driver reports shipping failures via
-        #: :meth:`report_failure`; records ship only while the breaker
-        #: is CLOSED — otherwise they are *marked missed* (never
-        #: silently dropped — the follower becomes unpromotable) and
-        #: :meth:`catch_up` is the *only* half-open probe, because only
-        #: its re-basing snapshot heals the sequence gap the open
-        #: window left.  Without one (the default) shipping behaves
-        #: exactly as before.
-        self._breaker_config = breaker_config
-        self._breakers: dict[str, CircuitBreaker] = {}
-        self._clock = clock
-        self.skipped: dict[str, int] = {}
         journal.subscribe_records(self._on_record)
 
     def detach(self) -> None:
@@ -161,84 +128,8 @@ class JournalShipper:
             follower.receive(record, self.journal.seq, "snapshot")
             self._note_shipped(follower, self.journal.seq)
 
-    def _now(self) -> float:
-        return self._clock.now() if self._clock is not None else 0.0
-
-    def breaker(self, follower_name: str) -> CircuitBreaker | None:
-        """The (lazily created) breaker guarding one follower link."""
-        if self._breaker_config is None:
-            return None
-        breaker = self._breakers.get(follower_name)
-        if breaker is None:
-            breaker = CircuitBreaker(
-                self.node, follower_name, self._breaker_config,
-                telemetry=self._telemetry,
-            )
-            self._breakers[follower_name] = breaker
-        return breaker
-
-    def report_failure(self, follower_name: str) -> None:
-        """A driver observed the link to this standby fail (timeout,
-        reset).  Feeds the breaker; no-op without a breaker config."""
-        breaker = self.breaker(follower_name)
-        if breaker is not None:
-            breaker.record_failure(self._now())
-
-    def catch_up(self, follower: JournalFollower, leader) -> bool:
-        """Probe a tripped link: re-base the replica at the journal's
-        head with a fresh snapshot of the live ``leader``.
-
-        Returns False while the breaker refuses the probe (cool-down
-        not elapsed).  On success the replica is promotable again and
-        the breaker records the success (closing after enough probes).
-        """
-        breaker = self.breaker(follower.name)
-        now = self._now()
-        if breaker is not None and not breaker.allow(now):
-            return False
-        record = self.journal.make_snapshot_record(leader)
-        follower.receive(record, self.journal.seq, "snapshot")
-        self._note_shipped(follower, self.journal.seq)
-        if breaker is not None:
-            breaker.record_success(now)
-        return True
-
     def _on_record(self, record: bytes, seq: int, kind: str) -> None:
-        if self._breaker_config is None:
-            # The no-op default: fan the record out to every follower,
-            # unconditionally.
-            for follower in self.followers:
-                follower.receive(record, seq, kind)
-                self._note_shipped(follower, seq)
-            return
         for follower in self.followers:
-            breaker = self.breaker(follower.name)
-            # The regular ship path only flows through a CLOSED breaker
-            # — it never calls allow(), so it can neither consume the
-            # half-open probe slot nor promote OPEN to HALF_OPEN once
-            # the cool-down elapses.  catch_up() alone probes a tripped
-            # link, because only a re-basing snapshot can heal the gap
-            # the open window tore: shipping a *delta* to a replica
-            # whose applied head trails its offered head would set the
-            # two equal again and mask the very gap promote() refuses
-            # on, letting a record-dropping standby take over and roll
-            # members back.  The same guard covers a gapped replica
-            # behind a CLOSED breaker (e.g. deltas offered before any
-            # base): deltas stay missed until a snapshot re-bases it.
-            gapped = follower.applied_seq < follower.offered_seq
-            if breaker.state is not BreakerState.CLOSED or (
-                gapped and kind != "snapshot"
-            ):
-                follower.mark_missed(seq)
-                self.skipped[follower.name] = (
-                    self.skipped.get(follower.name, 0) + 1
-                )
-                if self._telemetry:
-                    self._telemetry.emit(FollowerLagged(
-                        self.node, follower.name,
-                        follower.applied_seq, follower.offered_seq,
-                    ))
-                continue
             follower.receive(record, seq, kind)
             self._note_shipped(follower, seq)
 

@@ -646,7 +646,7 @@ class ViewChangeCompleted(TelemetryEvent):
     epoch: int
 
 
-# overload (backpressure / admission / breakers / brownout) -------------------
+# overload (backpressure / admission / brownout) -----------------------------
 
 
 @register_event
@@ -722,37 +722,9 @@ class TransportError(TelemetryEvent):
 
 @register_event
 @dataclass(frozen=True, slots=True)
-class BreakerOpened(TelemetryEvent):
-    """A circuit breaker tripped open after consecutive link failures."""
-
-    node: str
-    link: str
-    failures: int
-
-
-@register_event
-@dataclass(frozen=True, slots=True)
-class BreakerHalfOpened(TelemetryEvent):
-    """An open breaker's cool-down elapsed; probes may now pass."""
-
-    node: str
-    link: str
-
-
-@register_event
-@dataclass(frozen=True, slots=True)
-class BreakerClosed(TelemetryEvent):
-    """A half-open breaker saw enough probe successes to close."""
-
-    node: str
-    link: str
-
-
-@register_event
-@dataclass(frozen=True, slots=True)
 class BrownoutEntered(TelemetryEvent):
     """Sustained saturation pushed the controller into degraded mode:
-    rekeys coalesce, rebalancing defers, lowest-priority work sheds."""
+    rekeys coalesce and lowest-priority work sheds."""
 
     node: str
     level: str
@@ -767,7 +739,6 @@ class BrownoutExited(TelemetryEvent):
 
     node: str
     coalesced_rekeys: int
-    deferred_rebalances: int
 
 
 @register_event

@@ -16,7 +16,6 @@ from repro.fabric.migration import migrate_group
 from repro.fabric.scale import FabricConfig, _MemberRuntime
 from repro.fabric.shard import ShardHost, redirect_envelope
 from repro.net import MemoryNetwork
-from repro.overload.deadline import RetryBudget
 from repro.storage.simdisk import SimDisk
 from repro.wire.labels import Label
 from repro.wire.message import Envelope, unwrap_group
@@ -206,25 +205,22 @@ class TestRedirectFromAnOutsider:
     @pytest.mark.parametrize("kind", FORGED)
     def test_forged_redirect_is_rejected_and_changes_nothing(self, kind):
         fx = Fixture()
-        budget = RetryBudget(min_reserve=2)
         fm = FabricMember(
             fx.users.register_password("carol", "pw-carol"), fx.group_id,
-            fx.fabric, rng=fx.rng.fork("carol"), retry_budget=budget,
+            fx.fabric, rng=fx.rng.fork("carol"),
         )
         wire(fx.net, "carol", fm)
         fx.net.post_all(fm.start_join())
         fx.net.run()
         assert fm.connected
-        before = (fm.state, fm.route, fm.redirects, fm.rejoins,
-                  budget.balance, budget.retries, fm.chases_dropped)
+        before = (fm.state, fm.route, fm.redirects, fm.rejoins)
 
         out, events = fm.handle(self.FORGED[kind])
 
         assert out == []
         assert [type(e) for e in events] == [Rejected]
         assert events[0].label is Label.GROUP_REDIRECT
-        assert before == (fm.state, fm.route, fm.redirects, fm.rejoins,
-                          budget.balance, budget.retries, fm.chases_dropped)
+        assert before == (fm.state, fm.route, fm.redirects, fm.rejoins)
 
     @pytest.mark.parametrize("kind", FORGED)
     def test_member_runtime_keeps_receiving_after_one(self, kind):

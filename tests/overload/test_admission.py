@@ -33,26 +33,10 @@ class TestClassifyFrame:
     def test_app_data_defaults_to_app(self):
         assert classify_frame(frame(Label.APP_DATA)) is PriorityClass.APP
 
-    def test_heartbeat_needs_the_sender_hint(self):
-        beacon = frame(Label.APP_DATA, sender="leader")
-        assert classify_frame(beacon) is PriorityClass.APP
-        assert (classify_frame(beacon, heartbeat_sender="leader")
-                is PriorityClass.HEARTBEAT)
-        # The hint never promotes another sender's app traffic.
-        assert (classify_frame(frame(Label.APP_DATA, sender="mallory"),
-                               heartbeat_sender="leader")
-                is PriorityClass.APP)
-
     def test_group_wrap_classified_by_inner(self):
         inner = frame(Label.AUTH_INIT_REQ)
         wrapped = wrap_group("g1", inner, "shard-0")
         assert classify_frame(wrapped) is PriorityClass.JOIN
-
-    def test_group_wrap_hint_reaches_inner(self):
-        inner = frame(Label.APP_DATA, sender="leader")
-        wrapped = wrap_group("g1", inner, "shard-0")
-        assert (classify_frame(wrapped, heartbeat_sender="leader")
-                is PriorityClass.HEARTBEAT)
 
     def test_malformed_wrap_is_app(self):
         bogus = Envelope(Label.GROUP_WRAP, "x", "y", b"\x00garbage")

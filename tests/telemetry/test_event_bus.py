@@ -1,5 +1,8 @@
 """Tests for the event bus and the event taxonomy."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.telemetry.events import (
@@ -159,3 +162,13 @@ class TestTaxonomy:
         for name, cls in EVENT_TYPES.items():
             assert is_dataclass(cls), name
             assert cls.__name__ == name
+
+    def test_every_type_is_in_the_documented_taxonomy(self):
+        doc = (Path(__file__).resolve().parents[2] / "docs"
+               / "observability.md").read_text(encoding="utf-8")
+        section = doc.split("## The event taxonomy", 1)[1]
+        rows = [line for line in section.split("\n\n", 2)[1].splitlines()
+                if line.startswith("|")]
+        documented = {name for row in rows
+                      for name in re.findall(r"`(\w+)`", row)}
+        assert sorted(set(EVENT_TYPES) - documented) == []
