@@ -20,6 +20,7 @@ from repro.chaos.loop import LoopClock, run_virtual
 from repro.crypto.rng import DeterministicRandom
 from repro.enclaves.common import UserDirectory
 from repro.enclaves.itgm import (
+    Follower,
     LeaderOrchestrator,
     ResilientMemberClient,
     SupervisorConfig,
@@ -60,13 +61,17 @@ async def _scenario(fault, seed=3):
     await orchestrator.start()
     members = {
         uid: ResilientMemberClient(
-            {m: creds[uid] for m in MANAGERS}, MANAGERS, net,
-            config=SUPERVISION, rng=rng.fork(uid),
+            {
+                m: Follower(creds[uid], m,
+                            rng=rng.fork(uid).fork(f"toward-{m}"))
+                for m in MANAGERS
+            },
+            net, config=SUPERVISION, rng=rng.fork(uid),
         )
         for uid in MEMBERS
     }
     for supervisor in members.values():
-        await supervisor.start()
+        await supervisor.join()
     await asyncio.sleep(0.5)
     assert all(s.connected for s in members.values())
 

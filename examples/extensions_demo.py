@@ -22,7 +22,11 @@ from repro.chaos.loop import LoopClock, run_virtual
 from repro.crypto.rng import DeterministicRandom
 from repro.enclaves.common import AppMessage, UserDirectory
 from repro.enclaves.harness import SyncNetwork, wire
-from repro.enclaves.itgm import LeaderOrchestrator, ResilientMemberClient
+from repro.enclaves.itgm import (
+    Follower,
+    LeaderOrchestrator,
+    ResilientMemberClient,
+)
 from repro.enclaves.itgm.leader import GroupLeader
 from repro.enclaves.itgm.member import MemberProtocol
 from repro.enclaves.pubkey import PublicKeyInfrastructure
@@ -73,9 +77,13 @@ async def failover_drill(seed: int) -> None:
         creds = directory.register_password(uid, f"pw-{uid}")
         # Password provisioning: same credentials toward every manager.
         members[uid] = ResilientMemberClient(
-            {m: creds for m in MANAGERS}, MANAGERS, net, rng=rng.fork(uid)
+            {
+                m: Follower(creds, m, rng=rng.fork(uid).fork(f"toward-{m}"))
+                for m in MANAGERS
+            },
+            net, rng=rng.fork(uid),
         )
-        await members[uid].start()
+        await members[uid].join()
     await asyncio.sleep(1.0)
     print(f"before: primary={orchestrator.current_id}, "
           f"members={orchestrator.current_leader.members}")

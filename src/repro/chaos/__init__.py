@@ -1,11 +1,12 @@
 """Deterministic chaos engineering for the protocol stacks.
 
 * :mod:`repro.chaos.loop` — a virtual-time asyncio event loop: the
-  unmodified asyncio runtimes (:class:`MemberClient`,
-  :class:`LeaderRuntime`, the supervisor) run deterministically, and
-  hundreds of simulated seconds complete in milliseconds.
-* :mod:`repro.chaos.soak` — seeded soak scenarios driving N members +
-  leaders through a :class:`~repro.net.faults.FaultPlan` while
+  unmodified asyncio runtimes (:class:`ResilientMemberClient`,
+  :class:`LeaderRuntime`) run deterministically, and hundreds of
+  simulated seconds complete in milliseconds.
+* :mod:`repro.chaos.soak` — seeded soak scenarios driving N
+  self-healing members (one follower per standby manager) + leaders
+  through a :class:`~repro.net.faults.FaultPlan` while
   continuously asserting the paper's safety invariants, plus the
   recovery matrix (crash × partition × loss × legacy-vs-improved).
 """

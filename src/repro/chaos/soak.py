@@ -32,6 +32,7 @@ from repro.chaos.loop import LoopClock, run_virtual
 from repro.crypto.rng import DeterministicRandom
 from repro.enclaves.common import RekeyPolicy, UserDirectory
 from repro.enclaves.itgm.leader import LeaderConfig
+from repro.enclaves.itgm.member import Follower
 from repro.enclaves.itgm.runtime import LeaderRuntime
 from repro.enclaves.itgm.supervisor import (
     LeaderOrchestrator,
@@ -289,8 +290,14 @@ async def _soak_itgm(
 
     members = {
         uid: ResilientMemberClient(
-            {m: creds[uid] for m in manager_ids},
-            manager_ids, net,
+            {
+                m: Follower(
+                    creds[uid], m, rng=rng.fork(uid).fork(f"toward-{m}"),
+                    telemetry=telemetry,
+                )
+                for m in manager_ids
+            },
+            net,
             config=config.supervisor,
             rng=rng.fork(uid),
             telemetry=telemetry,
@@ -298,18 +305,16 @@ async def _soak_itgm(
         for uid in member_ids
     }
     for supervisor in members.values():
-        await supervisor.start()
+        await supervisor.join()
 
     def sample_safety() -> None:
         for uid, supervisor in members.items():
-            client = supervisor.client
-            if client is None or supervisor.active is None:
-                continue
             leader = orchestrator.managers.managers[supervisor.active]
             violations.extend(
                 f"{uid}<-{supervisor.active}: {violation}"
                 for violation in session_violations(
-                    client.protocol.admin_log, leader.admin_send_log(uid)
+                    supervisor.follower.protocol.admin_log,
+                    leader.admin_send_log(uid),
                 )
             )
 
@@ -388,7 +393,6 @@ async def _soak_itgm(
         except asyncio.CancelledError:
             pass
     for supervisor in members.values():
-        supervisor._drain_active()
         if supervisor.gave_up:
             notes.append(f"{supervisor.user_id}: recovery exhausted")
         await supervisor.stop()

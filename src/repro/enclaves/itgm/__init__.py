@@ -6,7 +6,8 @@ This package is the paper's primary contribution, realized as:
   (the ``X`` field of AdminMsg): new group key, member joined/left,
   membership view.
 * :mod:`~repro.enclaves.itgm.member` — the user state machine of Figure 2
-  (NotConnected / WaitingForKey / Connected) as a sans-IO protocol core.
+  (NotConnected / WaitingForKey / Connected) as a sans-IO protocol core,
+  and the rejoin discipline that follows one leader across sessions.
 * :mod:`~repro.enclaves.itgm.leader_session` — the leader's per-user
   state machine of Figure 3 (NotConnected / WaitingForKeyAck /
   Connected / WaitingForAck).
@@ -36,14 +37,11 @@ from repro.enclaves.itgm.client import MemberClient
 from repro.enclaves.itgm.failover import ManagerSet
 from repro.enclaves.itgm.leader import GroupLeader, LeaderConfig
 from repro.enclaves.itgm.leader_session import LeaderSession, LeaderState
-from repro.enclaves.itgm.member import MemberProtocol, MemberState
+from repro.enclaves.itgm.member import Follower, MemberProtocol, MemberState
 from repro.enclaves.itgm.persistence import restore_leader, snapshot_leader
 from repro.enclaves.itgm.runtime import LeaderRuntime
 from repro.enclaves.itgm.supervisor import (
     LeaderOrchestrator,
-    LeaderSuspected,
-    RecoveryExhausted,
-    RejoinedGroup,
     ResilientMemberClient,
     SupervisorConfig,
 )
@@ -57,6 +55,7 @@ __all__ = [
     "TextPayload",
     "MemberProtocol",
     "MemberState",
+    "Follower",
     "LeaderSession",
     "LeaderState",
     "GroupLeader",
@@ -67,9 +66,6 @@ __all__ = [
     "ResilientMemberClient",
     "SupervisorConfig",
     "LeaderOrchestrator",
-    "LeaderSuspected",
-    "RejoinedGroup",
-    "RecoveryExhausted",
     "snapshot_leader",
     "restore_leader",
 ]

@@ -536,3 +536,127 @@ class MemberProtocol:
         if self._group_key is None:
             return None
         return self._group_key.fingerprint()
+
+
+class Follower:
+    """Sans-IO rejoin discipline: one user following one leader across
+    sessions.
+
+    Figure 3 lets a leader accept ``AuthInitReq`` only from
+    NotConnected, so a member that outlives its session has two duties:
+
+    * **Close the stale session with a cached ``ReqClose``.**  Leaving
+      (or abandoning a session the member believes dead) resets the
+      protocol at once, so the member can never seal that close again.
+      The sealed frame is cached and resent ahead of every join frame
+      and every retransmission until a join lands; a leader that
+      already processed it, or never had the session, rejects the copy
+      harmlessly.
+    * **Resume a half-open join, never abandon it.**  A leader in
+      WaitingForKeyAck answers only that handshake, so the
+      ``AuthInitReq`` is retransmitted byte-identically until it is
+      answered — a replay to a leader that saw it, message 1 to one
+      that did not.
+
+    An abandoned session is replaced by a fresh protocol on a forked
+    stream, so a rejoin never reuses a nonce.  ``protocol_factory``
+    (``(credentials, leader_id, rng, rekey_grace, telemetry) ->
+    MemberProtocol``, called positionally) lets protocol variants — the
+    quorum member, a data-plane adapter — follow unchanged.  Subclasses
+    put routing on the wire through :meth:`_wrap`.
+    """
+
+    def __init__(
+        self,
+        credentials: Credentials,
+        leader_id: str,
+        *,
+        rng: RandomSource | None = None,
+        rekey_grace: bool = True,
+        telemetry: EventBus | None = None,
+        protocol_factory=None,
+    ) -> None:
+        self.credentials = credentials
+        self.user_id = credentials.user_id
+        self.leader_id = leader_id
+        self._rng = rng if rng is not None else SystemRandom()
+        self._rekey_grace = rekey_grace
+        self._telemetry = telemetry
+        self._protocol_factory = protocol_factory
+        self._epoch = 0
+        self.protocol = self._new_protocol()
+        self._pending_close: Envelope | None = None
+        self.rejoins = 0
+
+    def _new_protocol(self) -> MemberProtocol:
+        rng = self._rng.fork(f"{self.user_id}-epoch-{self._epoch}")
+        if self._protocol_factory is not None:
+            return self._protocol_factory(
+                self.credentials, self.leader_id, rng,
+                self._rekey_grace, self._telemetry,
+            )
+        return MemberProtocol(
+            self.credentials, self.leader_id, rng=rng,
+            rekey_grace=self._rekey_grace, telemetry=self._telemetry,
+        )
+
+    def _wrap(self, inner: Envelope) -> Envelope:
+        """The frame as it goes on the wire (unchanged here)."""
+        return inner
+
+    def _with_close(self, frame: Envelope) -> list[Envelope]:
+        # The close goes first: it must clear a live leader's stale
+        # session before the handshake frame arrives.
+        frames = [frame] if self._pending_close is None else [
+            self._pending_close, frame,
+        ]
+        return [self._wrap(f) for f in frames]
+
+    @property
+    def state(self) -> MemberState:
+        return self.protocol.state
+
+    @property
+    def connected(self) -> bool:
+        return self.protocol.state is MemberState.CONNECTED
+
+    @property
+    def keyed(self) -> bool:
+        """Connected and holding the group key: the join has landed."""
+        return self.connected and self.protocol.has_group_key
+
+    def start_join(self) -> list[Envelope]:
+        """The pending close, if any, then a fresh ``AuthInitReq``."""
+        return self._with_close(self.protocol.start_join())
+
+    def retransmit_last(self) -> list[Envelope]:
+        """A half-open join's frames again, byte-identical, with the
+        pending close ahead of them; nothing outside WaitingForKey."""
+        frame = self.protocol.retransmit_last()
+        return [] if frame is None else self._with_close(frame)
+
+    def start_leave(self) -> Envelope:
+        """Close the session, caching the sealed ``ReqClose``: if this
+        one frame is lost the leader keeps the session, and only the
+        cached copy can still end it."""
+        self._pending_close = self.protocol.start_leave()
+        return self._wrap(self._pending_close)
+
+    def seal_app(self, payload: bytes) -> Envelope:
+        return self._wrap(self.protocol.seal_app(payload))
+
+    def reset_for_rejoin(self) -> None:
+        """Abandon the session (believed gone or desynced) for a fresh
+        protocol; a connected one's close is sealed and cached first."""
+        if self.protocol.state is MemberState.CONNECTED:
+            self._pending_close = self.protocol.start_leave()
+        self._epoch += 1
+        self.rejoins += 1
+        self.protocol = self._new_protocol()
+
+    def handle(self, envelope: Envelope) -> tuple[list[Envelope], list[Event]]:
+        out, events = self.protocol.handle(envelope)
+        if any(isinstance(e, Joined) for e in events):
+            # The join landed: any stale session it superseded is gone.
+            self._pending_close = None
+        return [self._wrap(frame) for frame in out], events

@@ -2,11 +2,15 @@
 
 The improved protocol denies *silently* (§2.3 fix), so a member cannot
 distinguish a dead leader from one that is ignoring it: liveness
-detection must be timer-driven.  :class:`ResilientMemberClient` wraps
-:class:`~repro.enclaves.itgm.client.MemberClient` with exactly that — a
-watchdog fed by *authenticated* traffic (leader heartbeats, admin
-messages, relayed app data), exponential backoff + jitter on
-rejoin, and automatic failover across an ordered manager list.
+detection must be timer-driven.  :class:`ResilientMemberClient` is the
+one asyncio shell around the sans-IO rejoin discipline,
+:class:`~repro.enclaves.itgm.member.Follower`: one endpoint, one
+receive loop, one follower per leader it may follow, and a watchdog fed
+by *authenticated* traffic (leader heartbeats, admin messages, relayed
+app data), with exponential backoff + jitter on rejoin and failover
+across the followers in order.  The chaos soak drives it over standby
+managers, the fabric soak over one
+:class:`~repro.fabric.member.FabricMember` per member.
 
 :class:`LeaderOrchestrator` is the other half: it runs the current
 manager as a :class:`~repro.enclaves.itgm.runtime.LeaderRuntime`, can
@@ -21,40 +25,36 @@ Design notes:
   live leader.
 * A leader never accepts a fresh ``AuthInitReq`` while it holds an
   active session for the user, so rejoining a *live* leader (partition
-  heal, spurious suspicion) requires closing the stale session first.
-  The supervisor caches the sealed ReqClose per manager and resends it
-  before each join attempt — byte-identical resends are always safe.
-* A half-open join (leader in WaitingForKeyAck) is *resumed*, not
-  abandoned: the per-manager protocol object is kept, and its
-  AuthInitReq retransmitted, because the leader will only ever answer
-  that handshake until it completes.
-* Recovery is terminal: after ``max_rounds`` passes over the manager
-  list, :class:`~repro.exceptions.RecoveryFailed` surfaces as a
-  :class:`RecoveryExhausted` event and :attr:`gave_up` — a clean error,
-  not a hang.
+  heal, spurious suspicion) closes the stale session first: the
+  follower's cached ``ReqClose`` rides ahead of every join frame and
+  every retransmission until a join lands.
+* A half-open join is *resumed*, never abandoned: each leader's
+  follower keeps its protocol across attempts, and a leave that arrives
+  mid-handshake waits for the join to land.
+* Recovery is terminal: after ``max_rounds`` passes over the followers,
+  :class:`~repro.exceptions.RecoveryFailed` surfaces as a
+  :class:`~repro.telemetry.events.RecoveryGaveUp` event and
+  :attr:`ResilientMemberClient.gave_up` — a clean error, not a hang.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.crypto.keys import KEY_LEN, KeyMaterial
 from repro.crypto.rng import RandomSource, SystemRandom
 from repro.enclaves.common import (
-    Credentials,
     Denied,
     Event,
     Rejected,
     UserDirectory,
 )
-from repro.enclaves.itgm.client import MemberClient
 from repro.enclaves.itgm.failover import ManagerSet
 from repro.enclaves.itgm.leader import GroupLeader, LeaderConfig
-from repro.enclaves.itgm.member import MemberState
+from repro.enclaves.itgm.member import Follower, MemberState
 from repro.enclaves.itgm.runtime import LeaderRuntime
-from repro.exceptions import ProtocolError, RecoveryFailed, StateError
-from repro.net.transport import Endpoint
+from repro.exceptions import ConnectionClosed, RecoveryFailed, StateError
 from repro.telemetry.events import (
     EventBus,
     LeaderCrashed,
@@ -69,33 +69,6 @@ from repro.util.clock import Clock
 from repro.wire.message import Envelope
 
 
-# -- supervisor events -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LeaderSuspected(Event):
-    """The watchdog saw no authenticated traffic for too long."""
-
-    leader_id: str
-    silence: float
-
-
-@dataclass(frozen=True)
-class RejoinedGroup(Event):
-    """Recovery succeeded: connected and keyed at ``leader_id``."""
-
-    leader_id: str
-    attempts: int
-    downtime: float
-
-
-@dataclass(frozen=True)
-class RecoveryExhausted(Event):
-    """Every rejoin avenue failed; the supervisor gave up."""
-
-    attempts: int
-
-
 @dataclass
 class SupervisorConfig:
     """Timers and budgets for the self-healing member."""
@@ -104,16 +77,16 @@ class SupervisorConfig:
     liveness_timeout: float = 2.5
     #: Watchdog poll interval.
     check_interval: float = 0.25
-    #: Budget for one join attempt against one manager.
+    #: Budget for one join attempt against one leader.
     join_timeout: float = 1.0
-    #: AuthInitReq retransmission interval while joining.
+    #: Retransmission interval of a half-open join (close included).
     retransmit_interval: float = 0.25
     #: Exponential backoff between failed attempts (doubling, capped).
     backoff_base: float = 0.25
     backoff_max: float = 2.0
     #: Jitter fraction: each backoff is scaled by 1 ± jitter/2.
     jitter: float = 0.5
-    #: Full passes over the manager list before giving up.
+    #: Full passes over the followers before giving up.
     max_rounds: int = 8
 
     def __post_init__(self) -> None:
@@ -125,79 +98,59 @@ class SupervisorConfig:
             raise ValueError("jitter must be in [0, 1]")
 
 
-class _SharedEndpoint(Endpoint):
-    """An endpoint wrapper whose close() is a no-op.
-
-    The supervisor keeps one real network endpoint for the member's
-    whole life but cycles through per-manager :class:`MemberClient`
-    instances; each client's ``stop()`` closes its endpoint, which must
-    not tear down the shared address.
-    """
-
-    def __init__(self, inner: Endpoint) -> None:
-        self._inner = inner
-
-    @property
-    def address(self) -> str:
-        return self._inner.address
-
-    async def send(self, envelope: Envelope) -> None:
-        await self._inner.send(envelope)
-
-    async def recv(self) -> Envelope:
-        return await self._inner.recv()
-
-    async def close(self) -> None:
-        pass  # the supervisor owns the real endpoint's lifetime
-
-
 class ResilientMemberClient:
     """A member that detects leader death and heals itself.
 
-    One :class:`MemberClient` per manager is kept for the supervisor's
-    lifetime (the sans-IO protocol core supports multiple sessions), all
-    sharing one network endpoint; exactly one client's receive loop runs
-    at a time.  ``credentials_for`` maps manager id -> this user's
-    credentials toward that manager (identical entries under password
-    provisioning, per-manager under DH).
+    ``followers`` maps each leader this member may follow to its
+    :class:`Follower`, in failover order.  Every follower keeps its
+    session state for the client's lifetime; inbound frames go to the
+    one currently followed (:attr:`active`).  :meth:`join` and
+    :meth:`leave` set the member's intent; the supervision task does
+    the rest.
     """
 
     def __init__(
         self,
-        credentials_for: dict[str, Credentials],
-        manager_order: list[str],
+        followers: dict[str, Follower],
         network,
         config: SupervisorConfig | None = None,
         rng: RandomSource | None = None,
         telemetry: EventBus | None = None,
     ) -> None:
-        if not manager_order:
-            raise ValueError("manager_order must not be empty")
-        for manager_id in manager_order:
-            if manager_id not in credentials_for:
-                raise ValueError(f"no credentials for manager {manager_id!r}")
-        self._credentials_for = credentials_for
-        self.manager_order = list(manager_order)
+        if not followers:
+            raise ValueError("need a follower for at least one leader")
+        for leader_id, follower in followers.items():
+            if follower.leader_id != leader_id:
+                raise ValueError(
+                    f"the follower filed under {leader_id!r} follows "
+                    f"{follower.leader_id!r}"
+                )
+        self.followers = dict(followers)
         self._network = network
-        self.user_id = next(iter(credentials_for.values())).user_id
+        self.user_id = next(iter(followers.values())).user_id
         self.config = config if config is not None else SupervisorConfig()
-        self._rng = rng if rng is not None else SystemRandom()
-        self._jitter_rng = self._rng.fork("supervisor-jitter")
+        self._jitter_rng = (
+            rng if rng is not None else SystemRandom()
+        ).fork("supervisor-jitter")
 
         self._telemetry = resolve_bus(telemetry)
-        self._endpoint = None          # real MemoryEndpoint
-        self._shared: _SharedEndpoint | None = None
-        self._clients: dict[str, MemberClient] = {}
-        self._pending_close: dict[str, Envelope] = {}
-        self.active: str | None = None
-        self._task: asyncio.Task | None = None
+        self._endpoint = None
+        self._tasks: list[asyncio.Task] = []
+        #: The leader followed now (or being joined).
+        self.active = next(iter(followers))
+        #: Whether the member wants to be in the group.
+        self.desired = False
+        self._leave_after_join = False
+        #: Set when the active follower becomes keyed and when the
+        #: intent changes; what an attempt or an idle tick awaits.
+        self._wake = asyncio.Event()
         self._last_alive = 0.0
         self.gave_up = False
         #: Why the most recent join attempt failed (for the terminal
         #: RecoveryGaveUp event and operator forensics).
         self.last_error = ""
 
-        #: Supervisor + forwarded protocol events, in order.
+        #: Every protocol event of the followed sessions, in order.
         self.events: asyncio.Queue[Event] = asyncio.Queue()
         # Recovery observability.
         self.suspicions = 0
@@ -208,106 +161,145 @@ class ResilientMemberClient:
     # -- lifecycle ---------------------------------------------------------
 
     @property
-    def client(self) -> MemberClient | None:
-        """The client bound to the manager we currently follow."""
-        return self._clients.get(self.active) if self.active else None
+    def follower(self) -> Follower:
+        """The follower of the leader we currently follow."""
+        return self.followers[self.active]
 
     @property
     def connected(self) -> bool:
-        c = self.client
-        return (
-            c is not None
-            and c.protocol.state is MemberState.CONNECTED
-            and c.protocol.has_group_key
-        )
+        return self.follower.keyed
 
     @property
     def group_key_fingerprint(self) -> str | None:
-        c = self.client
-        return c.protocol.group_key_fingerprint if c else None
+        return self.follower.protocol.group_key_fingerprint
 
     async def start(self) -> None:
-        """Attach the endpoint and start the supervision task."""
-        if self._task is not None:
+        """Attach the endpoint and start the receive and supervision
+        tasks; the member joins once :meth:`join` asks it to."""
+        if self._tasks:
             return
         self._endpoint = await self._network.attach(self.user_id)
-        self._shared = _SharedEndpoint(self._endpoint)
-        self._last_alive = self._now()
-        self._task = asyncio.get_running_loop().create_task(self._run())
+        loop = asyncio.get_running_loop()
+        self._tasks = [
+            loop.create_task(self._recv_loop()),
+            loop.create_task(self._run()),
+        ]
+
+    async def join(self) -> None:
+        """Want to be in the group: the handshake starts at once."""
+        await self.start()
+        self._leave_after_join = False
+        if not self.desired:
+            self.desired = True
+            self._wake.set()
+
+    async def leave(self) -> None:
+        """Want to be out of the group.  A half-open join finishes (is
+        keyed) first — abandoning it would strand the leader's session."""
+        if self.follower.keyed:
+            self.desired = False
+            await self._send([self.follower.start_leave()])
+        elif self.desired and self.follower.state is not (
+            MemberState.NOT_CONNECTED
+        ):
+            self._leave_after_join = True
+        else:
+            self.desired = False
 
     async def stop(self) -> None:
-        """Stop supervision, all client loops, and release the address."""
-        if self._task is not None:
-            self._task.cancel()
+        """Stop both tasks and release the address."""
+        for task in self._tasks:
+            task.cancel()
+        for task in self._tasks:
             try:
-                await self._task
+                await task
             except asyncio.CancelledError:
                 pass
-            self._task = None
-        for client in self._clients.values():
-            await client.stop()
+        self._tasks = []
         if self._endpoint is not None:
             await self._endpoint.close()
             self._endpoint = None
 
     async def wait_done(self) -> None:
         """Wait until the supervision task exits (only on give-up)."""
-        if self._task is not None:
-            await asyncio.shield(self._task)
+        if self._tasks:
+            await asyncio.shield(self._tasks[1])
 
-    # -- supervision loop ---------------------------------------------------
+    # -- the two tasks -----------------------------------------------------
 
     def _now(self) -> float:
         return asyncio.get_running_loop().time()
 
+    async def _send(self, frames: list[Envelope]) -> None:
+        for frame in frames:
+            await self._endpoint.send(frame)
+
+    async def _recv_loop(self) -> None:
+        """Feed every inbound frame to the active follower; events that
+        took a key to produce (never Rejected/Denied) feed the watchdog."""
+        try:
+            while True:
+                envelope = await self._endpoint.recv()
+                follower = self.follower
+                was_keyed = follower.keyed
+                out, events = follower.handle(envelope)
+                await self._send(out)
+                for event in events:
+                    if not isinstance(event, (Rejected, Denied)):
+                        self._last_alive = self._now()
+                    self.events.put_nowait(event)
+                if follower.keyed and not was_keyed:
+                    self._wake.set()
+                    if self._leave_after_join:
+                        # Keyed, so the leader has our AuthAckKey: only
+                        # now does it accept the close.
+                        self._leave_after_join = False
+                        await self.leave()
+        except (ConnectionClosed, asyncio.CancelledError):
+            pass
+
+    async def _sleep(self, timeout: float) -> None:
+        """Sleep up to ``timeout``, or until woken (cleared first: the
+        callers check what they wait for just before)."""
+        self._wake.clear()
+        try:
+            await asyncio.wait_for(self._wake.wait(), timeout)
+        except asyncio.TimeoutError:
+            pass
+
     async def _run(self) -> None:
         try:
-            await self._reconnect()
             while True:
-                await asyncio.sleep(self.config.check_interval)
-                self._drain_active()
                 silence = self._now() - self._last_alive
-                if silence >= self.config.liveness_timeout:
+                if not self.desired:
+                    await self._sleep(self.config.check_interval)
+                elif not self.follower.connected:
+                    await self._reconnect()
+                elif silence >= self.config.liveness_timeout:
                     self.suspicions += 1
-                    assert self.active is not None
-                    self.events.put_nowait(
-                        LeaderSuspected(self.active, silence)
-                    )
                     if self._telemetry:
                         self._telemetry.emit(WatchdogFired(
                             self.user_id, self.active, silence
                         ))
                     await self._reconnect()
+                else:
+                    await self._sleep(self.config.check_interval)
         except RecoveryFailed as exc:
             self.gave_up = True
             if not self.last_error:
                 self.last_error = str(exc)
-            self.events.put_nowait(RecoveryExhausted(self.attempts))
             if self._telemetry:
                 self._telemetry.emit(RecoveryGaveUp(
                     self.user_id, self.attempts, self.last_error
                 ))
 
-    def _drain_active(self) -> None:
-        """Forward the active client's events; authenticated ones feed
-        the watchdog (Rejected/Denied never do — junk is not liveness)."""
-        client = self.client
-        if client is None:
-            return
-        while not client.events.empty():
-            event = client.events.get_nowait()
-            if not isinstance(event, (Rejected, Denied)):
-                self._last_alive = self._now()
-            self.events.put_nowait(event)
-
     # -- recovery -----------------------------------------------------------
 
     def _rotation(self) -> list[str]:
-        """Manager order starting from the one we currently follow."""
-        if self.active is None or self.active not in self.manager_order:
-            return list(self.manager_order)
-        i = self.manager_order.index(self.active)
-        return self.manager_order[i:] + self.manager_order[:i]
+        """Leader order starting from the one we currently follow."""
+        order = list(self.followers)
+        i = order.index(self.active)
+        return order[i:] + order[:i]
 
     def _backoff(self, attempt: int) -> float:
         """``min(max, base * 2**attempt)`` scaled by ``1 + jitter*(u - 0.5)``
@@ -319,129 +311,76 @@ class ResilientMemberClient:
         return delay * (1.0 + cfg.jitter * (self._jitter_rng.uniform() - 0.5))
 
     async def _reconnect(self) -> None:
-        """Cycle managers with backoff until joined; terminal on budget."""
+        """Cycle leaders with backoff until joined (or no longer
+        wanted); terminal on budget."""
         down_since = self._now()
         attempts_here = 0
         rotation = self._rotation()
         for _round in range(self.config.max_rounds):
-            for manager_id in rotation:
+            for leader_id in rotation:
                 self.attempts += 1
-                if await self._attempt(manager_id):
+                if await self._attempt(leader_id):
                     now = self._now()
                     downtime = now - down_since
                     self.rejoins += 1
                     self.rejoin_latencies.append(downtime)
-                    self.active = manager_id
                     self._last_alive = now
-                    self.events.put_nowait(
-                        RejoinedGroup(manager_id, attempts_here + 1, downtime)
-                    )
                     if self._telemetry:
                         self._telemetry.emit(RejoinCompleted(
-                            self.user_id, manager_id,
+                            self.user_id, leader_id,
                             attempts_here + 1, downtime,
                         ))
                     return
+                if not self.desired:
+                    return
                 await asyncio.sleep(self._backoff(attempts_here))
                 attempts_here += 1
+                if not self.desired:
+                    return
         raise RecoveryFailed(
-            f"{self.user_id}: no manager reachable after "
+            f"{self.user_id}: no leader reachable after "
             f"{self.config.max_rounds} rounds over {rotation}"
         )
 
-    def _client_for(self, manager_id: str) -> MemberClient:
-        client = self._clients.get(manager_id)
-        if client is None:
-            assert self._shared is not None
-            client = MemberClient(
-                self._credentials_for[manager_id],
-                manager_id,
-                self._shared,
-                rng=self._rng.fork(f"toward-{manager_id}"),
-                telemetry=self._telemetry,
-            )
-            self._clients[manager_id] = client
-        return client
+    async def _attempt(self, leader_id: str) -> bool:
+        """One join attempt against one leader; True once keyed.
 
-    async def _attempt(self, manager_id: str) -> bool:
-        """One join attempt against one manager; True on success."""
-        cfg = self.config
-        # Only one receive loop at a time: park the previous client.
-        if self.active is not None and self.active != manager_id:
-            await self._clients[self.active].stop()
-        client = self._client_for(manager_id)
-        protocol = client.protocol
-        if protocol.state is MemberState.CONNECTED:
-            # Stale session (the leader went silent on us).  Close it
-            # locally and tell the leader — a live leader refuses a
-            # fresh AuthInitReq while this session is open.
-            self._pending_close[manager_id] = protocol.start_leave()
-        client.start()
-        if protocol.state is MemberState.WAITING_FOR_KEY:
-            # Resume the half-open handshake instead of starting a new
-            # one the leader would reject.
-            return await self._resume_join(manager_id, client)
-        assert self._shared is not None
-        close_frame = self._pending_close.get(manager_id)
-        if close_frame is not None:
-            await self._shared.send(close_frame)
-        try:
-            await client.join(
-                timeout=cfg.join_timeout,
-                retransmit_interval=cfg.retransmit_interval,
-            )
-        except ProtocolError as exc:
-            self.last_error = f"join {manager_id} failed: {exc}"
-            return False
-        self._pending_close.pop(manager_id, None)
-        self.active = manager_id
-        return True
-
-    async def _resume_join(
-        self, manager_id: str, client: MemberClient
-    ) -> bool:
-        """Drive a half-open join to completion by retransmission.
-
-        If a close for this manager's *previous* session is still
-        pending (it may have been lost along with our AuthInitReq, and
-        a live leader rejects a fresh handshake while the old session
-        is open), resend it ahead of the handshake every time.
+        A stale session is abandoned (its close cached), a half-open
+        join resumed; the frames go out again every
+        ``retransmit_interval`` and the attempt ends the moment the
+        follower is keyed.
         """
         cfg = self.config
-        assert self._shared is not None
-        deadline = self._now() + cfg.join_timeout
-        while self._now() < deadline:
-            close_frame = self._pending_close.get(manager_id)
-            if close_frame is not None:
-                await self._shared.send(close_frame)
-            frame = client.protocol.retransmit_last()
-            if frame is not None:
-                await self._shared.send(frame)
-            await asyncio.sleep(cfg.retransmit_interval)
-            if self._joined(client):
-                break
-        if self._joined(client):
-            self._pending_close.pop(manager_id, None)
-            return True
-        self.last_error = (
-            f"resumed join toward {manager_id} timed out"
-        )
-        return False
-
-    @staticmethod
-    def _joined(client: MemberClient) -> bool:
-        return (
-            client.protocol.state is MemberState.CONNECTED
-            and client.protocol.has_group_key
+        self.active = leader_id
+        follower = self.follower
+        if follower.connected:
+            follower.reset_for_rejoin()
+        frames = (
+            follower.retransmit_last()
+            if follower.state is MemberState.WAITING_FOR_KEY
+            else follower.start_join()
         )
 
-    # -- member actions (delegate to the active client) ---------------------
+        async def resend(frames: list[Envelope]) -> None:
+            while True:
+                await self._send(frames)
+                if follower.keyed or not self.desired:
+                    return
+                await self._sleep(cfg.retransmit_interval)
+                frames = follower.retransmit_last()
+
+        try:
+            await asyncio.wait_for(resend(frames), cfg.join_timeout)
+        except asyncio.TimeoutError:
+            self.last_error = f"join {leader_id} timed out (denied or lost)"
+        return follower.keyed
+
+    # -- member actions ------------------------------------------------------
 
     async def send_app(self, payload: bytes) -> None:
-        client = self.client
-        if client is None or not self.connected:
+        if not self.connected:
             raise StateError(f"{self.user_id} is not connected")
-        await client.send_app(payload)
+        await self._send([self.follower.seal_app(payload)])
 
 
 # -- leader-side orchestration ----------------------------------------------
@@ -616,7 +555,7 @@ class LeaderOrchestrator:
 
         Raises :class:`StateError` when every manager has failed —
         the clean terminal outcome, mirrored on the member side by
-        :class:`RecoveryExhausted`.
+        :class:`~repro.telemetry.events.RecoveryGaveUp`.
         """
         if self.runtime is not None:
             await self.crash(flush=False)

@@ -33,16 +33,14 @@ from repro.chaos.loop import LoopClock, run_virtual
 from repro.crypto.rng import DeterministicRandom
 from repro.enclaves.common import (
     AppMessage,
-    Joined,
     RekeyPolicy,
     UserDirectory,
 )
 from repro.enclaves.harness import SyncNetwork, wire
 from repro.enclaves.itgm.leader import LeaderConfig
-from repro.enclaves.itgm.member import MemberState
 from repro.enclaves.itgm.runtime import LeaderRuntime
+from repro.enclaves.itgm.supervisor import ResilientMemberClient
 from repro.enclaves.modelcheck import session_violations
-from repro.exceptions import ConnectionClosed, StateError
 from repro.fabric.balancer import RebalancePolicy
 from repro.fabric.directory import GroupDirectory
 from repro.fabric.member import FabricMember
@@ -82,8 +80,6 @@ CHURN_HORIZON = 0.55
 APP_INTERVAL = 1.0
 CROSS_POST_INTERVAL = 1.5
 MONITOR_INTERVAL = 0.5
-#: Authenticated silence after which a member driver suspects its shard.
-WATCHDOG_TIMEOUT = 2.5
 
 
 @dataclass
@@ -108,7 +104,6 @@ class FabricConfig:
     #: Timers.
     tick_interval: float = 0.25
     heartbeat_interval: float = 0.5
-    retransmit_interval: float = 0.5
     converge_timeout: float = 20.0
 
     @classmethod
@@ -254,122 +249,6 @@ class _ShardRuntime(LeaderRuntime):
         self.host.disk.crash(keep="none")
 
 
-class _MemberRuntime:
-    """Drives one :class:`FabricMember` with join/leave intent, a
-    retransmission timer, and a liveness watchdog."""
-
-    def __init__(
-        self, fm: FabricMember, endpoint, config: FabricConfig
-    ) -> None:
-        self.fm = fm
-        self.endpoint = endpoint
-        self.config = config
-        self.desired = False
-        self.pending_leave = False
-        self.last_heard = 0.0
-        self.last_attempt = 0.0
-        self.joined_at: float | None = None
-        #: Application payloads accepted this run (cross-group audit).
-        self.received: list[bytes] = []
-        self._tasks: list[asyncio.Task] = []
-
-    def start(self) -> None:
-        loop = asyncio.get_running_loop()
-        self._tasks = [
-            loop.create_task(self._recv_loop()),
-            loop.create_task(self._drive_loop()),
-        ]
-
-    async def stop(self) -> None:
-        for task in self._tasks:
-            task.cancel()
-        for task in self._tasks:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        await self.endpoint.close()
-
-    async def _send_all(self, frames: list[Envelope]) -> None:
-        for frame in frames:
-            await self.endpoint.send(frame)
-
-    # -- intent --------------------------------------------------------------
-
-    async def want_join(self) -> None:
-        self.desired = True
-        self.pending_leave = False
-        if self.fm.state is MemberState.NOT_CONNECTED:
-            await self._begin_join()
-
-    async def want_leave(self) -> None:
-        if self.fm.connected:
-            self.desired = False
-            await self.endpoint.send(self.fm.start_leave())
-        elif self.fm.state is MemberState.WAITING_FOR_KEY and self.desired:
-            # Mid-handshake: finish the join, then leave — abandoning a
-            # half-open attempt would strand leader-side session state.
-            self.pending_leave = True
-        else:
-            self.desired = False
-
-    async def _begin_join(self) -> None:
-        loop = asyncio.get_running_loop()
-        self.last_attempt = loop.time()
-        try:
-            await self._send_all(self.fm.start_join())
-        except StateError:
-            pass
-
-    # -- loops ---------------------------------------------------------------
-
-    async def _recv_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        try:
-            while True:
-                envelope = await self.endpoint.recv()
-                self.last_heard = loop.time()
-                outgoing, events = self.fm.handle(envelope)
-                await self._send_all(outgoing)
-                for event in events:
-                    if isinstance(event, Joined):
-                        self.joined_at = loop.time()
-                        if self.pending_leave:
-                            self.pending_leave = False
-                            self.desired = False
-                            await self.endpoint.send(self.fm.start_leave())
-                    elif isinstance(event, AppMessage):
-                        self.received.append(event.payload)
-        except (ConnectionClosed, asyncio.CancelledError):
-            pass
-
-    async def _drive_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        interval = self.config.retransmit_interval
-        try:
-            while True:
-                await asyncio.sleep(interval)
-                if not self.desired:
-                    continue
-                now = loop.time()
-                state = self.fm.state
-                if state is MemberState.NOT_CONNECTED:
-                    await self._begin_join()
-                elif state is MemberState.WAITING_FOR_KEY:
-                    if now - self.last_attempt >= interval:
-                        self.last_attempt = now
-                        await self._send_all(self.fm.retransmit_last())
-                elif now - self.last_heard > WATCHDOG_TIMEOUT:
-                    # Connected but silent past the liveness horizon:
-                    # assume our leader-side session is gone (crash,
-                    # migration) and re-authenticate from scratch.
-                    self.fm.reset_for_rejoin()
-                    self.last_heard = now
-                    await self._begin_join()
-        except (ConnectionClosed, asyncio.CancelledError):
-            pass
-
-
 # -- the soak ----------------------------------------------------------------
 
 
@@ -450,7 +329,7 @@ async def _run_fabric(
         shards[shard_id] = _ShardRuntime(host, endpoint, config)
 
     users: dict[str, UserDirectory] = {}
-    members: dict[str, dict[str, _MemberRuntime]] = {}
+    members: dict[str, dict[str, ResilientMemberClient]] = {}
     for group_id in group_ids:
         record = fabric.create_group(group_id)
         directory = UserDirectory()
@@ -463,8 +342,10 @@ async def _run_fabric(
                 creds, group_id, fabric,
                 rng=rng.fork(uid), telemetry=bus,
             )
-            endpoint = await net.attach(uid)
-            members[group_id][uid] = _MemberRuntime(fm, endpoint, config)
+            members[group_id][uid] = ResilientMemberClient(
+                {group_id: fm}, net, rng=rng.fork(uid), telemetry=bus,
+            )
+            await members[group_id][uid].start()
         shards[record.shard_id].host.host_group(
             group_id, directory,
             storage_key=record.storage_key,
@@ -473,9 +354,6 @@ async def _run_fabric(
 
     for runtime in shards.values():
         runtime.start()
-    for group in members.values():
-        for runtime in group.values():
-            runtime.start()
 
     def hosting(group_id: str):
         """The live (host, leader) currently serving a group, or None."""
@@ -493,8 +371,8 @@ async def _run_fabric(
             if leader is None:
                 continue
             in_session = set(leader.members)
-            for uid, runtime in group.items():
-                if not runtime.fm.connected or uid not in in_session:
+            for uid, member in group.items():
+                if not member.follower.connected or uid not in in_session:
                     # §5.4 is a property of one *live* session.  A member
                     # still holding a session with a previous incarnation
                     # of a migrated / re-homed group has no counterpart
@@ -507,7 +385,7 @@ async def _run_fabric(
                 violations.extend(
                     f"{uid}<-{group_id}: {violation}"
                     for violation in session_violations(
-                        runtime.fm.protocol.admin_log,
+                        member.follower.protocol.admin_log,
                         leader.admin_send_log(uid),
                     )
                 )
@@ -534,12 +412,12 @@ async def _run_fabric(
             delay = event.time - loop.time()
             if delay > 0:
                 await asyncio.sleep(delay)
-            runtime = members[group_id][event.user_id]
+            member = members[group_id][event.user_id]
             if event.kind is WorkloadKind.JOIN:
                 registry.counter("fabric_joins", group=group_id).incr()
-                await runtime.want_join()
+                await member.join()
             elif event.kind is WorkloadKind.LEAVE:
-                await runtime.want_leave()
+                await member.leave()
 
     async def muster() -> None:
         """Bring every member (back) in after the churn horizon, so the
@@ -548,29 +426,21 @@ async def _run_fabric(
         if delay > 0:
             await asyncio.sleep(delay)
         for group in members.values():
-            for runtime in group.values():
-                if not runtime.desired:
-                    await runtime.want_join()
-
-    app_sent = 0
+            for member in group.values():
+                if not member.desired:
+                    await member.join()
 
     async def app_traffic() -> None:
-        nonlocal app_sent
         round_no = 0
         while True:
             await asyncio.sleep(APP_INTERVAL)
             round_no += 1
             for group_id, group in members.items():
-                for uid, runtime in group.items():
-                    if not runtime.fm.connected:
-                        continue
-                    payload = f"{group_id}|{uid}|r{round_no}".encode()
-                    try:
-                        await runtime.endpoint.send(
-                            runtime.fm.seal_app(payload)
+                for uid, member in group.items():
+                    if member.connected:
+                        await member.send_app(
+                            f"{group_id}|{uid}|r{round_no}".encode()
                         )
-                    except StateError:
-                        pass
 
     # -- the adversary: active cross-posting ---------------------------------
 
@@ -594,18 +464,14 @@ async def _run_fabric(
                 src = group_ids[turn % len(group_ids)]
                 dst = group_ids[(turn + 1) % len(group_ids)]
                 sender = next(
-                    (
-                        r for r in members[src].values()
-                        if r.fm.connected and r.fm.protocol.has_group_key
-                    ),
-                    None,
+                    (m for m in members[src].values() if m.connected), None
                 )
                 leader = hosting(dst)
                 if sender is None or leader is None:
                     continue
                 # A sealed frame from src's key space, readdressed to
                 # dst's leader: the demux routes it, dst's key kills it.
-                legit = sender.fm.protocol.seal_app(
+                legit = sender.follower.protocol.seal_app(
                     f"LEAK|{src}|{turn}".encode()
                 )
                 forged = Envelope(
@@ -666,12 +532,12 @@ async def _run_fabric(
             if leader is not None:
                 fingerprint = leader.group_key_fingerprint
                 wanted = [
-                    r for r in members[group_id].values() if r.desired
+                    m for m in members[group_id].values() if m.desired
                 ]
                 if wanted and all(
-                    r.fm.connected
-                    and r.fm.protocol.group_key_fingerprint == fingerprint
-                    for r in wanted
+                    m.follower.connected
+                    and m.group_key_fingerprint == fingerprint
+                    for m in wanted
                 ):
                     return True
             await asyncio.sleep(0.25)
@@ -790,15 +656,14 @@ async def _run_fabric(
             fingerprint = (
                 leader.group_key_fingerprint if leader else None
             )
-            for uid, runtime in group.items():
-                if not runtime.desired:
+            for uid, member in group.items():
+                if not member.desired:
                     continue
                 desired += 1
                 if (
                     leader is not None
-                    and runtime.fm.connected
-                    and runtime.fm.protocol.group_key_fingerprint
-                    == fingerprint
+                    and member.follower.connected
+                    and member.group_key_fingerprint == fingerprint
                     and leader.outbox_depth(uid) == 0
                 ):
                     good += 1
@@ -819,18 +684,18 @@ async def _run_fabric(
         # exactly who is stuck and how.
         for group_id, group in sorted(members.items()):
             leader = hosting(group_id)
-            for uid, runtime in sorted(group.items()):
-                if not runtime.desired:
+            for uid, member in sorted(group.items()):
+                if not member.desired:
                     continue
-                fp = runtime.fm.protocol.group_key_fingerprint
+                fp = member.group_key_fingerprint
                 want = leader.group_key_fingerprint if leader else None
                 depth = leader.outbox_depth(uid) if leader else -1
                 if (
-                    leader is None or not runtime.fm.connected
+                    leader is None or not member.follower.connected
                     or fp != want or depth != 0
                 ):
                     notes.append(
-                        f"stuck: {uid} state={runtime.fm.state.name} "
+                        f"stuck: {uid} state={member.follower.state.name} "
                         f"key={fp} want={want} outbox={depth} "
                         f"leader={'up' if leader else 'DOWN'}"
                     )
@@ -848,12 +713,14 @@ async def _run_fabric(
     app_delivered = 0
     cross_deliveries = 0
     rejoins = 0
-    redirect_total = 0
     for group_id, group in members.items():
-        for uid, runtime in group.items():
-            rejoins += runtime.fm.rejoins
-            redirect_total += runtime.fm.redirects
-            for payload in runtime.received:
+        for uid, member in group.items():
+            rejoins += member.follower.rejoins
+            while not member.events.empty():
+                event = member.events.get_nowait()
+                if not isinstance(event, AppMessage):
+                    continue
+                payload = event.payload
                 parts = payload.split(b"|")
                 if len(parts) != 3:
                     continue  # heartbeat beacons etc.
@@ -866,8 +733,8 @@ async def _run_fabric(
                     )
 
     for group in members.values():
-        for runtime in group.values():
-            await runtime.stop()
+        for member in group.values():
+            await member.stop()
     for runtime in shards.values():
         await runtime.stop()
     bus.unsubscribe(observe)

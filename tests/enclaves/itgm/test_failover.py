@@ -15,7 +15,7 @@ from repro.chaos.loop import run_virtual
 from repro.crypto.rng import DeterministicRandom
 from repro.enclaves.common import AppMessage, UserDirectory
 from repro.enclaves.harness import SyncNetwork, wire
-from repro.enclaves.itgm import ResilientMemberClient
+from repro.enclaves.itgm import Follower, ResilientMemberClient
 from repro.enclaves.itgm.admin import TextPayload
 from repro.enclaves.itgm.failover import ManagerSet
 from repro.enclaves.itgm.member import MemberProtocol
@@ -139,14 +139,14 @@ class TestFailover:
             await start_all(orchestrator, members)
             supervisor = next(iter(members.values()))
             try:
-                old_key = supervisor.client.protocol._session_key
+                old_key = supervisor.follower.protocol._session_key
                 assert old_key is not None
                 await orchestrator.failover()
                 assert await wait_until(
                     lambda: supervisor.connected
                     and supervisor.active == "mgr-1"
                 )
-                assert supervisor.client.protocol._session_key != old_key
+                assert supervisor.follower.protocol._session_key != old_key
             finally:
                 await stop_all(orchestrator, members)
 
@@ -170,7 +170,7 @@ class TestFailover:
                     lambda: supervisor.connected
                     and supervisor.active == "mgr-1"
                 )
-                protocol = supervisor.client.protocol
+                protocol = supervisor.follower.protocol
                 rejected_before = protocol.stats.rejected
                 log_before = list(protocol.admin_log)
                 for envelope in stale:
@@ -234,11 +234,15 @@ class TestFailover:
         assert accepted_by_all == ["mgr-1"]
 
     def test_follow_without_credentials_fails(self):
+        """A member needs a follower — credentials toward a leader — for
+        every leader it follows, filed under that leader."""
         world = World()
-        with pytest.raises(ValueError, match="no credentials"):
+        with pytest.raises(ValueError, match="at least one leader"):
+            ResilientMemberClient({}, MemoryNetwork())
+        with pytest.raises(ValueError, match="follows 'mgr-0'"):
             ResilientMemberClient(
-                {"mgr-0": world.creds["alice"]},
-                ["mgr-0", "mgr-unknown"], MemoryNetwork(),
+                {"mgr-unknown": Follower(world.creds["alice"], "mgr-0")},
+                MemoryNetwork(),
             )
 
     def test_members_can_return_to_recovered_manager(self):

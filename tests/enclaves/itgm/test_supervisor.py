@@ -9,12 +9,11 @@ import asyncio
 import pytest
 
 from repro.chaos.loop import LoopClock, run_virtual
-from repro.crypto.rng import DeterministicRandom
+from repro.crypto.rng import DeterministicRandom, SystemRandom
 from repro.enclaves.common import UserDirectory
 from repro.enclaves.itgm import (
+    Follower,
     LeaderOrchestrator,
-    RecoveryExhausted,
-    RejoinedGroup,
     ResilientMemberClient,
     SupervisorConfig,
     TextPayload,
@@ -22,6 +21,13 @@ from repro.enclaves.itgm import (
 from repro.enclaves.itgm.member import MemberState
 from repro.exceptions import StateError
 from repro.net import MemoryNetwork
+from repro.net.adversary import Adversary, Verdict
+from repro.telemetry.events import (
+    EventBus,
+    RecoveryGaveUp,
+    RejoinCompleted,
+)
+from repro.wire.labels import Label
 
 MANAGERS = ["mgr-0", "mgr-1"]
 
@@ -54,21 +60,31 @@ def build(n_members=2, manager_ids=MANAGERS, seed=3, config=FAST,
         disk=disk, telemetry=telemetry,
     )
     members = {
-        uid: ResilientMemberClient(
-            {m: creds[uid] for m in manager_ids},
-            list(manager_ids), net,
-            config=config, rng=rng.fork(uid),
-            telemetry=telemetry,
-        )
+        uid: supervise(creds[uid], manager_ids, net, config=config,
+                       rng=rng.fork(uid), telemetry=telemetry)
         for uid in member_ids
     }
     return net, orchestrator, members
 
 
+def supervise(creds, manager_ids, network, config=None, rng=None,
+              telemetry=None):
+    """One member following ``manager_ids`` in order, on one address."""
+    rng = rng if rng is not None else SystemRandom()
+    return ResilientMemberClient(
+        {
+            m: Follower(creds, m, rng=rng.fork(f"toward-{m}"),
+                        telemetry=telemetry)
+            for m in manager_ids
+        },
+        network, config=config, rng=rng, telemetry=telemetry,
+    )
+
+
 async def start_all(orchestrator, members):
     await orchestrator.start()
     for supervisor in members.values():
-        await supervisor.start()
+        await supervisor.join()
     await asyncio.sleep(0.2)
 
 
@@ -85,6 +101,12 @@ async def wait_until(predicate, timeout=30.0):
             return True
         await asyncio.sleep(0.1)
     return predicate()
+
+
+def bus_events(records, kind, node):
+    """``node``'s ``kind`` events among captured bus records."""
+    return [r.event for r in records
+            if isinstance(r.event, kind) and r.event.node == node]
 
 
 def events_of(supervisor, kind):
@@ -131,7 +153,7 @@ class TestSelfHealing:
                 )
                 assert await wait_until(lambda: all(
                     TextPayload("post-restore")
-                    in s.client.protocol.admin_log
+                    in s.follower.protocol.admin_log
                     for s in members.values()
                 ))
             finally:
@@ -160,7 +182,7 @@ class TestSelfHealing:
                 restored = orchestrator.current_leader
                 assert restored is not leader
                 assert await wait_until(lambda: all(
-                    [p.text for p in s.client.protocol.admin_log
+                    [p.text for p in s.follower.protocol.admin_log
                      if isinstance(p, TextPayload)] ==
                     ["one", "two", "three"]
                     for s in members.values()
@@ -174,7 +196,10 @@ class TestSelfHealing:
 
     def test_failover_to_standby(self):
         async def scenario():
-            _, orchestrator, members = build()
+            bus = EventBus()
+            records = []
+            bus.subscribe(records.append)
+            _, orchestrator, members = build(telemetry=bus)
             await start_all(orchestrator, members)
             try:
                 await orchestrator.failover()
@@ -192,8 +217,10 @@ class TestSelfHealing:
                 ))
                 for supervisor in members.values():
                     assert supervisor.suspicions >= 1
-                    rejoined = events_of(supervisor, RejoinedGroup)
-                    assert rejoined[-1].leader_id == "mgr-1"
+                    rejoined = bus_events(
+                        records, RejoinCompleted, supervisor.user_id
+                    )
+                    assert rejoined[-1].leader == "mgr-1"
             finally:
                 await stop_all(orchestrator, members)
 
@@ -209,8 +236,6 @@ class TestSelfHealing:
             supervisor = next(iter(members.values()))
             try:
                 # Silence everything until the member suspects mgr-0.
-                from repro.net.adversary import Adversary, Verdict
-
                 adversary = Adversary()
                 net.attach_adversary(adversary)
                 adversary.set_policy(lambda f: Verdict.drop())
@@ -224,18 +249,56 @@ class TestSelfHealing:
 
         run_virtual(scenario())
 
+    def test_lost_close_after_a_heal_costs_no_attempt(self):
+        """Partition a connected member from its live leader until the
+        watchdog fires, heal, and lose the first ReqClose after the
+        heal: the cached close rides every retransmission, so the member
+        rejoins within the attempt that lost it."""
+        async def scenario():
+            net, orchestrator, members = build(n_members=1)
+            await start_all(orchestrator, members)
+            supervisor = next(iter(members.values()))
+            adversary = Adversary()
+            net.attach_adversary(adversary)
+            lost_in = []
+
+            def partition_then_lose_first_close(frame):
+                if not supervisor.suspicions:
+                    return Verdict.drop()  # healed when the watchdog fires
+                if frame.envelope.label is Label.REQ_CLOSE and not lost_in:
+                    lost_in.append(supervisor.attempts)
+                    return Verdict.drop()
+                return Verdict.deliver()
+
+            try:
+                adversary.set_policy(partition_then_lose_first_close)
+                assert await wait_until(lambda: supervisor.suspicions >= 1)
+                assert await wait_until(lambda: supervisor.connected)
+                assert lost_in
+                assert supervisor.attempts == lost_in[0]
+                assert supervisor.active == "mgr-0"
+            finally:
+                await stop_all(orchestrator, members)
+
+        run_virtual(scenario())
+
     def test_recovery_exhaustion_is_terminal_not_a_hang(self):
         """Both managers dead: the supervisor burns its rounds, emits
-        RecoveryExhausted, and its task exits cleanly."""
+        RecoveryGaveUp, and its task exits cleanly."""
         async def scenario():
-            _, orchestrator, members = build(n_members=1)
+            bus = EventBus()
+            records = []
+            bus.subscribe(records.append)
+            _, orchestrator, members = build(n_members=1, telemetry=bus)
             await start_all(orchestrator, members)
             supervisor = next(iter(members.values()))
             try:
                 await orchestrator.crash()
                 await asyncio.wait_for(supervisor.wait_done(), timeout=120)
                 assert supervisor.gave_up
-                exhausted = events_of(supervisor, RecoveryExhausted)
+                exhausted = bus_events(
+                    records, RecoveryGaveUp, supervisor.user_id
+                )
                 assert len(exhausted) == 1
                 assert exhausted[0].attempts >= FAST.max_rounds * 2
                 with pytest.raises(StateError):
@@ -376,7 +439,7 @@ class TestDurableOrchestrator:
                 )
                 assert await wait_until(lambda: all(
                     TextPayload("post-journal-restore")
-                    in s.client.protocol.admin_log
+                    in s.follower.protocol.admin_log
                     for s in members.values()
                 ))
             finally:
@@ -488,9 +551,8 @@ class TestRetransmitLoopFix:
 def lone_supervisor(config=None, rng=None):
     """A supervisor that is never started: enough to call ``_backoff``."""
     creds = UserDirectory().register_password("alice", "pw-alice")
-    return ResilientMemberClient(
-        {"mgr-0": creds}, ["mgr-0"], MemoryNetwork(), config=config, rng=rng,
-    )
+    return supervise(creds, ["mgr-0"], MemoryNetwork(), config=config,
+                     rng=rng)
 
 
 class TestBackoff:

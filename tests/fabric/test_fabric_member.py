@@ -10,10 +10,10 @@ from repro.enclaves.common import AppMessage, Rejected, UserDirectory
 from repro.enclaves.harness import SyncNetwork, wire
 from repro.enclaves.itgm.member import MemberState
 from repro.enclaves.itgm.runtime import LeaderRuntime
+from repro.enclaves.itgm.supervisor import ResilientMemberClient
 from repro.fabric.directory import GroupDirectory
 from repro.fabric.member import FabricMember
 from repro.fabric.migration import migrate_group
-from repro.fabric.scale import FabricConfig, _MemberRuntime
 from repro.fabric.shard import ShardHost, redirect_envelope
 from repro.net import MemoryNetwork
 from repro.storage.simdisk import SimDisk
@@ -224,7 +224,7 @@ class TestRedirectFromAnOutsider:
 
     @pytest.mark.parametrize("kind", FORGED)
     def test_member_runtime_keeps_receiving_after_one(self, kind):
-        """The asyncio driver's receive loop survives the frame: the
+        """The member shell's receive loop survives the frame: the
         member still hears the group afterwards, on the same session."""
         async def scenario():
             rng = DeterministicRandom(6)
@@ -241,30 +241,32 @@ class TestRedirectFromAnOutsider:
             )
             shard = LeaderRuntime(host, await net.attach("shard-0"))
             shard.start()
-            runtimes = {}
+            members = {}
             for uid in ("alice", "bob"):
                 fm = FabricMember(
                     users.register_password(uid, f"pw-{uid}"), "grp-m",
                     fabric, rng=rng.fork(uid),
                 )
-                runtimes[uid] = _MemberRuntime(
-                    fm, await net.attach(uid), FabricConfig()
+                members[uid] = ResilientMemberClient(
+                    {"grp-m": fm}, net, rng=rng.fork(uid),
                 )
-                runtimes[uid].start()
-                await runtimes[uid].want_join()
+                await members[uid].join()
                 await asyncio.sleep(1.0)
                 assert fm.connected
             mallory = await net.attach("mallory")
             await mallory.send(self.FORGED[kind])
             await asyncio.sleep(1.0)
-            await runtimes["bob"].endpoint.send(
-                runtimes["bob"].fm.seal_app(b"still there?")
-            )
+            await members["bob"].send_app(b"still there?")
             await asyncio.sleep(1.0)
-            alice = runtimes["alice"]
-            for runtime in runtimes.values():
-                await runtime.stop()
+            alice = members["alice"]
+            for member in members.values():
+                await member.stop()
             await shard.stop()
-            return alice.received, alice.fm.rejoins
+            received = []
+            while not alice.events.empty():
+                event = alice.events.get_nowait()
+                if isinstance(event, AppMessage):
+                    received.append(event.payload)
+            return received, alice.follower.rejoins
 
         assert run_virtual(scenario()) == ([b"still there?"], 0)
