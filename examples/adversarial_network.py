@@ -13,7 +13,13 @@ Run:  python examples/adversarial_network.py
 import asyncio
 
 from repro.enclaves.common import UserDirectory
-from repro.enclaves.itgm import GroupLeader, LeaderRuntime, MemberClient, TextPayload
+from repro.enclaves.itgm import (
+    Follower,
+    GroupLeader,
+    LeaderRuntime,
+    ResilientMemberClient,
+    TextPayload,
+)
 from repro.net import Adversary, MemoryNetwork
 from repro.net.adversary import Verdict
 from repro.wire.labels import Label
@@ -39,13 +45,18 @@ async def main() -> None:
     bob_creds = directory.register_password("bob", "bob-pw")
 
     leader = GroupLeader("leader", directory)
-    runtime = LeaderRuntime(leader, await net.attach("leader"))
+    runtime = LeaderRuntime(
+        leader, await net.attach("leader"), heartbeat_interval=0.5
+    )
     runtime.start()
 
-    alice = MemberClient(alice_creds, "leader", await net.attach("alice"))
-    bob = MemberClient(bob_creds, "leader", await net.attach("bob"))
-    await alice.join()
-    await bob.join()
+    alice = ResilientMemberClient(
+        {"leader": Follower(alice_creds, "leader")}, net
+    )
+    bob = ResilientMemberClient({"leader": Follower(bob_creds, "leader")}, net)
+    for client in (alice, bob):
+        await client.join()
+        await asyncio.wait_for(client.wait_keyed(), 5)
 
     # Inject forged frames claiming to be the leader.
     for _ in range(5):
@@ -66,13 +77,14 @@ async def main() -> None:
     await asyncio.sleep(0.1)
 
     for name, client in (("alice", alice), ("bob", bob)):
-        log = client.protocol.admin_log
+        protocol = client.follower.protocol
+        log = protocol.admin_log
         sent = leader.admin_send_log(name)
         texts = [p.text for p in log if isinstance(p, TextPayload)]
         assert log == sent[: len(log)], "prefix property violated!"
         assert len(set(map(repr, log))) == len(log), "duplicate accepted!"
         print(f"{name}: accepted {len(log)} admin messages "
-              f"(rejected {client.protocol.stats.rejected} attack frames)")
+              f"(rejected {protocol.stats.rejected} attack frames)")
         print(f"   notices in order: {texts}")
 
     print()

@@ -19,9 +19,22 @@ from repro.enclaves.common import (
     RekeyPolicy,
     UserDirectory,
 )
-from repro.enclaves.itgm import GroupLeader, LeaderRuntime, MemberClient
+from repro.enclaves.itgm import (
+    Follower,
+    GroupLeader,
+    LeaderRuntime,
+    ResilientMemberClient,
+)
 from repro.enclaves.itgm.leader import LeaderConfig
 from repro.net import MemoryNetwork
+
+
+def drain(client: ResilientMemberClient) -> list:
+    """Every event the member has queued so far."""
+    events = []
+    while not client.events.empty():
+        events.append(client.events.get_nowait())
+    return events
 
 
 async def main() -> None:
@@ -40,27 +53,36 @@ async def main() -> None:
         directory,
         config=LeaderConfig(rekey_policy=RekeyPolicy.ON_JOIN | RekeyPolicy.ON_LEAVE),
     )
-    runtime = LeaderRuntime(leader, await net.attach("leader"))
+    # Heartbeats keep the members' watchdogs quiet while nothing else
+    # is said.
+    runtime = LeaderRuntime(
+        leader, await net.attach("leader"), heartbeat_interval=0.5
+    )
     runtime.start()
 
     # Everyone joins: 3-message password authentication, then the group
     # key arrives over the authenticated admin channel.
     clients = {}
     for name in ("alice", "bob", "carol"):
-        client = MemberClient(creds[name], "leader", await net.attach(name))
+        client = ResilientMemberClient(
+            {"leader": Follower(creds[name], "leader")}, net
+        )
         await client.join()
+        await asyncio.wait_for(client.wait_keyed(), 5)
         clients[name] = client
         print(f"{name} joined; leader sees members = {leader.members}")
 
     await asyncio.sleep(0.05)
-    print(f"alice's view of the group: {sorted(clients['alice'].membership)}")
+    alice_view = clients["alice"].follower.protocol.membership
+    print(f"alice's view of the group: {sorted(alice_view)}")
 
     # Confidential group chat, relayed by the leader.
     await clients["alice"].send_app(b"hello group!")
     await asyncio.sleep(0.05)
     for name in ("bob", "carol"):
-        for event in await clients[name].drain_events():
-            if isinstance(event, AppMessage):
+        for event in drain(clients[name]):
+            # The leader's own APP_DATA frames are its heartbeats.
+            if isinstance(event, AppMessage) and event.sender != "leader":
                 print(f"{name} received from {event.sender}: "
                       f"{event.payload.decode()}")
 
@@ -70,7 +92,7 @@ async def main() -> None:
     await asyncio.sleep(0.05)
     print(f"after carol leaves: members = {leader.members}, "
           f"group-key epoch = {leader.group_epoch}")
-    for event in await clients["alice"].drain_events():
+    for event in drain(clients["alice"]):
         if isinstance(event, (MemberJoined, MemberLeft, GroupKeyChanged)):
             print(f"alice observed: {event}")
 

@@ -12,7 +12,12 @@ Run:  python examples/secure_chat_tcp.py
 import asyncio
 
 from repro.enclaves.common import AppMessage, UserDirectory
-from repro.enclaves.itgm import GroupLeader, LeaderRuntime, MemberClient
+from repro.enclaves.itgm import (
+    Follower,
+    GroupLeader,
+    LeaderRuntime,
+    ResilientMemberClient,
+)
 from repro.net.tcp import TcpTransport
 
 
@@ -28,15 +33,18 @@ async def main() -> None:
     # First attach starts the TCP server (the leader's endpoint).
     leader = GroupLeader("leader", directory)
     leader_endpoint = await transport.attach("leader")
-    runtime = LeaderRuntime(leader, leader_endpoint)
+    runtime = LeaderRuntime(leader, leader_endpoint, heartbeat_interval=0.5)
     runtime.start()
     print(f"leader listening on 127.0.0.1:{transport._port}")
 
     clients = {}
     for name in ("ann", "ben", "cam"):
-        endpoint = await transport.attach(name)  # dials the leader
-        client = MemberClient(creds[name], "leader", endpoint)
+        # The client's endpoint dials the leader.
+        client = ResilientMemberClient(
+            {"leader": Follower(creds[name], "leader")}, transport
+        )
         await client.join()
+        await asyncio.wait_for(client.wait_keyed(), 5)
         clients[name] = client
         print(f"{name} authenticated over TCP; members = {leader.members}")
 
@@ -52,8 +60,10 @@ async def main() -> None:
         for name, client in clients.items():
             if name == sender:
                 continue
-            for event in await client.drain_events():
-                if isinstance(event, AppMessage):
+            while not client.events.empty():
+                event = client.events.get_nowait()
+                # The leader's own APP_DATA frames are its heartbeats.
+                if isinstance(event, AppMessage) and event.sender != "leader":
                     print(f"  [{name}'s screen] {event.sender}: "
                           f"{event.payload.decode()}")
 

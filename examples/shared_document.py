@@ -15,14 +15,19 @@ Run:  python examples/shared_document.py
 import asyncio
 
 from repro.enclaves.common import AppMessage, UserDirectory
-from repro.enclaves.itgm import GroupLeader, LeaderRuntime, MemberClient
+from repro.enclaves.itgm import (
+    Follower,
+    GroupLeader,
+    LeaderRuntime,
+    ResilientMemberClient,
+)
 from repro.net import MemoryNetwork
 
 
 class SharedDocument:
     """A replica of the document at one member."""
 
-    def __init__(self, client: MemberClient) -> None:
+    def __init__(self, client: ResilientMemberClient) -> None:
         self.client = client
         self.lines: list[str] = []
 
@@ -34,8 +39,10 @@ class SharedDocument:
 
     async def sync(self) -> None:
         """Fold received edits into the local replica."""
-        for event in await self.client.drain_events():
-            if isinstance(event, AppMessage):
+        while not self.client.events.empty():
+            event = self.client.events.get_nowait()
+            # The leader's own APP_DATA frames are its heartbeats.
+            if isinstance(event, AppMessage) and event.sender != "leader":
                 self.lines.append(event.payload.decode())
 
 
@@ -46,13 +53,18 @@ async def main() -> None:
              for n in ("ada", "grace", "edsger")}
 
     leader = GroupLeader("leader", directory)
-    runtime = LeaderRuntime(leader, await net.attach("leader"))
+    runtime = LeaderRuntime(
+        leader, await net.attach("leader"), heartbeat_interval=0.5
+    )
     runtime.start()
 
     docs = {}
     for name in creds:
-        client = MemberClient(creds[name], "leader", await net.attach(name))
+        client = ResilientMemberClient(
+            {"leader": Follower(creds[name], "leader")}, net
+        )
         await client.join()
+        await asyncio.wait_for(client.wait_keyed(), 5)
         docs[name] = SharedDocument(client)
 
     # Interleaved edits from everyone.

@@ -14,8 +14,10 @@ This package is the paper's primary contribution, realized as:
 * :mod:`~repro.enclaves.itgm.leader` — the full group leader: user
   directory, access policy, membership tracking, rekey policy, per-member
   stop-and-wait admin outboxes, and application-data relay.
-* :mod:`~repro.enclaves.itgm.client` / :mod:`~repro.enclaves.itgm.runtime`
-  — asyncio drivers wiring the sans-IO cores to any transport.
+* :mod:`~repro.enclaves.itgm.runtime` / :mod:`~repro.enclaves.itgm.supervisor`
+  — asyncio drivers wiring the sans-IO cores to any transport: the
+  leader's runtime, and the one member shell around one
+  :class:`~repro.enclaves.itgm.member.Follower` per leader it follows.
 
 Security guarantees (proved in the paper, machine-checked in
 :mod:`repro.formal`, and exercised at the bytes level by
@@ -33,7 +35,6 @@ from repro.enclaves.itgm.admin import (
     NewGroupKeyPayload,
     TextPayload,
 )
-from repro.enclaves.itgm.client import MemberClient
 from repro.enclaves.itgm.failover import ManagerSet
 from repro.enclaves.itgm.leader import GroupLeader, LeaderConfig
 from repro.enclaves.itgm.leader_session import LeaderSession, LeaderState
@@ -60,7 +61,6 @@ __all__ = [
     "LeaderState",
     "GroupLeader",
     "LeaderConfig",
-    "MemberClient",
     "LeaderRuntime",
     "ManagerSet",
     "ResilientMemberClient",

@@ -10,7 +10,8 @@ by *authenticated* traffic (leader heartbeats, admin messages, relayed
 app data), with exponential backoff + jitter on rejoin and failover
 across the followers in order.  The chaos soak drives it over standby
 managers, the fabric soak over one
-:class:`~repro.fabric.member.FabricMember` per member.
+:class:`~repro.fabric.member.FabricMember` per member, and a member of
+one leader is one follower under it.
 
 :class:`LeaderOrchestrator` is the other half: it runs the current
 manager as a :class:`~repro.enclaves.itgm.runtime.LeaderRuntime`, can
@@ -144,6 +145,9 @@ class ResilientMemberClient:
         #: Set when the active follower becomes keyed and when the
         #: intent changes; what an attempt or an idle tick awaits.
         self._wake = asyncio.Event()
+        #: Set, then replaced, when the active follower becomes keyed
+        #: and when the shell gives up: what :meth:`wait_keyed` awaits.
+        self._settled = asyncio.Event()
         self._last_alive = 0.0
         self.gave_up = False
         #: Why the most recent join attempt failed (for the terminal
@@ -220,6 +224,15 @@ class ResilientMemberClient:
             await self._endpoint.close()
             self._endpoint = None
 
+    async def wait_keyed(self) -> None:
+        """Wait until the followed leader has keyed this member; raise
+        :class:`~repro.exceptions.RecoveryFailed` if the shell has given
+        up.  No timeout of its own: wrap it in :func:`asyncio.wait_for`."""
+        while not self.follower.keyed:
+            if self.gave_up:
+                raise RecoveryFailed(self.last_error)
+            await self._settled.wait()
+
     async def wait_done(self) -> None:
         """Wait until the supervision task exits (only on give-up)."""
         if self._tasks:
@@ -250,6 +263,7 @@ class ResilientMemberClient:
                     self.events.put_nowait(event)
                 if follower.keyed and not was_keyed:
                     self._wake.set()
+                    self._settle()
                     if self._leave_after_join:
                         # Keyed, so the leader has our AuthAckKey: only
                         # now does it accept the close.
@@ -257,6 +271,10 @@ class ResilientMemberClient:
                         await self.leave()
         except (ConnectionClosed, asyncio.CancelledError):
             pass
+
+    def _settle(self) -> None:
+        self._settled.set()
+        self._settled = asyncio.Event()
 
     async def _sleep(self, timeout: float) -> None:
         """Sleep up to ``timeout``, or until woken (cleared first: the
@@ -288,6 +306,7 @@ class ResilientMemberClient:
             self.gave_up = True
             if not self.last_error:
                 self.last_error = str(exc)
+            self._settle()
             if self._telemetry:
                 self._telemetry.emit(RecoveryGaveUp(
                     self.user_id, self.attempts, self.last_error

@@ -19,7 +19,7 @@ from repro.enclaves.itgm import (
     TextPayload,
 )
 from repro.enclaves.itgm.member import MemberState
-from repro.exceptions import StateError
+from repro.exceptions import RecoveryFailed, StateError
 from repro.net import MemoryNetwork
 from repro.net.adversary import Adversary, Verdict
 from repro.telemetry.events import (
@@ -303,6 +303,8 @@ class TestSelfHealing:
                 assert exhausted[0].attempts >= FAST.max_rounds * 2
                 with pytest.raises(StateError):
                     await supervisor.send_app(b"nope")
+                with pytest.raises(RecoveryFailed, match="mgr-"):
+                    await supervisor.wait_keyed()
             finally:
                 await stop_all(orchestrator, members)
 
@@ -510,40 +512,70 @@ class TestRecoveryGaveUpEvent:
 
 class TestRetransmitLoopFix:
     def test_retransmissions_stop_once_connected(self):
-        """The client's join retransmit loop exits as soon as the
-        protocol leaves WAITING_FOR_KEY (and its task is awaited, not
-        leaked)."""
+        """Once ``wait_keyed()`` returns the shell sends no more
+        handshake frames: nothing keeps hitting the leader's session
+        with stale ones."""
         async def scenario():
-            from repro.enclaves.itgm import (
-                GroupLeader,
-                LeaderRuntime,
-                MemberClient,
-            )
+            from repro.enclaves.itgm import GroupLeader, LeaderRuntime
 
             net = MemoryNetwork()
             directory = UserDirectory()
             creds = directory.register_password("alice", "pw")
             leader = GroupLeader("leader", directory)
-            runtime = LeaderRuntime(leader, await net.attach("leader"))
+            runtime = LeaderRuntime(
+                leader, await net.attach("leader"), heartbeat_interval=0.25
+            )
             runtime.start()
-            client = MemberClient(creds, "leader", await net.attach("alice"))
-            await client.join(timeout=5.0, retransmit_interval=0.05)
-            assert client.protocol.state is MemberState.CONNECTED
-            # No retransmit task lingers after join() returns (the
-            # client's receive loop is the only task it keeps).
-            assert not [
-                t for t in asyncio.all_tasks()
-                if "_retransmit_loop" in repr(t.get_coro())
-            ]
+            client = supervise(
+                creds, ["leader"], net,
+                config=SupervisorConfig(retransmit_interval=0.05),
+            )
+            await client.join()
+            await asyncio.wait_for(client.wait_keyed(), 5)
             rejected_before = leader._sessions["alice"].stats.rejected
             await asyncio.sleep(1.0)
-            # ... and nothing keeps hitting the leader with stale
-            # handshake frames.
             assert (
                 leader._sessions["alice"].stats.rejected == rejected_before
             )
+            assert client.attempts == 1
             await client.stop()
             await runtime.stop()
+
+        run_virtual(scenario())
+
+
+class TestExplicitLeave:
+    def test_lost_close_after_a_leave_costs_no_attempt(self):
+        """A member leaves and its one ReqClose is lost, so the leader
+        keeps the session; the next ``join()`` sends the cached close
+        ahead of its AuthInitReq and is keyed by that first send, well
+        within its first attempt."""
+        async def scenario():
+            net, orchestrator, members = build(
+                n_members=1, manager_ids=["mgr-0"]
+            )
+            await start_all(orchestrator, members)
+            supervisor = next(iter(members.values()))
+            adversary = Adversary()
+            net.attach_adversary(adversary)
+            try:
+                adversary.drop_next(
+                    lambda f: f.envelope.label is Label.REQ_CLOSE
+                )
+                await supervisor.leave()
+                await asyncio.sleep(0.5)
+                leader = orchestrator.current_leader
+                assert leader.members == [supervisor.user_id]
+                attempts = supervisor.attempts
+                loop = asyncio.get_running_loop()
+                started = loop.time()
+                await supervisor.join()
+                await asyncio.wait_for(supervisor.wait_keyed(), 5)
+                assert loop.time() - started < FAST.retransmit_interval / 2
+                assert supervisor.attempts == attempts + 1
+                assert leader.members == [supervisor.user_id]
+            finally:
+                await stop_all(orchestrator, members)
 
         run_virtual(scenario())
 

@@ -1,29 +1,47 @@
 """Liveness under loss: the retransmission layer on a lossy network.
 
 A 25-35% frame loss rate breaks the bare stop-and-wait protocol on
-nearly every run; with the retransmission timers (member join loop,
-leader tick) every operation still completes — and all the safety
-invariants keep holding because retransmissions are byte-identical.
+nearly every run; with the retransmission timers (the member shell's
+join retransmissions, the leader tick) every operation still completes
+— and all the safety invariants keep holding because retransmissions
+are byte-identical.  The scenarios run on the virtual-time loop.
 """
 
 import asyncio
 
 import pytest
 
+from repro.chaos.loop import run_virtual
 from repro.crypto.rng import DeterministicRandom
 from repro.enclaves.common import UserDirectory
 from repro.enclaves.itgm import (
+    Follower,
     GroupLeader,
     LeaderRuntime,
-    MemberClient,
+    ResilientMemberClient,
     TextPayload,
 )
 from repro.net import Adversary, MemoryNetwork
 from repro.net.lossy import LossyPolicy
 
 
-def run(coro):
-    return asyncio.run(coro)
+async def joined(creds, net, rng):
+    client = ResilientMemberClient(
+        {"leader": Follower(creds, "leader", rng=rng.fork("follower"))},
+        net, rng=rng,
+    )
+    await client.join()
+    await asyncio.wait_for(client.wait_keyed(), 20.0)
+    return client
+
+
+async def start_leader(leader, net):
+    runtime = LeaderRuntime(
+        leader, await net.attach("leader"),
+        tick_interval=0.03, heartbeat_interval=0.5,
+    )
+    runtime.start()
+    return runtime
 
 
 class TestLossyPolicy:
@@ -85,19 +103,14 @@ class TestJoinUnderLoss:
             directory = UserDirectory()
             creds = directory.register_password("alice", "pw")
             leader = GroupLeader("leader", directory, rng=rng.fork("l"))
-            runtime = LeaderRuntime(
-                leader, await net.attach("leader"), tick_interval=0.03
-            )
-            runtime.start()
-            client = MemberClient(creds, "leader", await net.attach("alice"),
-                                  rng.fork("m"))
-            await client.join(timeout=20.0, retransmit_interval=0.03)
+            runtime = await start_leader(leader, net)
+            client = await joined(creds, net, rng.fork("m"))
             assert leader.members == ["alice"]
             assert policy.dropped > 0  # the network really was lossy
             await client.stop()
             await runtime.stop()
 
-        run(scenario())
+        run_virtual(scenario())
 
     def test_admin_delivery_under_loss(self):
         async def scenario():
@@ -112,16 +125,10 @@ class TestJoinUnderLoss:
             creds = {n: directory.register_password(n, f"pw-{n}")
                      for n in ("alice", "bob")}
             leader = GroupLeader("leader", directory, rng=rng.fork("l"))
-            runtime = LeaderRuntime(
-                leader, await net.attach("leader"), tick_interval=0.03
-            )
-            runtime.start()
+            runtime = await start_leader(leader, net)
             clients = {}
             for name in ("alice", "bob"):
-                client = MemberClient(creds[name], "leader",
-                                      await net.attach(name), rng.fork(name))
-                await client.join(timeout=20.0, retransmit_interval=0.03)
-                clients[name] = client
+                clients[name] = await joined(creds[name], net, rng.fork(name))
 
             # Push admin notices through the lossy wire; the leader's
             # tick loop retransmits stalls until every ack lands.
@@ -131,7 +138,7 @@ class TestJoinUnderLoss:
             async def all_delivered() -> None:
                 while True:
                     done = all(
-                        TextPayload("n4") in c.protocol.admin_log
+                        TextPayload("n4") in c.follower.protocol.admin_log
                         for c in clients.values()
                     )
                     if done:
@@ -141,7 +148,7 @@ class TestJoinUnderLoss:
             await asyncio.wait_for(all_delivered(), 20.0)
             # Safety held throughout: prefix + order for both members.
             for name, client in clients.items():
-                log = client.protocol.admin_log
+                log = client.follower.protocol.admin_log
                 sent = leader.admin_send_log(name)
                 assert log == sent[: len(log)]
                 texts = [p.text for p in log if isinstance(p, TextPayload)]
@@ -150,4 +157,4 @@ class TestJoinUnderLoss:
                 await client.stop()
             await runtime.stop()
 
-        run(scenario())
+        run_virtual(scenario())

@@ -4,9 +4,10 @@ import asyncio
 
 from repro.enclaves.common import AppMessage, UserDirectory
 from repro.enclaves.itgm import (
+    Follower,
     GroupLeader,
     LeaderRuntime,
-    MemberClient,
+    ResilientMemberClient,
     TextPayload,
 )
 from repro.net.tcp import TcpTransport
@@ -14,6 +15,24 @@ from repro.net.tcp import TcpTransport
 
 def run(coro):
     return asyncio.run(coro)
+
+
+async def joined(creds, transport):
+    """A member shell over its own TCP connection, keyed by the leader."""
+    client = ResilientMemberClient(
+        {"leader": Follower(creds, "leader")}, transport
+    )
+    await client.join()
+    await asyncio.wait_for(client.wait_keyed(), 5)
+    return client
+
+
+async def start_leader(leader, transport):
+    runtime = LeaderRuntime(
+        leader, await transport.attach("leader"), heartbeat_interval=0.5
+    )
+    runtime.start()
+    return runtime
 
 
 class TestTcpEndToEnd:
@@ -24,30 +43,24 @@ class TestTcpEndToEnd:
             creds = {n: directory.register_password(n, f"pw-{n}")
                      for n in ("ann", "ben")}
             leader = GroupLeader("leader", directory)
-            runtime = LeaderRuntime(leader, await transport.attach("leader"))
-            runtime.start()
+            runtime = await start_leader(leader, transport)
             try:
-                ann = MemberClient(creds["ann"], "leader",
-                                   await transport.attach("ann"))
-                ben = MemberClient(creds["ben"], "leader",
-                                   await transport.attach("ben"))
-                await ann.join(timeout=5)
-                await ben.join(timeout=5)
+                ann = await joined(creds["ann"], transport)
+                ben = await joined(creds["ben"], transport)
                 assert leader.members == ["ann", "ben"]
 
                 await ann.send_app(b"over real sockets")
                 await asyncio.sleep(0.1)
-                events = await ben.drain_events()
-                assert any(
-                    isinstance(e, AppMessage)
-                    and e.payload == b"over real sockets"
-                    for e in events
-                )
+                events = []
+                while not ben.events.empty():
+                    events.append(ben.events.get_nowait())
+                assert AppMessage("ann", b"over real sockets") in events
 
                 await runtime.broadcast_admin(TextPayload("notice"))
                 await asyncio.sleep(0.1)
-                assert TextPayload("notice") in ann.protocol.admin_log
-                assert TextPayload("notice") in ben.protocol.admin_log
+                for client in (ann, ben):
+                    assert TextPayload("notice") in \
+                        client.follower.protocol.admin_log
 
                 await ann.leave()
                 await asyncio.sleep(0.1)
@@ -70,12 +83,9 @@ class TestTcpEndToEnd:
             directory = UserDirectory()
             creds = directory.register_password("alice", "pw")
             leader = GroupLeader("leader", directory)
-            runtime = LeaderRuntime(leader, await transport.attach("leader"))
-            runtime.start()
+            runtime = await start_leader(leader, transport)
             try:
-                alice = MemberClient(creds, "leader",
-                                     await transport.attach("alice"))
-                await alice.join(timeout=5)
+                alice = await joined(creds, transport)
 
                 evil = await transport.attach("evil")
                 # Claim to be alice; send garbage under every label.
