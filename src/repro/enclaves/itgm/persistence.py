@@ -68,39 +68,23 @@ def _unhex(text: str | None) -> bytes | None:
     return bytes.fromhex(text) if text is not None else None
 
 
-def _session_snapshot(
-    session: LeaderSession,
-    log_base: int | None = None,
-    keys_base: int | None = None,
-) -> dict:
-    """One session as a JSON-able dict.
-
-    With a base, the grow-only list (``admin_log`` / ``discarded_keys``)
-    holds only the entries from that index on and ``<list>_base``
-    records the length they extend: the journal's suffix form, stitched
-    back by :func:`repro.storage.journal.apply_delta`.  Without one the
-    list is complete, which is also what every snapshot holds.
-    """
-    snap = {
+def _session_snapshot(session: LeaderSession) -> dict:
+    """One session as a JSON-able dict."""
+    return {
         "state": session.state.name,
         "nonce": _hex(session._nonce),
         "session_key": _hex(
             session._session_key.material if session._session_key else None
         ),
         "admin_log": [payload.encode().hex()
-                      for payload in session.admin_log[log_base or 0:]],
-        "discarded_keys": session.discarded_keys[keys_base or 0:],
+                      for payload in session.admin_log],
+        "discarded_keys": list(session.discarded_keys),
         "init_body": _hex(session._init_body),
         "last_outbound": (
             session._last_outbound.to_bytes().hex()
             if session._last_outbound is not None else None
         ),
     }
-    if log_base is not None:
-        snap["admin_log_base"] = log_base
-    if keys_base is not None:
-        snap["discarded_keys_base"] = keys_base
-    return snap
 
 
 def _restore_session(session: LeaderSession, data: dict) -> None:
@@ -198,8 +182,3 @@ def restore_leader(
             for encoded in encoded_payloads
         )
     return leader
-
-
-#: Public alias: the journal (:mod:`repro.storage.journal`) snapshots
-#: individual sessions to build per-mutation state deltas.
-session_snapshot = _session_snapshot

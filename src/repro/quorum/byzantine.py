@@ -195,7 +195,8 @@ def _forged_key_record(
     the storage key, so it can seal *any* state it likes as a perfectly
     authentic journal record.  The forgery starts from the real state
     (sessions, outboxes — everything members could cross-check) and
-    swaps only the group key and epoch.
+    swaps only the group key and epoch; ``seal_record`` packs it in the
+    journal's own layout, so the attack is on the records that ship.
     """
     snapshot = snapshot_leader(leader)
     snapshot["group_key"] = key.material.hex()

@@ -22,9 +22,11 @@ How the valid prefix is found:
    delta must carry ``seq = previous + 1``.  A gap means a lost middle
    record, and applying anything beyond it could interleave state from
    different histories — so the scan stops at the gap.
-4. Suffix check: a delta carries only the admin-log entries appended
-   since the record before it, with the length they extend.  If that
-   base is not the length replay has reached, a record is missing
+4. Base check: a delta carries only the session fields that moved
+   since the record before it, and of the two grow-only lists only the
+   entries appended, with the length they extend.  If that base is not
+   the length replay has reached, or a session entry lacks fields and
+   replay holds no session to take them from, a record is missing
    where ``seq`` could not show it (a spliced stream, a follower that
    was offered a delta it had not the predecessor of) — the scan stops
    there too, never stitching across the hole.
@@ -37,7 +39,6 @@ legitimately have observed.
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass
 
@@ -62,6 +63,7 @@ from repro.storage.journal import (
     RECORD_AD,
     DeltaBaseMismatch,
     apply_delta,
+    decode_record,
 )
 from repro.telemetry.events import EventBus, JournalReplayed
 from repro.util.clock import Clock
@@ -128,7 +130,7 @@ def replay_records(data: bytes, storage_key: KeyMaterial) -> ReplayResult:
         try:
             box = SealedBox.from_bytes(body)
             plain = cipher.open(box, RECORD_AD)
-            record = json.loads(plain.decode("utf-8"))
+            record = decode_record(plain)
             seq = record["seq"]
             kind = record["kind"]
             payload = record["data"]
@@ -168,7 +170,7 @@ def replay_records(data: bytes, storage_key: KeyMaterial) -> ReplayResult:
             try:
                 apply_delta(state, payload)
             except DeltaBaseMismatch as exc:
-                reason = f"suffix base mismatch ({exc}): lost record"
+                reason = f"{exc}: lost record"
                 truncated = True
                 break
             last_seq = seq
