@@ -2,9 +2,14 @@
 
 The management plane (joins, rekeys, expulsion) exists to protect the
 *data* a group exchanges — but sealing application traffic directly
-under the shared group key gives neither per-sender confidentiality nor
-forward secrecy: a departed member holds a usable read key until the
-next rekey, and one compromised message key exposes every message.
+under the shared group key gives no forward secrecy: a departed member
+holds a usable read key until the next rekey, and one compromised
+message key exposes every message.  The ratchets below add forward
+secrecy within an epoch and a dead chain after a leave, on top of group
+authenticity (a frame that opens came from a current group-key holder).
+They do not add sender authenticity: every chain is derived from the
+group key, so any member can seal traffic under another member's name
+(ROADMAP item 16).
 
 This package layers a Sender-Keys construction on top of the group key:
 

@@ -14,20 +14,24 @@ straight to ``provider.seal``/``open`` on the one-shot path, so no cache
 anywhere outlives it (known-answer vectors:
 ``tests/crypto/vectors/ratchet_chain.json``).
 
-Two properties follow directly from the one-wayness of HMAC:
+What holds, from the one-wayness of HMAC and the epoch binding:
 
+* **Group authenticity** — a frame that opens was sealed by a current
+  holder of the group key.
 * **Forward secrecy within an epoch** — an endpoint deletes ``ck_i``
   and ``mk_i`` the moment message *i* is sealed or opened, so
   compromising the endpoint afterwards reveals nothing about earlier
   traffic.
-* **Per-sender confidentiality** — chains are domain-separated by
-  sender id, so no member can forge traffic *as* another member even
-  though all chains grow from the one group key.
+* **A dead chain after a leave** — every group-key epoch re-seeds every
+  chain (the channel layer's job, :mod:`repro.dataplane.channel`), so
+  chain state captured by a leaver opens nothing once the leave commits.
 
-Rekey-on-leave is the channel layer's job
-(:mod:`repro.dataplane.channel`): every group-key epoch re-seeds every
-chain, so chain state captured by a leaver is dead after the leave
-commits.
+What does **not** hold is sender authenticity inside the group: every
+``ck_0`` is derived from the group key and the sender id alone, so any
+current member can derive every other member's chain and seal traffic
+that opens under another member's name.  Domain separation by sender
+keeps chains apart; it does not keep members apart.  ROADMAP item 16
+tracks the defense.
 
 Out-of-order delivery is handled with a **bounded skip-window**: when a
 frame arrives ``k`` positions ahead, the receiver ratchets forward,

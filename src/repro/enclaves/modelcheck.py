@@ -4,14 +4,15 @@ Hypothesis samples delivery schedules; this module *enumerates* them:
 a depth-bounded DFS over every order in which in-flight frames can be
 delivered (optionally with duplication and drops), executed against the
 real sans-IO protocol objects (deep-copied per branch), with an
-invariant checked at every node.  It is the concrete-implementation
-counterpart of the symbolic explorer — systematic concurrency testing
-in the Chess/dPOR tradition, sized for protocol handshakes.
+invariant checked at every node: the symbolic explorer's own loop
+(:func:`repro.formal.explorer.search`) run depth first — systematic
+concurrency testing in the Chess/dPOR tradition, sized for protocol
+handshakes.
 
 Usage::
 
     def build():
-        ... create leader + members, return ModelCheckState ...
+        ... create leader + members, return a World ...
 
     result = explore_interleavings(build, invariant=my_invariant)
     assert result.ok
@@ -29,11 +30,13 @@ session's member and leader logs — the safety verdict of every soak.
 from __future__ import annotations
 
 import copy
+import hashlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 from repro.enclaves.itgm.admin import NewGroupKeyPayload
+from repro.formal.explorer import ExplorationResult, search
 from repro.formal.properties import check_no_duplicates, check_prefix
 from repro.wire.message import Envelope
 
@@ -103,22 +106,24 @@ class World:
             self.post(reply)
 
 
-@dataclass
-class CheckResult:
-    """Outcome of one exploration."""
-
-    worlds_explored: int
-    max_depth_reached: int
-    violation: str | None = None
-    violating_schedule: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.violation is None
-
-
 #: An invariant gets the World and returns None or a violation message.
 Invariant = Callable[[World], "str | None"]
+
+
+def _fingerprint(world: World) -> str:
+    """The visited-set key: in-flight frames (bodies by SHA-256, which no
+    hash seed moves) and every endpoint's ``state`` attribute."""
+    frames = ",".join(
+        f"{e.label.name}:{e.sender}>{e.recipient}:"
+        f"{hashlib.sha256(e.body).hexdigest()}"
+        for e in world.in_flight
+    )
+    states = ",".join(
+        f"{addr}={getattr(ep, 'state', None)}"
+        for addr, ep in sorted(world.endpoints.items())
+        if hasattr(ep, "state")
+    )
+    return frames + "|" + states
 
 
 def explore_interleavings(
@@ -128,76 +133,48 @@ def explore_interleavings(
     max_worlds: int = 20_000,
     with_duplicates: bool = False,
     with_drops: bool = False,
-) -> CheckResult:
+) -> ExplorationResult:
     """Enumerate delivery schedules; check ``invariant`` everywhere.
 
     ``with_duplicates`` also explores delivering a frame *and keeping*
     a copy in flight (replay); ``with_drops`` also explores discarding
     a frame.  Both multiply the branching factor — use shallow depths.
+    ``max_worlds`` bounds the distinct worlds reached from the start;
+    ``worlds_explored`` also counts the start and each phase re-entry.
     """
-    result = CheckResult(worlds_explored=0, max_depth_reached=0)
-    seen: set[str] = set()
+    actions = ["deliver"] + ["duplicate"] * with_duplicates \
+        + ["drop"] * with_drops
 
-    def fingerprint(world: World) -> str:
-        frames = ",".join(
-            f"{e.label.name}:{e.sender}>{e.recipient}:{hash(e.body) & 0xFFFFFFFF:x}"
-            for e in world.in_flight
-        )
-        states = ",".join(
-            f"{addr}={getattr(ep, 'state', None)}"
-            for addr, ep in sorted(world.endpoints.items())
-            if hasattr(ep, "state")
-        )
-        return frames + "|" + states
-
-    def dfs(world: World, depth: int, schedule: list[str]) -> bool:
-        """Returns False when a violation was recorded (stop)."""
-        result.worlds_explored += 1
-        result.max_depth_reached = max(result.max_depth_reached, depth)
-        if result.worlds_explored > max_worlds:
-            raise RuntimeError(
-                f"exploration exceeded {max_worlds} worlds; "
-                "tighten the scenario"
-            )
-        message = invariant(world)
-        if message is not None:
-            result.violation = message
-            result.violating_schedule = list(schedule)
-            return False
-        if not world.in_flight:
-            if world.on_quiescent:
-                follow_up = world.on_quiescent.pop(0)
-                follow_up(world)
-                if world.in_flight:
-                    return dfs(world, depth, schedule)
-            return True
-        if depth >= max_depth:
-            return True  # depth bound: unexplored, not a failure
-
+    def successors(world: World):
         for index in range(len(world.in_flight)):
-            choices = [("deliver", index)]
-            if with_duplicates:
-                choices.append(("duplicate", index))
-            if with_drops:
-                choices.append(("drop", index))
-            for action, i in choices:
+            for action in actions:
                 branch = copy.deepcopy(world)
-                frame = branch.in_flight[i]
+                frame = branch.in_flight[index]
+                if action == "duplicate":
+                    branch.in_flight.append(frame)
+                if action == "drop":
+                    branch.in_flight.pop(index)
+                else:
+                    branch.deliver(index)
                 label = f"{action} {frame.label.name}->{frame.recipient}"
-                if action == "deliver":
-                    branch.deliver(i)
-                elif action == "duplicate":
-                    branch.in_flight.append(branch.in_flight[i])
-                    branch.deliver(i)
-                elif action == "drop":
-                    branch.in_flight.pop(i)
-                fp = fingerprint(branch)
-                if fp in seen:
-                    continue
-                seen.add(fp)
-                if not dfs(branch, depth + 1, schedule + [label]):
-                    return False
-        return True
+                yield SimpleNamespace(description=label, target=branch)
 
-    dfs(build(), 0, [])
+    phases = 0
+
+    def check(world: World):
+        # A drained queue starts the next on_quiescent phase in place;
+        # the world it posts into is checked (and counted) once more.
+        nonlocal phases
+        message = invariant(world)
+        if message is None and not world.in_flight and world.on_quiescent:
+            world.on_quiescent.pop(0)(world)
+            if world.in_flight:
+                phases += 1
+                message = invariant(world)
+        return [] if message is None else [("invariant", message)]
+
+    result = search(build(), successors, _fingerprint, check,
+                    max_states=max_worlds, max_depth=max_depth,
+                    depth_first=True)
+    result.states_explored += 1 + phases
     return result

@@ -15,7 +15,9 @@ paper describes:
   (Figures 2 and 3), the intruder (Gen), and the asynchronous global
   system of §4.2.
 * :mod:`~repro.formal.explorer` — bounded-exhaustive state-space
-  exploration with invariant checking and counterexample paths.
+  exploration with invariant checking and counterexample paths; its
+  ``search`` loop also runs the concrete interleaving explorer
+  (:mod:`repro.enclaves.modelcheck`), depth first.
 * :mod:`~repro.formal.properties` — the §5 theorems as executable
   invariants (regularity, long-term-key secrecy, session-key secrecy,
   message-ordering prefix, agreement, proper authentication).

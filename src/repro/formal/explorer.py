@@ -1,16 +1,15 @@
-"""Bounded-exhaustive exploration of the protocol model.
+"""Bounded-exhaustive exploration: the one search loop of the repository.
 
-Breadth-first search over every interleaving allowed by the
-:class:`~repro.formal.model.ModelConfig` budgets, with:
-
-* state merging on :meth:`GlobalState.fingerprint` (two interleavings
-  that agree on local states, Parts(trace), spy knowledge, and logs are
-  one state),
-* invariant checking on every reached state,
-* per-edge hooks (used by the diagram checker to verify proof
-  obligations on each explored transition),
-* counterexample paths: the first violation is reported with the full
-  event sequence that reaches it.
+:func:`search` runs breadth first under :class:`Explorer` (the symbolic
+models) and depth first under
+:func:`repro.enclaves.modelcheck.explore_interleavings` (the real
+sans-IO objects).  It merges states on a caller-supplied key (here
+:meth:`GlobalState.fingerprint`: interleavings that agree on local
+states, Parts(trace), spy knowledge, and logs are one state), enforces
+the budget, runs the checks on every reached state and every explored
+edge (the diagram's proof obligations), and reports each
+:class:`Violation` with the event path that reaches it.
+:class:`~repro.formal.walker.RandomWalker` shares :func:`failed_checks`.
 
 This is the model-checking counterpart of the paper's PVS induction:
 PVS proves invariance for all traces; the explorer verifies the same
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Hashable, Iterable
 
 from repro.exceptions import PropertyViolation
 from repro.formal.model import EnclavesModel, GlobalState, Transition
@@ -30,6 +29,9 @@ from repro.formal.properties import ALL_CHECKS, Check
 #: Edge hooks get (model, source, transition) and return None or a message.
 EdgeHook = Callable[[EnclavesModel, GlobalState, Transition], "str | None"]
 
+#: What a check call returns: one (check name, message) per failed check.
+Failures = list[tuple[str, str]]
+
 
 @dataclass
 class Violation:
@@ -37,7 +39,7 @@ class Violation:
 
     check: str
     message: str
-    state: GlobalState
+    state: object
     path: list[str]
 
     def __str__(self) -> str:
@@ -47,13 +49,21 @@ class Violation:
 
 @dataclass
 class ExplorationResult:
-    """Outcome of one exploration run."""
+    """Outcome of one search: distinct states reached from the start,
+    edges taken, the longest path, and what failed."""
 
     states_explored: int
     transitions_explored: int
     violations: list[Violation] = field(default_factory=list)
-    #: states per actor kind, for reporting
     depth_reached: int = 0
+
+    # The concrete explorer's names for the same outcome.
+    worlds_explored = property(lambda self: self.states_explored)
+    max_depth_reached = property(lambda self: self.depth_reached)
+    violation = property(lambda self: self.violations[0].message
+                         if self.violations else None)
+    violating_schedule = property(lambda self: self.violations[0].path
+                                  if self.violations else [])
 
     @property
     def ok(self) -> bool:
@@ -65,106 +75,113 @@ class ExplorationResult:
             raise PropertyViolation(str(v), state=v.state, trace=v.path)
 
 
-class Explorer:
-    """Breadth-first bounded-exhaustive explorer."""
+def failed_checks(checks: dict[str, Check], model, state) -> Failures:
+    """(name, message) for every check in ``checks`` that ``state`` fails."""
+    return [(name, message) for name, check in checks.items()
+            if (message := check(model, state)) is not None]
 
-    def __init__(
-        self,
-        model: EnclavesModel,
-        checks: dict[str, Check] | None = None,
-        edge_hooks: list[EdgeHook] | None = None,
-        max_states: int = 500_000,
-        stop_on_first: bool = True,
-    ) -> None:
-        self.model = model
-        self.checks = checks if checks is not None else dict(ALL_CHECKS)
-        self.edge_hooks = list(edge_hooks or [])
-        self.max_states = max_states
-        self.stop_on_first = stop_on_first
 
-    def run(self, initial: Optional[GlobalState] = None) -> ExplorationResult:
-        """Explore all reachable states within the configured budgets."""
-        start = initial if initial is not None else self.model.initial_state()
-        result = ExplorationResult(states_explored=0, transitions_explored=0)
+def search(
+    start,
+    successors: Callable[[object], Iterable],
+    key: Callable[[object], Hashable],
+    check: Callable[[object], Failures],
+    edge_check: Callable[[object, object], Failures] | None = None,
+    *,
+    max_states: int,
+    max_depth: int | None = None,
+    depth_first: bool = False,
+    stop_on_first: bool = True,
+) -> ExplorationResult:
+    """Check every state reachable from ``start``, each once.
 
-        # parents: fingerprint -> (parent fingerprint, edge description)
-        parents: dict[tuple, tuple[tuple | None, str | None]] = {}
-        start_fp = start.fingerprint()
-        parents[start_fp] = (None, None)
-        visited: set[tuple] = {start_fp}
-        queue: deque[tuple[GlobalState, int]] = deque([(start, 0)])
+    ``successors(state)`` yields edges with a ``description`` and a
+    ``target``, taken one at a time from the oldest frontier entry
+    (breadth first: shortest counterexamples) or the newest
+    (``depth_first``: one path of states alive).  States at
+    ``max_depth`` are checked, not expanded; more than ``max_states``
+    distinct states raise :class:`PropertyViolation`.
+    """
+    result = ExplorationResult(states_explored=0, transitions_explored=0)
+    start_key = key(start)
+    # key -> (parent key, edge description): the visited set and the
+    # counterexample paths in one dict.
+    parents: dict = {start_key: (None, None)}
 
-        self._check_state(start, start_fp, parents, result)
-        if result.violations and self.stop_on_first:
-            return result
+    def found(failures: Failures, state, state_key, last=None) -> bool:
+        """Record failures, with the path to ``state_key`` then ``last``;
+        True when the search stops."""
+        if failures:
+            steps = [last] if last is not None else []
+            while state_key is not None:
+                state_key, description = parents[state_key]
+                if description is not None:
+                    steps.append(description)
+            result.violations += [Violation(name, message, state, steps[::-1])
+                                  for name, message in failures]
+        return stop_on_first and bool(failures)
 
-        while queue:
-            state, depth = queue.popleft()
-            result.depth_reached = max(result.depth_reached, depth)
-            state_fp = state.fingerprint()
-            for transition in self.model.successors(state):
-                result.transitions_explored += 1
-                for hook in self.edge_hooks:
-                    message = hook(self.model, state, transition)
-                    if message is not None:
-                        result.violations.append(
-                            Violation(
-                                check="edge",
-                                message=message,
-                                state=transition.target,
-                                path=self._path(parents, state_fp)
-                                + [transition.description],
-                            )
-                        )
-                        if self.stop_on_first:
-                            return result
-                fp = transition.target.fingerprint()
-                if fp in visited:
-                    continue
-                visited.add(fp)
-                parents[fp] = (state_fp, transition.description)
-                result.states_explored += 1
-                if result.states_explored > self.max_states:
-                    raise PropertyViolation(
-                        f"state budget exceeded ({self.max_states}); "
-                        "tighten the ModelConfig bounds"
-                    )
-                self._check_state(transition.target, fp, parents, result)
-                if result.violations and self.stop_on_first:
-                    return result
-                queue.append((transition.target, depth + 1))
+    if found(check(start), start, start_key):
         return result
+    # Entries are [state, key, depth, edges]; edges is made on first use,
+    # so a waiting entry holds no successor list.
+    frontier = deque([[start, start_key, 0, None]] if max_depth != 0 else [])
+    while frontier:
+        entry = frontier[-1] if depth_first else frontier[0]
+        state, state_key, depth, edges = entry
+        if edges is None:
+            edges = entry[3] = iter(successors(state))
+        edge = next(edges, None)
+        if edge is None:
+            (frontier.pop if depth_first else frontier.popleft)()
+            continue
+        result.transitions_explored += 1
+        target = edge.target
+        if edge_check is not None and found(
+            edge_check(state, edge), target, state_key, edge.description
+        ):
+            return result
+        target_key = key(target)
+        if target_key in parents:
+            continue
+        parents[target_key] = (state_key, edge.description)
+        result.states_explored += 1
+        if result.states_explored > max_states:
+            raise PropertyViolation(
+                f"state budget exceeded ({max_states}); tighten the bounds"
+            )
+        result.depth_reached = max(result.depth_reached, depth + 1)
+        if found(check(target), target, target_key):
+            return result
+        if max_depth is None or depth + 1 < max_depth:
+            frontier.append([target, target_key, depth + 1, None])
+    return result
 
-    # -- internals ---------------------------------------------------------------
 
-    def _check_state(
-        self,
-        state: GlobalState,
-        fp: tuple,
-        parents: dict,
-        result: ExplorationResult,
-    ) -> None:
-        for name, check in self.checks.items():
-            message = check(self.model, state)
-            if message is not None:
-                result.violations.append(
-                    Violation(
-                        check=name,
-                        message=message,
-                        state=state,
-                        path=self._path(parents, fp),
-                    )
-                )
+@dataclass
+class Explorer:
+    """Breadth-first bounded-exhaustive explorer of a symbolic model;
+    ``checks`` defaults to every §5 property."""
 
-    @staticmethod
-    def _path(parents: dict, fp: tuple) -> list[str]:
-        """Reconstruct the event path to a state fingerprint."""
-        steps: list[str] = []
-        cursor = fp
-        while cursor is not None:
-            parent, description = parents[cursor]
-            if description is not None:
-                steps.append(description)
-            cursor = parent
-        steps.reverse()
-        return steps
+    model: EnclavesModel
+    checks: dict[str, Check] | None = None
+    edge_hooks: list[EdgeHook] | None = None
+    max_states: int = 500_000
+    stop_on_first: bool = True
+
+    def run(self) -> ExplorationResult:
+        """Explore all reachable states within the configured budgets."""
+        model, hooks = self.model, self.edge_hooks
+        checks = ALL_CHECKS if self.checks is None else self.checks
+
+        def edge_check(state, transition) -> Failures:
+            return [("edge", message) for hook in hooks
+                    if (message := hook(model, state, transition)) is not None]
+
+        return search(
+            model.initial_state(), model.successors,
+            lambda state: state.fingerprint(),
+            lambda state: failed_checks(checks, model, state),
+            edge_check if hooks else None,
+            max_states=self.max_states, stop_on_first=self.stop_on_first,
+        )

@@ -5,7 +5,9 @@ sessions.  :class:`RandomWalker` trades exhaustiveness for depth: many
 seeded random walks, each hundreds of transitions long (dozens of
 sessions, admin exchanges, forgeries), with every invariant checked at
 every step.  Used by the slow tests and the FIG-4 benchmark sweep to
-push the same §5 predicates far beyond the exhaustive frontier.
+push the same §5 predicates far beyond the exhaustive frontier.  A walk
+keeps no visited set, so it does not run the explorer's ``search``
+loop; it shares its check helper and :class:`Violation` instead.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.crypto.rng import DeterministicRandom
-from repro.formal.explorer import Violation
-from repro.formal.model import EnclavesModel, GlobalState
+from repro.formal.explorer import Violation, failed_checks
+from repro.formal.model import EnclavesModel
 from repro.formal.properties import ALL_CHECKS, Check
 
 
@@ -49,10 +51,12 @@ class RandomWalker:
         path)."""
         state = self.model.initial_state()
         path: list[str] = []
-        violations = self._check(state, path)
-        if violations:
-            return 0, violations, path
-        for step in range(max_steps):
+        for step in range(max_steps + 1):
+            violations = [Violation(name, message, state, list(path))
+                          for name, message in failed_checks(
+                              self.checks, self.model, state)]
+            if violations or step == max_steps:
+                return step, violations, path
             # successors() builds some transitions from sets: pick in
             # description order, not PYTHONHASHSEED's iteration order.
             transitions = sorted(self.model.successors(state),
@@ -63,10 +67,6 @@ class RandomWalker:
             transition = transitions[pick % len(transitions)]
             path.append(transition.description)
             state = transition.target
-            violations = self._check(state, path)
-            if violations:
-                return step + 1, violations, path
-        return max_steps, [], path
 
     def run(self, walks: int, max_steps: int = 200) -> WalkResult:
         """Run a batch of walks; stop at the first violation."""
@@ -79,14 +79,3 @@ class RandomWalker:
                 result.violations.extend(violations)
                 break
         return result
-
-    def _check(self, state: GlobalState, path: list[str]) -> list[Violation]:
-        found = []
-        for name, check in self.checks.items():
-            message = check(self.model, state)
-            if message is not None:
-                found.append(
-                    Violation(check=name, message=message, state=state,
-                              path=list(path))
-                )
-        return found

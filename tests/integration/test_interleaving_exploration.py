@@ -15,6 +15,7 @@ from repro.enclaves.itgm.admin import TextPayload
 from repro.enclaves.itgm.leader_session import LeaderSession, LeaderState
 from repro.enclaves.itgm.member import MemberProtocol, MemberState
 from repro.enclaves.modelcheck import World, explore_interleavings
+from repro.exceptions import PropertyViolation
 
 
 def build_pair(seed=0):
@@ -54,7 +55,7 @@ class TestHandshakeInterleavings:
 
         result = explore_interleavings(build, requirements)
         assert result.ok, (result.violation, result.violating_schedule)
-        assert result.worlds_explored >= 4
+        assert (result.worlds_explored, result.max_depth_reached) == (4, 3)
 
     def test_handshake_with_duplication(self):
         def build():
@@ -67,7 +68,8 @@ class TestHandshakeInterleavings:
             build, requirements, with_duplicates=True, max_depth=10
         )
         assert result.ok, (result.violation, result.violating_schedule)
-        assert result.worlds_explored > 10
+        assert (result.worlds_explored, result.max_depth_reached) == (
+            4_744, 10)
 
     def test_handshake_with_drops(self):
         def build():
@@ -80,6 +82,7 @@ class TestHandshakeInterleavings:
             build, requirements, with_drops=True, max_depth=10
         )
         assert result.ok, (result.violation, result.violating_schedule)
+        assert (result.worlds_explored, result.max_depth_reached) == (7, 3)
 
 
 class TestAdminPhaseInterleavings:
@@ -107,6 +110,7 @@ class TestAdminPhaseInterleavings:
 
         result = explore_interleavings(build, requirements)
         assert result.ok, (result.violation, result.violating_schedule)
+        assert (result.worlds_explored, result.max_depth_reached) == (5, 3)
 
     def test_admin_vs_close_race_all_orders(self):
         """The close/pending-ack race of §5.4, exhaustively: an AdminMsg
@@ -123,6 +127,7 @@ class TestAdminPhaseInterleavings:
             build, requirements, with_duplicates=True, max_depth=12
         )
         assert result.ok, (result.violation, result.violating_schedule)
+        assert (result.worlds_explored, result.max_depth_reached) == (8, 3)
 
     def test_join_close_rejoin_all_orders(self):
         """Cross-session confusion, exhaustively: the old session's
@@ -144,6 +149,8 @@ class TestAdminPhaseInterleavings:
             build, requirements, with_duplicates=True, max_depth=12
         )
         assert result.ok, (result.violation, result.violating_schedule)
+        assert (result.worlds_explored, result.max_depth_reached) == (
+            9_023, 12)
 
 
 class TestConcurrentJoins:
@@ -190,8 +197,7 @@ class TestConcurrentJoins:
         # Each session draws from its own stream, so schedules that
         # differ only in which handshake went first reach byte-identical
         # worlds and are explored once (72 distinct worlds).
-        assert result.max_depth_reached < 16
-        assert result.worlds_explored > 50
+        assert (result.worlds_explored, result.max_depth_reached) == (72, 12)
 
     @pytest.mark.slow
     def test_concurrent_joins_deeper(self):
@@ -200,6 +206,7 @@ class TestConcurrentJoins:
             max_depth=18, max_worlds=15_000,
         )
         assert result.ok, (result.violation, result.violating_schedule)
+        assert (result.worlds_explored, result.max_depth_reached) == (72, 12)
 
 
 class TestExplorerMechanics:
@@ -230,7 +237,7 @@ class TestExplorerMechanics:
             world.post(member.start_join())
             return world
 
-        with pytest.raises(RuntimeError):
+        with pytest.raises(PropertyViolation):
             explore_interleavings(
                 build, requirements, with_duplicates=True,
                 max_depth=20, max_worlds=5,
