@@ -28,7 +28,7 @@ from repro.enclaves.common import AppMessage, UserDirectory
 from repro.enclaves.harness import SyncNetwork, wire
 from repro.fabric.directory import GroupDirectory
 from repro.fabric.member import FabricMember
-from repro.fabric.scale import FabricConfig, run_fabric_soak
+from repro.fabric.scale import CONVERGE_TIMEOUT, FabricConfig, run_fabric_soak
 from repro.fabric.shard import ShardHost
 from repro.storage.simdisk import SimDisk
 
@@ -155,7 +155,7 @@ def test_migration_downtime_virtual():
     assert report.safe and report.isolated and report.converged
     assert report.migrations, "the soak must have performed a migration"
     assert report.migration_downtime is not None
-    assert report.migration_downtime < config.converge_timeout
+    assert report.migration_downtime < CONVERGE_TIMEOUT
     write_bench_record("fabric", _payload(migration={
         "groups": config.n_groups,
         "shards": config.n_shards,

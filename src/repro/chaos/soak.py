@@ -37,7 +37,6 @@ from repro.enclaves.itgm.runtime import LeaderRuntime
 from repro.enclaves.itgm.supervisor import (
     LeaderOrchestrator,
     ResilientMemberClient,
-    SupervisorConfig,
 )
 from repro.enclaves.legacy.leader import LegacyGroupLeader
 from repro.enclaves.legacy.member import LegacyMemberProtocol, LegacyMemberState
@@ -57,6 +56,17 @@ from repro.telemetry.metrics import MetricsRegistry
 #: monitor's live §5.4 samples.
 APP_INTERVAL = 1.0
 MONITOR_INTERVAL = 0.5
+#: The itgm stack's managers: one leader and one failover standby.
+N_MANAGERS = 2
+#: The loss window's i.i.d. drop and duplicate rates, and the delay
+#: window's hold probability and longest hold (seconds).
+DROP_RATE = 0.3
+DUPLICATE_RATE = 0.05
+DELAY_RATE = 0.25
+MAX_HOLD = 0.5
+#: The leaders' protocol timers (seconds).
+TICK_INTERVAL = 0.25
+HEARTBEAT_INTERVAL = 0.5
 
 
 @dataclass
@@ -66,16 +76,11 @@ class SoakConfig:
     stack: str = "itgm"            # "itgm" | "legacy"
     seed: int = 7
     n_members: int = 5
-    n_managers: int = 2
     duration: float = 60.0
-    #: i.i.d. loss window (start, end) and rates.
+    #: i.i.d. loss window (start, end).
     loss_window: tuple[float, float] | None = (4.0, 20.0)
-    drop_rate: float = 0.3
-    duplicate_rate: float = 0.05
     #: Delay/reorder window.
     delay_window: tuple[float, float] | None = (4.0, 20.0)
-    delay_rate: float = 0.25
-    max_hold: float = 0.5
     #: Gilbert-Elliott bursty sub-window.
     bursty_window: tuple[float, float] | None = (12.0, 18.0)
     #: Partition window (managers + half the members vs. the rest).
@@ -87,10 +92,7 @@ class SoakConfig:
     crash_failover_at: float | None = 34.0
     #: Protocol timers.
     rekey_interval: float = 5.0
-    heartbeat_interval: float = 0.5
-    tick_interval: float = 0.25
     converge_timeout: float = 20.0
-    supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
 
 
 @dataclass
@@ -203,11 +205,11 @@ def build_default_plan(
     """Translate a :class:`SoakConfig` into a :class:`FaultPlan`."""
     plan = FaultPlan(seed=config.seed)
     if config.loss_window is not None:
-        plan.loss(*config.loss_window, drop_rate=config.drop_rate,
-                  duplicate_rate=config.duplicate_rate)
+        plan.loss(*config.loss_window, drop_rate=DROP_RATE,
+                  duplicate_rate=DUPLICATE_RATE)
     if config.delay_window is not None:
         plan.delay(*config.delay_window, min_hold=0.05,
-                   max_hold=config.max_hold, delay_rate=config.delay_rate)
+                   max_hold=MAX_HOLD, delay_rate=DELAY_RATE)
     if config.bursty_window is not None:
         plan.bursty(*config.bursty_window)
     if config.partition_window is not None:
@@ -257,7 +259,7 @@ async def _soak_itgm(
         probe.subscribe_to(telemetry)
 
     member_ids = [f"user-{i}" for i in range(config.n_members)]
-    manager_ids = [f"mgr-{i}" for i in range(config.n_managers)]
+    manager_ids = [f"mgr-{i}" for i in range(N_MANAGERS)]
     directory = UserDirectory()
     creds = {
         uid: directory.register_password(uid, f"pw-{uid}")
@@ -281,8 +283,8 @@ async def _soak_itgm(
         ),
         rng=rng.fork("mgrs"),
         clock=LoopClock(loop),
-        tick_interval=config.tick_interval,
-        heartbeat_interval=config.heartbeat_interval,
+        tick_interval=TICK_INTERVAL,
+        heartbeat_interval=HEARTBEAT_INTERVAL,
         telemetry=telemetry,
         disk=SimDisk(rng=rng.fork("disk")),
     )
@@ -298,7 +300,6 @@ async def _soak_itgm(
                 for m in manager_ids
             },
             net,
-            config=config.supervisor,
             rng=rng.fork(uid),
             telemetry=telemetry,
         )

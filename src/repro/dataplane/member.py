@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from repro.dataplane.channel import DataChannel, GroupKeyChannel
-from repro.dataplane.ratchet import DEFAULT_SKIP_WINDOW
 from repro.dataplane.reliable import ReliableReceiver, ReliableSender
 from repro.enclaves.common import Event, MemberJoined, MembershipView
 from repro.enclaves.itgm.member import MemberProtocol
@@ -37,16 +36,13 @@ class DataMember:
         *,
         ratcheted: bool = True,
         reliable: bool = True,
-        window: int = DEFAULT_SKIP_WINDOW,
         clock: Callable[[], float] | None = None,
         telemetry: EventBus | None = None,
     ) -> None:
         self.member = member
         self._clock = clock if clock is not None else (lambda: 0.0)
         if ratcheted:
-            self.channel = DataChannel(
-                member.user_id, window=window, telemetry=telemetry
-            )
+            self.channel = DataChannel(member.user_id, telemetry=telemetry)
         else:
             self.channel = GroupKeyChannel(member.user_id, telemetry=telemetry)
         self.receiver = ReliableReceiver(member.user_id, self.channel)

@@ -11,9 +11,9 @@ sealed envelope it last sent for it:
 
 * a NACK retransmits the cached envelope verbatim (the receiver's
   banked skip key is exactly the key that opens it);
-* a retransmit timer (:class:`~repro.overload.deadline.AdaptiveDeadline`
-  over an RFC 6298 :class:`~repro.overload.deadline.LatencyTracker`,
-  driven by the sim clock) resends frames whose ACKs are overdue,
+* a retransmit timer (the adaptive deadline of an RFC 6298
+  :class:`~repro.overload.deadline.LatencyTracker`, driven by the sim
+  clock) resends frames whose ACKs are overdue,
   spending a Finagle-style
   :class:`~repro.overload.deadline.RetryBudget` so a dead group drains
   into a bounded, observable give-up instead of a retry storm;
@@ -58,7 +58,7 @@ from repro.exceptions import (
     RatchetError,
     StateError,
 )
-from repro.overload.deadline import AdaptiveDeadline, LatencyTracker, RetryBudget
+from repro.overload.deadline import LatencyTracker, RetryBudget
 from repro.telemetry.events import (
     EventBus,
     RetryBudgetExhausted,
@@ -188,7 +188,6 @@ class ReliableSender:
         self._peers = peers
         self._telemetry = resolve_bus(telemetry)
         self.tracker = LatencyTracker()
-        self.deadline = AdaptiveDeadline(self.tracker)
         self.budget = RetryBudget()
         #: seq -> (message id, plaintext, sealed envelope, last send time).
         #: The message id is assigned once per payload and survives
@@ -288,7 +287,7 @@ class ReliableSender:
     def tick(self, now: float) -> list[Envelope]:
         """Retransmit frames whose acknowledgements are overdue."""
         self._sync_epoch()
-        overdue = self.deadline.current()
+        overdue = self.tracker.deadline()
         out = []
         for seq in sorted(self._pending):
             msg_id, payload, envelope, sent_at = self._pending[seq]

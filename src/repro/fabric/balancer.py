@@ -13,14 +13,14 @@ break exact ties.
 
 The placement signal is a weighted load score per shard::
 
-    load(shard) = Σ over hosted groups of (1 + join_weight·join_rate
-                                             + rekey_weight·rekey_p99)
+    load(shard) = Σ over hosted groups of (1 + JOIN_WEIGHT·join_rate
+                                             + REKEY_WEIGHT·rekey_p99)
 
 so a shard hosting few frantic groups can outweigh one hosting many
 idle groups.  A move is proposed when shifting the busiest group off
 the hottest shard onto the coolest one would shrink the gap between
-them — the classic "does the move help" greedy test, repeated up to
-``max_proposals`` times against the projected loads.
+them — the classic "does the move help" greedy test, one move per
+evaluation.
 """
 
 from __future__ import annotations
@@ -45,19 +45,19 @@ class MigrationProposal:
     projected_gap: float
 
 
+#: Extra load per unit of a group's join rate (joins per second).
+JOIN_WEIGHT = 2.0
+#: Extra load per second of a group's p99 rekey latency.
+REKEY_WEIGHT = 1.0
+#: Minimum hottest-to-coolest gap (in load units) worth acting on;
+#: below this the fabric is considered balanced.
+MIN_GAP = 0.5
+
+
 @dataclass
 class RebalancePolicy:
     """Greedy gap-shrinking rebalancer over shard load scores."""
 
-    #: Extra load per unit of a group's join rate (joins per second).
-    join_weight: float = 2.0
-    #: Extra load per second of a group's p99 rekey latency.
-    rekey_weight: float = 1.0
-    #: Minimum hottest-to-coolest gap (in load units) worth acting on;
-    #: below this the fabric is considered balanced.
-    min_gap: float = 1.5
-    #: Cap on proposals per evaluation (migrations are not free).
-    max_proposals: int = 4
     rng: RandomSource | None = field(default=None, repr=False)
 
     def group_load(self, group_id: str, metrics: MetricsRegistry) -> float:
@@ -67,7 +67,7 @@ class RebalancePolicy:
         hist = metrics.histogram("fabric_rekey_latency", group=group_id)
         if len(hist):
             rekey_p99 = hist.p99
-        return 1.0 + self.join_weight * join_rate + self.rekey_weight * rekey_p99
+        return 1.0 + JOIN_WEIGHT * join_rate + REKEY_WEIGHT * rekey_p99
 
     def shard_loads(
         self, fabric: GroupDirectory, metrics: MetricsRegistry
@@ -82,54 +82,42 @@ class RebalancePolicy:
     def propose(
         self, fabric: GroupDirectory, metrics: MetricsRegistry
     ) -> list[MigrationProposal]:
-        """Migration proposals that would shrink the load gap."""
+        """At most one migration proposal, and only one that would
+        shrink the load gap (migrations are not free)."""
         loads = self.shard_loads(fabric, metrics)
         if len(loads) < 2:
             return []
-        placements = fabric.placements()
-        proposals: list[MigrationProposal] = []
-        moved: set[str] = set()
-
-        for _ in range(self.max_proposals):
-            hottest = self._pick(loads, reverse=True)
-            coolest = self._pick(loads, reverse=False)
-            gap = loads[hottest] - loads[coolest]
-            if gap < self.min_gap or hottest == coolest:
-                break
-            candidates = sorted(
-                g for g, s in placements.items()
-                if s == hottest and g not in moved
-            )
-            best: tuple[float, float, str] | None = None
-            for group_id in candidates:
-                load = self.group_load(group_id, metrics)
-                new_gap = abs(
-                    (loads[hottest] - load) - (loads[coolest] + load)
-                )
-                # Moving must strictly shrink the gap, else skip.
-                if new_gap >= gap:
-                    continue
-                if best is None or (new_gap, -load) < (best[0], -best[1]):
-                    best = (new_gap, load, group_id)
-            if best is None:
-                break
-            new_gap, load, group_id = best
-            proposals.append(MigrationProposal(
-                group_id=group_id,
-                source=hottest,
-                target=coolest,
-                reason=(
-                    f"shard load {loads[hottest]:.2f} -> "
-                    f"{loads[hottest] - load:.2f} "
-                    f"(gap {gap:.2f} -> {new_gap:.2f})"
-                ),
-                projected_gap=new_gap,
-            ))
-            moved.add(group_id)
-            placements[group_id] = coolest
-            loads[hottest] -= load
-            loads[coolest] += load
-        return proposals
+        hottest = self._pick(loads, reverse=True)
+        coolest = self._pick(loads, reverse=False)
+        gap = loads[hottest] - loads[coolest]
+        if gap < MIN_GAP or hottest == coolest:
+            return []
+        candidates = sorted(
+            g for g, s in fabric.placements().items() if s == hottest
+        )
+        best: tuple[float, float, str] | None = None
+        for group_id in candidates:
+            load = self.group_load(group_id, metrics)
+            new_gap = abs((loads[hottest] - load) - (loads[coolest] + load))
+            # Moving must strictly shrink the gap, else skip.
+            if new_gap >= gap:
+                continue
+            if best is None or (new_gap, -load) < (best[0], -best[1]):
+                best = (new_gap, load, group_id)
+        if best is None:
+            return []
+        new_gap, load, group_id = best
+        return [MigrationProposal(
+            group_id=group_id,
+            source=hottest,
+            target=coolest,
+            reason=(
+                f"shard load {loads[hottest]:.2f} -> "
+                f"{loads[hottest] - load:.2f} "
+                f"(gap {gap:.2f} -> {new_gap:.2f})"
+            ),
+            projected_gap=new_gap,
+        )]
 
     def _pick(self, loads: dict[str, float], *, reverse: bool) -> str:
         """The extreme-load shard; RNG breaks *exact* ties only, so the

@@ -80,6 +80,18 @@ CHURN_HORIZON = 0.55
 APP_INTERVAL = 1.0
 CROSS_POST_INTERVAL = 1.5
 MONITOR_INTERVAL = 0.5
+#: The loss window's i.i.d. drop and duplicate rates, and the delay
+#: window's hold probability and longest hold (seconds).
+DROP_RATE = 0.12
+DUPLICATE_RATE = 0.04
+DELAY_RATE = 0.2
+MAX_HOLD = 0.3
+#: The shard runtimes' protocol timers (seconds).
+TICK_INTERVAL = 0.25
+HEARTBEAT_INTERVAL = 0.5
+#: Virtual seconds a migrated group, and after the faults the whole
+#: fabric, may take to reconverge.
+CONVERGE_TIMEOUT = 20.0
 
 
 @dataclass
@@ -92,19 +104,11 @@ class FabricConfig:
     duration: float = 40.0
     #: Network fault windows (None disables).
     loss_window: tuple[float, float] | None = None
-    drop_rate: float = 0.12
-    duplicate_rate: float = 0.04
     delay_window: tuple[float, float] | None = None
-    delay_rate: float = 0.2
-    max_hold: float = 0.3
     #: Fabric lifecycle events (None disables).
     migrate_at: float | None = None
     rebalance_at: float | None = None
     crash_shard_at: float | None = None
-    #: Timers.
-    tick_interval: float = 0.25
-    heartbeat_interval: float = 0.5
-    converge_timeout: float = 20.0
 
     @classmethod
     def full(cls, seed: int = 7, **overrides) -> "FabricConfig":
@@ -232,11 +236,11 @@ class _ShardRuntime(LeaderRuntime):
     """Pumps one :class:`ShardHost` over one network endpoint; the
     receive, tick and heartbeat loops are :class:`LeaderRuntime`'s."""
 
-    def __init__(self, host: ShardHost, endpoint, config: FabricConfig) -> None:
+    def __init__(self, host: ShardHost, endpoint) -> None:
         super().__init__(
             host, endpoint,
-            tick_interval=config.tick_interval,
-            heartbeat_interval=config.heartbeat_interval,
+            tick_interval=TICK_INTERVAL,
+            heartbeat_interval=HEARTBEAT_INTERVAL,
         )
         self.host = host
         self.alive = True
@@ -306,11 +310,11 @@ async def _run_fabric(
     net.attach_adversary(adversary)
     plan = FaultPlan(seed=config.seed)
     if config.loss_window is not None:
-        plan.loss(*config.loss_window, drop_rate=config.drop_rate,
-                  duplicate_rate=config.duplicate_rate)
+        plan.loss(*config.loss_window, drop_rate=DROP_RATE,
+                  duplicate_rate=DUPLICATE_RATE)
     if config.delay_window is not None:
         plan.delay(*config.delay_window, min_hold=0.05,
-                   max_hold=config.max_hold, delay_rate=config.delay_rate)
+                   max_hold=MAX_HOLD, delay_rate=DELAY_RATE)
     adversary.set_policy(plan.as_policy(loop.time, telemetry=bus))
 
     leader_config = LeaderConfig(
@@ -326,7 +330,7 @@ async def _run_fabric(
             telemetry=bus,
         )
         endpoint = await net.attach(shard_id)
-        shards[shard_id] = _ShardRuntime(host, endpoint, config)
+        shards[shard_id] = _ShardRuntime(host, endpoint)
 
     users: dict[str, UserDirectory] = {}
     members: dict[str, dict[str, ResilientMemberClient]] = {}
@@ -568,7 +572,7 @@ async def _run_fabric(
                     flip = loop.time()
                     moved = await do_migration(group_id, "explicit")
                     if moved and await wait_group_converged(
-                        group_id, config.converge_timeout
+                        group_id, CONVERGE_TIMEOUT
                     ):
                         migration_downtime = loop.time() - flip
                 elif kind == "rebalance":
@@ -580,10 +584,7 @@ async def _run_fabric(
                         registry.gauge(
                             "fabric_join_rate", group=group_id
                         ).set(joins / max(loop.time(), 1.0))
-                    policy = RebalancePolicy(
-                        min_gap=0.5, max_proposals=1,
-                        rng=rng.fork("balancer"),
-                    )
+                    policy = RebalancePolicy(rng=rng.fork("balancer"))
                     proposals = policy.propose(fabric, registry)
                     for proposal in proposals:
                         rebalance_lines.append(
@@ -670,7 +671,7 @@ async def _run_fabric(
         return good == desired, desired, good
 
     converge_time: float | None = None
-    deadline = loop.time() + config.converge_timeout
+    deadline = loop.time() + CONVERGE_TIMEOUT
     while loop.time() < deadline:
         done, _desired, _good = converged_now()
         if done:

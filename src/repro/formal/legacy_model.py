@@ -100,19 +100,21 @@ class LLeadMember:
 LegacyLeaderState = LLeadIdle | LLeadWaiting | LLeadMember
 
 
+#: Bound on how many new_key messages A may apply.  The flaw is that
+#: A *can* re-apply old ones; without a bound the state space is
+#: infinite (each application is a distinct state).
+MAX_APPLIES = 4
+#: The modelled user and leader.
+USER = "A"
+LEADER = "L"
+
+
 @dataclass(frozen=True)
 class LegacyConfig:
     """Exploration bounds for the legacy model."""
 
     max_sessions: int = 1
     max_rekeys: int = 2
-    #: Bound on how many new_key messages A may apply.  The flaw is
-    #: that A *can* re-apply old ones; without a bound the state space
-    #: is infinite (each application is a distinct state).
-    max_applies: int = 4
-    spy_budget: int = 1
-    user: str = "A"
-    leader: str = "L"
 
 
 @dataclass(frozen=True)
@@ -133,13 +135,11 @@ class LegacyState:
     next_id: int
     sessions: int = 0
     rekeys: int = 0
-    spy_count: int = 0
 
     def fingerprint(self) -> tuple:
         return (
             self.usr, self.lead, self.contents, self.spy.accessible,
             self.distributed, self.applied, self.sessions, self.rekeys,
-            self.spy_count,
         )
 
 
@@ -155,9 +155,9 @@ class LegacyEnclavesModel:
 
     def __init__(self, config: LegacyConfig | None = None) -> None:
         self.config = config if config is not None else LegacyConfig()
-        self.A = Agent(self.config.user)
-        self.L = Agent(self.config.leader)
-        self.Pa = LongTerm(self.config.user)
+        self.A = Agent(USER)
+        self.L = Agent(LEADER)
+        self.Pa = LongTerm(USER)
 
     def initial_state(self) -> LegacyState:
         return LegacyState(
@@ -232,9 +232,9 @@ class LegacyEnclavesModel:
                         )
         elif isinstance(usr, LUserMember):
             # FLAW (§2.3): accept ANY {K_g'}_{K_a} — no freshness check.
-            # (Bounded by max_applies or the state space is infinite:
+            # (Bounded by MAX_APPLIES or the state space is infinite:
             # the same message can be applied forever.)
-            if len(state.applied) < cfg.max_applies:
+            if len(state.applied) < MAX_APPLIES:
                 for f in sorted(state.trace_parts, key=repr):
                     if (
                         isinstance(f, Crypt) and f.key == usr.key

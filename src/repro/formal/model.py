@@ -126,6 +126,12 @@ LeaderState = LNotConnected | LWaitingForKeyAck | LConnected | LWaitingForAck
 # -- configuration ------------------------------------------------------------
 
 
+#: The modelled user, leader and compromised member.
+USER = "A"
+LEADER = "L"
+COMPROMISED = "C"
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Exploration bounds and model options."""
@@ -142,10 +148,6 @@ class ModelConfig:
     max_c_sessions: int = 1
     #: How many AdminMsgs L may send to C.
     max_c_admin: int = 1
-
-    user: str = "A"
-    leader: str = "L"
-    compromised: str = "C"
 
 
 # -- global state -------------------------------------------------------------
@@ -210,12 +212,11 @@ class EnclavesModel:
 
     def __init__(self, config: ModelConfig | None = None) -> None:
         self.config = config if config is not None else ModelConfig()
-        c = self.config
-        self.A = Agent(c.user)
-        self.L = Agent(c.leader)
-        self.C = Agent(c.compromised)
-        self.Pa = LongTerm(c.user)
-        self.Pc = LongTerm(c.compromised)
+        self.A = Agent(USER)
+        self.L = Agent(LEADER)
+        self.C = Agent(COMPROMISED)
+        self.Pa = LongTerm(USER)
+        self.Pc = LongTerm(COMPROMISED)
 
     # -- initial state ---------------------------------------------------------
 
@@ -404,7 +405,7 @@ class EnclavesModel:
             content = self.auth_init_req(self.A, self.Pa, n1)
             yield self._send(
                 state, "A", f"A sends AuthInitReq({n1})",
-                MsgLabel.AUTH_INIT_REQ, cfg.user, cfg.leader, content,
+                MsgLabel.AUTH_INIT_REQ, USER, LEADER, content,
                 usr=UWaitingForKey(n1),
                 next_id=state.next_id + 1,
                 sessions=state.sessions + 1,
@@ -417,7 +418,7 @@ class EnclavesModel:
                 content = self.key_ack(self.A, k, n2, n3)
                 yield self._send(
                     state, "A", f"A accepts AuthKeyDist, acks with {n3}",
-                    MsgLabel.AUTH_ACK_KEY, cfg.user, cfg.leader, content,
+                    MsgLabel.AUTH_ACK_KEY, USER, LEADER, content,
                     usr=UConnected(n3, k),
                     next_id=state.next_id + 1,
                 )
@@ -428,7 +429,7 @@ class EnclavesModel:
                 content = self.key_ack(self.A, usr.key, n_new, n_next)
                 yield self._send(
                     state, "A", f"A accepts AdminMsg({x}), acks with {n_next}",
-                    MsgLabel.ACK, cfg.user, cfg.leader, content,
+                    MsgLabel.ACK, USER, LEADER, content,
                     usr=UConnected(n_next, usr.key),
                     next_id=state.next_id + 1,
                     rcv=state.rcv + (x,),
@@ -436,7 +437,7 @@ class EnclavesModel:
             content = self.req_close(self.A, usr.key)
             yield self._send(
                 state, "A", "A sends ReqClose and leaves",
-                MsgLabel.REQ_CLOSE, cfg.user, cfg.leader, content,
+                MsgLabel.REQ_CLOSE, USER, LEADER, content,
                 usr=UNotConnected(),
                 rcv=(),  # rcv_A emptied when A leaves (§5.4)
             )
@@ -454,7 +455,7 @@ class EnclavesModel:
                 content = self.auth_key_dist(self.A, self.Pa, n1, n2, k)
                 yield self._send(
                     state, "L", f"L answers AuthInitReq({n1}) with key {k}",
-                    MsgLabel.AUTH_KEY_DIST, cfg.leader, cfg.user, content,
+                    MsgLabel.AUTH_KEY_DIST, LEADER, USER, content,
                     lead=LWaitingForKeyAck(n2, k, origin=n1),
                     next_id=state.next_id + 2,
                 )
@@ -481,7 +482,7 @@ class EnclavesModel:
                 content = self.admin_msg(self.A, lead.key, lead.nonce, n_new, x)
                 yield self._send(
                     state, "L", f"L sends AdminMsg({x})",
-                    MsgLabel.ADMIN_MSG, cfg.leader, cfg.user, content,
+                    MsgLabel.ADMIN_MSG, LEADER, USER, content,
                     lead=LWaitingForAck(n_new, lead.key),
                     next_id=state.next_id + 2,
                     admin_count=state.admin_count + 1,
@@ -536,7 +537,7 @@ class EnclavesModel:
                 content = self.auth_key_dist(self.C, self.Pc, n1, n2, k)
                 yield self._send(
                     state, "L", f"L answers C's AuthInitReq({n1}) with {k}",
-                    MsgLabel.AUTH_KEY_DIST, cfg.leader, cfg.compromised, content,
+                    MsgLabel.AUTH_KEY_DIST, LEADER, COMPROMISED, content,
                     lead_c=LWaitingForKeyAck(n2, k, origin=n1),
                     next_id=state.next_id + 2,
                     c_sessions=state.c_sessions + 1,
@@ -556,7 +557,7 @@ class EnclavesModel:
                 content = self.admin_msg(self.C, lead.key, lead.nonce, n_new, x)
                 yield self._send(
                     state, "L", f"L sends AdminMsg({x}) to C",
-                    MsgLabel.ADMIN_MSG, cfg.leader, cfg.compromised, content,
+                    MsgLabel.ADMIN_MSG, LEADER, COMPROMISED, content,
                     lead_c=LWaitingForAck(n_new, lead.key),
                     next_id=state.next_id + 2,
                     c_admin=state.c_admin + 1,
@@ -642,7 +643,7 @@ class EnclavesModel:
                 continue  # replay: no effect on Parts(trace)
             yield self._send(
                 state, "Spy", f"Spy forges {content!r}",
-                MsgLabel.SPY, "Spy", self.config.leader, content,
+                MsgLabel.SPY, "Spy", LEADER, content,
                 spy_count=state.spy_count + 1,
                 next_id=state.next_id + 2,
             )

@@ -30,6 +30,8 @@ from typing import Iterator
 from repro.formal.events import MsgLabel
 from repro.formal.fields import Concat, Crypt, NonceF, SessionK
 from repro.formal.model import (
+    LEADER,
+    USER,
     EnclavesModel,
     GlobalState,
     LNotConnected,
@@ -65,8 +67,7 @@ class NoNonceChainModel(EnclavesModel):
                     )
                     yield self._send(
                         state, "A", f"A blindly accepts AdminMsg({x})",
-                        MsgLabel.ACK, self.config.user, self.config.leader,
-                        content,
+                        MsgLabel.ACK, USER, LEADER, content,
                         usr=UConnected(n_next, usr.key),
                         next_id=state.next_id + 1,
                         rcv=state.rcv + (x,),
@@ -102,8 +103,7 @@ class ReusedSessionKeyModel(EnclavesModel):
                 content = self.auth_key_dist(self.A, self.Pa, n1, n2, k)
                 yield self._send(
                     state, "L", f"L answers AuthInitReq({n1}) with REUSED key",
-                    MsgLabel.AUTH_KEY_DIST, self.config.leader,
-                    self.config.user, content,
+                    MsgLabel.AUTH_KEY_DIST, LEADER, USER, content,
                     lead=LWaitingForKeyAck(n2, k, origin=n1),
                     next_id=state.next_id + 1,
                 )
@@ -134,8 +134,7 @@ class UnconstrainedKeyDistModel(EnclavesModel):
                     content = self.key_ack(self.A, k, n2, n3)
                     yield self._send(
                         state, "A", "A accepts ANY AuthKeyDist",
-                        MsgLabel.AUTH_ACK_KEY, self.config.user,
-                        self.config.leader, content,
+                        MsgLabel.AUTH_ACK_KEY, USER, LEADER, content,
                         usr=UConnected(n3, k),
                         next_id=state.next_id + 1,
                     )

@@ -25,7 +25,7 @@ it only emits events (and optionally accepts a profiler via
 """
 
 from repro.observability.flightrec import (
-    DEFAULT_TRIGGERS,
+    TRIGGERS,
     FlightRecorder,
     bundle_to_jsonl,
     load_bundle,
@@ -44,12 +44,12 @@ from repro.observability.trace import TraceBuilder, TraceGraph, TraceNode
 
 __all__ = [
     "BurnWindow",
-    "DEFAULT_TRIGGERS",
     "FlightRecorder",
     "PhaseProfiler",
     "SLOEvaluator",
     "SLOReport",
     "SLOSpec",
+    "TRIGGERS",
     "TraceBuilder",
     "TraceGraph",
     "TraceNode",

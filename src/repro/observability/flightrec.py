@@ -6,7 +6,7 @@ a member produced equivocation evidence, the live health probe saw a
 §5.4 invariant break — it captures a bundle:
 
 * the trigger event itself,
-* the full ring (the last ``capacity`` events before and including the
+* the full ring (the last ``CAPACITY`` events before and including the
   trigger, in order),
 * the **causal trace** of the trigger: the ancestors of the triggering
   event in the ring's reconstructed
@@ -32,35 +32,27 @@ from repro.telemetry.events import TelemetryRecord
 from repro.telemetry.export import record_to_dict
 
 #: Terminal events worth a bundle, by type name.
-DEFAULT_TRIGGERS = frozenset({
+TRIGGERS = frozenset({
     "RecoveryGaveUp",
     "EquivocationDetected",
     "ProbeViolation",
 })
+#: Events the ring holds.
+CAPACITY = 256
 
 
 class FlightRecorder:
     """Ring-buffer subscriber that dumps forensics on terminal events."""
 
-    def __init__(
-        self,
-        capacity: int = 256,
-        triggers=None,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.triggers = (
-            frozenset(triggers) if triggers is not None else DEFAULT_TRIGGERS
-        )
-        self._ring: deque[dict] = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self._ring: deque[dict] = deque(maxlen=CAPACITY)
         #: Captured bundles, oldest first.
         self.bundles: list[dict] = []
 
     def __call__(self, record: TelemetryRecord) -> None:
         payload = record_to_dict(record)
         self._ring.append(payload)
-        if payload["event"] in self.triggers:
+        if payload["event"] in TRIGGERS:
             self.bundles.append(self._capture(payload))
 
     def __len__(self) -> int:
@@ -172,8 +164,8 @@ def render_bundle(bundle: dict) -> str:
 
 
 __all__ = [
-    "DEFAULT_TRIGGERS",
     "FlightRecorder",
+    "TRIGGERS",
     "bundle_to_jsonl",
     "load_bundle",
     "render_bundle",

@@ -21,7 +21,7 @@ arithmetic the data plane's retransmit timer runs on:
   under sustained saturation, coalesces rekeys and sheds
   lowest-priority work, with recovery hysteresis.
 * :mod:`repro.overload.deadline` — EWMA-tracked operation latency
-  feeding adaptive deadlines, plus deposit/withdraw retry budgets
+  and the adaptive deadline it gives, plus deposit/withdraw retry budgets
   (:class:`~repro.dataplane.reliable.ReliableSender` runs both on every
   retransmit).
 
@@ -33,28 +33,19 @@ within SLO on one and collapsing on the other.
 
 from repro.overload.admission import (
     FairShareAdmission,
-    FairShareConfig,
     PriorityClass,
     TokenBucket,
     classify_frame,
 )
-from repro.overload.brownout import BrownoutConfig, BrownoutController
-from repro.overload.deadline import (
-    AdaptiveDeadline,
-    LatencyTracker,
-    RetryBudget,
-)
-from repro.overload.mailbox import BoundedMailbox, MailboxConfig
+from repro.overload.brownout import BrownoutController
+from repro.overload.deadline import LatencyTracker, RetryBudget
+from repro.overload.mailbox import BoundedMailbox
 
 __all__ = [
-    "AdaptiveDeadline",
     "BoundedMailbox",
-    "BrownoutConfig",
     "BrownoutController",
     "FairShareAdmission",
-    "FairShareConfig",
     "LatencyTracker",
-    "MailboxConfig",
     "PriorityClass",
     "RetryBudget",
     "TokenBucket",

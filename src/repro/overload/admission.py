@@ -31,7 +31,6 @@ read.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from repro.wire.labels import DATA_CONTROL_LABELS, Label
 from repro.wire.message import Envelope, unwrap_group
@@ -143,22 +142,13 @@ class TokenBucket:
         return False
 
 
-@dataclass(frozen=True)
-class FairShareConfig:
-    """Per-sender pacing knobs.
-
-    The defaults assume the soak's scale (tens of members, frames per
-    virtual second in the tens); real deployments tune them like any
-    rate limit.  ``control_rate``/``control_burst`` size the separate
-    per-sender CONTROL bucket — generous relative to honest control
-    traffic, but a hard ceiling on an insider mislabeling its flood as
-    control (see the module docstring).
-    """
-
-    rate: float = 20.0
-    burst: float = 40.0
-    control_rate: float = 10.0
-    control_burst: float = 20.0
+#: Per-sender pacing: ``FAIR_RATE`` tokens per virtual second up to
+#: ``FAIR_BURST``.  The CONTROL class has its own bucket per sender on
+#: the same pacing: generous relative to honest control traffic (a
+#: handful of acks and rekey legs), but a hard ceiling on an insider
+#: mislabeling its flood as control (see the module docstring).
+FAIR_RATE = 10.0
+FAIR_BURST = 20.0
 
 
 class FairShareAdmission:
@@ -171,8 +161,7 @@ class FairShareAdmission:
     dwarfs every honest member's.
     """
 
-    def __init__(self, config: FairShareConfig | None = None) -> None:
-        self.config = config if config is not None else FairShareConfig()
+    def __init__(self) -> None:
         self._buckets: dict[str, TokenBucket] = {}
         self._control_buckets: dict[str, TokenBucket] = {}
         self.sheds: dict[str, int] = {}
@@ -181,7 +170,7 @@ class FairShareAdmission:
     def bucket(self, sender: str) -> TokenBucket:
         bucket = self._buckets.get(sender)
         if bucket is None:
-            bucket = TokenBucket(self.config.rate, self.config.burst)
+            bucket = TokenBucket(FAIR_RATE, FAIR_BURST)
             self._buckets[sender] = bucket
         return bucket
 
@@ -194,9 +183,7 @@ class FairShareAdmission:
         """
         bucket = self._control_buckets.get(sender)
         if bucket is None:
-            bucket = TokenBucket(
-                self.config.control_rate, self.config.control_burst
-            )
+            bucket = TokenBucket(FAIR_RATE, FAIR_BURST)
             self._control_buckets[sender] = bucket
         return bucket
 
@@ -217,7 +204,6 @@ class FairShareAdmission:
 
 __all__ = [
     "FairShareAdmission",
-    "FairShareConfig",
     "PriorityClass",
     "TokenBucket",
     "classify_frame",

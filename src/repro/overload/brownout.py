@@ -2,11 +2,11 @@
 
 A bounded mailbox keeps the leader *correct* at saturation; brownout
 keeps it *useful*.  When the saturation signal (mailbox occupancy
-fraction) stays above ``enter_threshold``, the controller drops into
+fraction) reaches ``ENTER_THRESHOLD``, the controller drops into
 degraded mode and the leader's driver consults it twice:
 
 * :meth:`BrownoutController.note_rekey_wanted` — membership-triggered
-  rekeys batch into one rotation per ``rekey_interval`` instead of one
+  rekeys batch into one rotation per ``REKEY_INTERVAL`` instead of one
   per join/leave, trading key-freshness granularity for the O(members)
   fan-out cost of each rotation (the single most expensive control
   operation under a join surge).
@@ -15,7 +15,7 @@ degraded mode and the leader's driver consults it twice:
   admission.
 
 Recovery has **hysteresis**: the controller exits only after the
-signal has stayed at or below ``exit_threshold`` for ``min_dwell``
+signal has stayed at or below ``EXIT_THRESHOLD`` for ``MIN_DWELL``
 consecutive virtual seconds — a single drained tick must not flap the
 group back into full-cost mode while the flood is still running.
 Entry and exit are telemetry events; exit carries the coalescing
@@ -23,8 +23,6 @@ evidence (how many rekeys were folded).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.overload.admission import PriorityClass
 from repro.telemetry.events import (
@@ -34,26 +32,14 @@ from repro.telemetry.events import (
 )
 
 
-@dataclass(frozen=True)
-class BrownoutConfig:
-    """Thresholds and hysteresis for one brownout controller."""
-
-    enter_threshold: float = 0.8
-    exit_threshold: float = 0.3
-    #: Virtual seconds the signal must stay <= exit_threshold.
-    min_dwell: float = 1.0
-    #: Virtual seconds between coalesced rekey flushes while degraded.
-    rekey_interval: float = 2.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.enter_threshold <= 1.0:
-            raise ValueError("enter_threshold must be in (0, 1]")
-        if not 0.0 <= self.exit_threshold < self.enter_threshold:
-            raise ValueError(
-                "exit_threshold must be in [0, enter_threshold)"
-            )
-        if self.min_dwell < 0 or self.rekey_interval < 0:
-            raise ValueError("dwell/interval must be >= 0")
+#: Saturation at or above which the controller enters brownout.
+ENTER_THRESHOLD = 0.8
+#: Saturation at or below which the exit dwell runs.
+EXIT_THRESHOLD = 0.3
+#: Virtual seconds the signal must stay <= ``EXIT_THRESHOLD``.
+MIN_DWELL = 1.0
+#: Virtual seconds between coalesced rekey flushes while degraded.
+REKEY_INTERVAL = 2.0
 
 
 class BrownoutController:
@@ -62,12 +48,10 @@ class BrownoutController:
     def __init__(
         self,
         node: str,
-        config: BrownoutConfig | None = None,
         *,
         telemetry: EventBus | None = None,
     ) -> None:
         self.node = node
-        self.config = config if config is not None else BrownoutConfig()
         self._telemetry = telemetry
         self.active = False
         self._calm_since: float | None = None
@@ -80,9 +64,8 @@ class BrownoutController:
 
     def observe(self, saturation: float, now: float) -> None:
         """Feed one saturation reading (occupancy fraction) at ``now``."""
-        cfg = self.config
         if not self.active:
-            if saturation >= cfg.enter_threshold:
+            if saturation >= ENTER_THRESHOLD:
                 self.active = True
                 self.episodes += 1
                 self._calm_since = None
@@ -92,13 +75,13 @@ class BrownoutController:
                         self.node, "brownout", saturation
                     ))
             return
-        if saturation > cfg.exit_threshold:
+        if saturation > EXIT_THRESHOLD:
             self._calm_since = None
             return
         if self._calm_since is None:
             self._calm_since = now
             return
-        if now - self._calm_since >= cfg.min_dwell:
+        if now - self._calm_since >= MIN_DWELL:
             self.active = False
             self._calm_since = None
             if self._telemetry:
@@ -121,14 +104,14 @@ class BrownoutController:
         """One membership change wants a rekey; should it run *now*?
 
         Outside brownout: always yes.  Inside: the request is latched
-        and only the first caller after ``rekey_interval`` elapses gets
+        and only the first caller after ``REKEY_INTERVAL`` elapses gets
         a True — everyone else's rotation folds into that flush (and is
         counted in ``coalesced_rekeys``, the evidence the soak report
         carries).
         """
         if not self.active:
             return True
-        if now - self._last_rekey_flush >= self.config.rekey_interval:
+        if now - self._last_rekey_flush >= REKEY_INTERVAL:
             self._last_rekey_flush = now
             self._pending_rekey = False
             return True
@@ -145,4 +128,4 @@ class BrownoutController:
         return owed
 
 
-__all__ = ["BrownoutConfig", "BrownoutController"]
+__all__ = ["BrownoutController"]

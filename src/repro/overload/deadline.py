@@ -5,7 +5,8 @@ slow system is treated as dead (retry storms that deepen the overload);
 too long, and a dead link ties up a recovery path for the full budget.
 :class:`LatencyTracker` follows the classic RTO estimator (RFC 6298 /
 Jacobson): an EWMA of the mean plus an EWMA of the deviation, giving a
-deadline of ``srtt + multiplier * dev`` clamped to ``[floor, cap]``.
+deadline of ``srtt + DEADLINE_MULTIPLIER * dev`` clamped to
+``[DEADLINE_FLOOR, DEADLINE_CAP]``.
 It is pure arithmetic over caller-supplied samples — no clock, fully
 deterministic.
 
@@ -25,12 +26,17 @@ decides *how long* it may run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
 #: RFC 6298's gains for the smoothed mean and for the deviation.
 ALPHA = 0.125
 BETA = 0.25
+#: The deadline is ``srtt + DEADLINE_MULTIPLIER * dev`` clamped to
+#: ``[DEADLINE_FLOOR, DEADLINE_CAP]`` seconds, and ``DEADLINE_FLOOR``
+#: until ``WARMUP`` samples arrive: a fresh system has no business
+#: guessing tight deadlines from one or two observations.
+DEADLINE_MULTIPLIER = 4.0
+DEADLINE_FLOOR = 0.25
+DEADLINE_CAP = 30.0
+WARMUP = 3
 
 
 class LatencyTracker:
@@ -56,38 +62,12 @@ class LatencyTracker:
             self.dev += BETA * (abs(err) - self.dev)
         self.samples += 1
 
-
-@dataclass(frozen=True)
-class AdaptiveDeadline:
-    """A deadline derived from a :class:`LatencyTracker`.
-
-    Until ``warmup`` samples arrive the deadline is ``floor`` — a
-    fresh system has no business guessing tight deadlines from one or
-    two observations.
-    """
-
-    tracker: LatencyTracker
-    multiplier: float = 4.0
-    floor: float = 0.25
-    cap: float = 30.0
-    warmup: int = 3
-
-    def __post_init__(self) -> None:
-        if self.floor < 0 or self.cap < self.floor:
-            raise ValueError("need 0 <= floor <= cap")
-        if self.multiplier <= 0:
-            raise ValueError("multiplier must be > 0")
-
-    def current(self) -> float:
+    def deadline(self) -> float:
         """The deadline (seconds) for the next operation."""
-        if self.tracker.samples < self.warmup:
-            return self.floor
-        raw = self.tracker.srtt + self.multiplier * self.tracker.dev
-        return min(self.cap, max(self.floor, raw))
-
-    def observe(self, sample: float) -> None:
-        """Convenience passthrough to the tracker."""
-        self.tracker.observe(sample)
+        if self.samples < WARMUP:
+            return DEADLINE_FLOOR
+        raw = self.srtt + DEADLINE_MULTIPLIER * self.dev
+        return min(DEADLINE_CAP, max(DEADLINE_FLOOR, raw))
 
 
 class RetryBudget:
@@ -145,4 +125,4 @@ class RetryBudget:
         return False
 
 
-__all__ = ["AdaptiveDeadline", "LatencyTracker", "RetryBudget"]
+__all__ = ["LatencyTracker", "RetryBudget"]

@@ -48,20 +48,6 @@ SHED_BROWNOUT = "brownout"
 _SERVICE_ORDER = tuple(PriorityClass)
 
 
-@dataclass(frozen=True)
-class MailboxConfig:
-    """Capacity and admission knobs for one bounded mailbox."""
-
-    capacity: int = 1024
-    #: Optional per-sender pacing; None admits everything the capacity
-    #: allows.
-    fair_share: object | None = None
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError("capacity must be >= 1")
-
-
 @dataclass
 class MailboxStats:
     """Counters the soak report and the bench read."""
@@ -84,12 +70,18 @@ class BoundedMailbox:
     def __init__(
         self,
         node: str,
-        config: MailboxConfig | None = None,
         *,
+        capacity: int = 1024,
+        fair_share: FairShareAdmission | None = None,
         telemetry: EventBus | None = None,
     ) -> None:
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
         self.node = node
-        self.config = config if config is not None else MailboxConfig()
+        self.capacity = capacity
+        #: Optional per-sender pacing; None admits everything the
+        #: capacity allows.
+        self.fair_share = fair_share
         self._telemetry = telemetry
         self._classes: dict[PriorityClass, deque] = {
             cls: deque() for cls in _SERVICE_ORDER
@@ -110,13 +102,9 @@ class BoundedMailbox:
         return self._depth
 
     @property
-    def capacity(self) -> int:
-        return self.config.capacity
-
-    @property
     def saturation(self) -> float:
         """Occupancy fraction in [0, 1] — the brownout input signal."""
-        return self._depth / self.config.capacity
+        return self._depth / self.capacity
 
     def set_brownout_classes(self, classes) -> None:
         """Shed these priority classes at the door (brownout mode)."""
@@ -139,12 +127,12 @@ class BoundedMailbox:
             self.stats.shed_brownout += 1
             self._shed(envelope, sender, cls, SHED_BROWNOUT)
             return False
-        fair = self.config.fair_share
+        fair = self.fair_share
         if fair is not None and not fair.admit(sender, cls, now):
             self.stats.shed_fair_share += 1
             self._shed(envelope, sender, cls, SHED_FAIR_SHARE)
             return False
-        if self._depth >= self.config.capacity:
+        if self._depth >= self.capacity:
             self._note_saturated()
             if not self._evict_below(cls):
                 self.stats.shed_capacity += 1
@@ -155,7 +143,7 @@ class BoundedMailbox:
         self.stats.accepted += 1
         if self._depth > self.stats.max_depth:
             self.stats.max_depth = self._depth
-        if self._depth >= self.config.capacity:
+        if self._depth >= self.capacity:
             self._note_saturated()
         return True
 
@@ -197,7 +185,7 @@ class BoundedMailbox:
         self.stats.saturation_episodes += 1
         if self._telemetry:
             self._telemetry.emit(QueueSaturated(
-                self.node, self._depth, self.config.capacity
+                self.node, self._depth, self.capacity
             ))
 
     # -- drain ---------------------------------------------------------------
@@ -226,7 +214,6 @@ class BoundedMailbox:
 
 __all__ = [
     "BoundedMailbox",
-    "MailboxConfig",
     "MailboxStats",
     "SHED_BROWNOUT",
     "SHED_CAPACITY",

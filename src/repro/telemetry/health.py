@@ -3,7 +3,7 @@
 The chaos soak asserts the paper's safety properties by sampling
 protocol state; this probe checks the *event stream* itself, which
 gives what the state sampler cannot: violations are reported **with
-the event trail that led to them** (the last N records before the
+the event trail that led to them** (the last ``TRAIL`` records before the
 offending event, frame ids included), so a failed invariant is a story,
 not a boolean.
 
@@ -32,12 +32,16 @@ from repro.telemetry.events import (
 )
 
 
+#: Records of event trail a violation report carries.
+TRAIL = 24
+
+
 class HealthProbe:
     """A bus subscriber that checks invariants as events arrive."""
 
-    def __init__(self, trail: int = 24) -> None:
+    def __init__(self) -> None:
         self.violations: list[str] = []
-        self._trail: deque[TelemetryRecord] = deque(maxlen=trail)
+        self._trail: deque[TelemetryRecord] = deque(maxlen=TRAIL)
         #: (member, leader) -> session generation (bumped per rejoin).
         self._generation: dict[tuple[str, str], int] = {}
         #: (member, leader, generation) -> last accepted epoch.

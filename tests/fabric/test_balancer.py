@@ -1,7 +1,12 @@
 """Tests for the rebalance policy: pure, deterministic, greedy."""
 
 from repro.crypto.rng import DeterministicRandom
-from repro.fabric.balancer import RebalancePolicy
+from repro.fabric.balancer import (
+    JOIN_WEIGHT,
+    MIN_GAP,
+    REKEY_WEIGHT,
+    RebalancePolicy,
+)
 from repro.fabric.directory import GroupDirectory
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -33,9 +38,10 @@ class TestLoadModel:
         metrics.histogram(
             "fabric_rekey_latency", group="grp-x"
         ).record(0.5)
-        policy = RebalancePolicy(join_weight=2.0, rekey_weight=1.0)
+        policy = RebalancePolicy()
         load = policy.group_load("grp-x", metrics)
-        assert load == 1.0 + 2.0 * 2.0 + 1.0 * 0.5
+        assert load == 1.0 + JOIN_WEIGHT * 2.0 + REKEY_WEIGHT * 0.5
+        assert load == 5.5
 
     def test_shard_loads_sum_hosted_groups(self):
         fabric = make_fabric({
@@ -52,15 +58,20 @@ class TestPropose:
             "grp-0": "s0", "grp-1": "s0",
             "grp-2": "s1", "grp-3": "s1",
         })
-        policy = RebalancePolicy(min_gap=1.5)
+        policy = RebalancePolicy()
         assert policy.propose(fabric, MetricsRegistry()) == []
+        # A gap just under MIN_GAP is balanced too.
+        metrics = rates(MetricsRegistry(), **{"grp-0": 0.2})
+        loads = policy.shard_loads(fabric, metrics)
+        assert loads["s0"] - loads["s1"] < MIN_GAP
+        assert policy.propose(fabric, metrics) == []
 
     def test_skew_produces_a_gap_shrinking_move(self):
         fabric = make_fabric({
             "grp-0": "s0", "grp-1": "s0", "grp-2": "s0", "grp-3": "s0",
             "grp-4": "s1",
         })
-        policy = RebalancePolicy(min_gap=1.5, max_proposals=1)
+        policy = RebalancePolicy()
         proposals = policy.propose(fabric, MetricsRegistry())
         assert len(proposals) == 1
         move = proposals[0]
@@ -77,7 +88,7 @@ class TestPropose:
             "grp-c": "s0", "grp-x": "s1",
         })
         metrics = rates(MetricsRegistry(), **{"grp-hot": 1.0})
-        policy = RebalancePolicy(min_gap=0.5, max_proposals=1)
+        policy = RebalancePolicy()
         proposals = policy.propose(fabric, metrics)
         assert [p.group_id for p in proposals] == ["grp-hot"]
 
@@ -88,7 +99,7 @@ class TestPropose:
             "grp-idle": "s0", "grp-hot": "s0", "grp-x": "s1",
         })
         metrics = rates(MetricsRegistry(), **{"grp-hot": 3.0})
-        policy = RebalancePolicy(min_gap=0.5, max_proposals=1)
+        policy = RebalancePolicy()
         proposals = policy.propose(fabric, metrics)
         assert [p.group_id for p in proposals] == ["grp-idle"]
 
@@ -97,15 +108,17 @@ class TestPropose:
         shard is overloaded, so the greedy test refuses."""
         fabric = make_fabric({"grp-big": "s0", "grp-x": "s1"})
         metrics = rates(MetricsRegistry(), **{"grp-big": 5.0})
-        policy = RebalancePolicy(min_gap=1.0)
+        policy = RebalancePolicy()
         assert policy.propose(fabric, metrics) == []
 
     def test_max_proposals_caps_the_plan(self):
+        """Eight groups against one: several moves would help, one is
+        proposed (migrations are not free)."""
         placements = {f"grp-{i}": "s0" for i in range(8)}
         placements["grp-z"] = "s1"
         fabric = make_fabric(placements)
-        policy = RebalancePolicy(min_gap=0.5, max_proposals=2)
-        assert len(policy.propose(fabric, MetricsRegistry())) == 2
+        policy = RebalancePolicy()
+        assert len(policy.propose(fabric, MetricsRegistry())) == 1
 
     def test_deterministic_under_injected_rng(self):
         placements = {f"grp-{i}": f"s{i % 3}" for i in range(9)}
@@ -114,15 +127,15 @@ class TestPropose:
         fabric_b = make_fabric(placements)
         metrics = rates(MetricsRegistry(), **{"grp-hot": 2.5})
         run_a = RebalancePolicy(
-            min_gap=0.5, rng=DeterministicRandom(11).fork("balancer")
+            rng=DeterministicRandom(11).fork("balancer")
         ).propose(fabric_a, metrics)
         run_b = RebalancePolicy(
-            min_gap=0.5, rng=DeterministicRandom(11).fork("balancer")
+            rng=DeterministicRandom(11).fork("balancer")
         ).propose(fabric_b, metrics)
         assert run_a == run_b
         assert run_a, "the skewed fabric must produce proposals"
 
     def test_single_shard_fabric_never_proposes(self):
         fabric = make_fabric({"grp-0": "s0", "grp-1": "s0"})
-        policy = RebalancePolicy(min_gap=0.0)
+        policy = RebalancePolicy()
         assert policy.propose(fabric, MetricsRegistry()) == []

@@ -247,10 +247,10 @@ class TestTcpEdgeCases:
 
     def test_bounded_mailbox_overflow_sheds(self):
         """With a bounded mailbox the leader sheds instead of growing."""
-        from repro.overload.mailbox import BoundedMailbox, MailboxConfig
+        from repro.overload.mailbox import BoundedMailbox
 
         async def scenario():
-            mailbox = BoundedMailbox("leader", MailboxConfig(capacity=4))
+            mailbox = BoundedMailbox("leader", capacity=4)
             transport = TcpTransport(port=0, mailbox=mailbox)
             leader = await transport.attach("leader")
             member = await transport.attach("mallory")
@@ -279,10 +279,10 @@ class TestTcpEdgeCases:
     def test_recv_wakes_on_mailbox_arrival(self):
         """A recv() parked on an empty bounded mailbox must wake when
         a frame lands (and unblock cleanly on close)."""
-        from repro.overload.mailbox import BoundedMailbox, MailboxConfig
+        from repro.overload.mailbox import BoundedMailbox
 
         async def scenario():
-            mailbox = BoundedMailbox("leader", MailboxConfig(capacity=4))
+            mailbox = BoundedMailbox("leader", capacity=4)
             transport = TcpTransport(port=0, mailbox=mailbox)
             leader = await transport.attach("leader")
             member = await transport.attach("alice")

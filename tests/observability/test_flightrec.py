@@ -3,7 +3,8 @@
 import pytest
 
 from repro.observability.flightrec import (
-    DEFAULT_TRIGGERS,
+    CAPACITY,
+    TRIGGERS,
     FlightRecorder,
     bundle_to_jsonl,
     load_bundle,
@@ -14,7 +15,6 @@ from repro.telemetry.events import (
     CertificateVerified,
     EquivocationDetected,
     EventBus,
-    JoinCompleted,
     JoinStarted,
     ProbeViolation,
     RekeyInstalled,
@@ -22,27 +22,23 @@ from repro.telemetry.events import (
 from repro.util.clock import TickClock
 
 
-def recorder_on_bus(**kwargs):
+def recorder_on_bus():
     bus = EventBus(clock=TickClock())
-    recorder = FlightRecorder(**kwargs)
+    recorder = FlightRecorder()
     bus.subscribe(recorder)
     return bus, recorder
 
 
 class TestRing:
     def test_ring_is_bounded(self):
-        bus, recorder = recorder_on_bus(capacity=4)
-        for i in range(10):
+        bus, recorder = recorder_on_bus()
+        for i in range(CAPACITY + 10):
             bus.emit(JoinStarted(f"u{i}", "g"))
-        assert len(recorder) == 4
+        assert len(recorder) == CAPACITY
         assert not recorder.triggered
 
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError, match="capacity"):
-            FlightRecorder(capacity=0)
-
     def test_default_triggers(self):
-        assert DEFAULT_TRIGGERS == {
+        assert TRIGGERS == {
             "RecoveryGaveUp", "EquivocationDetected", "ProbeViolation",
         }
 
@@ -73,14 +69,6 @@ class TestCapture:
         bus.emit(ProbeViolation("second"))
         assert len(recorder.bundles) == 2
         assert len(recorder.bundles[1]["ring"]) == 3
-
-    def test_custom_triggers(self):
-        bus, recorder = recorder_on_bus(triggers={"JoinCompleted"})
-        bus.emit(ProbeViolation("ignored"))
-        bus.emit(JoinCompleted("a", "g"))
-        assert [b["trigger"]["event"] for b in recorder.bundles] == [
-            "JoinCompleted",
-        ]
 
     def test_equivocation_trace_reaches_the_accepted_mutation(self):
         bus, recorder = recorder_on_bus()

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.overload.admission import (
+    FAIR_BURST,
     FairShareAdmission,
-    FairShareConfig,
     PriorityClass,
     TokenBucket,
     classify_frame,
@@ -93,17 +93,21 @@ class TestTokenBucket:
             TokenBucket(rate=1, burst=0.5)
 
 
+BURST = int(FAIR_BURST)
+
+
 class TestFairShareAdmission:
     def test_flooder_exhausts_only_its_own_bucket(self):
-        admission = FairShareAdmission(FairShareConfig(rate=1.0, burst=2.0))
-        for _ in range(10):
+        admission = FairShareAdmission()
+        for _ in range(BURST + 10):
             admission.admit("mallory", PriorityClass.APP, 0.0)
         assert admission.admit("alice", PriorityClass.APP, 0.0)
-        assert admission.sheds == {"mallory": 8}
+        assert admission.sheds == {"mallory": 10}
 
     def test_control_has_its_own_bucket(self):
-        admission = FairShareAdmission(FairShareConfig(rate=1.0, burst=1.0))
-        assert admission.admit("mallory", PriorityClass.APP, 0.0)
+        admission = FairShareAdmission()
+        for _ in range(BURST):
+            assert admission.admit("mallory", PriorityClass.APP, 0.0)
         assert not admission.admit("mallory", PriorityClass.APP, 0.0)
         # A dry APP bucket never starves the same sender's genuine
         # control traffic: CONTROL draws from its own bucket.
@@ -112,28 +116,25 @@ class TestFairShareAdmission:
     def test_mislabeled_control_flood_is_paced(self):
         # The class comes from the plaintext label, so an insider can
         # stamp its flood CONTROL — it must still hit a ceiling.
-        admission = FairShareAdmission(FairShareConfig(
-            rate=1.0, burst=1.0, control_rate=1.0, control_burst=2.0,
-        ))
+        admission = FairShareAdmission()
         verdicts = [
             admission.admit("mallory", PriorityClass.CONTROL, 0.0)
-            for _ in range(10)
+            for _ in range(BURST + 8)
         ]
-        assert verdicts == [True, True] + [False] * 8
+        assert verdicts == [True] * BURST + [False] * 8
         assert admission.sheds == {"mallory": 8}
         # ...without touching anyone else's control allowance.
         assert admission.admit("alice", PriorityClass.CONTROL, 0.0)
 
     def test_control_flood_leaves_own_app_bucket_intact(self):
-        admission = FairShareAdmission(FairShareConfig(
-            rate=1.0, burst=1.0, control_rate=1.0, control_burst=1.0,
-        ))
-        assert admission.admit("m", PriorityClass.CONTROL, 0.0)
+        admission = FairShareAdmission()
+        for _ in range(BURST):
+            assert admission.admit("m", PriorityClass.CONTROL, 0.0)
         assert not admission.admit("m", PriorityClass.CONTROL, 0.0)
         assert admission.admit("m", PriorityClass.APP, 0.0)
 
     def test_admitted_counter(self):
-        admission = FairShareAdmission(FairShareConfig(rate=1.0, burst=1.0))
-        admission.admit("a", PriorityClass.APP, 0.0)
-        admission.admit("a", PriorityClass.APP, 0.0)
-        assert admission.admitted == 1
+        admission = FairShareAdmission()
+        for _ in range(BURST + 1):
+            admission.admit("a", PriorityClass.APP, 0.0)
+        assert admission.admitted == BURST

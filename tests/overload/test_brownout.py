@@ -1,20 +1,19 @@
 """Tests for the hysteretic brownout controller."""
 
-import pytest
-
 from repro.overload.admission import PriorityClass
-from repro.overload.brownout import BrownoutConfig, BrownoutController
+from repro.overload.brownout import BrownoutController
 from repro.telemetry.events import BrownoutEntered, BrownoutExited, EventBus
 
 
-def make(bus=None, **kwargs):
-    config = BrownoutConfig(**kwargs) if kwargs else BrownoutConfig()
-    return BrownoutController("leader", config, telemetry=bus)
+def make(bus=None):
+    """A controller on the fixed thresholds: enter at 0.8, exit after
+    1 s at or below 0.3, one coalesced rekey flush per 2 s."""
+    return BrownoutController("leader", telemetry=bus)
 
 
 class TestBrownoutController:
     def test_enters_at_threshold(self):
-        ctrl = make(enter_threshold=0.8, exit_threshold=0.3)
+        ctrl = make()
         ctrl.observe(0.5, 0.0)
         assert not ctrl.active
         ctrl.observe(0.85, 1.0)
@@ -22,7 +21,7 @@ class TestBrownoutController:
         assert ctrl.episodes == 1
 
     def test_exit_requires_dwell_below_threshold(self):
-        ctrl = make(enter_threshold=0.8, exit_threshold=0.3, min_dwell=1.0)
+        ctrl = make()
         ctrl.observe(0.9, 0.0)
         ctrl.observe(0.2, 1.0)   # calm starts
         assert ctrl.active       # dwell not yet served
@@ -32,7 +31,7 @@ class TestBrownoutController:
         assert not ctrl.active
 
     def test_spike_during_dwell_resets_the_clock(self):
-        ctrl = make(enter_threshold=0.8, exit_threshold=0.3, min_dwell=1.0)
+        ctrl = make()
         ctrl.observe(0.9, 0.0)
         ctrl.observe(0.2, 1.0)
         ctrl.observe(0.5, 1.5)   # above exit threshold: reset
@@ -53,7 +52,7 @@ class TestBrownoutController:
         assert ctrl.coalesced_rekeys == 0
 
     def test_rekey_coalescing_inside_brownout(self):
-        ctrl = make(rekey_interval=2.0)
+        ctrl = make()
         ctrl.observe(0.9, 0.0)
         # The interval starts at entry: requests inside it coalesce.
         assert not ctrl.note_rekey_wanted(0.5)
@@ -64,7 +63,7 @@ class TestBrownoutController:
         assert not ctrl.note_rekey_wanted(2.6)
 
     def test_flush_pending_rekey_on_exit(self):
-        ctrl = make(min_dwell=0.0, rekey_interval=10.0)
+        ctrl = make()
         ctrl.observe(0.9, 0.0)
         ctrl.note_rekey_wanted(1.0)  # coalesced, still owed
         ctrl.observe(0.1, 2.0)
@@ -81,7 +80,7 @@ class TestBrownoutController:
             lambda r: seen.append(r.event) if isinstance(r.event, watched)
             else None
         )
-        ctrl = make(bus, min_dwell=0.0)
+        ctrl = make(bus)
         ctrl.observe(0.95, 0.0)
         ctrl.note_rekey_wanted(0.5)
         ctrl.observe(0.1, 1.0)
@@ -89,11 +88,3 @@ class TestBrownoutController:
         entered, exited = seen
         assert entered.saturation == 0.95
         assert exited.coalesced_rekeys == 1
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BrownoutConfig(enter_threshold=0.0)
-        with pytest.raises(ValueError):
-            BrownoutConfig(enter_threshold=0.5, exit_threshold=0.6)
-        with pytest.raises(ValueError):
-            BrownoutConfig(min_dwell=-1.0)

@@ -1,8 +1,14 @@
-"""Tests for the latency tracker, adaptive deadline, and retry budget."""
+"""Tests for the latency tracker, its adaptive deadline, and retry budget."""
 
 import pytest
 
-from repro.overload.deadline import AdaptiveDeadline, LatencyTracker, RetryBudget
+from repro.overload.deadline import (
+    DEADLINE_CAP,
+    DEADLINE_FLOOR,
+    WARMUP,
+    LatencyTracker,
+    RetryBudget,
+)
 
 
 class TestLatencyTracker:
@@ -33,30 +39,24 @@ class TestLatencyTracker:
 
 class TestAdaptiveDeadline:
     def test_floor_during_warmup(self):
-        deadline = AdaptiveDeadline(LatencyTracker(), floor=0.5, warmup=3)
-        deadline.observe(10.0)
-        deadline.observe(10.0)
-        assert deadline.current() == 0.5
+        tracker = LatencyTracker()
+        for _ in range(WARMUP - 1):
+            tracker.observe(10.0)
+        assert tracker.deadline() == DEADLINE_FLOOR
 
     def test_tracks_observed_latency_after_warmup(self):
-        deadline = AdaptiveDeadline(
-            LatencyTracker(), multiplier=4.0, floor=0.01, cap=30.0, warmup=3
-        )
+        tracker = LatencyTracker()
         for _ in range(20):
-            deadline.observe(0.1)
-        # Steady 100 ms latency -> deadline well under a second.
-        assert 0.05 < deadline.current() < 0.5
+            tracker.observe(1.0)
+        # Steady 1 s latency -> a deadline just above it, between the
+        # floor and the cap.
+        assert 1.0 < tracker.deadline() < 1.1
 
     def test_cap_clamps_runaway_estimates(self):
-        deadline = AdaptiveDeadline(LatencyTracker(), cap=2.0, warmup=1)
-        deadline.observe(100.0)
-        assert deadline.current() == 2.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveDeadline(LatencyTracker(), floor=5.0, cap=1.0)
-        with pytest.raises(ValueError):
-            AdaptiveDeadline(LatencyTracker(), multiplier=0)
+        tracker = LatencyTracker()
+        for _ in range(WARMUP):
+            tracker.observe(100.0)
+        assert tracker.deadline() == DEADLINE_CAP
 
 
 class TestRetryBudget:

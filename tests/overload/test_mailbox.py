@@ -3,8 +3,8 @@
 import pytest
 
 from repro.overload.admission import (
+    FAIR_BURST,
     FairShareAdmission,
-    FairShareConfig,
     PriorityClass,
 )
 from repro.overload.mailbox import (
@@ -12,7 +12,6 @@ from repro.overload.mailbox import (
     SHED_CAPACITY,
     SHED_FAIR_SHARE,
     BoundedMailbox,
-    MailboxConfig,
 )
 from repro.telemetry.events import EventBus, FrameShed, QueueSaturated
 from repro.wire.labels import Label
@@ -33,7 +32,7 @@ def control(sender="leader"):
 
 class TestBoundedMailbox:
     def test_capacity_shed(self):
-        box = BoundedMailbox("leader", MailboxConfig(capacity=2))
+        box = BoundedMailbox("leader", capacity=2)
         assert box.offer(app(n=0))
         assert box.offer(app(n=1))
         assert not box.offer(app(n=2))
@@ -41,7 +40,7 @@ class TestBoundedMailbox:
         assert box.stats.shed_by_sender == {"alice": 1}
 
     def test_priority_order_on_take(self):
-        box = BoundedMailbox("leader", MailboxConfig(capacity=8))
+        box = BoundedMailbox("leader", capacity=8)
         box.offer(app())
         box.offer(join())
         box.offer(control())
@@ -51,14 +50,14 @@ class TestBoundedMailbox:
         assert box.take() is None
 
     def test_fifo_within_class(self):
-        box = BoundedMailbox("leader", MailboxConfig(capacity=8))
+        box = BoundedMailbox("leader", capacity=8)
         box.offer(app(n=1))
         box.offer(app(n=2))
         assert box.take().body == b"\x01"
         assert box.take().body == b"\x02"
 
     def test_high_priority_evicts_newest_lowest(self):
-        box = BoundedMailbox("leader", MailboxConfig(capacity=2))
+        box = BoundedMailbox("leader", capacity=2)
         box.offer(app(n=1))
         box.offer(app(n=2))
         assert box.offer(join())  # evicts app #2, not app #1
@@ -67,7 +66,7 @@ class TestBoundedMailbox:
         assert box.take().body == b"\x01"
 
     def test_low_priority_never_evicts_high(self):
-        box = BoundedMailbox("leader", MailboxConfig(capacity=2))
+        box = BoundedMailbox("leader", capacity=2)
         box.offer(join())
         box.offer(join())
         assert not box.offer(app())
@@ -80,9 +79,7 @@ class TestBoundedMailbox:
             lambda r: seen.append(r.event)
             if isinstance(r.event, QueueSaturated) else None
         )
-        box = BoundedMailbox(
-            "leader", MailboxConfig(capacity=4), telemetry=bus
-        )
+        box = BoundedMailbox("leader", capacity=4, telemetry=bus)
         for i in range(6):
             box.offer(app(n=i))
         assert box.stats.saturation_episodes == 1
@@ -95,17 +92,17 @@ class TestBoundedMailbox:
         assert box.stats.saturation_episodes == 2
 
     def test_fair_share_integration(self):
-        fair = FairShareAdmission(FairShareConfig(rate=1.0, burst=1.0))
         box = BoundedMailbox(
-            "leader", MailboxConfig(capacity=100, fair_share=fair)
+            "leader", capacity=100, fair_share=FairShareAdmission()
         )
-        assert box.offer(app("mallory"), now=0.0)
+        for _ in range(int(FAIR_BURST)):
+            assert box.offer(app("mallory"), now=0.0)
         assert not box.offer(app("mallory"), now=0.0)
         assert box.offer(app("alice"), now=0.0)
         assert box.stats.shed_fair_share == 1
 
     def test_brownout_sheds_at_the_door(self):
-        box = BoundedMailbox("leader", MailboxConfig(capacity=100))
+        box = BoundedMailbox("leader", capacity=100)
         box.set_brownout_classes({PriorityClass.APP})
         assert not box.offer(app())
         assert box.offer(join())
@@ -120,10 +117,11 @@ class TestBoundedMailbox:
             lambda r: seen.append(r.event)
             if isinstance(r.event, FrameShed) else None
         )
-        fair = FairShareAdmission(FairShareConfig(rate=1.0, burst=1.0))
+        fair = FairShareAdmission()
+        for _ in range(int(FAIR_BURST) - 1):  # leave "m" one token
+            fair.admit("m", PriorityClass.APP, 0.0)
         box = BoundedMailbox(
-            "leader", MailboxConfig(capacity=1, fair_share=fair),
-            telemetry=bus,
+            "leader", capacity=1, fair_share=fair, telemetry=bus
         )
         box.set_brownout_classes({PriorityClass.HEARTBEAT})
         box.offer(app("m"), now=0.0, priority=PriorityClass.HEARTBEAT)
@@ -135,7 +133,7 @@ class TestBoundedMailbox:
         ]
 
     def test_drain_budget(self):
-        box = BoundedMailbox("leader", MailboxConfig(capacity=10))
+        box = BoundedMailbox("leader", capacity=10)
         for i in range(5):
             box.offer(app(n=i))
         assert len(box.drain(3)) == 3
@@ -147,7 +145,7 @@ class TestBoundedMailbox:
         order = list(PriorityClass)
         assert [c.name for c in order] == [
             "CONTROL", "HEARTBEAT", "JOIN", "APP"]
-        box = BoundedMailbox("leader", MailboxConfig(capacity=16))
+        box = BoundedMailbox("leader", capacity=16)
         for n in (1, 2):
             for cls in reversed(order):
                 box.offer(app(n=10 * cls + n), priority=cls)
@@ -156,11 +154,11 @@ class TestBoundedMailbox:
         assert box.depth == 0 and box.take() is None
 
     def test_explicit_priority_overrides_classification(self):
-        box = BoundedMailbox("leader", MailboxConfig(capacity=4))
+        box = BoundedMailbox("leader", capacity=4)
         box.offer(app("leader"), priority=PriorityClass.HEARTBEAT)
         box.offer(join())
         assert box.take().sender == "leader"  # heartbeat before join
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            MailboxConfig(capacity=0)
+            BoundedMailbox("leader", capacity=0)

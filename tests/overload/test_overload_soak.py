@@ -74,13 +74,17 @@ class TestDeterminism:
         again = run_overload_soak(CONFIG)
         assert again.as_dict() == report.as_dict()
 
-    def test_different_seed_different_story(self, report):
+    def test_report_is_seed_independent(self, report):
+        """The workload is a fixed schedule: the seed moves only key
+        material (and the JSONL frame ids), never a count or a
+        latency."""
         other = run_overload_soak(
             OverloadConfig(seed=8, duration=8.0, surge_at=4.0,
                            flood_until=7.0)
-        )
-        assert other.as_dict() != report.as_dict()
-        assert other.protection_holds  # the verdict is seed-independent
+        ).as_dict()
+        mine = report.as_dict()
+        assert (other.pop("seed"), mine.pop("seed")) == (8, 7)
+        assert other == mine
 
     def test_jsonl_byte_identical(self, tmp_path):
         config = OverloadConfig(seed=3, duration=4.0, surge_at=2.0,

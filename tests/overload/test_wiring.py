@@ -10,8 +10,8 @@ import pytest
 from repro.crypto.rng import DeterministicRandom
 from repro.exceptions import StateError
 from repro.fabric.shard import ShardHost
-from repro.overload.deadline import AdaptiveDeadline, LatencyTracker
-from repro.overload.mailbox import BoundedMailbox, MailboxConfig
+from repro.overload.deadline import LatencyTracker
+from repro.overload.mailbox import BoundedMailbox
 from repro.storage.simdisk import SimDisk
 from repro.wire.labels import Label
 from repro.wire.message import Envelope
@@ -34,7 +34,7 @@ class TestShardBoundedIntake:
             host.pump(1)
 
     def test_enqueue_sheds_past_capacity(self):
-        mailbox = BoundedMailbox("shard-0", MailboxConfig(capacity=2))
+        mailbox = BoundedMailbox("shard-0", capacity=2)
         host = self.build(mailbox=mailbox)
         frames = [
             Envelope(Label.APP_DATA, "m", "shard-0", bytes([i]))
@@ -45,7 +45,7 @@ class TestShardBoundedIntake:
         assert host.stats.shed == 3
 
     def test_pump_drains_through_the_demux(self):
-        mailbox = BoundedMailbox("shard-0", MailboxConfig(capacity=8))
+        mailbox = BoundedMailbox("shard-0", capacity=8)
         host = self.build(mailbox=mailbox)
         # A frame for a never-hosted group demuxes to a loud rejection
         # — enough to prove the pump drives handle().
@@ -63,10 +63,7 @@ class TestShardBoundedIntake:
 class TestAdaptiveDeadline:
     def test_adaptive_deadline_tightens_after_joins(self):
         tracker = LatencyTracker()
-        deadline = AdaptiveDeadline(
-            tracker, multiplier=4.0, floor=0.05, cap=10.0, warmup=1
-        )
         # What the data plane's ACK round trips feed: fast operations.
         for _ in range(10):
-            deadline.observe(0.02)
-        assert deadline.current() < 0.5  # far below the 1s static default
+            tracker.observe(0.02)
+        assert tracker.deadline() < 0.5  # far below the 1s static default

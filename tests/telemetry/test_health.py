@@ -6,9 +6,9 @@ from repro.telemetry.health import HealthProbe
 from repro.util.clock import TickClock
 
 
-def probe_on_bus(**kwargs):
+def probe_on_bus():
     bus = EventBus(clock=TickClock())
-    probe = HealthProbe(**kwargs).subscribe_to(bus)
+    probe = HealthProbe().subscribe_to(bus)
     return bus, probe
 
 
