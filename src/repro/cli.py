@@ -60,7 +60,7 @@ Commands
     Regenerate the whole reproduction as one markdown report.
 ``overload``
     The flooding-insider soak: unbounded seed stack against bounded
-    mailbox + fair share + brownout.
+    mailbox + fair share.
 
 Invoked with no command (or an unknown one), the CLI prints the full
 command list and exits nonzero.

@@ -6,7 +6,7 @@ ones the reproduction survived.  A single compromised member flooding
 JOIN/APP frames could grow the leader's unbounded mailbox without
 bound and starve honest members: an insider availability attack
 squarely inside the §2.3 threat model.  This package closes that gap
-with three cooperating mechanisms, plus the deadline and retry-budget
+with two cooperating mechanisms, plus the deadline and retry-budget
 arithmetic the data plane's retransmit timer runs on:
 
 * :mod:`repro.overload.admission` — priority classes for wire frames
@@ -17,9 +17,6 @@ arithmetic the data plane's retransmit timer runs on:
   :class:`~repro.telemetry.events.QueueSaturated` telemetry instead of
   silent unbounded growth; higher-priority arrivals evict the lowest
   class when full.
-* :mod:`repro.overload.brownout` — a leader-side controller that,
-  under sustained saturation, coalesces rekeys and sheds
-  lowest-priority work, with recovery hysteresis.
 * :mod:`repro.overload.deadline` — EWMA-tracked operation latency
   and the adaptive deadline it gives, plus deposit/withdraw retry budgets
   (:class:`~repro.dataplane.reliable.ReliableSender` runs both on every
@@ -37,13 +34,11 @@ from repro.overload.admission import (
     TokenBucket,
     classify_frame,
 )
-from repro.overload.brownout import BrownoutController
 from repro.overload.deadline import LatencyTracker, RetryBudget
 from repro.overload.mailbox import BoundedMailbox
 
 __all__ = [
     "BoundedMailbox",
-    "BrownoutController",
     "FairShareAdmission",
     "LatencyTracker",
     "PriorityClass",

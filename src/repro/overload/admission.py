@@ -65,8 +65,8 @@ _JOIN_LABELS = frozenset({
 #: rare, and loss converts directly into retransmit traffic — so they
 #: sit at heartbeat tier: above joins and bulk data, below the admin
 #: channel.  Bulk ``DATA_MSG`` frames are deliberately *not* here: a
-#: data flood must land in the APP class where fair-share pacing and
-#: brownout shedding can starve the flooder, never the joins.
+#: data flood must land in the APP class where fair-share pacing
+#: starves the flooder, never the joins.
 _DATA_CONTROL_LABELS = DATA_CONTROL_LABELS
 
 
@@ -128,11 +128,6 @@ class TokenBucket:
             )
             self._stamp = now
 
-    def peek(self, now: float) -> float:
-        """Tokens available at ``now`` (refills as a side effect)."""
-        self._refill(now)
-        return self._tokens
-
     def allow(self, now: float) -> bool:
         """Spend one token if available."""
         self._refill(now)
@@ -156,16 +151,13 @@ class FairShareAdmission:
 
     Buckets are created lazily on first sight of a sender and never
     expire (the soak's sender population is bounded; a production
-    deployment would LRU them).  ``sheds`` counts refusals per sender —
-    the fairness evidence the bench asserts on: the flooder's count
-    dwarfs every honest member's.
+    deployment would LRU them).  The mailbox that consults it counts
+    the refusals per sender (``MailboxStats.shed_by_sender``).
     """
 
     def __init__(self) -> None:
         self._buckets: dict[str, TokenBucket] = {}
         self._control_buckets: dict[str, TokenBucket] = {}
-        self.sheds: dict[str, int] = {}
-        self.admitted = 0
 
     def bucket(self, sender: str) -> TokenBucket:
         bucket = self._buckets.get(sender)
@@ -195,11 +187,7 @@ class FairShareAdmission:
             bucket = self.control_bucket(sender)
         else:
             bucket = self.bucket(sender)
-        if bucket.allow(now):
-            self.admitted += 1
-            return True
-        self.sheds[sender] = self.sheds.get(sender, 0) + 1
-        return False
+        return bucket.allow(now)
 
 
 __all__ = [

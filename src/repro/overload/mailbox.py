@@ -42,7 +42,6 @@ from repro.wire.message import Envelope
 #: Shed reasons carried in FrameShed events.
 SHED_CAPACITY = "capacity"
 SHED_FAIR_SHARE = "fair_share"
-SHED_BROWNOUT = "brownout"
 
 #: The classes in the order they are served.
 _SERVICE_ORDER = tuple(PriorityClass)
@@ -56,7 +55,6 @@ class MailboxStats:
     accepted: int = 0
     shed_capacity: int = 0
     shed_fair_share: int = 0
-    shed_brownout: int = 0
     evicted: int = 0
     max_depth: int = 0
     saturation_episodes: int = 0
@@ -89,8 +87,6 @@ class BoundedMailbox:
         self._depth = 0
         self._saturated = False
         self.stats = MailboxStats()
-        #: Priorities the brownout controller is currently shedding.
-        self._browned_out: frozenset[PriorityClass] = frozenset()
 
     # -- state ---------------------------------------------------------------
 
@@ -100,15 +96,6 @@ class BoundedMailbox:
     @property
     def depth(self) -> int:
         return self._depth
-
-    @property
-    def saturation(self) -> float:
-        """Occupancy fraction in [0, 1] — the brownout input signal."""
-        return self._depth / self.capacity
-
-    def set_brownout_classes(self, classes) -> None:
-        """Shed these priority classes at the door (brownout mode)."""
-        self._browned_out = frozenset(classes)
 
     # -- ingest --------------------------------------------------------------
 
@@ -123,10 +110,6 @@ class BoundedMailbox:
         self.stats.offered += 1
         cls = priority if priority is not None else classify_frame(envelope)
         sender = envelope.sender
-        if cls in self._browned_out:
-            self.stats.shed_brownout += 1
-            self._shed(envelope, sender, cls, SHED_BROWNOUT)
-            return False
         fair = self.fair_share
         if fair is not None and not fair.admit(sender, cls, now):
             self.stats.shed_fair_share += 1
@@ -215,7 +198,6 @@ class BoundedMailbox:
 __all__ = [
     "BoundedMailbox",
     "MailboxStats",
-    "SHED_BROWNOUT",
     "SHED_CAPACITY",
     "SHED_FAIR_SHARE",
 ]

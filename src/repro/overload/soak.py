@@ -13,11 +13,14 @@ the identical seeded workload:
   p99 blows through the SLO (most surge joins never complete at all).
 * **protected** — the same leader behind a
   :class:`~repro.overload.mailbox.BoundedMailbox` with per-sender
-  fair-share admission, priority classes (joins outrank app traffic),
-  and a :class:`~repro.overload.brownout.BrownoutController` that
-  coalesces membership rekeys while saturated.  The queue stays
-  bounded, the shed pain lands almost entirely on the flooder, and
-  honest join p99 stays inside the SLO.
+  fair-share admission and priority classes (joins outrank app
+  traffic).  The queue stays bounded, the shed pain lands almost
+  entirely on the flooder, and honest join p99 stays inside the SLO.
+
+In both stacks every completed join rotates the group key (§2.2), and
+the leader's :meth:`~repro.enclaves.itgm.leader.GroupLeader.tick`
+runs every ``RETRANSMIT_INTERVAL`` as ``LeaderRuntime`` drives it, so
+a shed ACK costs a resend, not a member stranded without later keys.
 
 Everything runs on a :class:`~repro.util.clock.VirtualClock` with a
 :class:`~repro.crypto.rng.DeterministicRandom` — two runs of the same
@@ -39,9 +42,9 @@ from repro.enclaves.common import (
     UserDirectory,
 )
 from repro.enclaves.itgm.leader import GroupLeader, LeaderConfig
+from repro.enclaves.itgm.leader_session import LeaderState
 from repro.enclaves.itgm.member import MemberProtocol, MemberState
 from repro.overload.admission import FairShareAdmission
-from repro.overload.brownout import BrownoutController
 from repro.overload.mailbox import BoundedMailbox
 from repro.telemetry.events import EventBus
 from repro.util.clock import VirtualClock
@@ -61,7 +64,8 @@ SLO_JOIN_P99 = 2.0
 #: Protected-stack intake bound (fair share paces each sender at
 #: :data:`~repro.overload.admission.FAIR_RATE`).
 MAILBOX_CAPACITY = 128
-#: Joining members retransmit a half-open handshake this often.
+#: Joining members retransmit a half-open handshake this often, and the
+#: leader ticks (resending its unacknowledged frames) this often.
 RETRANSMIT_INTERVAL = 1.0
 
 
@@ -74,8 +78,8 @@ class OverloadConfig:
     duration: float = 20.0
     #: Insider flood rate (sealed APP frames per virtual second).
     flood_rate: float = 240.0
-    #: The flood stops here (< duration), so the protected stack's
-    #: brownout hysteresis and recovery are part of the soak too.
+    #: The flood stops here (< duration), so recovery after the flood
+    #: is part of the soak too.
     flood_until: float = 16.0
     #: The surge: this many extra members all start at ``surge_at`` —
     #: with spacing 1.0 that is a 10× instantaneous join rate.
@@ -105,14 +109,14 @@ class StackReport:
     frames_shed: int = 0
     shed_capacity: int = 0
     shed_fair_share: int = 0
-    shed_brownout: int = 0
     shed_flooder: int = 0
     shed_honest: int = 0
     flood_frames_serviced: int = 0
     rekeys_issued: int = 0
-    coalesced_rekeys: int = 0
-    brownout_episodes: int = 0
     saturation_episodes: int = 0
+    #: Leader sessions that end the run not CONNECTED or with admin
+    #: payloads still queued: members cut off from later group keys.
+    members_stranded: int = 0
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -131,8 +135,10 @@ class OverloadReport:
     @property
     def protection_holds(self) -> bool:
         """The acceptance shape: the protected stack meets the SLO the
-        unprotected one demonstrably violates."""
-        return self.protected.slo_met and not self.unprotected.slo_met
+        unprotected one demonstrably violates, and strands nobody."""
+        return (self.protected.slo_met
+                and self.protected.members_stranded == 0
+                and not self.unprotected.slo_met)
 
     def as_dict(self) -> dict:
         return {
@@ -195,12 +201,8 @@ class _StackRun:
                 fair_share=FairShareAdmission(),
                 telemetry=telemetry,
             )
-            self.brownout = BrownoutController(
-                f"leader/{stack}", telemetry=telemetry,
-            )
         else:
             self.mailbox = None
-            self.brownout = None
             self._fifo: deque[Envelope] = deque()
             self._fifo_max = 0
 
@@ -224,6 +226,7 @@ class _StackRun:
 
         self.report = StackReport(stack)
         self._service_credit = 0.0
+        self._last_leader_tick = 0.0
         self._flood_credit = 0.0
         self._flood_frame: Envelope | None = None
 
@@ -284,14 +287,10 @@ class _StackRun:
             self._offer(frame, now)
 
     def _on_join_completed(self, now: float) -> None:
-        """Membership changed: rotate the group key (maybe coalesced)."""
-        issue = True
-        if self.brownout is not None:
-            issue = self.brownout.note_rekey_wanted(now)
-        if issue:
-            self.report.rekeys_issued += 1
-            for frame in self.leader.rekey_now():
-                self._deliver_to_member(frame, now)
+        """Membership changed: rotate the group key."""
+        self.report.rekeys_issued += 1
+        for frame in self.leader.rekey_now():
+            self._deliver_to_member(frame, now)
 
     # -- the soak loop -------------------------------------------------------
 
@@ -316,14 +315,14 @@ class _StackRun:
                 for reply in out:
                     self._deliver_to_member(reply, now)
 
-            tick_offered = tick_shed = 0
-            if self.mailbox is not None:
-                stats = self.mailbox.stats
-                tick_offered = stats.offered
-                tick_shed = (stats.shed_capacity + stats.shed_fair_share
-                             + stats.shed_brownout)
+            # 2. The leader's timer: resend every frame a session still
+            #    waits on (a shed ACK leaves its AdminMsg unacknowledged).
+            if now - self._last_leader_tick >= RETRANSMIT_INTERVAL:
+                self._last_leader_tick = now
+                for frame in self.leader.tick():
+                    self._deliver_to_member(frame, now)
 
-            # 2. The insider floods: one fresh sealed frame per tick,
+            # 3. The insider floods: one fresh sealed frame per tick,
             #    replayed up to the flood rate (the cheap insider DoS).
             if now < cfg.flood_until:
                 self._flood_credit += cfg.flood_rate * DT
@@ -335,7 +334,7 @@ class _StackRun:
                     self._flood_credit -= 1.0
                     self._offer(self._flood_frame, now)
 
-            # 3. Honest joins start / retransmit on their schedule.
+            # 4. Honest joins start / retransmit on their schedule.
             for joiner in self.joiners.values():
                 if joiner.completed_at is not None:
                     continue
@@ -351,28 +350,6 @@ class _StackRun:
                     frame = joiner.member.retransmit_last()
                     if frame is not None:
                         self._offer(frame, now)
-
-            # 4. Brownout control loop (protected stack only).  The
-            #    saturation signal is occupancy *or* admission pressure
-            #    (this tick's shed fraction): a fair-share-contained
-            #    flood keeps the queue short, but sustained shedding is
-            #    still overload the leader should degrade under.
-            if self.brownout is not None:
-                stats = self.mailbox.stats
-                offered = stats.offered - tick_offered
-                shed = (stats.shed_capacity + stats.shed_fair_share
-                        + stats.shed_brownout) - tick_shed
-                pressure = shed / offered if offered else 0.0
-                signal = max(self.mailbox.saturation, pressure)
-                self.brownout.observe(signal, now)
-                self.mailbox.set_brownout_classes(
-                    self.brownout.shed_classes
-                )
-                if (not self.brownout.active
-                        and self.brownout.flush_pending_rekey()):
-                    self.report.rekeys_issued += 1
-                    for frame in self.leader.rekey_now():
-                        self._deliver_to_member(frame, now)
 
             now = round(now + DT, 9)
 
@@ -403,19 +380,19 @@ class _StackRun:
             rep.max_queue_depth = stats.max_depth
             rep.shed_capacity = stats.shed_capacity
             rep.shed_fair_share = stats.shed_fair_share
-            rep.shed_brownout = stats.shed_brownout
-            rep.frames_shed = (
-                stats.shed_capacity + stats.shed_fair_share
-                + stats.shed_brownout
-            )
+            # Every shed, evictions included, lands in shed_by_sender.
+            rep.frames_shed = sum(stats.shed_by_sender.values())
             rep.shed_flooder = stats.shed_by_sender.get(FLOODER, 0)
             rep.shed_honest = rep.frames_shed - rep.shed_flooder
             rep.saturation_episodes = stats.saturation_episodes
         else:
             rep.max_queue_depth = self._fifo_max
-        if self.brownout is not None:
-            rep.brownout_episodes = self.brownout.episodes
-            rep.coalesced_rekeys = self.brownout.coalesced_rekeys
+        rep.members_stranded = sum(
+            1 for uid in (FLOODER, *self.joiners)
+            if self.leader.session_state(uid) not in (
+                None, LeaderState.CONNECTED)
+            or self.leader.outbox_depth(uid)
+        )
         return rep
 
 
@@ -461,8 +438,7 @@ def render_report(report: OverloadReport) -> str:
         ("  shed from honest", "shed_honest", "d"),
         ("flood frames serviced", "flood_frames_serviced", "d"),
         ("rekeys issued", "rekeys_issued", "d"),
-        ("rekeys coalesced", "coalesced_rekeys", "d"),
-        ("brownout episodes", "brownout_episodes", "d"),
+        ("members stranded", "members_stranded", "d"),
     ]
     for title, attr, kind in rows:
         cells = []
@@ -479,7 +455,8 @@ def render_report(report: OverloadReport) -> str:
         lines.append(f"{title:>24}  {cells[0]:>12}  {cells[1]:>12}")
     lines.append("")
     verdict = (
-        "protection holds: bounded queue, honest joins within SLO"
+        "protection holds: bounded queue, honest joins within SLO, "
+        "no member stranded"
         if report.protection_holds
         else "PROTECTION DID NOT HOLD"
     )
@@ -509,7 +486,7 @@ def register(sub) -> None:
     overload.add_argument("mode", choices=("soak",),
                           help="seeded overload chaos soak comparing the "
                                "unbounded seed stack against the bounded "
-                               "mailbox + fair share + brownout stack")
+                               "mailbox + fair share stack")
     overload.add_argument("--seed", type=int, default=7,
                           help="seeds key material and so the JSONL "
                                "frame ids; the workload is a fixed "

@@ -646,7 +646,7 @@ class ViewChangeCompleted(TelemetryEvent):
     epoch: int
 
 
-# overload (backpressure / admission / brownout) -----------------------------
+# overload (backpressure / admission) ----------------------------------------
 
 
 @register_event
@@ -655,12 +655,11 @@ class FrameShed(TelemetryEvent):
     """An ingest queue refused one frame under overload.
 
     ``reason`` is one of ``capacity`` (the bounded mailbox was full and
-    nothing lower-priority could be evicted), ``fair_share`` (the
-    sender exhausted its per-sender token bucket), or ``brownout``
-    (the brownout controller is shedding this priority class).  The
-    typed record is the whole point: the seed transport grew its
-    mailbox silently, so a flooding insider was invisible until honest
-    members starved."""
+    nothing lower-priority could be evicted, or this frame was the one
+    evicted to make room) or ``fair_share`` (the sender exhausted its
+    per-sender token bucket).  The typed record is the whole point:
+    the seed transport grew its mailbox silently, so a flooding insider
+    was invisible until honest members starved."""
 
     node: str
     sender: str
@@ -718,27 +717,6 @@ class TransportError(TelemetryEvent):
     node: str
     peer: str
     error: str
-
-
-@register_event
-@dataclass(frozen=True, slots=True)
-class BrownoutEntered(TelemetryEvent):
-    """Sustained saturation pushed the controller into degraded mode:
-    rekeys coalesce and lowest-priority work sheds."""
-
-    node: str
-    level: str
-    saturation: float
-
-
-@register_event
-@dataclass(frozen=True, slots=True)
-class BrownoutExited(TelemetryEvent):
-    """The saturation signal stayed below the exit threshold for the
-    dwell period; full service resumed."""
-
-    node: str
-    coalesced_rekeys: int
 
 
 @register_event

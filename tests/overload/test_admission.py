@@ -78,7 +78,10 @@ class TestTokenBucket:
 
     def test_refill_caps_at_burst(self):
         bucket = TokenBucket(rate=10.0, burst=2.0)
-        assert bucket.peek(100.0) == 2.0
+        # 100 idle seconds at 10/s would mint 1,000 tokens uncapped.
+        assert [bucket.allow(100.0) for _ in range(3)] == [
+            True, True, False
+        ]
 
     def test_time_never_runs_backwards(self):
         bucket = TokenBucket(rate=1.0, burst=1.0)
@@ -99,10 +102,12 @@ BURST = int(FAIR_BURST)
 class TestFairShareAdmission:
     def test_flooder_exhausts_only_its_own_bucket(self):
         admission = FairShareAdmission()
-        for _ in range(BURST + 10):
+        verdicts = [
             admission.admit("mallory", PriorityClass.APP, 0.0)
+            for _ in range(BURST + 10)
+        ]
+        assert verdicts == [True] * BURST + [False] * 10
         assert admission.admit("alice", PriorityClass.APP, 0.0)
-        assert admission.sheds == {"mallory": 10}
 
     def test_control_has_its_own_bucket(self):
         admission = FairShareAdmission()
@@ -122,7 +127,6 @@ class TestFairShareAdmission:
             for _ in range(BURST + 8)
         ]
         assert verdicts == [True] * BURST + [False] * 8
-        assert admission.sheds == {"mallory": 8}
         # ...without touching anyone else's control allowance.
         assert admission.admit("alice", PriorityClass.CONTROL, 0.0)
 
@@ -135,6 +139,8 @@ class TestFairShareAdmission:
 
     def test_admitted_counter(self):
         admission = FairShareAdmission()
-        for _ in range(BURST + 1):
+        admitted = sum(
             admission.admit("a", PriorityClass.APP, 0.0)
-        assert admission.admitted == BURST
+            for _ in range(BURST + 1)
+        )
+        assert admitted == BURST

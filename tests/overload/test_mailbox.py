@@ -8,7 +8,6 @@ from repro.overload.admission import (
     PriorityClass,
 )
 from repro.overload.mailbox import (
-    SHED_BROWNOUT,
     SHED_CAPACITY,
     SHED_FAIR_SHARE,
     BoundedMailbox,
@@ -101,15 +100,6 @@ class TestBoundedMailbox:
         assert box.offer(app("alice"), now=0.0)
         assert box.stats.shed_fair_share == 1
 
-    def test_brownout_sheds_at_the_door(self):
-        box = BoundedMailbox("leader", capacity=100)
-        box.set_brownout_classes({PriorityClass.APP})
-        assert not box.offer(app())
-        assert box.offer(join())
-        assert box.stats.shed_brownout == 1
-        box.set_brownout_classes(frozenset())
-        assert box.offer(app())
-
     def test_shed_telemetry_reasons(self):
         bus = EventBus()
         seen = []
@@ -123,14 +113,10 @@ class TestBoundedMailbox:
         box = BoundedMailbox(
             "leader", capacity=1, fair_share=fair, telemetry=bus
         )
-        box.set_brownout_classes({PriorityClass.HEARTBEAT})
-        box.offer(app("m"), now=0.0, priority=PriorityClass.HEARTBEAT)
         box.offer(app("m"), now=0.0)      # fills capacity
         box.offer(app("m"), now=0.0)      # fair-share dry
         box.offer(app("a"), now=0.0)      # capacity full
-        assert [e.reason for e in seen] == [
-            SHED_BROWNOUT, SHED_FAIR_SHARE, SHED_CAPACITY
-        ]
+        assert [e.reason for e in seen] == [SHED_FAIR_SHARE, SHED_CAPACITY]
 
     def test_drain_budget(self):
         box = BoundedMailbox("leader", capacity=10)

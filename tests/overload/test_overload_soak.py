@@ -2,7 +2,7 @@
 
 The acceptance shape from the issue: under the same seeded workload —
 a flooding insider plus a join surge — the protected stack (bounded
-mailbox + fair share + brownout) keeps honest join p99 inside the SLO
+mailbox + fair share) keeps honest join p99 inside the SLO
 while the unprotected stack's queue grows without bound and joins
 starve.  And the whole thing is deterministic: same seed, byte-identical
 telemetry.

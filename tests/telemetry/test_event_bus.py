@@ -164,6 +164,8 @@ class TestTaxonomy:
             assert cls.__name__ == name
 
     def test_every_type_is_in_the_documented_taxonomy(self):
+        """And every documented name is a registered type: a row left
+        behind by a deleted event fails as surely as a missing one."""
         doc = (Path(__file__).resolve().parents[2] / "docs"
                / "observability.md").read_text(encoding="utf-8")
         section = doc.split("## The event taxonomy", 1)[1]
@@ -172,3 +174,4 @@ class TestTaxonomy:
         documented = {name for row in rows
                       for name in re.findall(r"`(\w+)`", row)}
         assert sorted(set(EVENT_TYPES) - documented) == []
+        assert sorted(documented - set(EVENT_TYPES)) == []
