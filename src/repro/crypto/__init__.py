@@ -38,7 +38,6 @@ from repro.crypto.provider import (
     CryptoProvider,
     available_backends,
     get_provider,
-    reset_provider,
     set_provider,
     using_provider,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "CryptoProvider",
     "available_backends",
     "get_provider",
-    "reset_provider",
     "set_provider",
     "using_provider",
 ]

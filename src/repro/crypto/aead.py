@@ -61,9 +61,6 @@ class SealedBox:
         ciphertext = data[CTR_NONCE_LEN + TAG_LEN:]
         return cls(nonce=nonce, ciphertext=ciphertext, tag=tag)
 
-    def __len__(self) -> int:
-        return CTR_NONCE_LEN + TAG_LEN + len(self.ciphertext)
-
 
 class AuthenticatedCipher:
     """Encrypt-then-MAC AEAD bound to one :class:`KeyMaterial`.

@@ -14,7 +14,7 @@ backend while producing identical bytes.
 from __future__ import annotations
 
 from repro.crypto.provider import get_provider
-from repro.crypto.sha256 import SHA256, sha256
+from repro.crypto.sha256 import SHA256
 from repro.util.bytesops import constant_time_eq
 
 _BLOCK_SIZE = 64
@@ -35,7 +35,7 @@ class HMACSHA256:
 
     def __init__(self, key: bytes, data: bytes = b"") -> None:
         if len(key) > _BLOCK_SIZE:
-            key = sha256(key)
+            key = SHA256(key).digest()
         k = int.from_bytes(key.ljust(_BLOCK_SIZE, b"\x00"), "big")
         self._inner = SHA256((k ^ _IPAD).to_bytes(_BLOCK_SIZE, "big"))
         self._outer = SHA256((k ^ _OPAD).to_bytes(_BLOCK_SIZE, "big"))
@@ -64,11 +64,6 @@ def hmac_sha256(key: bytes, data: bytes, *, reuse: bool = False) -> bytes:
     """One-shot HMAC-SHA256 of ``data`` under ``key`` (active backend);
     ``reuse=True`` declares ``key`` long-lived, as ``seal`` does."""
     return get_provider().hmac_sha256(key, data, reuse=reuse)
-
-
-def hmac_new(key: bytes, data: bytes = b""):
-    """Incremental HMAC-SHA256 object from the active backend."""
-    return get_provider().hmac_new(key, data)
 
 
 def verify_hmac_sha256(key: bytes, data: bytes, tag: bytes) -> bool:

@@ -674,12 +674,6 @@ def set_provider(backend: str | CryptoProvider) -> CryptoProvider:
     return _active
 
 
-def reset_provider() -> None:
-    """Forget the active backend; the next use re-reads the environment."""
-    global _active
-    _active = None
-
-
 @contextmanager
 def using_provider(backend: str | CryptoProvider) -> Iterator[CryptoProvider]:
     """Scoped :func:`set_provider` — the conformance suite's workhorse."""
@@ -700,7 +694,6 @@ __all__ = [
     "ReferenceProvider",
     "available_backends",
     "get_provider",
-    "reset_provider",
     "set_provider",
     "using_provider",
 ]

@@ -36,9 +36,6 @@ class Nonce:
         if not isinstance(self.value, bytes) or len(self.value) != NONCE_LEN:
             raise ValueError(f"nonce must be {NONCE_LEN} bytes")
 
-    def hex(self) -> str:
-        return self.value.hex()
-
     def __repr__(self) -> str:  # short, log-friendly
         return f"Nonce({self.value[:4].hex()}…)"
 

@@ -2,7 +2,7 @@
 
 This is a straightforward, readable implementation: message schedule,
 64-round compression, Merkle-Damgård padding.  It supports incremental
-hashing via :class:`SHA256` and a one-shot helper :func:`sha256`.
+hashing via :class:`SHA256`.
 
 Performance note: pure Python runs at a few MB/s, which is ample for the
 protocol simulator; the round functions are inlined into the compression
@@ -125,8 +125,3 @@ class SHA256:
 
     def hexdigest(self) -> str:
         return self.digest().hex()
-
-
-def sha256(data: bytes) -> bytes:
-    """One-shot SHA-256 of ``data``."""
-    return SHA256(data).digest()

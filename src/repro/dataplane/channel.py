@@ -372,9 +372,6 @@ class GroupKeyChannel:
         """No receive chains here, so nothing to acknowledge from."""
         return None
 
-    def skip_stats(self) -> dict:
-        return {"skip_hits": 0, "skips_banked": 0, "skips_evicted": 0}
-
 
 __all__ = [
     "DataChannel",

@@ -59,14 +59,6 @@ class DataMember:
 
     # -- identity passthroughs -------------------------------------------------
 
-    @property
-    def user_id(self) -> str:
-        return self.member.user_id
-
-    @property
-    def leader_id(self) -> str:
-        return self.member.leader_id
-
     # -- sans-IO surface -------------------------------------------------------
 
     def handle(self, envelope: Envelope) -> tuple[list[Envelope], list[Event]]:

@@ -77,9 +77,6 @@ class UserDirectory:
     def knows(self, user_id: str) -> bool:
         return user_id in self._users
 
-    def remove(self, user_id: str) -> None:
-        self._users.pop(user_id, None)
-
     def __len__(self) -> int:
         return len(self._users)
 

@@ -122,20 +122,12 @@ class SyncNetwork:
             )
         return steps
 
-    @property
-    def idle(self) -> bool:
-        return not self._queue
-
     def events_of(self, address: str, event_type: type | None = None) -> list[Event]:
         """Events emitted at ``address`` (optionally filtered by type)."""
         events = self.events.get(address, [])
         if event_type is None:
             return list(events)
         return [e for e in events if isinstance(e, event_type)]
-
-    def clear_events(self) -> None:
-        for address in self.events:
-            self.events[address] = []
 
 
 def wire(network: SyncNetwork, address: str, core) -> None:

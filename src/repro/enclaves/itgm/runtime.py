@@ -89,11 +89,6 @@ class LeaderRuntime:
         except (ConnectionClosed, asyncio.CancelledError):
             pass
 
-    async def rekey_now(self) -> None:
-        """Rotate the group key immediately."""
-        for out in self.leader.rekey_now():
-            await self.endpoint.send(out)
-
     async def broadcast_admin(self, payload) -> None:
         """Queue an admin payload to every member and pump the channels."""
         for out in self.leader.broadcast_admin(payload):

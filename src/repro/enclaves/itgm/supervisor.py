@@ -473,10 +473,6 @@ class LeaderOrchestrator:
     def current_leader(self) -> GroupLeader:
         return self.managers.primary
 
-    @property
-    def running(self) -> bool:
-        return self.runtime is not None
-
     async def start(self) -> None:
         """Bring the current manager online."""
         if self.runtime is not None:

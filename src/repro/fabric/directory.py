@@ -60,18 +60,12 @@ class HashRing:
             self._points.append((self._hash(f"{node}#{i}"), node))
         self._points.sort()
 
-    def remove(self, node: str) -> None:
-        if node not in self._nodes:
-            raise StateError(f"node {node!r} not on the ring")
-        self._nodes.discard(node)
-        self._points = [(h, n) for h, n in self._points if n != node]
-
     @property
     def nodes(self) -> list[str]:
         return sorted(self._nodes)
 
     def locate(self, key: str, *, exclude: frozenset[str] = frozenset()) -> str:
-        """The node owning ``key`` (skipping ``exclude``, e.g. draining
+        """The node owning ``key`` (skipping ``exclude``, e.g. failed
         shards).  Raises :class:`StateError` when no node is eligible."""
         candidates = [(h, n) for h, n in self._points if n not in exclude]
         if not candidates:
@@ -110,7 +104,7 @@ class RouteResult:
 
 
 class GroupDirectory:
-    """create / lookup / drain / delete over a shard pool."""
+    """create / lookup / move / fail over a shard pool."""
 
     def __init__(
         self,
@@ -127,7 +121,6 @@ class GroupDirectory:
         self._telemetry = telemetry
         self.version = 0
         self._records: dict[str, GroupRecord] = {}
-        self.draining: set[str] = set()
         self.failed: set[str] = set()
 
     # -- internals ----------------------------------------------------------
@@ -140,7 +133,7 @@ class GroupDirectory:
             ))
 
     def _ineligible(self) -> frozenset[str]:
-        return frozenset(self.draining | self.failed)
+        return frozenset(self.failed)
 
     def _storage_key(self, group_id: str) -> KeyMaterial:
         rng = self._rng.fork(f"storage-{group_id}")
@@ -215,23 +208,6 @@ class GroupDirectory:
         )
         self._records[group_id] = record
         return record
-
-    def drain(self, shard_id: str) -> tuple[str, ...]:
-        """Mark a shard draining; returns the groups to migrate off it.
-
-        A draining shard keeps serving its current groups (migration
-        moves them one by one) but receives no new placements.
-        """
-        if shard_id not in self.ring.nodes:
-            raise StateError(f"unknown shard {shard_id!r}")
-        self.draining.add(shard_id)
-        return self.groups_on(shard_id)
-
-    def delete(self, group_id: str) -> None:
-        """Retire a group; its routing entry and storage key are gone."""
-        record = self.record(group_id)
-        del self._records[group_id]
-        self._bump(group_id, record.shard_id, "delete")
 
     def fail_shard(self, shard_id: str) -> tuple[str, ...]:
         """Mark a shard dead and re-place its groups on the survivors.

@@ -17,7 +17,6 @@ from repro.net.faults import (
     LeaderEventKind,
     PartitionPolicy,
     PolicyWindow,
-    compose,
 )
 from repro.net.lossy import LossyPolicy
 from repro.net.memnet import MemoryEndpoint, MemoryNetwork
@@ -36,7 +35,6 @@ __all__ = [
     "PartitionPolicy",
     "DelayReorderPolicy",
     "GilbertElliottPolicy",
-    "compose",
     "FaultPlan",
     "PolicyWindow",
     "LeaderEvent",

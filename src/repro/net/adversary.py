@@ -74,10 +74,6 @@ class Verdict:
         return cls(FrameAction.DUPLICATE)
 
     @classmethod
-    def replace(cls, *envelopes: Envelope) -> "Verdict":
-        return cls(FrameAction.REPLACE, list(envelopes))
-
-    @classmethod
     def delay(cls, hold: float) -> "Verdict":
         if hold < 0:
             raise ValueError("hold must be >= 0")

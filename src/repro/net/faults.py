@@ -14,7 +14,6 @@ exercised deterministically:
 * :class:`GilbertElliottPolicy` — the classic two-state Markov bursty
   loss model (a good state with light loss, a bad state with heavy
   loss, seeded transitions).
-* :func:`compose` — chain policies; the first non-DELIVER verdict wins.
 * :class:`FaultPlan` — a schedule of policy *windows* plus leader
   crash/restart events, evaluated against a time source (normally the
   virtual clock of a chaos run), so a whole scenario is one seeded,
@@ -168,24 +167,6 @@ class GilbertElliottPolicy:
             self.dropped += 1
             return Verdict.drop()
         return Verdict.deliver()
-
-
-def compose(*policies: Policy) -> Policy:
-    """Chain policies; the first non-DELIVER verdict wins.
-
-    Later policies only see frames every earlier policy would deliver,
-    so e.g. ``compose(partition, loss)`` drops at the cut first and
-    rolls loss only on frames that survive it.
-    """
-
-    def policy(frame: ObservedFrame) -> Verdict:
-        for p in policies:
-            verdict = p(frame)
-            if verdict.action is not verdict.action.DELIVER:
-                return verdict
-        return Verdict.deliver()
-
-    return policy
 
 
 # -- scheduled fault plans --------------------------------------------------
@@ -382,12 +363,3 @@ class FaultPlan:
             return verdict if verdict is not None else Verdict.deliver()
 
         return policy
-
-    def describe(self) -> str:
-        """Human-readable schedule, for reports."""
-        lines = [f"FaultPlan(seed={self.seed})"]
-        for w in sorted(self.windows, key=lambda w: w.start):
-            lines.append(f"  [{w.start:6.1f}, {w.end:6.1f})  {w.name}")
-        for e in sorted(self.leader_events, key=lambda e: e.at):
-            lines.append(f"  @{e.at:6.1f}            leader {e.kind.value}")
-        return "\n".join(lines)

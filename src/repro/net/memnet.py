@@ -38,10 +38,6 @@ class MemoryEndpoint(Endpoint):
         self._queue: asyncio.Queue = asyncio.Queue()
         self._closed = False
 
-    @property
-    def address(self) -> str:
-        return self._address
-
     async def send(self, envelope: Envelope) -> None:
         if self._closed:
             raise ConnectionClosed(f"endpoint {self._address} is closed")

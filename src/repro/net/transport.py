@@ -17,11 +17,6 @@ from repro.wire.message import Envelope
 class Endpoint(ABC):
     """One attachment point on a transport."""
 
-    @property
-    @abstractmethod
-    def address(self) -> str:
-        """This endpoint's network address (an agent identity string)."""
-
     @abstractmethod
     async def send(self, envelope: Envelope) -> None:
         """Send ``envelope`` toward ``envelope.recipient``.

@@ -32,7 +32,7 @@ from repro.observability.flightrec import (
     render_bundle,
     write_bundle,
 )
-from repro.observability.profile import PhaseProfiler, bind_profiler_everywhere
+from repro.observability.profile import PhaseProfiler
 from repro.observability.slo import (
     BurnWindow,
     SLOEvaluator,
@@ -53,7 +53,6 @@ __all__ = [
     "TraceBuilder",
     "TraceGraph",
     "TraceNode",
-    "bind_profiler_everywhere",
     "bundle_to_jsonl",
     "default_slos",
     "load_bundle",

@@ -58,10 +58,6 @@ class FlightRecorder:
     def __len__(self) -> int:
         return len(self._ring)
 
-    @property
-    def triggered(self) -> bool:
-        return bool(self.bundles)
-
     def _capture(self, trigger: dict) -> dict:
         builder = TraceBuilder()
         builder.extend(self._ring)

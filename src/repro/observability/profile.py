@@ -173,16 +173,4 @@ class PhaseProfiler:
         return "\n".join(lines)
 
 
-def bind_profiler_everywhere(profiler, *components) -> None:
-    """Attach one profiler to every component that accepts one.
-
-    Convenience for scenario builders: pass leaders, members, shards,
-    journals — anything without a ``bind_profiler`` method is skipped.
-    """
-    for component in components:
-        bind = getattr(component, "bind_profiler", None)
-        if bind is not None:
-            bind(profiler)
-
-
-__all__ = ["PhaseProfiler", "bind_profiler_everywhere"]
+__all__ = ["PhaseProfiler"]

@@ -31,10 +31,8 @@ A node with no parent is either a recognized **operation root** (a
 opening...) or an **orphan** — an event the model cannot attach, which
 the ``repro obs trace`` command treats as a failure.
 
-Feed the builder live (``bus.subscribe(builder)``) or offline
-(:meth:`TraceBuilder.from_jsonl` on an exported, schema-validated
-log); both paths normalize to the same flat dicts, so a trace rendered
-from a live run and from its export are identical.
+Feed the builder live (``bus.subscribe(builder)``); it normalizes every
+record to the flat dict the JSONL export writes.
 """
 
 from __future__ import annotations
@@ -168,10 +166,6 @@ class TraceGraph:
         """Seqs of ``seq`` and everything it (transitively) caused."""
         return self._closure(seq, "children")
 
-    def operation(self, root_seq: int) -> list[TraceNode]:
-        """All nodes of the operation rooted at ``root_seq``."""
-        return [self.nodes[s] for s in self.descendants(root_seq)]
-
     # -- rendering -----------------------------------------------------------
 
     def render(self, root_seq: int) -> str:
@@ -224,19 +218,6 @@ class TraceBuilder:
     def extend(self, payloads) -> None:
         for payload in payloads:
             self.add(payload)
-
-    @classmethod
-    def from_jsonl(cls, source) -> "TraceBuilder":
-        """Build from an exported log (path or iterable of lines),
-        schema-validating every line first."""
-        from repro.telemetry.export import validate_jsonl
-
-        builder = cls()
-        builder.extend(validate_jsonl(source))
-        return builder
-
-    def __len__(self) -> int:
-        return len(self._payloads)
 
     # -- graph construction --------------------------------------------------
 

@@ -102,18 +102,11 @@ class RetryBudget:
         self.retries = 0
         self.denied = 0
 
-    @property
-    def balance(self) -> float:
-        return self._tokens
-
     def record_request(self) -> None:
         """One original (non-retry) operation: deposit ``ratio``."""
         self.requests += 1
         cap = max(self.min_reserve, self.ratio * self.window)
         self._tokens = min(cap, self._tokens + self.ratio)
-
-    def can_retry(self) -> bool:
-        return self._tokens >= 1.0
 
     def record_retry(self) -> bool:
         """Withdraw one retry token; False when the budget is dry."""

@@ -118,9 +118,6 @@ class StackReport:
     #: payloads still queued: members cut off from later group keys.
     members_stranded: int = 0
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class OverloadReport:
@@ -139,16 +136,6 @@ class OverloadReport:
         return (self.protected.slo_met
                 and self.protected.members_stranded == 0
                 and not self.unprotected.slo_met)
-
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "duration": self.duration,
-            "slo_join_p99": self.slo_join_p99,
-            "protection_holds": self.protection_holds,
-            "protected": self.protected.as_dict(),
-            "unprotected": self.unprotected.as_dict(),
-        }
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:

@@ -21,7 +21,8 @@ channel.  What the layer buys:
   mutation: every valid certificate contains at least one honest
   attestation, and honest replicas attest only states actually derived
   from the shipped journal (:mod:`repro.formal.quorum_model` checks
-  this exhaustively for small worlds).
+  this exhaustively for small worlds, in tier-1 through
+  ``tests/formal/test_quorum_model.py``; no CLI command runs it yet).
 * **Equivocation detection** — a primary that forks its journal stream
   *can* assemble conflicting certificates for one epoch, but any two
   such certificates are cryptographic evidence: either a replica

@@ -251,9 +251,10 @@ class EquivocationEvidence:
     certificates share no signer, the *primary*: honest witnesses
     attest only what the primary's journal stream showed them, so
     disjoint certificates over conflicting statements mean the primary
-    forked its own stream.  :func:`repro.formal.quorum_model` checks
+    forked its own stream.  :mod:`repro.formal.quorum_model` checks
     that this accusation rule never convicts an honest replica in any
-    enumerable small world.
+    enumerable small world, in tier-1 through
+    ``tests/formal/test_quorum_model.py`` (no CLI command runs it yet).
     """
 
     accused: str
@@ -266,18 +267,6 @@ class EquivocationEvidence:
             self.first.encode(),
             self.second.encode(),
         ])
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "EquivocationEvidence":
-        try:
-            accused_b, first_b, second_b = decode_fields(data, expect=3)
-        except CodecError as exc:
-            raise QuorumError(f"undecodable evidence: {exc}") from exc
-        return cls(
-            accused=decode_str(accused_b),
-            first=QuorumCertificate.from_bytes(first_b),
-            second=QuorumCertificate.from_bytes(second_b),
-        )
 
     def verify(
         self,

@@ -96,7 +96,8 @@ class QuorumConfig:
     fabrication impossible and forks attributable.  Ordering still
     comes from the journal seq; the formal model
     (:mod:`repro.formal.quorum_model`) checks the resulting safety
-    properties exhaustively for small worlds.
+    properties exhaustively for small worlds, in tier-1 through
+    ``tests/formal/test_quorum_model.py`` (no CLI command runs it yet).
     """
 
     def __init__(self, f: int = 1) -> None:

@@ -201,10 +201,6 @@ class SimDisk:
         self._check_up()
         return path in self._files
 
-    def paths(self) -> list[str]:
-        self._check_up()
-        return sorted(self._files)
-
     # -- power cycle and corruption ----------------------------------------
 
     def crash(self, keep: str = "none") -> None:

@@ -114,7 +114,3 @@ class HealthProbe:
             if value is not None and value != "":
                 bits.append(f"{attr}={value}")
         return f"{name}({', '.join(bits)})"
-
-    @property
-    def healthy(self) -> bool:
-        return not self.violations

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.sha256 import SHA256, sha256
+from repro.crypto.sha256 import SHA256
 
 # (message, expected digest) — NIST examples and well-known vectors.
 KNOWN_VECTORS = [
@@ -25,14 +25,14 @@ KNOWN_VECTORS = [
 @pytest.mark.parametrize("message,expected", KNOWN_VECTORS,
                          ids=[f"len{len(m)}" for m, _ in KNOWN_VECTORS])
 def test_known_vectors(message, expected):
-    assert sha256(message).hex() == expected
+    assert SHA256(message).digest().hex() == expected
 
 
 def test_matches_stdlib_across_lengths():
     # Cross-check against hashlib for every length near block boundaries.
     for n in list(range(0, 130)) + [255, 256, 257, 1000]:
         data = bytes((i * 7 + 3) % 256 for i in range(n))
-        assert sha256(data) == hashlib.sha256(data).digest(), n
+        assert SHA256(data).digest() == hashlib.sha256(data).digest(), n
 
 
 def test_incremental_equals_oneshot():
@@ -40,7 +40,7 @@ def test_incremental_equals_oneshot():
     h = SHA256()
     for i in range(0, len(data), 17):  # deliberately odd chunking
         h.update(data[i:i + 17])
-    assert h.digest() == sha256(data)
+    assert h.digest() == SHA256(data).digest()
 
 
 @given(st.data())
@@ -58,7 +58,7 @@ def test_incremental_matches_stdlib_on_random_chunking(data):
     expected = hashlib.sha256(message).digest()
     assert h.digest() == expected
     assert h.copy().digest() == expected
-    assert sha256(message) == expected
+    assert SHA256(message).digest() == expected
 
 
 def test_digest_does_not_consume_state():
@@ -66,15 +66,15 @@ def test_digest_does_not_consume_state():
     first = h.digest()
     assert h.digest() == first
     h.update(b" world")
-    assert h.digest() == sha256(b"hello world")
+    assert h.digest() == SHA256(b"hello world").digest()
 
 
 def test_copy_is_independent():
     h = SHA256(b"base")
     clone = h.copy()
     clone.update(b"-more")
-    assert h.digest() == sha256(b"base")
-    assert clone.digest() == sha256(b"base-more")
+    assert h.digest() == SHA256(b"base").digest()
+    assert clone.digest() == SHA256(b"base-more").digest()
 
 
 def test_hexdigest():
@@ -87,7 +87,7 @@ def test_rejects_str():
 
 
 def test_accepts_bytearray_and_memoryview():
-    assert sha256(b"xyz") == SHA256(bytearray(b"xyz")).digest()
+    assert SHA256(b"xyz").digest() == SHA256(bytearray(b"xyz")).digest()
     h = SHA256()
     h.update(memoryview(b"xyz"))
-    assert h.digest() == sha256(b"xyz")
+    assert h.digest() == SHA256(b"xyz").digest()

@@ -162,7 +162,8 @@ class TestMessaging:
             _, leader, runtime, clients = await make_group(["alice", "bob"])
             try:
                 before = leader.group_epoch
-                await runtime.rekey_now()
+                for out in leader.rekey_now():
+                    await runtime.endpoint.send(out)
                 await asyncio.sleep(0.05)
                 assert leader.group_epoch == before + 1
                 for client in clients.values():

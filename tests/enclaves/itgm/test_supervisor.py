@@ -374,7 +374,7 @@ class TestOrchestrator:
                     await orchestrator.failover()
                 assert managers.failed == {"mgr-0", "mgr-1", "mgr-2"}
                 assert orchestrator.failovers == 3
-                assert not orchestrator.running
+                assert orchestrator.runtime is None
             finally:
                 await stop_all(orchestrator, members)
 

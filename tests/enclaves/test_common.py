@@ -36,13 +36,6 @@ class TestUserDirectory:
         with pytest.raises(UnknownPeer):
             directory.lookup("ghost")
 
-    def test_remove(self):
-        directory = UserDirectory()
-        directory.register_password("alice", "pw")
-        directory.remove("alice")
-        assert not directory.knows("alice")
-        directory.remove("alice")  # idempotent
-
     def test_replace_key(self):
         directory = UserDirectory()
         first = directory.register_password("alice", "pw1")

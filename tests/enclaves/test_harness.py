@@ -114,15 +114,6 @@ class TestSyncNetwork:
         with pytest.raises(RuntimeError):
             net.run(max_steps=100)
 
-    def test_idle_property(self):
-        net = SyncNetwork()
-        net.register("b", Sink().handle)
-        assert net.idle
-        net.post(env())
-        assert not net.idle
-        net.run()
-        assert net.idle
-
     def test_events_collected_per_address(self):
         net = SyncNetwork()
 
@@ -134,5 +125,3 @@ class TestSyncNetwork:
         net.post(env())
         net.run()
         assert net.events_of("b") == ["event-1", "event-2"]
-        net.clear_events()
-        assert net.events_of("b") == []

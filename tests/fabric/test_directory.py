@@ -29,10 +29,9 @@ class TestHashRing:
         ring = HashRing(("n0", "n1", "n2", "n3"))
         keys = [f"grp-{i}" for i in range(128)]
         before = {k: ring.locate(k) for k in keys}
-        ring.remove("n3")
         for key, owner in before.items():
             if owner != "n3":
-                assert ring.locate(key) == owner, \
+                assert ring.locate(key, exclude=frozenset({"n3"})) == owner, \
                     "keys on surviving nodes must not move"
 
     def test_exclude_skips_draining_nodes(self):
@@ -47,12 +46,10 @@ class TestHashRing:
         with pytest.raises(StateError):
             ring.locate("grp-x", exclude=frozenset({"n0"}))
 
-    def test_duplicate_add_and_unknown_remove_are_loud(self):
+    def test_duplicate_add_is_loud(self):
         ring = HashRing(("n0",))
         with pytest.raises(StateError):
             ring.add("n0")
-        with pytest.raises(StateError):
-            ring.remove("n9")
 
 
 class TestGroupDirectory:
@@ -119,21 +116,6 @@ class TestGroupDirectory:
         with pytest.raises(StateError):
             fabric.move(moved[0], victim)  # failed shards take nothing
 
-    def test_drain_excludes_from_new_placements(self):
-        fabric = make_directory()
-        fabric.create_group("grp-0")
-        drained = fabric.ring.locate("grp-pinned")
-        fabric.drain(drained)
-        record = fabric.create_group("grp-pinned")
-        assert record.shard_id != drained
-
-    def test_delete_retires_the_entry(self):
-        fabric = make_directory()
-        fabric.create_group("grp-0")
-        fabric.delete("grp-0")
-        with pytest.raises(StateError):
-            fabric.record("grp-0")
-
     def test_every_change_bumps_the_version_and_tells_telemetry(self):
         bus = EventBus()
         with bus.capture() as records:
@@ -142,14 +124,13 @@ class TestGroupDirectory:
             target = next(s for s in SHARDS if s != record.shard_id)
             fabric.move("grp-0", target)
             fabric.fail_shard(target)
-            fabric.delete("grp-0")
         events = [r.event for r in records
                   if isinstance(r.event, DirectoryUpdated)]
         assert [e.change for e in events] == [
-            "create", "move", "fail", "delete"
+            "create", "move", "fail"
         ]
-        assert [e.version for e in events] == [1, 2, 3, 4]
-        assert fabric.version == 4
+        assert [e.version for e in events] == [1, 2, 3]
+        assert fabric.version == 3
 
     def test_load_counts_groups_per_serving_shard(self):
         fabric = make_directory()

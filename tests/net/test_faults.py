@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.net.adversary import FrameAction, ObservedFrame, Verdict
+from repro.net.adversary import FrameAction, ObservedFrame
 from repro.net.faults import (
     DelayReorderPolicy,
     FaultPlan,
     GilbertElliottPolicy,
     LeaderEventKind,
     PartitionPolicy,
-    compose,
 )
 from repro.net.lossy import LossyPolicy
 from repro.wire.labels import Label
@@ -93,14 +92,6 @@ class TestLossyPolicyValidation:
         LossyPolicy(drop_rate=0.5, duplicate_rate=0.5)
 
 
-class TestCompose:
-    def test_first_non_deliver_wins(self):
-        drop_all = lambda f: Verdict(FrameAction.DROP)  # noqa: E731
-        deliver = lambda f: Verdict(FrameAction.DELIVER)  # noqa: E731
-        assert compose(deliver, drop_all)(frame()).action is FrameAction.DROP
-        assert compose(deliver, deliver)(frame()).action is FrameAction.DELIVER
-
-
 class TestFaultPlan:
     def test_windows_activate_on_schedule(self):
         plan = FaultPlan(seed=1).partition(1.0, 2.0, [{"a"}, {"b"}])
@@ -137,14 +128,6 @@ class TestFaultPlan:
     def test_window_bounds_validated(self):
         with pytest.raises(ValueError):
             FaultPlan().loss(5.0, 5.0)
-
-    def test_describe_lists_everything(self):
-        plan = FaultPlan(seed=3).loss(1, 2).partition(
-            3, 4, [{"a"}, {"b"}]
-        ).crash_failover(5.0)
-        text = plan.describe()
-        assert "loss" in text and "partition" in text
-        assert "crash-failover" in text
 
     def test_per_window_seeds_differ_but_are_stable(self):
         p1 = FaultPlan(seed=4).loss(0, 1).loss(1, 2)

@@ -5,7 +5,7 @@ import asyncio
 import pytest
 
 from repro.exceptions import AddressInUse, ConnectionClosed
-from repro.net.adversary import Adversary, Verdict
+from repro.net.adversary import Adversary, FrameAction, Verdict
 from repro.net.memnet import MemoryNetwork
 from repro.wire.labels import Label
 from repro.wire.message import Envelope
@@ -142,7 +142,9 @@ class TestAdversaryInterposition:
             adversary = Adversary()
             net.attach_adversary(adversary)
             forged = env(sender="mallory", body=b"forged")
-            adversary.set_policy(lambda f: Verdict.replace(forged))
+            adversary.set_policy(
+                lambda f: Verdict(FrameAction.REPLACE, [forged])
+            )
             a = await net.attach("a")
             b = await net.attach("b")
             await a.send(env())

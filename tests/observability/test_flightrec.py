@@ -35,7 +35,7 @@ class TestRing:
         for i in range(CAPACITY + 10):
             bus.emit(JoinStarted(f"u{i}", "g"))
         assert len(recorder) == CAPACITY
-        assert not recorder.triggered
+        assert not recorder.bundles
 
     def test_default_triggers(self):
         assert TRIGGERS == {
@@ -48,7 +48,7 @@ class TestCapture:
         bus, recorder = recorder_on_bus()
         bus.emit(RekeyInstalled("a", "g", 3, "cafe"))
         bus.emit(ProbeViolation("stale epoch"))
-        assert recorder.triggered
+        assert recorder.bundles
         bundle = recorder.bundles[0]
         assert bundle["trigger"]["event"] == "ProbeViolation"
         assert [p["event"] for p in bundle["ring"]] == [

@@ -4,7 +4,7 @@ from itertools import cycle
 
 import pytest
 
-from repro.observability.profile import PhaseProfiler, bind_profiler_everywhere
+from repro.observability.profile import PhaseProfiler
 from repro.telemetry.events import EventBus
 from repro.util.clock import TickClock
 
@@ -172,21 +172,3 @@ class TestNeutrality:
             profiler.phases()
         )
         assert profiler.open_phases == []
-
-
-class TestBinding:
-    def test_bind_everywhere_skips_unbindable_components(self):
-        class Bindable:
-            def __init__(self):
-                self._profiler = None
-
-            def bind_profiler(self, profiler):
-                self._profiler = profiler
-
-        class Plain:
-            pass
-
-        prof = PhaseProfiler()
-        target, plain = Bindable(), Plain()
-        bind_profiler_everywhere(prof, target, plain, None)
-        assert target._profiler is prof

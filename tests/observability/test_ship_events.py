@@ -215,11 +215,11 @@ class TestProbeViolationEcho:
         with bus.capture() as records:
             bus.emit(RekeyInstalled("alice", "leader", 3, "cafe"))
             bus.emit(RekeyInstalled("alice", "leader", 3, "cafe"))
-        assert not probe.healthy
+        assert probe.violations
         violations = events_of(records, ProbeViolation)
         assert len(violations) == 1
         assert "duplicate" in violations[0].message
-        assert recorder.triggered
+        assert recorder.bundles
         bundle = recorder.bundles[0]
         assert bundle["trigger"]["event"] == "ProbeViolation"
         # The trace reaches the offending install via the probe edge.

@@ -69,18 +69,17 @@ class TestRetryBudget:
 
     def test_requests_earn_retries(self):
         budget = RetryBudget(ratio=0.5, window=50, min_reserve=0)
-        assert not budget.can_retry()
+        assert not budget.record_retry()
         budget.record_request()
         budget.record_request()
-        assert budget.can_retry()
         assert budget.record_retry()
-        assert not budget.can_retry()
+        assert not budget.record_retry()
 
     def test_pool_capped_at_ratio_times_window(self):
         budget = RetryBudget(ratio=0.1, window=10, min_reserve=0)
         for _ in range(1000):
             budget.record_request()
-        assert budget.balance == pytest.approx(1.0)
+        assert [budget.record_retry() for _ in range(2)] == [True, False]
 
     def test_counters(self):
         budget = RetryBudget(ratio=0.2, window=50, min_reserve=1)

@@ -12,7 +12,7 @@ from repro.crypto.keys import SessionKey
 from repro.crypto.mac import hmac_sha256
 from repro.crypto.modes import cbc_decrypt, cbc_encrypt, ctr_transform
 from repro.crypto.rng import DeterministicRandom
-from repro.crypto.sha256 import sha256
+from repro.crypto.sha256 import SHA256
 from repro.util.bytesops import pkcs7_pad, pkcs7_unpad
 
 payloads = st.binary(min_size=0, max_size=512)
@@ -22,7 +22,7 @@ keys32 = st.binary(min_size=32, max_size=32)
 
 @given(payloads)
 def test_sha256_matches_stdlib(data):
-    assert sha256(data) == hashlib.sha256(data).digest()
+    assert SHA256(data).digest() == hashlib.sha256(data).digest()
 
 
 @given(st.binary(min_size=0, max_size=200), payloads)

@@ -17,21 +17,21 @@ class TestEpochMonotonicity:
         bus, probe = probe_on_bus()
         for epoch in (1, 2, 3):
             bus.emit(RekeyInstalled("alice", "mgr-0", epoch, f"fp{epoch}"))
-        assert probe.healthy
+        assert not probe.violations
         assert probe.checked == 3
 
     def test_duplicate_epoch_flagged(self):
         bus, probe = probe_on_bus()
         bus.emit(RekeyInstalled("alice", "mgr-0", 2, "fp2"))
         bus.emit(RekeyInstalled("alice", "mgr-0", 2, "fp2"))
-        assert not probe.healthy
+        assert probe.violations
         assert "duplicate group-key epoch 2" in probe.violations[0]
 
     def test_stale_epoch_flagged(self):
         bus, probe = probe_on_bus()
         bus.emit(RekeyInstalled("alice", "mgr-0", 3, "fp3"))
         bus.emit(RekeyInstalled("alice", "mgr-0", 1, "fp1"))
-        assert not probe.healthy
+        assert probe.violations
         assert "stale group-key epoch 1" in probe.violations[0]
 
     def test_rejoin_resets_the_session(self):
@@ -43,13 +43,13 @@ class TestEpochMonotonicity:
         bus.emit(RekeyInstalled("alice", "mgr-0", 4, "fp4"))
         bus.emit(JoinCompleted("alice", "mgr-0"))
         bus.emit(RekeyInstalled("alice", "mgr-0", 4, "fp4"))
-        assert probe.healthy
+        assert not probe.violations
 
     def test_members_tracked_independently(self):
         bus, probe = probe_on_bus()
         bus.emit(RekeyInstalled("alice", "mgr-0", 2, "fp2"))
         bus.emit(RekeyInstalled("bob", "mgr-0", 2, "fp2"))
-        assert probe.healthy
+        assert not probe.violations
 
 
 class TestFingerprintAgreement:
@@ -57,13 +57,13 @@ class TestFingerprintAgreement:
         bus, probe = probe_on_bus()
         bus.emit(RekeyInstalled("alice", "mgr-0", 2, "fp2"))
         bus.emit(RekeyInstalled("bob", "mgr-0", 2, "fp2"))
-        assert probe.healthy
+        assert not probe.violations
 
     def test_disagreement_flagged(self):
         bus, probe = probe_on_bus()
         bus.emit(RekeyInstalled("alice", "mgr-0", 2, "aaaaaaaa1"))
         bus.emit(RekeyInstalled("bob", "mgr-0", 2, "bbbbbbbb2"))
-        assert not probe.healthy
+        assert probe.violations
         assert "fingerprint disagreement" in probe.violations[0]
 
     def test_violation_carries_event_trail(self):
@@ -85,7 +85,7 @@ class TestRekeyPropagation:
         bus, probe = probe_on_bus()
         evaluator = bus.subscribe(SLOEvaluator())
         bus.emit(RekeyInstalled("alice", "mgr-0", 2, "fp"))
-        assert probe.healthy and probe.checked == 1
+        assert not probe.violations and probe.checked == 1
         (rekey,) = [r for r in evaluator.report()
                     if r.spec.indicator == "rekey_propagation"]
         assert (rekey.good, rekey.bad) == (0, 0)

@@ -123,7 +123,7 @@ class TestTwoRekeysInOneFrame:
         assert {e.epoch: e.fingerprint for e in batch} == issued
         assert len({e.caused_by for e in batch}) == 1
         assert batch[0].caused_by != installs[0].caused_by
-        assert probe.healthy, probe.violations
+        assert not probe.violations, probe.violations
         assert probe.checked == 4  # the join's key + three rotations
 
 
