@@ -22,7 +22,7 @@ names no def, or (reason ``bench``) whose name no file under
 ``TEST_SEAM_CAP`` entries may be test seams.
 
     python tools/reach.py            # what is unreached, by package
-    python tools/reach.py --check    # exit 1 on a problem (about a minute)
+    python tools/reach.py --check    # exit 1 on a problem (about 30 s)
 """
 
 from __future__ import annotations
