@@ -2,7 +2,8 @@
 
 Supports 128-, 192-, and 256-bit keys.  The implementation is the classic
 byte-oriented one: S-box substitution, ShiftRows, MixColumns over GF(2^8),
-and the Rijndael key schedule.  It is validated against the FIPS 197
+and the Rijndael key schedule (on 32-bit words, which the T-table rounds
+take directly).  It is validated against the FIPS 197
 appendix vectors and the NIST AESAVS known-answer tests in
 ``tests/crypto/test_aes.py``.
 
@@ -118,27 +119,33 @@ class AES:
             raise KeyError_(f"AES key must be 16, 24, or 32 bytes, got {len(key)}")
         self.key_size = len(key)
         self._rounds = {16: 10, 24: 12, 32: 14}[len(key)]
-        self._round_keys = self._expand_key(key)
-        # Round keys as 4 big-endian words each, for the T-table path.
-        self._round_key_words = [
-            struct.unpack(">4I", rk) for rk in self._round_keys
-        ]
+        words = self._expand_key(key)
+        # Round keys as 4 big-endian words each, for the T-table path,
+        # and as 16 bytes each for the byte-oriented paths.
+        self._round_key_words = list(zip(*[iter(words)] * 4))
+        flat = struct.pack(f">{len(words)}I", *words)
+        self._round_keys = [flat[i:i + 16] for i in range(0, len(flat), 16)]
 
-    def _expand_key(self, key: bytes) -> list[bytes]:
+    def _expand_key(self, key: bytes) -> list[int]:
+        """The Rijndael key schedule (FIPS 197 §5.2) on 32-bit words:
+        ``RotWord`` + ``SubWord`` is four S-box lookups shifted into
+        place, ``Rcon`` XORs the top byte.  Returns all ``4 * (Nr + 1)``
+        words, round key ``r`` being words ``4r``..``4r + 3``."""
         nk = len(key) // 4
         nr = self._rounds
-        words = [key[4 * i: 4 * i + 4] for i in range(nk)]
+        sbox = _SBOX
+        w = list(struct.unpack(f">{nk}I", key))
         for i in range(nk, 4 * (nr + 1)):
-            temp = words[i - 1]
+            t = w[-1]
             if i % nk == 0:
-                temp = bytes(
-                    _SBOX[temp[(j + 1) % 4]] ^ (_RCON[i // nk - 1] if j == 0 else 0)
-                    for j in range(4)
-                )
+                t = (sbox[t >> 16 & 0xFF] << 24 | sbox[t >> 8 & 0xFF] << 16
+                     | sbox[t & 0xFF] << 8 | sbox[t >> 24]
+                     ) ^ _RCON[i // nk - 1] << 24
             elif nk > 6 and i % nk == 4:
-                temp = bytes(_SBOX[b] for b in temp)
-            words.append(bytes(a ^ b for a, b in zip(words[i - nk], temp)))
-        return [b"".join(words[4 * r: 4 * r + 4]) for r in range(nr + 1)]
+                t = (sbox[t >> 24] << 24 | sbox[t >> 16 & 0xFF] << 16
+                     | sbox[t >> 8 & 0xFF] << 8 | sbox[t & 0xFF])
+            w.append(w[i - nk] ^ t)
+        return w
 
     # -- block operations ------------------------------------------------
 

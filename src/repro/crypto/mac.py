@@ -56,9 +56,6 @@ class HMACSHA256:
         outer.update(self._inner.digest())
         return outer.digest()
 
-    def hexdigest(self) -> str:
-        return self.digest().hex()
-
 
 def hmac_sha256(key: bytes, data: bytes, *, reuse: bool = False) -> bytes:
     """One-shot HMAC-SHA256 of ``data`` under ``key`` (active backend);

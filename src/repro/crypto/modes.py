@@ -60,9 +60,12 @@ def ctr_transform(cipher: AES, nonce: bytes, data: bytes) -> bytes:
     """
     if len(nonce) != 8:
         raise ValueError("CTR nonce must be 8 bytes")
-    n_blocks = (len(data) + BLOCK_SIZE - 1) // BLOCK_SIZE
-    stream = _ctr_keystream(cipher, nonce, n_blocks)
-    return bytes(d ^ s for d, s in zip(data, stream))
+    n = len(data)
+    stream = _ctr_keystream(cipher, nonce, (n + BLOCK_SIZE - 1) // BLOCK_SIZE)
+    # One XOR over the whole message as integers: ``to_bytes(n)`` keeps
+    # the leading zero bytes the integers drop.
+    return (int.from_bytes(data, "big")
+            ^ int.from_bytes(stream[:n], "big")).to_bytes(n, "big")
 
 
 def ctr_transform_full_iv(cipher: AES, iv: bytes, data: bytes) -> bytes:

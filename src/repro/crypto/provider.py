@@ -153,7 +153,7 @@ class CryptoProvider(ABC):
 
     @abstractmethod
     def sha256_new(self, data: bytes = b""):
-        """Incremental SHA-256 hasher (update/digest/hexdigest/copy)."""
+        """Incremental SHA-256 hasher (update/digest/copy)."""
 
     # -- MAC -------------------------------------------------------------
 
@@ -173,7 +173,7 @@ class CryptoProvider(ABC):
 
     @abstractmethod
     def hmac_new(self, key: bytes, data: bytes = b""):
-        """Incremental HMAC-SHA256 (update/digest/hexdigest/copy)."""
+        """Incremental HMAC-SHA256 (update/digest/copy)."""
 
     # -- key derivation --------------------------------------------------
 

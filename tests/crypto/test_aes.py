@@ -1,8 +1,12 @@
 """AES against FIPS 197 appendix vectors and NIST SP 800-38A blocks."""
 
-import pytest
+import struct
 
-from repro.crypto.aes import AES, BLOCK_SIZE
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.crypto.aes import _RCON, _SBOX, AES, BLOCK_SIZE
 from repro.exceptions import KeyError_
 
 FIPS197_PT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -98,3 +102,35 @@ def test_ttable_matches_reference_implementation():
             block = bytes((i * 13 + j * 7) % 256 for j in range(16))
             assert cipher.encrypt_block(block) == \
                 cipher.encrypt_block_reference(block)
+
+
+def _expand_key_by_bytes(key: bytes) -> list[bytes]:
+    """FIPS 197 §5.2 on 4-byte words as ``bytes``: the oracle for the
+    schedule on 32-bit integers."""
+    nk = len(key) // 4
+    nr = {4: 10, 6: 12, 8: 14}[nk]
+    words = [key[4 * i: 4 * i + 4] for i in range(nk)]
+    for i in range(nk, 4 * (nr + 1)):
+        temp = words[i - 1]
+        if i % nk == 0:
+            temp = bytes(
+                _SBOX[temp[(j + 1) % 4]] ^ (_RCON[i // nk - 1] if j == 0 else 0)
+                for j in range(4)
+            )
+        elif nk > 6 and i % nk == 4:
+            temp = bytes(_SBOX[b] for b in temp)
+        words.append(bytes(a ^ b for a, b in zip(words[i - nk], temp)))
+    return [b"".join(words[4 * r: 4 * r + 4]) for r in range(nr + 1)]
+
+
+@given(st.sampled_from([16, 24, 32]).flatmap(
+    lambda n: st.binary(min_size=n, max_size=n)))
+@settings(max_examples=300, deadline=None)
+def test_word_key_schedule_matches_byte_oracle(key):
+    """Both round-key forms — bytes for the byte-oriented paths, words
+    for the T-tables — come from the one schedule on words."""
+    cipher = AES(key)
+    expected = _expand_key_by_bytes(key)
+    assert cipher._round_keys == expected
+    assert cipher._round_key_words == [struct.unpack(">4I", rk)
+                                       for rk in expected]

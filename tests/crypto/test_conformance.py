@@ -76,7 +76,8 @@ class TestHashing:
             h_ref.update(data[split:])
             h_alt.update(data[split:])
             assert h_ref.digest() == h_alt.digest() == ref.sha256(data)
-            assert h_ref.hexdigest() == h_alt.hexdigest()
+            # A second digest() finds the state it left.
+            assert h_ref.digest() == h_alt.digest()
 
     def test_hmac_all_key_lengths(self, other):
         ref, alt = providers(other)

@@ -92,10 +92,6 @@ def test_different_keys_different_tags():
     assert hmac_sha256(b"k1", b"m") != hmac_sha256(b"k2", b"m")
 
 
-def test_hexdigest():
-    assert HMACSHA256(b"k", b"m").hexdigest() == hmac_sha256(b"k", b"m").hex()
-
-
 class TestProviderKernels:
     """Every backend's HMAC entry points against stdlib ``hmac`` as the
     oracle, across the key and data lengths where RFC 2104's padding and

@@ -1,5 +1,7 @@
 """CBC and CTR modes against NIST SP 800-38A vectors."""
 
+import struct
+
 import pytest
 
 from repro.crypto.aes import AES
@@ -9,6 +11,7 @@ from repro.crypto.modes import (
     ctr_transform,
     ctr_transform_full_iv,
 )
+from repro.crypto.provider import FastProvider
 from repro.exceptions import PaddingError
 
 KEY128 = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -120,3 +123,43 @@ class TestCTR:
         assert ctr_transform(cipher, b"nonce--1", data) != ctr_transform(
             cipher, b"nonce--2", data
         )
+
+
+class TestCtrIntegerXor:
+    """``ctr_transform`` XORs the message and the keystream as two
+    integers; a byte-by-byte XOR and the ``fast`` backend (OpenSSL CTR
+    where ``cryptography`` is installed) are its oracles."""
+
+    LENGTHS = (0, 1, 15, 16, 17, 255, 256)
+    NONCE = b"\x00\x01\x02\x03\x04\x05\x06\x07"
+
+    @staticmethod
+    def _by_bytes(cipher, nonce, data):
+        n_blocks = (len(data) + 15) // 16
+        stream = b"".join(
+            cipher.encrypt_block(nonce + struct.pack(">Q", counter))
+            for counter in range(n_blocks))
+        return bytes(d ^ s for d, s in zip(data, stream))
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("lead", [0, 1, 17])
+    def test_matches_byte_xor_and_fast_backend(self, n, lead):
+        """``lead`` zero bytes open the message (as many as fit): an
+        integer drops them, ``to_bytes(n)`` must put them back."""
+        data = bytes(min(lead, n)) + bytes(
+            (i * 29 + 1) % 256 for i in range(n - min(lead, n)))
+        cipher = AES(KEY128)
+        out = ctr_transform(cipher, self.NONCE, data)
+        assert len(out) == n
+        assert out == self._by_bytes(cipher, self.NONCE, data)
+        assert out == FastProvider().ctr_transform(KEY128, self.NONCE, data)
+
+    def test_ciphertext_with_leading_zero_bytes(self):
+        """Plaintext equal to the keystream's head encrypts to zeros."""
+        cipher = AES(KEY128)
+        head = ctr_transform(cipher, self.NONCE, bytes(20))[:3]
+        data = head + b"tail"
+        out = ctr_transform(cipher, self.NONCE, data)
+        assert out[:3] == bytes(3)
+        assert out == self._by_bytes(cipher, self.NONCE, data)
+        assert ctr_transform(cipher, self.NONCE, out) == data
