@@ -15,8 +15,11 @@ Alongside the gates, the artifact records per-backend handshake and
 rekey throughput so protocol-level numbers can be normalized by crypto
 cost across revisions, and ``fast_primitives``: the fast backend's MAC
 and one-time-CTR kernels in µs per call, each beside the stdlib
-``hmac.new`` / ``Cipher(...)`` call it replaced.  One revert sentinel
-rides on it: the provider's one-shot HMAC is no slower than stdlib's.
+``hmac.new`` / ``Cipher(...)`` call it replaced, and the ratio of the
+two — the number that does not move with the box's load.  Two revert
+sentinels ride on it: the provider's one-shot HMAC is no slower than
+stdlib's, and its one-time CTR context (built by the OpenSSL
+constructor, ``fast_ctr_direct``) no slower than a ``Cipher`` object's.
 """
 
 from __future__ import annotations
@@ -215,7 +218,9 @@ def _fast_primitives_best() -> dict[str, dict[str, float]]:
 
         best = _interleaved_best(list(arms), measure)
     return {name: {"provider": best[(name, "provider")],
-                   "replaced": best[(name, "replaced")]} for name in kernels}
+                   "replaced": best[(name, "replaced")],
+                   "ratio": best[(name, "provider")]
+                   / best[(name, "replaced")]} for name in kernels}
 
 
 def _handshake_once(backend: str, attempt: int) -> float:
@@ -254,6 +259,7 @@ def test_crypto_backend_gate():
 
     with using_provider("fast") as fast:
         fast_aes, fast_ctr_reuse = fast.aes_backend, fast.ctr_reuse
+        fast_ctr_direct = fast.ctr_direct
     speedup = bulk["reference"] / bulk["fast"]
     indirection_ratio = indirection["routed"] / indirection["direct"]
 
@@ -272,6 +278,7 @@ def test_crypto_backend_gate():
         "repeats": REPEATS,
         "fast_aes_backend": fast_aes,
         "fast_ctr_reuse": fast_ctr_reuse,
+        "fast_ctr_direct": fast_ctr_direct,
         "fast_speedup_over_reference": speedup,
         "min_speedup_gate": MIN_SPEEDUP,
         "speedup_gate_enforced": fast_aes == "cryptography",
@@ -293,6 +300,12 @@ def test_crypto_backend_gate():
         f"fast one-shot HMAC {one_shot['provider']:.2f} µs slower than "
         f"stdlib hmac.new {one_shot['replaced']:.2f} µs"
     )
+    one_time = primitives.get("ctr_one_time")
+    if one_time is not None:
+        assert one_time["provider"] <= one_time["replaced"], (
+            f"fast one-time CTR {one_time['provider']:.2f} µs slower than "
+            f"a Cipher(...) object {one_time['replaced']:.2f} µs"
+        )
 
     assert indirection_ratio <= MAX_INDIRECTION, (
         f"provider indirection {indirection_ratio:.4f} > {MAX_INDIRECTION}"

@@ -8,7 +8,9 @@ not give the second half of that; we therefore realize ``{X}_K`` as
 AES-128-CTR followed by HMAC-SHA256 over (header || nonce || ciphertext),
 with independent subkeys derived from K.
 
-:class:`SealedBox` is the concrete wire representation of ``{X}_K``.
+:class:`SealedBox` is the concrete wire representation of ``{X}_K``;
+:func:`pack_box` / :func:`unpack_box` are its layout on bare bytes, for
+callers that seal and frame in one step (the data plane's message keys).
 
 All cryptographic work dispatches through the active
 :class:`~repro.crypto.provider.CryptoProvider`, so switching backends
@@ -49,17 +51,26 @@ class SealedBox:
     tag: bytes
 
     def to_bytes(self) -> bytes:
-        """Serialize as nonce || tag || ciphertext."""
-        return self.nonce + self.tag + self.ciphertext
+        return pack_box(self.nonce, self.ciphertext, self.tag)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SealedBox":
-        if len(data) < CTR_NONCE_LEN + TAG_LEN:
-            raise CodecError("sealed box too short")
-        nonce = data[:CTR_NONCE_LEN]
-        tag = data[CTR_NONCE_LEN:CTR_NONCE_LEN + TAG_LEN]
-        ciphertext = data[CTR_NONCE_LEN + TAG_LEN:]
-        return cls(nonce=nonce, ciphertext=ciphertext, tag=tag)
+        return cls(*unpack_box(data))
+
+
+def pack_box(nonce: bytes, ciphertext: bytes, tag: bytes) -> bytes:
+    """A sealed box's wire bytes: nonce || tag || ciphertext."""
+    return nonce + tag + ciphertext
+
+
+def unpack_box(data: bytes) -> tuple[bytes, bytes, bytes]:
+    """Inverse of :func:`pack_box`: ``(nonce, ciphertext, tag)``, the
+    order :meth:`~repro.crypto.provider.CryptoProvider.open` takes them
+    in; :class:`CodecError` if ``data`` is too short to hold a box."""
+    if len(data) < CTR_NONCE_LEN + TAG_LEN:
+        raise CodecError("sealed box too short")
+    return (data[:CTR_NONCE_LEN], data[CTR_NONCE_LEN + TAG_LEN:],
+            data[CTR_NONCE_LEN:CTR_NONCE_LEN + TAG_LEN])
 
 
 class AuthenticatedCipher:
@@ -139,4 +150,6 @@ __all__ = [
     "TAG_LEN",
     "AuthenticatedCipher",
     "SealedBox",
+    "pack_box",
+    "unpack_box",
 ]

@@ -120,11 +120,15 @@ class AES:
         self.key_size = len(key)
         self._rounds = {16: 10, 24: 12, 32: 14}[len(key)]
         words = self._expand_key(key)
-        # Round keys as 4 big-endian words each, for the T-table path,
-        # and as 16 bytes each for the byte-oriented paths.
+        # Round keys as 4 big-endian words each, for the T-table path.
         self._round_key_words = list(zip(*[iter(words)] * 4))
-        flat = struct.pack(f">{len(words)}I", *words)
-        self._round_keys = [flat[i:i + 16] for i in range(0, len(flat), 16)]
+
+    #: The same round keys as 16 bytes each, for the byte-oriented paths,
+    #: packed from the words on each read: only ``decrypt_block`` and
+    #: ``encrypt_block_reference`` read them, and no shipped run calls
+    #: either, so a one-time key's construction does not pay for them.
+    _round_keys = property(
+        lambda self: [struct.pack(">4I", *k) for k in self._round_key_words])
 
     def _expand_key(self, key: bytes) -> list[int]:
         """The Rijndael key schedule (FIPS 197 §5.2) on 32-bit words:
@@ -188,7 +192,8 @@ class AES:
         cross-check the T-table path in the test suite)."""
         if len(block) != BLOCK_SIZE:
             raise ValueError("AES block must be 16 bytes")
-        state = bytearray(x ^ k for x, k in zip(block, self._round_keys[0]))
+        round_keys = self._round_keys
+        state = bytearray(x ^ k for x, k in zip(block, round_keys[0]))
         mul2, mul3 = _MUL[2], _MUL[3]
         for rnd in range(1, self._rounds):
             # SubBytes + ShiftRows fused (column-major state layout).
@@ -196,7 +201,7 @@ class AES:
                 _SBOX[state[(i + 4 * (i % 4)) % 16]] for i in range(16)
             )
             # MixColumns + AddRoundKey.
-            rk = self._round_keys[rnd]
+            rk = round_keys[rnd]
             for c in range(4):
                 a0, a1, a2, a3 = s[4 * c: 4 * c + 4]
                 state[4 * c + 0] = mul2[a0] ^ mul3[a1] ^ a2 ^ a3 ^ rk[4 * c + 0]
@@ -204,7 +209,7 @@ class AES:
                 state[4 * c + 2] = a0 ^ a1 ^ mul2[a2] ^ mul3[a3] ^ rk[4 * c + 2]
                 state[4 * c + 3] = mul3[a0] ^ a1 ^ a2 ^ mul2[a3] ^ rk[4 * c + 3]
         # Final round: no MixColumns.
-        rk = self._round_keys[self._rounds]
+        rk = round_keys[self._rounds]
         out = bytes(
             _SBOX[state[(i + 4 * (i % 4)) % 16]] ^ rk[i] for i in range(16)
         )
@@ -215,8 +220,9 @@ class AES:
         if len(block) != BLOCK_SIZE:
             raise ValueError("AES block must be 16 bytes")
         m9, m11, m13, m14 = _MUL[9], _MUL[11], _MUL[13], _MUL[14]
+        round_keys = self._round_keys
         state = bytearray(
-            x ^ k for x, k in zip(block, self._round_keys[self._rounds])
+            x ^ k for x, k in zip(block, round_keys[self._rounds])
         )
         for rnd in range(self._rounds - 1, 0, -1):
             # InvShiftRows + InvSubBytes fused.
@@ -224,7 +230,7 @@ class AES:
                 _INV_SBOX[state[(i - 4 * (i % 4)) % 16]] for i in range(16)
             )
             # AddRoundKey then InvMixColumns.
-            rk = self._round_keys[rnd]
+            rk = round_keys[rnd]
             t = bytes(a ^ b for a, b in zip(s, rk))
             for c in range(4):
                 a0, a1, a2, a3 = t[4 * c: 4 * c + 4]
@@ -232,7 +238,7 @@ class AES:
                 state[4 * c + 1] = m9[a0] ^ m14[a1] ^ m11[a2] ^ m13[a3]
                 state[4 * c + 2] = m13[a0] ^ m9[a1] ^ m14[a2] ^ m11[a3]
                 state[4 * c + 3] = m11[a0] ^ m13[a1] ^ m9[a2] ^ m14[a3]
-        rk = self._round_keys[0]
+        rk = round_keys[0]
         return bytes(
             _INV_SBOX[state[(i - 4 * (i % 4)) % 16]] ^ rk[i] for i in range(16)
         )

@@ -36,7 +36,9 @@ CTR context — only for keys a caller declares **long-lived** by passing
 ``reuse=True`` to :meth:`CryptoProvider.seal` / :meth:`CryptoProvider.open`
 (:class:`~repro.crypto.aead.AuthenticatedCipher` does: ``P_a``, ``K_a``,
 ``K_g``, a journal's storage key) and for the one key of a
-``seal_many`` / ``open_many`` flush.  Building a CTR context costs ~15 µs
+``seal_many`` / ``open_many`` flush.  Building a CTR context for a
+300-byte frame costs ~6 µs straight from the OpenSSL constructor
+(:attr:`FastProvider.ctr_direct`; ~15 µs through a ``Cipher`` object)
 and re-arming a kept one with a new nonce ~1 µs, which is most of what a
 short frame pays for encryption.  ``seal`` / ``open`` hand the same
 declaration to the MAC key, and ``hmac_sha256(..., reuse=True)`` takes
@@ -84,7 +86,7 @@ class _KeyScheduleCache:
     """Small LRU of expanded cipher or MAC state keyed by raw key bytes.
 
     AES key expansion costs ~40 S-box passes per key, an OpenSSL CTR
-    context ~15 µs to build and an HMAC key schedule two compressions,
+    context ~6 µs to build and an HMAC key schedule two compressions,
     so each is kept here for long-lived keys
     (per provider, since the cached object type differs between
     backends).  Bounded so a churn of session keys cannot grow it
@@ -135,6 +137,10 @@ class CryptoProvider(ABC):
     #: frame (True) or rebuilt per frame (False) — recorded beside
     #: ``aes_backend`` for the same reason.
     ctr_reuse: bool = False
+    #: Whether a CTR context (a one-time key's, or a kept one) comes
+    #: straight from the OpenSSL constructor (True) or through a public
+    #: ``Cipher(...)`` object (False) — recorded for the same reason.
+    ctr_direct: bool = False
 
     def __init__(self) -> None:
         self._schedules = _KeyScheduleCache()
@@ -458,6 +464,10 @@ class FastProvider(CryptoProvider):
       CTR context per key, re-armed per frame with ``reset_nonce`` where
       the installed ``cryptography`` has it (:attr:`ctr_reuse`), rebuilt
       per frame where it does not.
+    * Every CTR context, one-time or kept, comes from the OpenSSL
+      constructor behind ``Cipher(...).encryptor()`` where a known-answer
+      block shows it agrees with that call (:attr:`ctr_direct`), and
+      from the public call where it is missing or disagrees.
     """
 
     name = "fast"
@@ -470,25 +480,42 @@ class FastProvider(CryptoProvider):
         self._hashlib = hashlib
         self._sha = hashlib.sha256
         self._hmac_mod = hmac_mod
+        self._new_ctr = None
         try:
             from cryptography.hazmat.primitives.ciphers import (
                 Cipher,
                 algorithms,
                 modes,
             )
-
+        except ImportError:  # graceful degradation, see class docstring
+            self._cipher_cls = None
+            self.aes_backend = "pure"
+        else:
             # Bound once: each attribute of ``algorithms`` / ``modes`` is
             # a Python-level module ``__getattr__`` away.
             self._cipher_cls = Cipher
             self._AES, self._CTR = algorithms.AES, modes.CTR
             self._ECB, self._CBC = modes.ECB, modes.CBC
             self.aes_backend = "cryptography"
-            # Observed, not configured: contexts that can take a new
-            # nonce are kept per long-lived key, others rebuilt per frame.
+            # ``Cipher(algorithm, mode).encryptor()`` checks its arguments
+            # in Python and then calls this constructor; ``_make_ctr`` and
+            # ``_ctr`` check them already, so they call it directly --
+            # once one block of its keystream is seen to equal the public
+            # call's.  Observed, not configured, as is ``ctr_reuse``.
+            probe = (self._AES(bytes(16)), self._CTR(bytes(16)))
+            want = Cipher(*probe).encryptor().update(bytes(16))
+            try:
+                from cryptography.hazmat.bindings._rust import openssl
+
+                new_ctr = openssl.ciphers.create_encryption_ctx
+                if new_ctr(*probe).update(bytes(16)) == want:
+                    self._new_ctr = new_ctr
+            except (ImportError, AttributeError, TypeError, ValueError):
+                pass
+            self.ctr_direct = self._new_ctr is not None
+            # Contexts that can take a new nonce are kept per long-lived
+            # key, others rebuilt per frame.
             self.ctr_reuse = hasattr(self._make_ctr(bytes(16)), "reset_nonce")
-        except ImportError:  # graceful degradation, see class docstring
-            self._cipher_cls = None
-            self.aes_backend = "pure"
         self._contexts = _KeyScheduleCache()
 
     def caches_key(self, key: bytes) -> bool:
@@ -576,6 +603,8 @@ class FastProvider(CryptoProvider):
         except ValueError:
             raise _wrong_key_size(key) from None
         mode = self._CTR(nonce + bytes(8))
+        if self._new_ctr is not None:
+            return self._new_ctr(algorithm, mode)
         return self._cipher_cls(algorithm, mode).encryptor()
 
     def _ctr(self, key: bytes, nonce: bytes, data: bytes, reuse: bool) -> bytes:

@@ -42,7 +42,9 @@ from __future__ import annotations
 
 import struct
 
-from repro.crypto.aead import AuthenticatedCipher, SealedBox
+from repro.crypto.aead import (
+    AuthenticatedCipher, SealedBox, pack_box, unpack_box,
+)
 from repro.crypto.keys import GroupKey
 from repro.crypto.mac import hmac_sha256
 from repro.crypto.provider import get_provider
@@ -201,8 +203,8 @@ class DataChannel:
             enc_key, mac_key, nonce, payload,
             data_ad(self.node, self._epoch, seq),
         )
-        box = SealedBox(nonce=nonce, ciphertext=ciphertext, tag=tag)
-        body = encode_data_body(self.node, self._epoch, seq, box.to_bytes())
+        body = encode_data_body(self.node, self._epoch, seq,
+                                pack_box(nonce, ciphertext, tag))
         return seq, Envelope(Label.DATA_MSG, self.node, recipient, body)
 
     def open(self, envelope: Envelope) -> tuple[str, int, bytes]:
@@ -247,10 +249,8 @@ class DataChannel:
                 bus.emit(DataShed(self.node, sender, epoch, seq, "window", fid))
             raise
         try:
-            box = SealedBox.from_bytes(box_b)
             plaintext = get_provider().open(
-                *pending.key, box.nonce, box.ciphertext, box.tag,
-                data_ad(sender, epoch, seq),
+                *pending.key, *unpack_box(box_b), data_ad(sender, epoch, seq),
             )
         except (IntegrityError, CodecError):
             self.shed += 1

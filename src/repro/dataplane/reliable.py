@@ -247,25 +247,36 @@ class ReliableSender:
 
     def on_ack(self, envelope: Envelope, now: float) -> None:
         """Fold every item of one DATA_ACK bundle into the pending set
-        (a bad item is ignored; the others still count)."""
+        (a bad item is ignored; the others still count), then drop the
+        frames every current peer has acked, once for the bundle."""
         if envelope.label is not Label.DATA_ACK:
             return
+        acked, pending = self._acked, self._pending
+        # What every peer has acked so far in this bundle: those frames
+        # are as good as dropped, so no later item's RTT sample reads
+        # them -- the samples an item-by-item drop would have taken.
+        floor, peers = -1, None
         for acker, seqs in self._open(envelope):
             # ACK values ride +1 on the wire so "nothing contiguous yet"
             # (cumulative -1) stays an unsigned field.
             cum = seqs[0] - 1 if seqs else -1
-            if cum <= self._acked.get(acker, -1):
+            if cum <= acked.get(acker, -1):
                 continue
-            self._acked[acker] = cum
+            acked[acker] = cum
             # RTT sample: age of the newest frame this ack covers.
             newest = max(
-                (sent for seq, (_, _, _, sent) in self._pending.items()
-                 if seq <= cum),
+                (sent for seq, (_, _, _, sent) in pending.items()
+                 if floor < seq <= cum),
                 default=None,
             )
             if newest is not None:
                 self.tracker.observe(max(0.0, now - newest))
-            self._collect()
+            if peers is None:
+                peers = [p for p in self._peers() if p != self.node]
+            if peers:
+                floor = min(acked.get(p, -1) for p in peers)
+        if floor >= 0:
+            self._collect(floor)
 
     def on_nack(self, envelope: Envelope) -> list[Envelope]:
         """Retransmit the cached frames a DATA_NACK bundle names."""
@@ -307,12 +318,9 @@ class ReliableSender:
                 self.node, "data-retransmit", self.budget.retries))
         self._budget_starved = True
 
-    def _collect(self) -> None:
-        """Drop frames every current peer has cumulatively acked."""
-        peers = [p for p in self._peers() if p != self.node]
-        if not peers:
-            return
-        floor = min(self._acked.get(p, -1) for p in peers)
+    def _collect(self, floor: int) -> None:
+        """Drop the frames at or below ``floor``, the lowest cumulative
+        ack among the current peers."""
         done = [seq for seq in self._pending if seq <= floor]
         for seq in done:
             del self._pending[seq]

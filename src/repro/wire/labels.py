@@ -71,17 +71,10 @@ class Label(enum.IntEnum):
     GROUP_REDIRECT = 0x31
 
     @property
-    def is_legacy(self) -> bool:
-        return 0x10 <= self.value <= 0x1B
-
-    @property
-    def is_itgm(self) -> bool:
-        return 0x01 <= self.value <= 0x06
-
-    @property
     def is_data(self) -> bool:
         """End-to-end data-plane traffic (ratcheted frames + acks)."""
-        return 0x40 <= self.value <= 0x42
+        # The label is its own int: ``self.value`` is a descriptor read.
+        return 0x40 <= self <= 0x42
 
 
 #: Data-plane flow control (cumulative acks, gap reports): what a leader

@@ -116,6 +116,28 @@ class TestTypedRejections:
         assert bob.open(good)[2] == b"real"
         assert bob.receiver_state("alice").stored == 0
 
+    def test_short_box_is_integrity_and_moves_no_chain(self):
+        """A box one byte too short to hold a nonce and a tag is shed as
+        ``integrity``; the receive chain stays where it was."""
+        from repro.dataplane.channel import encode_data_body
+
+        bus = EventBus()
+        records = []
+        bus.subscribe(records.append)
+        alice, bob = pair(telemetry=bus)
+        _, good = alice.seal(b"real", "leader")
+        short = Envelope(Label.DATA_MSG, "alice", "leader",
+                         encode_data_body("alice", 1, 0, bytes(39)))
+        with pytest.raises(CodecError):
+            bob.open(short)
+        shed = [r.event for r in records if isinstance(r.event, DataShed)]
+        assert [(e.sender, e.chain_seq, e.reason) for e in shed] == [
+            ("alice", 0, "integrity")]
+        assert (bob.shed, bob.delivered) == (1, 0)
+        state = bob.receiver_state("alice")
+        assert (state.next_seq, state.stored) == (0, 0)
+        assert bob.open(good) == ("alice", 0, b"real")
+
 
 class TestTelemetry:
     def test_delivery_and_shed_events(self):

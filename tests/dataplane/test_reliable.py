@@ -21,7 +21,7 @@ from repro.dataplane.reliable import (
 )
 from repro.enclaves.itgm.member import app_ad
 from repro.telemetry.events import EventBus, RetryBudgetExhausted
-from repro.overload.deadline import RetryBudget
+from repro.overload.deadline import LatencyTracker, RetryBudget
 from repro.wire.codec import encode_fields, encode_str
 from repro.wire.labels import Label
 from repro.wire.message import Envelope
@@ -365,6 +365,54 @@ class TestBundledDelivery:
         nacks = [receivers[p].on_data(env2, "leader")[1][1] for p in peers]
         assert sender.on_nack(relayed(*nacks)) == [lost]
         assert sender.retransmits == 1
+
+    def test_seven_item_bundle_folds_as_seven_bundles_of_one(
+            self, monkeypatch):
+        """One drop per bundle leaves the pending set, the ack state and
+        every RTT sample as one drop per item does -- including the
+        sample after the first item, which must not read a frame every
+        peer had acked by then (frame 0, re-sent last here)."""
+        peers = [f"p{i}" for i in range(7)]
+
+        def world():
+            sender, receivers = group(peers)
+            frames = [sender.send(b"m%d" % i, "leader", now=float(i))
+                      for i in range(3)]
+            # Frame 0 went out again after the others.
+            sender._pending[0] = sender._pending[0][:3] + (3.0,)
+            for peer in peers[1:]:  # p1..p6 have acked frames 0 and 1
+                for frame in frames[:2]:
+                    ack = receivers[peer].on_data(frame, "leader")[1][0]
+                    sender.on_ack(relayed(ack), now=4.0)
+            acks = []
+            for peer in peers:  # then every peer's newest ACK: through 2
+                for frame in frames[2 if peer != "p0" else 0:]:
+                    control = receivers[peer].on_data(frame, "leader")[1]
+                acks.append(control[0])
+            return sender, acks
+
+        observed = []
+        observe = LatencyTracker.observe
+        monkeypatch.setattr(LatencyTracker, "observe", lambda tracker, s: (
+            observed.append((tracker, s)), observe(tracker, s)))
+
+        def samples_of(sender, fold):
+            observed.clear()
+            fold()
+            return [s for tracker, s in observed if tracker is sender.tracker]
+
+        bundled, acks = world()
+        bundled_samples = samples_of(
+            bundled, lambda: bundled.on_ack(relayed(*acks), now=10.0))
+        single, acks = world()
+        single_samples = samples_of(single, lambda: [
+            single.on_ack(relayed(ack), now=10.0) for ack in acks])
+
+        assert bundled_samples == single_samples == [7.0] + [8.0] * 6
+        assert bundled._acked == single._acked == dict.fromkeys(peers, 2)
+        assert bundled._pending == single._pending == {}
+        assert bundled.fully_acked == single.fully_acked == 3
+        assert bundled.tracker.srtt == single.tracker.srtt
 
 
 @st.composite

@@ -8,24 +8,6 @@ from repro.wire.message import Envelope
 
 
 class TestLabel:
-    def test_itgm_labels(self):
-        for label in (Label.AUTH_INIT_REQ, Label.AUTH_KEY_DIST,
-                      Label.AUTH_ACK_KEY, Label.ADMIN_MSG, Label.ACK,
-                      Label.REQ_CLOSE):
-            assert label.is_itgm
-            assert not label.is_legacy
-
-    def test_legacy_labels(self):
-        for label in (Label.REQ_OPEN, Label.ACK_OPEN,
-                      Label.CONNECTION_DENIED, Label.NEW_KEY,
-                      Label.MEM_REMOVED):
-            assert label.is_legacy
-            assert not label.is_itgm
-
-    def test_app_data_is_neither(self):
-        assert not Label.APP_DATA.is_itgm
-        assert not Label.APP_DATA.is_legacy
-
     def test_values_unique(self):
         values = [label.value for label in Label]
         assert len(values) == len(set(values))
@@ -36,8 +18,6 @@ class TestLabel:
     def test_data_labels(self):
         for label in (Label.DATA_MSG, Label.DATA_ACK, Label.DATA_NACK):
             assert label.is_data
-            assert not label.is_itgm
-            assert not label.is_legacy
 
     def test_is_data_exhaustive(self):
         """``is_data`` is exactly the 0x40 block — no more, no less."""
